@@ -82,14 +82,14 @@ func TuneTri(p exec.Launcher, rows int, nnzRowAxis []int, levelsAxis []int, repe
 			} else {
 				d := bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriLevelSetSolve(p, strict, diag, info, w, x)
+					kernels.TriLevelSetSolve(p, strict, diag, info, w, x, nil)
 				})
 				cell.GFlops[kernels.TriLevelSet] = gflops(flops, d)
 
 				state := kernels.NewSyncFreeState(strict)
 				d = bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriSyncFreeSolve(p, state, strict, diag, w, x)
+					kernels.TriSyncFreeSolve(p, state, strict, diag, w, x, nil)
 				})
 				cell.GFlops[kernels.TriSyncFree] = gflops(flops, d)
 
@@ -97,7 +97,7 @@ func TuneTri(p exec.Launcher, rows int, nnzRowAxis []int, levelsAxis []int, repe
 				sched := kernels.NewMergedSchedule(info, 0, p.Workers())
 				d = bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x)
+					kernels.TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, nil)
 				})
 				cell.GFlops[kernels.TriCuSparseLike] = gflops(flops, d)
 			}

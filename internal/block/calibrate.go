@@ -91,7 +91,7 @@ func (s *Solver[T]) CalibrateKernels(repeats int) {
 			d := minTime(repeats, func() {
 				fillRand(rng, w[:n])
 				tb.kernel = k
-				s.solveTri(tb, w[:n], x[:n], tb.state)
+				s.solveTri(tb, w[:n], x[:n], 1, tb.state, nil)
 			})
 			if d < bestD {
 				best, bestD = k, d

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,85 +117,125 @@ func capturePanic(f func()) (r any) {
 	return nil
 }
 
+// guardedEntryPoints are the guarded solve entry points the stall tests
+// table over: single-RHS SolveContext and the daemon's coalesced path,
+// SolveBatchContext at k = 4.
+var guardedEntryPoints = []struct {
+	name string
+	k    int
+}{{"SolveContext", 1}, {"SolveBatchContext", 4}}
+
+// guardedSolve solves for b replicated into k right-hand sides through
+// SolveContext (k == 1) or SolveBatchContext and returns the row-major
+// solution. The solve runs in its own goroutine behind a bound, so one
+// that never returns fails the test instead of hanging it.
+func guardedSolve(t *testing.T, ctx context.Context, s *Solver[float64], k int, b []float64) ([]float64, error) {
+	t.Helper()
+	bk := InterleaveRHS(slices.Repeat([][]float64{b}, k))
+	x := make([]float64, len(bk))
+	done := make(chan error, 1)
+	go func() {
+		if k == 1 {
+			done <- s.SolveContext(ctx, bk, x)
+			return
+		}
+		done <- s.SolveBatchContext(ctx, bk, x, k)
+	}()
+	select {
+	case err := <-done:
+		return x, err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("k=%d: guarded solve still running after 10s", k)
+		return nil, nil
+	}
+}
+
 // 3. Corrupted in-degree → sync-free workers spin on a dependency that
 // never resolves; the watchdog aborts within its deadline and names the
 // stalled component.
 func TestChaosWatchdogAbortsCorruptedInDegree(t *testing.T) {
-	n := 600
-	l := gen.Layered(n, 30, 3, 0, 904)
-	s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: n,
-		Reorder: false, Adaptive: false, ForceTri: kernels.TriSyncFree,
-		StallTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.tris) != 1 || s.tris[0].state == nil {
-		t.Fatalf("expected a single sync-free triangle, got %d tris", len(s.tris))
-	}
-	// A phantom dependency: component 41's in-degree is one too high on
-	// every re-arm, so it never becomes ready and everything after it
-	// stalls. BaseCounts returns the live slice, so this corrupts the
-	// solver's own state — exactly what a stray write would do.
-	s.tris[0].state.BaseCounts()[41]++
+	for _, ep := range guardedEntryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			n := 600
+			l := gen.Layered(n, 30, 3, 0, 904)
+			s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: n,
+				Reorder: false, Adaptive: false, ForceTri: kernels.TriSyncFree,
+				StallTimeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.tris) != 1 || s.tris[0].state == nil {
+				t.Fatalf("expected a single sync-free triangle, got %d tris", len(s.tris))
+			}
+			// A phantom dependency: component 41's in-degree is one too high on
+			// every re-arm, so it never becomes ready and everything after it
+			// stalls. BaseCounts returns the live slice, so this corrupts the
+			// solver's own state — exactly what a stray write would do.
+			s.tris[0].state.BaseCounts()[41]++
 
-	b := gen.RandVec(n, 905)
-	x := make([]float64, n)
-	start := time.Now()
-	err = s.SolveContext(context.Background(), b, x)
-	elapsed := time.Since(start)
+			b := gen.RandVec(n, 905)
+			start := time.Now()
+			_, err = guardedSolve(t, context.Background(), s, ep.k, b)
+			elapsed := time.Since(start)
 
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want *StallError", err)
-	}
-	if !se.HasRow || se.Row > 41 {
-		t.Fatalf("stall diagnostic row=%d hasRow=%v, want the chain head at or before 41", se.Row, se.HasRow)
-	}
-	if se.InDegree <= 0 {
-		t.Fatalf("stalled in-degree %d, want > 0", se.InDegree)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("watchdog took %v to abort a 100ms stall", elapsed)
-	}
+			var se *StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("got %v, want *StallError", err)
+			}
+			if !se.HasRow || se.Row > 41 {
+				t.Fatalf("stall diagnostic row=%d hasRow=%v, want the chain head at or before 41", se.Row, se.HasRow)
+			}
+			if se.InDegree <= 0 {
+				t.Fatalf("stalled in-degree %d, want > 0", se.InDegree)
+			}
+			if elapsed > 5*time.Second {
+				t.Fatalf("watchdog took %v to abort a 100ms stall", elapsed)
+			}
 
-	// Un-corrupt and re-solve: the solver itself is undamaged.
-	s.tris[0].state.BaseCounts()[41]--
-	if err := s.SolveContext(context.Background(), b, x); err != nil {
-		t.Fatalf("solve after repair: %v", err)
-	}
-	ref := make([]float64, n)
-	kernels.SerialSolveCSR(l, b, ref)
-	for i := range x {
-		if math.Abs(x[i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
-			t.Fatalf("x[%d]=%g want %g", i, x[i], ref[i])
-		}
+			// Un-corrupt and re-solve: the solver itself is undamaged.
+			s.tris[0].state.BaseCounts()[41]--
+			x, err := guardedSolve(t, context.Background(), s, ep.k, b)
+			if err != nil {
+				t.Fatalf("solve after repair: %v", err)
+			}
+			ref := make([]float64, n)
+			kernels.SerialSolveCSR(l, b, ref)
+			for i := range x {
+				if want := ref[i/ep.k]; math.Abs(x[i]-want) > 1e-9*(1+math.Abs(want)) {
+					t.Fatalf("x[%d]=%g want %g", i, x[i], want)
+				}
+			}
+		})
 	}
 }
 
 // The same stall, aborted by context deadline instead of the watchdog.
 func TestChaosContextCancelsStalledSolve(t *testing.T) {
-	n := 400
-	l := gen.Layered(n, 20, 3, 0, 906)
-	s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: n,
-		Reorder: false, Adaptive: false, ForceTri: kernels.TriSyncFree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.tris[0].state.BaseCounts()[10]++
+	for _, ep := range guardedEntryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			n := 400
+			l := gen.Layered(n, 20, 3, 0, 906)
+			s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: n,
+				Reorder: false, Adaptive: false, ForceTri: kernels.TriSyncFree})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.tris[0].state.BaseCounts()[10]++
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	b := gen.RandVec(n, 907)
-	x := make([]float64, n)
-	if err := s.SolveContext(ctx, b, x); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded", err)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			b := gen.RandVec(n, 907)
+			if _, err := guardedSolve(t, ctx, s, ep.k, b); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("got %v, want context.DeadlineExceeded", err)
+			}
 
-	// Pre-cancelled context short-circuits without touching the kernels.
-	done, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if err := s.SolveContext(done, b, x); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+			// Pre-cancelled context short-circuits without touching the kernels.
+			done, cancelNow := context.WithCancel(context.Background())
+			cancelNow()
+			if _, err := guardedSolve(t, done, s, ep.k, b); !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 

@@ -110,10 +110,11 @@ type Options struct {
 	// verification ladder (solve L·δ = b−L·x, add δ) before falling back
 	// to the serial reference. Only consulted when VerifyResidual > 0.
 	Refine bool
-	// StallTimeout arms SolveContext's watchdog: a solve whose progress
-	// counter stops moving for this long is aborted with a StallError
-	// carrying the stalled component and its remaining dependency count.
-	// Zero disables the watchdog. Plain Solve is never watched.
+	// StallTimeout arms the watchdog of SolveContext and
+	// SolveBatchContext: a solve whose progress counter stops moving for
+	// this long is aborted with a StallError carrying the stalled
+	// component and its remaining dependency count. Zero disables the
+	// watchdog. Plain Solve and SolveBatch are never watched.
 	StallTimeout time.Duration
 
 	// Calibrate replaces threshold-based kernel selection with per-block

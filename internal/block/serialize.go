@@ -589,10 +589,7 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 	if err := s.validateLoaded(); err != nil {
 		return nil, err
 	}
-	s.wp = make([]T, s.n)
-	if s.perm != nil {
-		s.xp = make([]T, s.n)
-	}
+	s.own = s.newSession()
 	return s, nil
 }
 

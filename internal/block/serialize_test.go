@@ -70,7 +70,9 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 }
 
 func TestSerializeFloat32(t *testing.T) {
-	pool := exec.NewPool(2)
+	// One worker fixes the order of the kernels' atomic scatter adds, so
+	// original and reloaded solver round identically even in float32.
+	pool := exec.NewPool(1)
 	l64 := gen.Layered(800, 20, 4, 0.1, 500)
 	l := sparse.ConvertValues[float32](l64)
 	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})

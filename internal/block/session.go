@@ -1,6 +1,8 @@
 package block
 
 import (
+	"fmt"
+
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
@@ -14,24 +16,34 @@ import (
 // Typical server usage: Analyze once, hand one Session to each request
 // goroutine.
 type Session[T sparse.Float] struct {
-	s        *Solver[T]
-	wp, xp   []T
-	wbp, xbp []T
+	s *Solver[T]
+	// w and xp hold the permuted right-hand sides and solutions (xp only
+	// with a permutation), sized for the widest batch solved so far.
+	w, xp []T
 	// states[i] is the private sync-free state of triangular block i, or
-	// nil when block i's kernel needs no mutable state.
+	// nil when block i's kernel needs no mutable state. The Solver's own
+	// session has no states and uses the block-owned ones.
 	states []*kernels.SyncFreeState
-	gs     guardScratch[T]
-	stats  SolveStats
+	// r and d are the verification ladder's residual and correction,
+	// allocated on the first refinement step.
+	r, d  []T
+	stats SolveStats
+}
+
+// newSession allocates a session's single-RHS scratch.
+func (s *Solver[T]) newSession() *Session[T] {
+	ses := &Session[T]{s: s, w: make([]T, s.n)}
+	if s.perm != nil {
+		ses.xp = make([]T, s.n)
+	}
+	return ses
 }
 
 // NewSession returns a fresh concurrent solving context. Sessions are
 // cheap relative to preprocessing: two n-vectors plus one int32 counter
 // array per sync-free block.
 func (s *Solver[T]) NewSession() *Session[T] {
-	ses := &Session[T]{s: s, wp: make([]T, s.n)}
-	if s.perm != nil {
-		ses.xp = make([]T, s.n)
-	}
+	ses := s.newSession()
 	ses.states = make([]*kernels.SyncFreeState, len(s.tris))
 	for i := range s.tris {
 		if s.tris[i].kernel == kernels.TriSyncFree {
@@ -63,21 +75,36 @@ func (ses *Session[T]) ResetStats() { ses.stats = SolveStats{} }
 //
 //sptrsv:hotpath
 func (ses *Session[T]) Solve(b, x []T) {
-	ses.s.solveWith(b, x, ses.wp, ses.xp, ses.states, &ses.stats)
+	if n := ses.s.n; len(b) != n || len(x) != n {
+		panic(fmt.Sprintf("block: Solve got len(b)=%d len(x)=%d want %d", len(b), len(x), n))
+	}
+	ses.run(b, x, 1, nil)
 }
 
 // SolveBatch is the batched counterpart of Solve (see Solver.SolveBatch).
 func (ses *Session[T]) SolveBatch(b, x []T, k int) {
-	if k == 1 {
-		ses.Solve(b, x)
-		return
+	if err := ses.checkArgs("SolveBatch", b, x, k); err != nil {
+		panic(err.Error())
 	}
-	n := ses.s.n
-	if k > 1 && len(ses.wbp) < n*k {
-		ses.wbp = make([]T, n*k)
+	ses.grow(k)
+	ses.run(b, x, k, nil)
+}
+
+// checkArgs validates the row-major n×k blocks of a k-RHS solve.
+func (ses *Session[T]) checkArgs(op string, b, x []T, k int) error {
+	if n := ses.s.n; k <= 0 || len(b) != n*k || len(x) != n*k {
+		return fmt.Errorf("block: %s got len(b)=%d len(x)=%d k=%d want %d", op, len(b), len(x), k, n*k)
+	}
+	return nil
+}
+
+// grow sizes the scratch for k right-hand sides. Sessions start sized for
+// one, so only batch solves ever allocate here.
+func (ses *Session[T]) grow(k int) {
+	if nk := ses.s.n * k; len(ses.w) < nk {
+		ses.w = make([]T, nk)
 		if ses.s.perm != nil {
-			ses.xbp = make([]T, n*k)
+			ses.xp = make([]T, nk)
 		}
 	}
-	ses.s.solveBatchWith(b, x, k, ses.wbp, ses.xbp, ses.states, &ses.stats)
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
+	"github.com/sss-lab/blocksptrsv/internal/faultinject"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
@@ -77,23 +78,21 @@ type planStep struct {
 }
 
 // Solver is a preprocessed block SpTRSV. Construct with Preprocess; Solve
-// may be called any number of times but not concurrently (it owns scratch
-// vectors). It implements the kernels.Solver interface.
+// may be called any number of times but not concurrently (its solves run
+// on one Session the Solver owns). It implements the kernels.Solver
+// interface.
 type Solver[T sparse.Float] struct {
-	n        int
-	opts     Options
-	pool     exec.Launcher
-	perm     []int          // newIdx[original] = permuted position; nil without reorder
-	orig     *sparse.CSR[T] // caller's matrix, for residual checks and fallback; nil when deserialised
-	tris     []triBlock[T]
-	sqs      []sqBlock[T]
-	steps    []planStep
-	wp, xp   []T
-	wbp, xbp []T // lazily grown scratch of SolveBatch
-	gs       guardScratch[T]
-	traffic  Traffic
-	stats    SolveStats
-	sqNNZ    int
+	n       int
+	opts    Options
+	pool    exec.Launcher
+	perm    []int          // newIdx[original] = permuted position; nil without reorder
+	orig    *sparse.CSR[T] // caller's matrix, for residual checks and fallback; nil when deserialised
+	tris    []triBlock[T]
+	sqs     []sqBlock[T]
+	steps   []planStep
+	own     *Session[T] // scratch and stats of the Solver's own solves
+	traffic Traffic
+	sqNNZ   int
 
 	// Observability state. stepDepth holds each step's recursion depth
 	// for Explain's tree rendering (nil on deserialised solvers); meta
@@ -201,10 +200,7 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 			s.sqs = append(s.sqs, sb)
 		}
 	}
-	s.wp = make([]T, n)
-	if s.perm != nil {
-		s.xp = make([]T, n)
-	}
+	s.own = s.newSession()
 	if o.Calibrate {
 		reps := o.CalibrateRepeats
 		if reps <= 0 {
@@ -437,94 +433,64 @@ func formatCounts[K comparable](order []K, get func(K) (string, int)) string {
 }
 
 // Stats returns the accumulated instrumentation counters.
-func (s *Solver[T]) Stats() SolveStats { return s.stats }
+func (s *Solver[T]) Stats() SolveStats { return s.own.stats }
 
 // ResetStats clears the instrumentation counters.
-func (s *Solver[T]) ResetStats() { s.stats = SolveStats{} }
+func (s *Solver[T]) ResetStats() { s.own.stats = SolveStats{} }
 
 // Solve computes x with L·x = b. b is not modified; b and x may be the
 // same slice. Not safe for concurrent use — the solver owns scratch state;
 // use NewSession for concurrent solving over the same analysis.
 //
 //sptrsv:hotpath
-func (s *Solver[T]) Solve(b, x []T) {
-	s.solveWith(b, x, s.wp, s.xp, nil, &s.stats)
-}
+func (s *Solver[T]) Solve(b, x []T) { s.own.Solve(b, x) }
 
-// solveWith is the shared solve path: w and xp are the caller's scratch
-// (xp only used when a permutation is active), states optionally overrides
-// the per-block sync-free states (sessions pass their own), and stats
-// receives instrumentation.
+// run is the one plan executor behind Solve, SolveContext, SolveBatch and
+// SolveBatchContext. It permutes b into the session's scratch, walks the
+// plan's blocks in execution order over k row-major right-hand sides —
+// the single-RHS kernels at k == 1, the batch kernels above — and
+// unpermutes into x. Callers check the argument lengths and size the
+// scratch for k.
+//
+// A nil guard is the plain solve. A live guard is polled before every
+// step and inside the kernels; run reports false once it trips, leaving x
+// unspecified and the cause in the guard. Either way this loop is the one
+// place a solve is instrumented, traced, labelled for pprof and counted,
+// and its per-step clock reads make the whole function a measurement
+// site.
 //
 //sptrsv:hotpath
-func (s *Solver[T]) solveWith(b, x, w, xpScratch []T, states []*kernels.SyncFreeState, stats *SolveStats) {
-	if len(b) != s.n || len(x) != s.n {
-		panic(fmt.Sprintf("block: Solve got len(b)=%d len(x)=%d want %d", len(b), len(x), s.n))
+//sptrsv:wallclock
+func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard) bool {
+	s := ses.s
+	rec, instrument := s.opts.Trace, s.opts.Instrument
+	timed := instrument || rec != nil
+	var solveT0 time.Time
+	if timed {
+		solveT0 = time.Now()
 	}
-	timed, t0 := s.solveClock()
-	xp := x
+	nk := s.n * k
+	w, xp := ses.w[:nk], x
 	if s.perm != nil {
-		sparse.PermuteVecInto(w, b, s.perm)
-		xp = xpScratch
+		xp = ses.xp[:nk]
+		if k == 1 {
+			sparse.PermuteVecInto(w, b, s.perm)
+		} else {
+			permuteRowsInto(w, b, s.perm, k)
+		}
 	} else {
 		copy(w, b)
 	}
-	sid := s.beginTrace()
+	var sid int64
+	if rec != nil {
+		sid = rec.beginSolve()
+	}
+	stats := &ses.stats
 	stats.LastTraceID = sid
-	s.solveSteps(w, xp, states, s.opts.Instrument, stats, sid)
-	if s.perm != nil {
-		sparse.UnpermuteVecInto(x, xp, s.perm)
-	}
-	stats.Solves++
-	mSolves.Inc()
-	observeSolveTime(timed, t0)
-}
-
-// observeSolveTime feeds the solve-latency histogram. It is the one
-// sanctioned clock read on the way out of a solve, shared by the plain
-// and guarded paths.
-//
-//sptrsv:hotpath
-//sptrsv:wallclock
-func observeSolveTime(timed bool, t0 time.Time) {
-	if timed {
-		mSolveTime.Observe(time.Since(t0))
-	}
-}
-
-// solveClock reads the clock for the solve-latency histogram on solves
-// that already pay for timestamps (instrumented or traced); plain solves
-// skip even the clock reads.
-//
-//sptrsv:hotpath
-//sptrsv:wallclock
-func (s *Solver[T]) solveClock() (bool, time.Time) {
-	if s.opts.Instrument || s.opts.Trace != nil {
-		return true, time.Now()
-	}
-	return false, time.Time{}
-}
-
-// beginTrace assigns the solve id for an attached recorder (0 = untraced).
-//
-//sptrsv:hotpath
-func (s *Solver[T]) beginTrace() int64 {
-	if s.opts.Trace == nil {
-		return 0
-	}
-	return s.opts.Trace.beginSolve()
-}
-
-// solveSteps walks the execution plan. The per-step clock reads feed the
-// trace ring and the instrumentation counters, so the whole function is a
-// measurement site.
-//
-//sptrsv:hotpath
-//sptrsv:wallclock
-func (s *Solver[T]) solveSteps(w, xp []T, states []*kernels.SyncFreeState, instrument bool, stats *SolveStats, sid int64) {
-	rec := s.opts.Trace
-	timed := instrument || rec != nil
 	for si, st := range s.steps {
+		if g.Tripped() {
+			break
+		}
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
@@ -532,40 +498,71 @@ func (s *Solver[T]) solveSteps(w, xp []T, states []*kernels.SyncFreeState, instr
 		if s.labels != nil {
 			pprof.SetGoroutineLabels(s.labels[si])
 		}
+		var kernel uint8
 		if st.kind == triSeg {
-			tb := &s.tris[st.idx]
-			s.solveTri(tb, w[tb.lo:tb.hi], xp[tb.lo:tb.hi], stateFor(states, st.idx, tb))
-			mTriCalls[tb.kernel].Inc()
-			if timed {
-				d := time.Since(t0)
-				if instrument {
-					stats.TriTime += d
-					stats.TriCalls++
-				}
-				if rec != nil {
-					rec.record(sid, si, s.meta[si], uint8(tb.kernel), t0, d)
-				}
+			if faultinject.Enabled {
+				faultinject.PanicAt("tri-block", st.idx)
 			}
+			tb := &s.tris[st.idx]
+			if !s.solveTri(tb, w[tb.lo*k:tb.hi*k], xp[tb.lo*k:tb.hi*k], k, stateFor(ses.states, st.idx, tb), g) {
+				break
+			}
+			mTriCalls[tb.kernel].Inc()
+			kernel = uint8(tb.kernel)
 		} else {
 			sb := &s.sqs[st.idx]
-			kernels.RunSpMV(s.pool, sb.kernel, sb.csr, sb.dcsr,
-				xp[sb.spec.colLo:sb.spec.colHi], w[sb.spec.rowLo:sb.spec.rowHi])
+			xs, ws := xp[sb.spec.colLo*k:sb.spec.colHi*k], w[sb.spec.rowLo*k:sb.spec.rowHi*k]
+			if k == 1 {
+				kernels.RunSpMV(s.pool, sb.kernel, sb.csr, sb.dcsr, xs, ws)
+			} else {
+				kernels.RunSpMVBatch(s.pool, sb.kernel, sb.csr, sb.dcsr, xs, ws, k)
+			}
+			g.Step()
 			mSpMVCalls[sb.kernel].Inc()
-			if timed {
-				d := time.Since(t0)
-				if instrument {
+			kernel = uint8(sb.kernel)
+		}
+		if timed {
+			d := time.Since(t0)
+			if instrument {
+				if st.kind == triSeg {
+					stats.TriTime += d
+					stats.TriCalls++
+				} else {
 					stats.SpMVTime += d
 					stats.SpMVCalls++
 				}
-				if rec != nil {
-					rec.record(sid, si, s.meta[si], uint8(sb.kernel), t0, d)
-				}
+			}
+			if rec != nil {
+				rec.record(sid, si, s.meta[si], kernel, t0, d)
 			}
 		}
 	}
 	if s.labels != nil {
 		pprof.SetGoroutineLabels(bgLabels)
 	}
+	if g.Tripped() {
+		return false
+	}
+	if faultinject.Enabled {
+		if row, v, ok := faultinject.Poison("solution"); ok && row*k < len(xp) {
+			xp[row*k] = T(v)
+		}
+	}
+	if s.perm != nil {
+		if k == 1 {
+			sparse.UnpermuteVecInto(x, xp, s.perm)
+		} else {
+			unpermuteRowsInto(x, xp, s.perm, k)
+		}
+	}
+	stats.Solves++
+	mSolves.Inc()
+	if timed {
+		// Only solves that already pay for step timestamps feed the
+		// solve-latency histogram; plain solves skip even these clock reads.
+		mSolveTime.Observe(time.Since(solveT0))
+	}
+	return true
 }
 
 // bgLabels clears the per-step pprof labels after a traced solve.
@@ -582,22 +579,47 @@ func stateFor[T sparse.Float](states []*kernels.SyncFreeState, idx int, tb *triB
 	return tb.state
 }
 
+// solveTri is the one triangular-kernel dispatch: block tb's selected
+// kernel over k right-hand sides, the single-RHS kernel at k == 1 and its
+// batch counterpart above. Kernels without internal waits take one guard
+// progress step per block. It reports false when g tripped before the
+// block finished.
+//
 //sptrsv:hotpath
-func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, state *kernels.SyncFreeState) {
+func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.SyncFreeState, g *exec.Guard) bool {
 	switch tb.kernel {
 	case kernels.TriCompletelyParallel:
-		kernels.TriDiagOnlySolve(s.pool, tb.diag, w, x)
+		if k == 1 {
+			kernels.TriDiagOnlySolve(s.pool, tb.diag, w, x)
+		} else {
+			kernels.TriDiagOnlySolveBatch(s.pool, tb.diag, w, x, k)
+		}
 	case kernels.TriLevelSet:
-		kernels.TriLevelSetSolve(s.pool, tb.strictCSC, tb.diag, tb.info, w, x)
+		if k == 1 {
+			return kernels.TriLevelSetSolve(s.pool, tb.strictCSC, tb.diag, tb.info, w, x, g)
+		}
+		return kernels.TriLevelSetSolveBatch(s.pool, tb.strictCSC, tb.diag, tb.info, w, x, k, g)
 	case kernels.TriSyncFree:
-		kernels.TriSyncFreeSolve(s.pool, state, tb.strictCSC, tb.diag, w, x)
+		if k == 1 {
+			return kernels.TriSyncFreeSolve(s.pool, state, tb.strictCSC, tb.diag, w, x, g)
+		}
+		return kernels.TriSyncFreeSolveBatch(s.pool, state, tb.strictCSC, tb.diag, w, x, k, g)
 	case kernels.TriCuSparseLike:
-		kernels.TriCuSparseLikeSolve(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x)
+		if k == 1 {
+			return kernels.TriCuSparseLikeSolve(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, g)
+		}
+		return kernels.TriCuSparseLikeSolveBatch(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k, g)
 	case kernels.TriSerial:
-		kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x)
+		if k == 1 {
+			kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x)
+		} else {
+			kernels.TriSerialSolveBatch(tb.strictCSC, tb.diag, w, x, k)
+		}
 	default:
 		panic(fmt.Sprintf("block: unresolved tri kernel %v", tb.kernel))
 	}
+	g.Step()
+	return true
 }
 
 // SolveMulti solves L·X = B column by column: B and X are sets of

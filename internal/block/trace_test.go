@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,12 +16,14 @@ import (
 
 // traceTestSolver builds a multi-block solver with tracing and
 // instrumentation armed, so trace records and aggregate stats can be
-// cross-checked against each other.
+// cross-checked against each other. It runs on one worker: the launch
+// schedule, and with it the order of the kernels' atomic scatter adds, is
+// then fixed, so two solves of the same b agree bit for bit.
 func traceTestSolver(t *testing.T, rec *TraceRecorder) (*Solver[float64], []float64, []float64) {
 	t.Helper()
 	l := gen.Layered(800, 20, 4, 0, 99)
 	s, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 64,
+		Workers: 1, Kind: Recursive, MinBlockRows: 64,
 		Reorder: true, Adaptive: true, Instrument: true, Trace: rec,
 	})
 	if err != nil {
@@ -30,16 +33,44 @@ func traceTestSolver(t *testing.T, rec *TraceRecorder) (*Solver[float64], []floa
 	return s, b, make([]float64, l.Rows)
 }
 
+// TestTraceMatchesStats pins the step records against the aggregate
+// stats on every instrumented entry point: single-RHS Solve and the batch
+// paths at k = 3 run the same step loop and must feed both sinks alike.
 func TestTraceMatchesStats(t *testing.T) {
-	rec := NewTraceRecorder(1 << 12)
-	s, b, x := traceTestSolver(t, rec)
+	const k = 3
+	inputs := []struct {
+		name  string
+		k     int
+		solve func(s *Solver[float64], b, x []float64) error
+	}{
+		{"Solve", 1, func(s *Solver[float64], b, x []float64) error { s.Solve(b, x); return nil }},
+		{"SolveBatch", k, func(s *Solver[float64], b, x []float64) error { s.SolveBatch(b, x, k); return nil }},
+		{"SolveBatchContext", k, func(s *Solver[float64], b, x []float64) error {
+			return s.SolveBatchContext(context.Background(), b, x, k)
+		}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			rec := NewTraceRecorder(1 << 12)
+			s, b, _ := traceTestSolver(t, rec)
+			bk := InterleaveRHS(slices.Repeat([][]float64{b}, in.k))
+			xk := make([]float64, len(bk))
+			traceMatchesStats(t, rec, s, func() error { return in.solve(s, bk, xk) })
+		})
+	}
+}
+
+func traceMatchesStats(t *testing.T, rec *TraceRecorder, s *Solver[float64], solve func() error) {
+	t.Helper()
 	steps := s.NumTriBlocks() + s.NumSquareBlocks()
 	if steps < 3 {
 		t.Fatalf("want a multi-block plan, got %d steps", steps)
 	}
 	const solves = 7
 	for i := 0; i < solves; i++ {
-		s.Solve(b, x)
+		if err := solve(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()
 	// One record per plan step per solve, and records classify exactly as

@@ -101,37 +101,9 @@ type PaddedInt32 struct {
 	_ [60]byte
 }
 
-// SpinUntilZero busy-waits until the counter reaches zero, the analogue of
-// a sync-free warp spinning on a component's in-degree. The dominant case
-// — rows whose dependencies already resolved — is one atomic load that
-// inlines into the kernel inner loop (the whole spin loop costs 89 against
-// the compiler's budget of 80, so the wait is outlined into the slow
-// variant, which spins a short burst and then yields to the scheduler so
-// that on small pools the goroutine holding the dependency can run).
-//
-//sptrsv:hotpath
-func SpinUntilZero(c *atomic.Int32) {
-	if c.Load() == 0 {
-		return
-	}
-	spinUntilZeroSlow(c)
-}
-
-//sptrsv:hotpath
-func spinUntilZeroSlow(c *atomic.Int32) {
-	for spins := 0; ; spins++ {
-		if c.Load() == 0 {
-			return
-		}
-		if spins&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
-
 // SpinUntilNonZero busy-waits until the flag becomes non-zero — the
-// ready-flag counterpart of SpinUntilZero used by gather-form sync-free
-// kernels, with the same inlinable already-set fast path.
+// ready-flag counterpart of SpinUntilZeroGuarded used by gather-form
+// sync-free kernels, with the same inlinable already-set fast path.
 //
 //sptrsv:hotpath
 func SpinUntilNonZero(c *atomic.Int32) {

@@ -51,6 +51,10 @@ func (b *panicBox) Repanic() {
 // Trip is first-wins: the first cause sticks, later trips are ignored.
 // Polling a tripped guard costs one atomic bool load — the only overhead
 // the guarded spin loops add per iteration.
+//
+// A nil *Guard is the unguarded solve: it never trips, Trip and Step are
+// no-ops, and the kernels pay one predictable nil check per level, chunk
+// or component for it.
 type Guard struct {
 	tripped atomic.Bool
 	mu      sync.Mutex
@@ -72,6 +76,9 @@ func NewGuard() *Guard {
 // Trip poisons the guard with a cause. Only the first call wins; it
 // reports whether this call was the one that tripped the guard.
 func (g *Guard) Trip(cause error) bool {
+	if g == nil {
+		return false
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.tripped.Load() {
@@ -86,7 +93,7 @@ func (g *Guard) Trip(cause error) bool {
 // Tripped reports whether the guard has been poisoned.
 //
 //sptrsv:hotpath
-func (g *Guard) Tripped() bool { return g.tripped.Load() }
+func (g *Guard) Tripped() bool { return g != nil && g.tripped.Load() }
 
 // Cause returns the error the guard was tripped with, or nil.
 func (g *Guard) Cause() error {
@@ -100,7 +107,11 @@ func (g *Guard) Cause() error {
 // stops moving.
 //
 //sptrsv:hotpath
-func (g *Guard) Step() { g.progress.Add(1) }
+func (g *Guard) Step() {
+	if g != nil {
+		g.progress.Add(1)
+	}
+}
 
 // Progress returns the number of work items completed so far.
 func (g *Guard) Progress() int64 { return g.progress.Load() }
@@ -133,12 +144,16 @@ func (g *Guard) Stall() (row int, indeg int32, ok bool) {
 	return int(r), g.stallDeg.Load(), true
 }
 
-// SpinUntilZeroGuarded busy-waits like SpinUntilZero but additionally
-// polls the guard, returning false the moment it trips. The extra guard
-// load per iteration is the entire per-iteration cost of the guarded
-// solve path's spin loops. Like SpinUntilZero, the already-resolved fast
-// path is one atomic load that inlines into the kernel; the wait loop is
-// outlined.
+// SpinUntilZeroGuarded busy-waits until the counter reaches zero, the
+// analogue of a sync-free warp spinning on a component's in-degree, and
+// returns false the moment the guard trips (never, for a nil guard). The
+// dominant case — rows whose dependencies already resolved — is one
+// atomic load that inlines into the kernel inner loop; the wait loop is
+// outlined into the slow variant (the whole loop is over the compiler's
+// inlining budget), which spins a short burst and then yields to the
+// scheduler so that on small pools the goroutine holding the dependency
+// can run. The guard load per iteration is the guarded path's entire
+// per-iteration cost.
 //
 //sptrsv:hotpath
 func SpinUntilZeroGuarded(c *atomic.Int32, g *Guard) bool {
@@ -154,7 +169,7 @@ func spinUntilZeroGuardedSlow(c *atomic.Int32, g *Guard) bool {
 		if c.Load() == 0 {
 			return true
 		}
-		if g.tripped.Load() {
+		if g.Tripped() {
 			return false
 		}
 		if spins&63 == 63 {

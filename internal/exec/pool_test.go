@@ -139,7 +139,7 @@ func TestSpinUntilZero(t *testing.T) {
 	var order atomic.Int32
 	p.Run(func(w int) {
 		if w == 0 {
-			SpinUntilZero(&gate)
+			SpinUntilZeroGuarded(&gate, nil)
 			if order.Load() != 1 {
 				t.Error("spinner released before gate opened")
 			}

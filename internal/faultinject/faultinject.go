@@ -11,9 +11,9 @@
 //
 // Sites used by the library:
 //
-//	"tri-block"    — PanicAt before solving triangular block k (single-RHS
-//	                 and batched guarded paths)
-//	"sync-free"    — Delay at guarded sync-free worker start;
+//	"tri-block"    — PanicAt before solving triangular block k (the one
+//	                 plan executor behind every solve entry point)
+//	"sync-free"    — Delay at single-RHS sync-free worker start;
 //	                 CorruptInDegree when re-arming dependency counters
 //	"solution"     — Poison applied to the permuted solution vector
 //	"daemon-solve" — Slow before every daemon batch solve, throttling the

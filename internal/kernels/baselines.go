@@ -127,7 +127,7 @@ func (s *LevelSetSolver[T]) Info() *levelset.Info { return s.info }
 
 func (s *LevelSetSolver[T]) Solve(b, x []T) {
 	copy(s.w, b)
-	TriLevelSetSolve(s.pool, s.strict, s.diag, s.info, s.w, x)
+	TriLevelSetSolve(s.pool, s.strict, s.diag, s.info, s.w, x, nil)
 }
 
 // SyncFreeSolver is the Sync-free baseline of Liu et al. (Algorithm 3).
@@ -159,7 +159,7 @@ func (s *SyncFreeSolver[T]) Rows() int    { return len(s.diag) }
 
 func (s *SyncFreeSolver[T]) Solve(b, x []T) {
 	copy(s.w, b)
-	TriSyncFreeSolve(s.pool, s.state, s.strict, s.diag, s.w, x)
+	TriSyncFreeSolve(s.pool, s.state, s.strict, s.diag, s.w, x, nil)
 }
 
 // CuSparseLikeSolver is the cuSPARSE-v2 stand-in: level-set analysis plus
@@ -215,7 +215,7 @@ func (s *CuSparseLikeSolver[T]) Schedule() *MergedSchedule { return s.sched }
 
 func (s *CuSparseLikeSolver[T]) Solve(b, x []T) {
 	copy(s.w, b)
-	TriCuSparseLikeSolve(s.pool, s.sched, s.strictCSR, s.diag, s.w, x)
+	TriCuSparseLikeSolve(s.pool, s.sched, s.strictCSR, s.diag, s.w, x, nil)
 }
 
 // NewBaseline constructs a named whole-matrix baseline; the benchmark

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -84,12 +85,16 @@ func TriDiagOnlySolveBatch[T sparse.Float](p exec.Launcher, diag []T, w, x []T, 
 }
 
 // TriLevelSetSolveBatch runs the level-set kernel over an n×k block:
-// one launch per level, scatter updates with per-element atomic adds.
+// one launch per level, scatter updates with per-element atomic adds. The
+// guard is polled per level, as in TriLevelSetSolve.
 //
 //sptrsv:hotpath
-func TriLevelSetSolveBatch[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], diag []T, info *levelset.Info, w, x []T, k int) {
+func TriLevelSetSolveBatch[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], diag []T, info *levelset.Info, w, x []T, k int, g *exec.Guard) bool {
 	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
 	for l := 0; l < info.NLevels; l++ {
+		if g.Tripped() {
+			return false
+		}
 		lo, hi := info.LevelPtr[l], info.LevelPtr[l+1]
 		items := info.LevelItem[lo:hi]
 		p.ParallelFor(len(items), 0, func(a, b int) {
@@ -111,31 +116,46 @@ func TriLevelSetSolveBatch[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T
 				}
 			}
 		})
+		g.Step()
 	}
+	return !g.Tripped()
 }
 
 // TriSyncFreeSolveBatch runs the sync-free kernel over an n×k block. The
 // in-degree of a component is decremented once per dependency after all k
 // of its updates have been published, preserving the release/acquire
-// pairing of the single-vector kernel.
+// pairing of the single-vector kernel. The guard is polled per component,
+// with the stall and panic handling of TriSyncFreeSolve.
 //
 //sptrsv:hotpath
-func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], diag []T, w, x []T, k int) {
+func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], diag []T, w, x []T, k int, g *exec.Guard) bool {
 	n := len(diag)
 	if n == 0 {
-		return
+		return true
 	}
 	state.reset()
 	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
 	indeg := state.indeg
 	var next atomic.Int64
 	p.Run(func(worker int) {
+		defer func() {
+			if r := recover(); r != nil {
+				g.Trip(fmt.Errorf("kernels: sync-free worker %d panicked: %v", worker, r))
+				panic(r)
+			}
+		}()
 		for {
+			if g.Tripped() {
+				return
+			}
 			j := int(next.Add(1)) - 1
 			if j >= n {
 				return
 			}
-			exec.SpinUntilZero(&indeg[j].V)
+			if !exec.SpinUntilZeroGuarded(&indeg[j].V, g) {
+				g.ReportStall(j, indeg[j].V.Load())
+				return
+			}
 			inv := 1 / diag[j]
 			xj := x[j*k:][:k]
 			scaleInto(xj, w[j*k:][:k], inv)
@@ -151,15 +171,18 @@ func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState
 				}
 				indeg[row].V.Add(-1)
 			}
+			g.Step()
 		}
 	})
+	return !g.Tripped()
 }
 
 // TriCuSparseLikeSolveBatch runs the merged level-set kernel over an n×k
-// block in gather form (no atomics).
+// block in gather form (no atomics). The guard is polled per chunk, as in
+// TriCuSparseLikeSolve.
 //
 //sptrsv:hotpath
-func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int) {
+func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int, g *exec.Guard) bool {
 	rowPtr, colIdx, vals := strictCSR.RowPtr, strictCSR.ColIdx, strictCSR.Val
 	//lint:ignore hotpathalloc,escapecheck one row closure per solve, shared by every chunk launch below
 	row := func(i int, sum []T) {
@@ -177,10 +200,13 @@ func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSch
 		inv := 1 / diag[i]
 		scaleInto(x[i*k:][:k], sum, inv)
 	}
-	for c := 0; c < len(sched.serial); c++ {
-		lo, hi := sched.chunkPtr[c], sched.chunkPtr[c+1]
-		items := sched.items[lo:hi]
-		if sched.serial[c] {
+	chunkPtr, serial, order := sched.chunkPtr, sched.serial, sched.items
+	for c := range serial {
+		if g.Tripped() {
+			return false
+		}
+		items := order[chunkPtr[c]:chunkPtr[c+1]]
+		if serial[c] {
 			p.ParallelFor(1, 1, func(_, _ int) {
 				//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
 				sum := make([]T, k)
@@ -188,17 +214,19 @@ func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSch
 					row(items[t], sum)
 				}
 			})
-			continue
+		} else {
+			p.ParallelFor(len(items), 0, func(a, b int) {
+				//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
+				sum := make([]T, k)
+				its := items[a:b]
+				for t := range its {
+					row(its[t], sum)
+				}
+			})
 		}
-		p.ParallelFor(len(items), 0, func(a, b int) {
-			//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
-			sum := make([]T, k)
-			its := items[a:b]
-			for t := range its {
-				row(its[t], sum)
-			}
-		})
+		g.Step()
 	}
+	return !g.Tripped()
 }
 
 // SpMVScalarCSRSubBatch computes W -= A·X over n×k blocks, one worker

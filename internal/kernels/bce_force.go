@@ -21,9 +21,6 @@ var bceForceInstantiations = [...]any{
 	TriLevelSetSolve[float64], TriLevelSetSolve[float32],
 	TriSyncFreeSolve[float64], TriSyncFreeSolve[float32],
 	TriCuSparseLikeSolve[float64], TriCuSparseLikeSolve[float32],
-	TriLevelSetSolveGuarded[float64], TriLevelSetSolveGuarded[float32],
-	TriSyncFreeSolveGuarded[float64], TriSyncFreeSolveGuarded[float32],
-	TriCuSparseLikeSolveGuarded[float64], TriCuSparseLikeSolveGuarded[float32],
 	(*SyncFreeCSRSolver[float64]).Solve, (*SyncFreeCSRSolver[float32]).Solve,
 	NewSyncFreeState[float64], NewSyncFreeState[float32],
 

@@ -45,9 +45,9 @@ func BenchmarkTriKernels(b *testing.B) {
 			})
 		}
 		run("serial", func() { TriSerialSolve(strict, diag, w, x) })
-		run("level-set", func() { TriLevelSetSolve(pool, strict, diag, info, w, x) })
-		run("sync-free", func() { TriSyncFreeSolve(pool, state, strict, diag, w, x) })
-		run("cusparse-like", func() { TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x) })
+		run("level-set", func() { TriLevelSetSolve(pool, strict, diag, info, w, x, nil) })
+		run("sync-free", func() { TriSyncFreeSolve(pool, state, strict, diag, w, x, nil) })
+		run("cusparse-like", func() { TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, nil) })
 	}
 }
 
@@ -73,13 +73,13 @@ func BenchmarkLevelSetLauncherStyles(b *testing.B) {
 		b.Run(fmt.Sprintf("level-set/%s", style), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(w, rhs)
-				TriLevelSetSolve(pool, strict, diag, info, w, x)
+				TriLevelSetSolve(pool, strict, diag, info, w, x, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("cusparse-like/%s", style), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(w, rhs)
-				TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x)
+				TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, nil)
 			}
 		})
 		exec.CloseLauncher(pool)

@@ -53,7 +53,8 @@ func buildRandLower[T sparse.Float](rng *rand.Rand, n int, density float64) *spa
 }
 
 // checkKernelEquivalence solves one random system with every optimized
-// SpTRSV kernel and compares each result to the TriSerialSolve reference.
+// SpTRSV kernel and compares each result to the TriSerialSolve reference;
+// the guard-taking kernels run with a nil and with a live guard.
 func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers int, density float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -85,24 +86,50 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	}
 
 	p := exec.NewPool(workers)
-	x := make([]T, n)
-	w = append(w[:0], b...)
-	TriLevelSetSolve(p, strictCSC, diag, info, w, x)
-	check("level-set", x)
-
-	x = make([]T, n)
-	w = append(w[:0], b...)
-	TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, diag, w, x)
-	check("sync-free", x)
-
 	strictCSR := strictCSC.ToCSR()
 	sched := NewMergedSchedule(info, 0, workers)
-	x = make([]T, n)
-	w = append(w[:0], b...)
-	TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x)
-	check("cusparse-like", x)
+	guarded := []struct {
+		name  string
+		solve func(p exec.Launcher, w, x []T, g *exec.Guard) bool
+	}{
+		{"level-set", func(p exec.Launcher, w, x []T, g *exec.Guard) bool {
+			return TriLevelSetSolve(p, strictCSC, diag, info, w, x, g)
+		}},
+		{"sync-free", func(p exec.Launcher, w, x []T, g *exec.Guard) bool {
+			return TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, diag, w, x, g)
+		}},
+		{"cusparse-like", func(p exec.Launcher, w, x []T, g *exec.Guard) bool {
+			return TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, g)
+		}},
+	}
+	// One worker runs every launch inline, so the schedule — and with it
+	// the order of the atomic scatter adds — is fixed and a nil-guard and
+	// a live-guard run must agree bit for bit. On workers > 1 the scatter
+	// order varies between runs, so both are held to the serial tolerance.
+	// A live guard nobody trips must let every kernel finish.
+	serialPool := exec.NewPool(1)
+	for _, kern := range guarded {
+		solve := func(p exec.Launcher, g *exec.Guard) []T {
+			t.Helper()
+			x := make([]T, n)
+			w = append(w[:0], b...)
+			if !kern.solve(p, w, x, g) {
+				t.Fatalf("%T %s: seed=%d n=%d workers=%d: untripped guard aborted the solve", T(0), kern.name, seed, n, workers)
+			}
+			return x
+		}
+		check(kern.name, solve(p, nil))
+		check(kern.name+"/guarded", solve(p, exec.NewGuard()))
+		plain, live := solve(serialPool, nil), solve(serialPool, exec.NewGuard())
+		for i := range plain {
+			if math.Float64bits(float64(plain[i])) != math.Float64bits(float64(live[i])) {
+				t.Fatalf("%T %s: seed=%d n=%d: guarded x[%d]=%g differs from unguarded %g",
+					T(0), kern.name, seed, n, i, live[i], plain[i])
+			}
+		}
+	}
 
-	x = make([]T, n)
+	x := make([]T, n)
 	SerialSolveCSR(l, b, x)
 	check("serial-csr", x)
 

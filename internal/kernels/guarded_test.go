@@ -64,11 +64,27 @@ func TestGuardedKernelsMatchSerial(t *testing.T) {
 
 	x := make([]float64, n)
 	copy(w, b)
-	check("level-set", x, TriLevelSetSolveGuarded(p, strict, diag, info, w, x, exec.NewGuard()))
+	check("level-set", x, TriLevelSetSolve(p, strict, diag, info, w, x, exec.NewGuard()))
 	copy(w, b)
-	check("sync-free", x, TriSyncFreeSolveGuarded(p, state, strict, diag, w, x, exec.NewGuard()))
+	check("sync-free", x, TriSyncFreeSolve(p, state, strict, diag, w, x, exec.NewGuard()))
 	copy(w, b)
-	check("cusparse-like", x, TriCuSparseLikeSolveGuarded(p, sched, strictCSR, diag, w, x, exec.NewGuard()))
+	check("cusparse-like", x, TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, exec.NewGuard()))
+}
+
+// syncFreeKernels are the guarded sync-free scenarios' inputs: the
+// single-RHS kernel and the batch kernel at k = 2, which share the claim,
+// spin, stall-report and panic-release protocol.
+var syncFreeKernels = []struct {
+	name string
+	k    int
+	run  func(p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[float64], diag, w, x []float64, g *exec.Guard) bool
+}{
+	{"single", 1, func(p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[float64], diag, w, x []float64, g *exec.Guard) bool {
+		return TriSyncFreeSolve(p, state, strict, diag, w, x, g)
+	}},
+	{"batch", 2, func(p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[float64], diag, w, x []float64, g *exec.Guard) bool {
+		return TriSyncFreeSolveBatch(p, state, strict, diag, w, x, 2, g)
+	}},
 }
 
 // A worker that panics mid-chain would classically deadlock the sync-free
@@ -76,80 +92,88 @@ func TestGuardedKernelsMatchSerial(t *testing.T) {
 // spins forever. The guarded kernel must instead trip the guard, release
 // the spinners, and re-raise the panic on the caller.
 func TestSyncFreeGuardedPanicReleasesSpinners(t *testing.T) {
-	n := 300
-	strict, diag := chainStrict(n)
-	p := exec.NewSpinPool(4)
-	defer p.Close()
-	state := NewSyncFreeState(strict)
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	x := make([]float64, n/2) // component n/2 panics with an index error
-	g := exec.NewGuard()
+	for _, kern := range syncFreeKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			n, k := 300, kern.k
+			strict, diag := chainStrict(n)
+			p := exec.NewSpinPool(4)
+			defer p.Close()
+			state := NewSyncFreeState(strict)
+			w := make([]float64, n*k)
+			for i := range w {
+				w[i] = 1
+			}
+			x := make([]float64, n/2*k) // component n/2 panics with an index error
+			g := exec.NewGuard()
 
-	done := make(chan any, 1)
-	go func() {
-		var r any
-		func() {
-			defer func() { r = recover() }()
-			TriSyncFreeSolveGuarded(p, state, strict, diag, w, x, g)
-		}()
-		done <- r
-	}()
-	select {
-	case r := <-done:
-		if r == nil {
-			t.Fatal("expected the out-of-range panic to propagate")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("guarded sync-free solve deadlocked after a worker panic")
-	}
-	if !g.Tripped() {
-		t.Fatal("panicking worker did not trip the guard")
-	}
+			done := make(chan any, 1)
+			go func() {
+				var r any
+				func() {
+					defer func() { r = recover() }()
+					kern.run(p, state, strict, diag, w, x, g)
+				}()
+				done <- r
+			}()
+			select {
+			case r := <-done:
+				if r == nil {
+					t.Fatal("expected the out-of-range panic to propagate")
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("guarded sync-free solve deadlocked after a worker panic")
+			}
+			if !g.Tripped() {
+				t.Fatal("panicking worker did not trip the guard")
+			}
 
-	// The pool survives for an untruncated retry.
-	x = make([]float64, n)
-	copy(w, make([]float64, n))
-	for i := range w {
-		w[i] = 1
-	}
-	if !TriSyncFreeSolveGuarded(p, state, strict, diag, w, x, exec.NewGuard()) {
-		t.Fatal("retry after panic tripped")
+			// The pool survives for an untruncated retry.
+			x = make([]float64, n*k)
+			for i := range w {
+				w[i] = 1
+			}
+			if !kern.run(p, state, strict, diag, w, x, exec.NewGuard()) {
+				t.Fatal("retry after panic tripped")
+			}
+		})
 	}
 }
 
 // An externally tripped guard (cancellation, watchdog) releases spinning
 // workers and reports the head of the stalled dependency chain.
 func TestSyncFreeGuardedStallDiagnostics(t *testing.T) {
-	n := 200
-	strict, diag := chainStrict(n)
-	state := NewSyncFreeState(strict)
-	state.base[40]++ // phantom dependency: 40 and everything after stalls
-	p := exec.NewSpinPool(4)
-	defer p.Close()
-	w := make([]float64, n)
-	x := make([]float64, n)
-	g := exec.NewGuard()
-	cause := errors.New("chaos: external cancel")
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		g.Trip(cause)
-	}()
-	if TriSyncFreeSolveGuarded(p, state, strict, diag, w, x, g) {
-		t.Fatal("stalled solve reported success")
-	}
-	if !errors.Is(g.Cause(), cause) {
-		t.Fatalf("cause: %v", g.Cause())
-	}
-	row, indeg, ok := g.Stall()
-	if !ok || row != 40 || indeg <= 0 {
-		t.Fatalf("stall diagnostic row=%d indeg=%d ok=%v, want row 40 with positive in-degree", row, indeg, ok)
+	for _, kern := range syncFreeKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			n, k := 200, kern.k
+			strict, diag := chainStrict(n)
+			state := NewSyncFreeState(strict)
+			state.base[40]++ // phantom dependency: 40 and everything after stalls
+			p := exec.NewSpinPool(4)
+			defer p.Close()
+			w := make([]float64, n*k)
+			x := make([]float64, n*k)
+			g := exec.NewGuard()
+			cause := errors.New("chaos: external cancel")
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				g.Trip(cause)
+			}()
+			if kern.run(p, state, strict, diag, w, x, g) {
+				t.Fatal("stalled solve reported success")
+			}
+			if !errors.Is(g.Cause(), cause) {
+				t.Fatalf("cause: %v", g.Cause())
+			}
+			row, indeg, ok := g.Stall()
+			if !ok || row != 40 || indeg <= 0 {
+				t.Fatalf("stall diagnostic row=%d indeg=%d ok=%v, want row 40 with positive in-degree", row, indeg, ok)
+			}
+		})
 	}
 }
 
-// A pre-tripped guard aborts every guarded kernel before it launches.
+// A pre-tripped guard aborts every guarded kernel, batch kernels
+// included, before it launches.
 func TestGuardedKernelsHonourPreTrippedGuard(t *testing.T) {
 	n := 50
 	strict, diag := chainStrict(n)
@@ -160,13 +184,22 @@ func TestGuardedKernelsHonourPreTrippedGuard(t *testing.T) {
 	g.Trip(errors.New("already cancelled"))
 	w := make([]float64, n)
 	x := make([]float64, n)
-	if TriLevelSetSolveGuarded(p, strict, diag, info, w, x, g) {
+	if TriLevelSetSolve(p, strict, diag, info, w, x, g) {
 		t.Fatal("level-set ran under a tripped guard")
 	}
-	if TriSyncFreeSolveGuarded(p, NewSyncFreeState(strict), strict, diag, w, x, g) {
+	if TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, diag, w, x, g) {
 		t.Fatal("sync-free ran under a tripped guard")
 	}
-	if TriCuSparseLikeSolveGuarded(p, NewMergedSchedule(info, 0, 2), strict.ToCSR(), diag, w, x, g) {
+	if TriCuSparseLikeSolve(p, NewMergedSchedule(info, 0, 2), strict.ToCSR(), diag, w, x, g) {
 		t.Fatal("cusparse-like ran under a tripped guard")
+	}
+	if TriLevelSetSolveBatch(p, strict, diag, info, w, x, 1, g) {
+		t.Fatal("batch level-set ran under a tripped guard")
+	}
+	if TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, diag, w, x, 1, g) {
+		t.Fatal("batch sync-free ran under a tripped guard")
+	}
+	if TriCuSparseLikeSolveBatch(p, NewMergedSchedule(info, 0, 2), strict.ToCSR(), diag, w, x, 1, g) {
+		t.Fatal("batch cusparse-like ran under a tripped guard")
 	}
 }

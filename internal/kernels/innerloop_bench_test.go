@@ -56,6 +56,17 @@ func BenchmarkInnerLoop(b *testing.B) {
 		perNNZ(b, nnz)
 	})
 
+	// The batch kernel at k = 1 against scatter-csc above is why solves of
+	// one right-hand side keep their own kernels instead of running the
+	// batch ones at k = 1 (EXPERIMENTS.md, inner-loop table).
+	b.Run("batch-k1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(w, rhs)
+			TriSerialSolveBatch(strict, diag, w, x, 1)
+		}
+		perNNZ(b, nnz)
+	})
+
 	b.Run("gather-csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			SerialSolveCSR(l, rhs, x)

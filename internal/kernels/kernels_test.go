@@ -274,19 +274,19 @@ func TestTriKernelsMatchTriSerial(t *testing.T) {
 
 			x := make([]float64, n)
 			w = append(w[:0], b...)
-			TriLevelSetSolve(p, strictCSC, diag, info, w, x)
+			TriLevelSetSolve(p, strictCSC, diag, info, w, x, nil)
 			check("level-set", x)
 
 			x = make([]float64, n)
 			w = append(w[:0], b...)
-			TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, diag, w, x)
+			TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, diag, w, x, nil)
 			check("sync-free", x)
 
 			strictCSR := strictCSC.ToCSR()
 			sched := NewMergedSchedule(info, 0, workers)
 			x = make([]float64, n)
 			w = append(w[:0], b...)
-			TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x)
+			TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, nil)
 			check("cusparse-like", x)
 		}
 	}
@@ -313,7 +313,7 @@ func TestTriDiagOnlySolve(t *testing.T) {
 func TestTriSyncFreeEmptyBlock(t *testing.T) {
 	p := exec.NewPool(2)
 	strict := &sparse.CSC[float64]{Rows: 0, Cols: 0, ColPtr: []int{0}}
-	TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, nil, nil, nil)
+	TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, nil, nil, nil, nil)
 }
 
 func TestBaselineUnknownAndInvalid(t *testing.T) {

@@ -21,6 +21,7 @@
 package kernels
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
@@ -165,10 +166,18 @@ func TriDiagOnlySolve[T sparse.Float](p exec.Launcher, diag []T, w, x []T) {
 // are in strictly later levels, so reads of w within the level race with
 // nothing.
 //
+// A non-nil guard is checked at every level barrier and takes one
+// progress step per level; the kernel reports false when it tripped
+// before completion, leaving w and x unspecified. A nil guard never
+// trips. The same contract holds for every kernel taking a guard.
+//
 //sptrsv:hotpath
-func TriLevelSetSolve[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], diag []T, info *levelset.Info, w, x []T) {
+func TriLevelSetSolve[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], diag []T, info *levelset.Info, w, x []T, g *exec.Guard) bool {
 	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
 	for l := 0; l < info.NLevels; l++ {
+		if g.Tripped() {
+			return false
+		}
 		lo, hi := info.LevelPtr[l], info.LevelPtr[l+1]
 		items := info.LevelItem[lo:hi]
 		p.ParallelFor(len(items), 0, func(a, b int) {
@@ -185,7 +194,9 @@ func TriLevelSetSolve[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], di
 				}
 			}
 		})
+		g.Step()
 	}
+	return !g.Tripped()
 }
 
 // SyncFreeState holds the reusable scratch of the sync-free kernel: the
@@ -238,23 +249,45 @@ func (s *SyncFreeState) reset() {
 // all finished (they have smaller indices), so some worker always
 // progresses.
 //
+// A non-nil guard makes the busy-waits cancellable and takes one progress
+// step per component. A worker whose dependency never arrives exits the
+// moment the guard trips, recording the stalled component and its
+// remaining in-degree as the abort diagnostic; a panicking worker trips
+// the guard itself before re-raising, so the surviving workers cannot spin
+// forever on updates the dead worker will never publish.
+//
 //sptrsv:hotpath
-func TriSyncFreeSolve[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], diag []T, w, x []T) {
+func TriSyncFreeSolve[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], diag []T, w, x []T, g *exec.Guard) bool {
 	n := len(diag)
 	if n == 0 {
-		return
+		return true
 	}
 	state.reset()
 	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
 	indeg := state.indeg
 	var next atomic.Int64
 	p.Run(func(worker int) {
+		defer func() {
+			if r := recover(); r != nil {
+				g.Trip(fmt.Errorf("kernels: sync-free worker %d panicked: %v", worker, r))
+				panic(r)
+			}
+		}()
+		if faultinject.Enabled {
+			faultinject.Delay("sync-free", worker)
+		}
 		for {
+			if g.Tripped() {
+				return
+			}
 			j := int(next.Add(1)) - 1
 			if j >= n {
 				return
 			}
-			exec.SpinUntilZero(&indeg[j].V)
+			if !exec.SpinUntilZeroGuarded(&indeg[j].V, g) {
+				g.ReportStall(j, indeg[j].V.Load())
+				return
+			}
 			xj := w[j] / diag[j]
 			x[j] = xj
 			klo, khi := colPtr[j], colPtr[j+1]
@@ -265,8 +298,10 @@ func TriSyncFreeSolve[T sparse.Float](p exec.Launcher, state *SyncFreeState, str
 				exec.AtomicAddFloat(&w[r], -vs[k]*xj)
 				indeg[r].V.Add(-1)
 			}
+			g.Step()
 		}
 	})
+	return !g.Tripped()
 }
 
 // MergedSchedule is the cuSPARSE-like kernel's analysis result: the level
@@ -354,10 +389,12 @@ func (s *MergedSchedule) SerialChunks() int {
 // Gather form reads finished x entries directly, so no atomics are needed —
 // dependencies are guaranteed by the inter-chunk barriers and by in-order
 // execution inside serial chunks (executing fused levels in level order is
-// dependency-safe because every dependency lives in an earlier level).
+// dependency-safe because every dependency lives in an earlier level). A
+// non-nil guard is checked at every chunk boundary and takes one progress
+// step per chunk.
 //
 //sptrsv:hotpath
-func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T) {
+func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, g *exec.Guard) bool {
 	rowPtr, colIdx, vals := strictCSR.RowPtr, strictCSR.ColIdx, strictCSR.Val
 	// The gather sum runs 4-way unrolled over two accumulators: the serial
 	// sub-per-nonzero dependency chain is split in two, and the window
@@ -391,23 +428,30 @@ func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule
 		}
 		x[i] = (s0 - s1) / diag[i]
 	}
-	for c := 0; c < len(sched.serial); c++ {
-		lo, hi := sched.chunkPtr[c], sched.chunkPtr[c+1]
-		items := sched.items[lo:hi]
-		if sched.serial[c] {
+	// Hoisting the schedule's slices keeps serial[c] provably in bounds
+	// across the guard's atomic load.
+	chunkPtr, serial, order := sched.chunkPtr, sched.serial, sched.items
+	for c := range serial {
+		if g.Tripped() {
+			return false
+		}
+		items := order[chunkPtr[c]:chunkPtr[c+1]]
+		if serial[c] {
 			// One launch, one worker, rows in level order.
 			p.ParallelFor(1, 1, func(_, _ int) {
 				for t := range items {
 					row(items[t])
 				}
 			})
-			continue
+		} else {
+			p.ParallelFor(len(items), 0, func(a, b int) {
+				its := items[a:b]
+				for t := range its {
+					row(its[t])
+				}
+			})
 		}
-		p.ParallelFor(len(items), 0, func(a, b int) {
-			its := items[a:b]
-			for t := range its {
-				row(its[t])
-			}
-		})
+		g.Step()
 	}
+	return !g.Tripped()
 }
