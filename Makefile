@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint bcecheck inlcheck escapecheck lint-update fuzz-short daemon-smoke cachecheck startup
+.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke cachecheck startup
 
-ci: vet build test race chaos daemon-smoke perfgate lint bcecheck inlcheck escapecheck fuzz-short cachecheck
+ci: vet build test race chaos daemon-smoke perfgate lint compilercheck fuzz-short cachecheck
 
 vet:
 	$(GO) vet ./...
@@ -33,33 +33,23 @@ race:
 lint:
 	$(GO) run ./cmd/sptrsvlint ./...
 
-# BCE invariant (DESIGN.md §6.9): recompile the hot packages with the
-# compiler's bounds-check debug pass and fail if any //sptrsv:hotpath
-# function carries more surviving checks than internal/lint/bce_allow.txt
-# permits. After a reviewed kernel-shape change, refresh the allowlist
-# with `go run ./cmd/sptrsvlint -bce -bce-update`.
-bcecheck:
-	$(GO) run ./cmd/sptrsvlint -bce
+# Compiler gates (DESIGN.md §6.9, §6.13): one build of every package that
+# declares a //sptrsv:hotpath function, with -gcflags='-m=2
+# -d=ssa/check_bce' under the bcecheck tag. It fails if a hot-path
+# function carries more surviving bounds checks than
+# internal/lint/bce_allow.txt permits, stopped inlining without a reviewed
+# internal/lint/inl_allow.txt entry carrying the compiler's reason
+# verbatim, or has a heap escape beyond the sanctioned per-launch
+# publication costs.
+compilercheck:
+	$(GO) run ./cmd/sptrsvlint -compiler
 
-# Compiler-witness gates (DESIGN.md §6.13). inlcheck recompiles the hot
-# packages with -gcflags=-m=2 and fails if any //sptrsv:hotpath function
-# stopped inlining without a reviewed internal/lint/inl_allow.txt entry
-# carrying the compiler's reason verbatim. escapecheck reads the same
-# audit and fails on hot-path heap escapes beyond the sanctioned
-# per-launch publication costs.
-inlcheck:
-	$(GO) run ./cmd/sptrsvlint -inl
-
-escapecheck:
-	$(GO) run ./cmd/sptrsvlint -escape
-
-# Regenerate both compiler-witness allowlists from the current tree, then
-# fail if they changed — a dirty result means an unreviewed drift between
-# the committed allowlists and what the compiler actually does. Commit
-# the regenerated files after reviewing the diff.
+# Regenerate both compiler allowlists from the current tree, then fail if
+# they changed — a dirty result means an unreviewed drift between the
+# committed allowlists and what the compiler actually does. Commit the
+# regenerated files after reviewing the diff.
 lint-update:
-	$(GO) run ./cmd/sptrsvlint -bce -bce-update
-	$(GO) run ./cmd/sptrsvlint -inl -inl-update
+	$(GO) run ./cmd/sptrsvlint -compiler -update
 	git diff --exit-code internal/lint/bce_allow.txt internal/lint/inl_allow.txt
 
 # Short deterministic-budget fuzzing pass over the two input parsers (the

@@ -8,24 +8,17 @@
 // Usage:
 //
 //	sptrsvlint [-json] [-only analyzer,analyzer] [-C dir] [packages]
-//	sptrsvlint -bce [-bce-allow file] [-bce-update] [-C dir] [packages]
-//	sptrsvlint -inl [-inl-allow file] [-inl-update] [-C dir] [packages]
-//	sptrsvlint -escape [-C dir] [packages]
+//	sptrsvlint -compiler [-update] [-C dir] [packages]
 //
-// The -bce mode checks the bounds-check-elimination invariant instead
-// (DESIGN.md §6.9): it recompiles the packages (default: the hot-path
-// packages) with -d=ssa/check_bce under the bcecheck build tag and fails
-// when any //sptrsv:hotpath function carries more surviving bounds checks
-// than the committed allowlist permits. -bce-update rewrites the
-// allowlist from the current audit.
-//
-// The -inl and -escape modes are the compiler-witness gates (DESIGN.md
-// §6.13). Both recompile the packages with -gcflags=-m=2 and share one
-// audit when combined. -inl requires every //sptrsv:hotpath function to
-// inline or carry a reviewed inl_allow.txt entry recording the
-// compiler's cannot-inline reason verbatim (-inl-update regenerates the
-// file); -escape requires hot-path functions to have zero heap escapes
-// beyond the sanctioned per-launch publication costs.
+// The -compiler mode runs the compiler gates instead (DESIGN.md §6.9,
+// §6.13). It builds every package (among the given ones, default ./...)
+// that declares a //sptrsv:hotpath function once with
+// -gcflags='-m=2 -d=ssa/check_bce' under the bcecheck build tag, and
+// fails when a hot-path function carries more surviving bounds checks
+// than internal/lint/bce_allow.txt permits, cannot inline without a
+// reviewed internal/lint/inl_allow.txt entry recording the compiler's
+// reason verbatim, or has a heap escape beyond the sanctioned per-launch
+// publication costs. -update rewrites both allowlists from the audit.
 //
 // Exit codes: 0 clean, 1 findings, 2 load/usage error.
 package main
@@ -52,22 +45,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	dir := fs.String("C", ".", "load packages from this directory")
-	bce := fs.Bool("bce", false, "check the hot-path bounds-check-elimination invariant instead of running analyzers")
-	bceAllow := fs.String("bce-allow", "internal/lint/bce_allow.txt", "BCE allowlist path, relative to -C")
-	bceUpdate := fs.Bool("bce-update", false, "with -bce: rewrite the allowlist from the current audit")
-	inl := fs.Bool("inl", false, "check the hot-path inlining invariant (compiler -m=2 witness) instead of running analyzers")
-	inlAllow := fs.String("inl-allow", "internal/lint/inl_allow.txt", "inlining allowlist path, relative to -C")
-	inlUpdate := fs.Bool("inl-update", false, "with -inl: rewrite the allowlist from the current audit")
-	escape := fs.Bool("escape", false, "check the hot-path zero-escape invariant (compiler -m=2 witness) instead of running analyzers")
+	compiler := fs.Bool("compiler", false, "run the compiler gates (bounds checks, inlining, escapes) from one audit build instead of the analyzers")
+	update := fs.Bool("update", false, "with -compiler: rewrite both allowlists from the audit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *bce {
-		return runBCE(*dir, *bceAllow, *bceUpdate, fs.Args(), stdout, stderr)
-	}
-	if *inl || *escape {
-		return runM2(*dir, *inl, *escape, *inlAllow, *inlUpdate, fs.Args(), stdout, stderr)
+	if *compiler {
+		return runCompiler(*dir, *update, fs.Args(), stdout, stderr)
 	}
 
 	analyzers := lint.All
@@ -107,137 +92,90 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// bceDefaultPkgs are the packages whose hot paths the BCE invariant
-// covers: every package with //sptrsv:hotpath functions.
-var bceDefaultPkgs = []string{
-	"./internal/kernels", "./internal/exec", "./internal/sparse", "./internal/levelset",
-}
+// The committed allowlists, relative to -C.
+const (
+	bceAllowPath = "internal/lint/bce_allow.txt"
+	inlAllowPath = "internal/lint/inl_allow.txt"
+)
 
-func runBCE(dir, allowPath string, update bool, pkgs []string, stdout, stderr io.Writer) int {
-	if len(pkgs) == 0 {
-		pkgs = bceDefaultPkgs
-	}
-	sites, err := lint.RunBCEAudit(dir, pkgs)
+// runCompiler runs the three compiler gates off one audit build, or with
+// update rewrites both allowlists from it.
+func runCompiler(dir string, update bool, pkgs []string, stdout, stderr io.Writer) int {
+	audited, funcs, err := lint.CompilerAudit(dir, pkgs)
 	if err != nil {
-		fmt.Fprintf(stderr, "sptrsvlint: bce audit: %v\n", err)
+		fmt.Fprintf(stderr, "sptrsvlint: compiler audit: %v\n", err)
 		return 2
 	}
-	funcs, err := lint.GroupBCESites(dir, sites)
-	if err != nil {
-		fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
-		return 2
-	}
-	allowFile := filepath.Join(dir, filepath.FromSlash(allowPath))
+	bceFile := filepath.Join(dir, filepath.FromSlash(bceAllowPath))
+	inlFile := filepath.Join(dir, filepath.FromSlash(inlAllowPath))
 	if update {
-		if err := os.WriteFile(allowFile, []byte(lint.FormatBCEAllow(funcs)), 0o644); err != nil {
+		if err := writeAllowlists(map[string]string{
+			bceFile: lint.FormatBCEAllow(funcs),
+			inlFile: lint.FormatInlAllow(funcs),
+		}); err != nil {
 			fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "bce: allowlist rewritten: %s\n", allowPath)
+		fmt.Fprintf(stdout, "compiler: allowlists rewritten: %s %s\n", bceAllowPath, inlAllowPath)
 		return 0
 	}
-	allow, err := lint.LoadBCEAllow(allowFile)
+	bceAllow, err := lint.LoadBCEAllow(bceFile)
 	if err != nil {
 		fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
 		return 2
 	}
-	res := lint.CheckBCE(funcs, allow)
-	for _, s := range res.Stale {
-		fmt.Fprintf(stdout, "bce: note: %s\n", s)
-	}
-	for _, v := range res.Violations {
-		fmt.Fprintf(stdout, "bce: %s\n", v)
-	}
-	if len(res.Violations) > 0 {
-		fmt.Fprintf(stdout, "bce: FAIL: %d hot-path function(s) over budget (see DESIGN.md §6.9)\n", len(res.Violations))
-		return 1
-	}
-	fmt.Fprintf(stdout, "bce: ok: %d hot-path function(s) within budget across %s\n", res.Hotpath, strings.Join(pkgs, " "))
-	return 0
-}
-
-// m2DefaultPkgs are the packages the compiler-witness gates audit: every
-// package with //sptrsv:hotpath functions. internal/metrics joins the
-// BCE set because its hot-path counters are gated on inlining, not on
-// bounds checks.
-var m2DefaultPkgs = append(append([]string{}, bceDefaultPkgs...), "./internal/metrics")
-
-// runM2 drives the -inl and/or -escape gates off one shared -m=2 audit.
-func runM2(dir string, inl, escape bool, allowPath string, update bool, pkgs []string, stdout, stderr io.Writer) int {
-	if len(pkgs) == 0 {
-		pkgs = m2DefaultPkgs
-	}
-	audit, err := lint.RunM2Audit(dir, pkgs)
+	inlAllow, err := lint.LoadInlAllow(inlFile)
 	if err != nil {
-		fmt.Fprintf(stderr, "sptrsvlint: m2 audit: %v\n", err)
+		fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
 		return 2
 	}
-	code := 0
-	if inl {
-		if c := runInl(dir, allowPath, update, pkgs, audit, stdout, stderr); c != 0 {
-			code = c
+	inlined, sanctioned, suppressed := 0, 0, 0
+	for _, f := range funcs {
+		if f.Inlines() {
+			inlined++
 		}
+		sanctioned += f.Sanctioned
+		suppressed += f.Suppressed
 	}
-	if escape && code != 2 {
-		if c := runEscape(dir, pkgs, audit, stdout, stderr); c > code {
-			code = c
+	code := 0
+	for _, g := range []struct {
+		name     string
+		res      lint.GateResult
+		fail, ok string
+	}{
+		{"bce", lint.CheckBCE(funcs, bceAllow), "hot-path function(s) over budget (see DESIGN.md §6.9)",
+			fmt.Sprintf("%d hot-path function(s) within budget", len(funcs))},
+		{"inl", lint.CheckInl(funcs, inlAllow), "hot-path function(s) not inlining (see DESIGN.md §6.13)",
+			fmt.Sprintf("%d/%d hot-path function(s) inline (rest allowlisted)", inlined, len(funcs))},
+		{"escape", lint.CheckEscapes(funcs), "unsanctioned heap escape(s) in hot-path functions (see DESIGN.md §6.13)",
+			fmt.Sprintf("no unsanctioned hot-path escapes (%d sanctioned, %d suppressed)", sanctioned, suppressed)},
+	} {
+		for _, s := range g.res.Stale {
+			fmt.Fprintf(stdout, "%s: note: %s\n", g.name, s)
+		}
+		for _, v := range g.res.Violations {
+			fmt.Fprintf(stdout, "%s: %s\n", g.name, v)
+		}
+		if len(g.res.Violations) > 0 {
+			fmt.Fprintf(stdout, "%s: FAIL: %d %s\n", g.name, len(g.res.Violations), g.fail)
+			code = 1
+		} else {
+			fmt.Fprintf(stdout, "%s: ok: %s across %s\n", g.name, g.ok, strings.Join(audited, " "))
 		}
 	}
 	return code
 }
 
-func runInl(dir, allowPath string, update bool, pkgs []string, audit *lint.M2Audit, stdout, stderr io.Writer) int {
-	funcs, err := lint.GroupInlVerdicts(dir, audit.Verdicts)
-	if err != nil {
-		fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
-		return 2
-	}
-	allowFile := filepath.Join(dir, filepath.FromSlash(allowPath))
-	if update {
-		if err := os.WriteFile(allowFile, []byte(lint.FormatInlAllow(funcs)), 0o644); err != nil {
-			fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
-			return 2
+func writeAllowlists(files map[string]string) error {
+	for path, content := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
 		}
-		fmt.Fprintf(stdout, "inl: allowlist rewritten: %s\n", allowPath)
-		return 0
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			return err
+		}
 	}
-	allow, err := lint.LoadInlAllow(allowFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
-		return 2
-	}
-	res := lint.CheckInl(funcs, allow)
-	for _, s := range res.Stale {
-		fmt.Fprintf(stdout, "inl: note: %s\n", s)
-	}
-	for _, v := range res.Violations {
-		fmt.Fprintf(stdout, "inl: %s\n", v)
-	}
-	if len(res.Violations) > 0 {
-		fmt.Fprintf(stdout, "inl: FAIL: %d hot-path function(s) stopped inlining (see DESIGN.md §6.13)\n", len(res.Violations))
-		return 1
-	}
-	fmt.Fprintf(stdout, "inl: ok: %d/%d hot-path function(s) inline across %s (rest allowlisted)\n",
-		res.Inlined, res.Hotpath, strings.Join(pkgs, " "))
-	return 0
-}
-
-func runEscape(dir string, pkgs []string, audit *lint.M2Audit, stdout, stderr io.Writer) int {
-	res, err := lint.CheckEscapes(dir, audit.Escapes)
-	if err != nil {
-		fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
-		return 2
-	}
-	for _, v := range res.Violations {
-		fmt.Fprintf(stdout, "escape: %s\n", v)
-	}
-	if len(res.Violations) > 0 {
-		fmt.Fprintf(stdout, "escape: FAIL: %d unsanctioned heap escape(s) in hot-path functions (see DESIGN.md §6.13)\n", len(res.Violations))
-		return 1
-	}
-	fmt.Fprintf(stdout, "escape: ok: no unsanctioned hot-path escapes across %s (%d sanctioned, %d suppressed)\n",
-		strings.Join(pkgs, " "), res.Sanctioned, res.Suppressed)
-	return 0
+	return nil
 }
 
 // jsonDiag is the stable JSON shape of one diagnostic.

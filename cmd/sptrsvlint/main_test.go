@@ -174,11 +174,10 @@ func TestOnlyUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// tmpM2Module writes a throwaway module exercising the compiler-witness
-// gates: a package whose hot-path functions all inline, one whose
-// hot-path function cannot inline, one with an unsanctioned hot-path
-// heap escape, and one where the same escape carries a reviewed
-// suppression.
+// tmpM2Module writes a throwaway module exercising the compiler gates: a
+// package whose hot-path functions all inline, one whose hot-path
+// function cannot inline, one with an unsanctioned hot-path heap escape,
+// and one where the same escape carries a reviewed suppression.
 func tmpM2Module(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -229,55 +228,85 @@ func Scratch(n int) []float64 {
 	return dir
 }
 
-func TestInlGateClean(t *testing.T) {
+func TestCompilerGatesClean(t *testing.T) {
 	dir := tmpM2Module(t)
-	code, stdout, stderr := runLint(t, "-inl", "-inl-allow", "inl_allow.txt", "-C", dir, "./inlok/...")
+	code, stdout, stderr := runLint(t, "-compiler", "-C", dir, "./inlok/...")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stdout=%q stderr=%q", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "inl: ok:") {
-		t.Errorf("stdout = %q, want an inl: ok summary", stdout)
-	}
-}
-
-func TestInlGateViolation(t *testing.T) {
-	dir := tmpM2Module(t)
-	code, stdout, stderr := runLint(t, "-inl", "-inl-allow", "inl_allow.txt", "-C", dir, "./inlbad/...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stdout=%q stderr=%q", code, stdout, stderr)
-	}
-	// The failure must carry the compiler's reason verbatim plus the
-	// actionable next steps: fix or allowlist, and where that is specified.
-	for _, needle := range []string{"Deferred", "unhandled op DEFER", "inl: FAIL", "DESIGN.md §6.13"} {
+	for _, needle := range []string{"bce: ok:", "inl: ok: 1/1", "escape: ok:", "./inlok"} {
 		if !strings.Contains(stdout, needle) {
 			t.Errorf("stdout missing %q:\n%s", needle, stdout)
 		}
 	}
 }
 
-func TestInlGateUpdateAndRecheck(t *testing.T) {
+// TestCompilerDerivesPackages pins the default package set: without
+// arguments the audit covers exactly the packages declaring a hot-path
+// function, so it fails on both bad packages and names no other.
+func TestCompilerDerivesPackages(t *testing.T) {
 	dir := tmpM2Module(t)
-	code, stdout, stderr := runLint(t, "-inl", "-inl-update", "-inl-allow", "inl_allow.txt", "-C", dir, "./inlbad/...")
+	if err := os.WriteFile(filepath.Join(dir, "inlok", "cold.go"), []byte("package inlok\n\nfunc Cold() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "plain"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "plain", "plain.go"), []byte("package plain\n\nfunc F() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runLint(t, "-compiler", "-C", dir)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1; stdout=%q stderr=%q", code, stdout, stderr)
+	}
+	for _, needle := range []string{"across ./esc ./escok ./inlbad ./inlok\n", "inl: FAIL: 1", "escape: FAIL: 1"} {
+		if !strings.Contains(stdout, needle) {
+			t.Errorf("stdout missing %q:\n%s", needle, stdout)
+		}
+	}
+}
+
+func TestInlGateViolation(t *testing.T) {
+	dir := tmpM2Module(t)
+	code, stdout, stderr := runLint(t, "-compiler", "-C", dir, "./inlbad/...")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1; stdout=%q stderr=%q", code, stdout, stderr)
+	}
+	// The failure must carry the compiler's reason verbatim plus the
+	// actionable next steps: fix or allowlist, and where that is specified.
+	for _, needle := range []string{"Deferred", "unhandled op DEFER", "inl: FAIL", "DESIGN.md §6.13", "escape: ok:"} {
+		if !strings.Contains(stdout, needle) {
+			t.Errorf("stdout missing %q:\n%s", needle, stdout)
+		}
+	}
+}
+
+func TestCompilerUpdateAndRecheck(t *testing.T) {
+	dir := tmpM2Module(t)
+	code, stdout, stderr := runLint(t, "-compiler", "-update", "-C", dir, "./inlbad/...")
 	if code != 0 {
 		t.Fatalf("update exit = %d, want 0; stdout=%q stderr=%q", code, stdout, stderr)
 	}
-	allowFile := filepath.Join(dir, "inl_allow.txt")
+	allowFile := filepath.Join(dir, "internal", "lint", "inl_allow.txt")
 	first, err := os.ReadFile(allowFile)
 	if err != nil {
 		t.Fatalf("allowlist not written: %v", err)
 	}
-	if !strings.Contains(string(first), "unhandled op DEFER") {
+	if !strings.Contains(string(first), "inlbad/inlbad.go:Deferred\tunhandled op DEFER") {
 		t.Errorf("allowlist does not record the compiler reason verbatim:\n%s", first)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "internal", "lint", "bce_allow.txt")); err != nil {
+		t.Errorf("BCE allowlist not written: %v", err)
+	}
 
-	// With the allowlist in place the gate passes.
-	code, stdout, _ = runLint(t, "-inl", "-inl-allow", "inl_allow.txt", "-C", dir, "./inlbad/...")
+	// With the allowlist in place the gates pass.
+	code, stdout, _ = runLint(t, "-compiler", "-C", dir, "./inlbad/...")
 	if code != 0 {
 		t.Fatalf("recheck exit = %d, want 0; stdout=%q", code, stdout)
 	}
 
 	// Regeneration from the same tree is byte-identical.
-	if code, _, _ = runLint(t, "-inl", "-inl-update", "-inl-allow", "inl_allow.txt", "-C", dir, "./inlbad/..."); code != 0 {
+	if code, _, _ = runLint(t, "-compiler", "-update", "-C", dir, "./inlbad/..."); code != 0 {
 		t.Fatalf("second update exit = %d, want 0", code)
 	}
 	second, err := os.ReadFile(allowFile)
@@ -291,11 +320,11 @@ func TestInlGateUpdateAndRecheck(t *testing.T) {
 
 func TestEscapeGateViolation(t *testing.T) {
 	dir := tmpM2Module(t)
-	code, stdout, stderr := runLint(t, "-escape", "-C", dir, "./esc/...")
+	code, stdout, stderr := runLint(t, "-compiler", "-C", dir, "./esc/...")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stdout=%q stderr=%q", code, stdout, stderr)
 	}
-	for _, needle := range []string{"Scratch", "make([]float64, n)", "escape: FAIL", "DESIGN.md §6.13"} {
+	for _, needle := range []string{"Scratch", "make([]float64, n)", "escape: FAIL", "DESIGN.md §6.13", "inl: ok:"} {
 		if !strings.Contains(stdout, needle) {
 			t.Errorf("stdout missing %q:\n%s", needle, stdout)
 		}
@@ -304,11 +333,19 @@ func TestEscapeGateViolation(t *testing.T) {
 
 func TestEscapeGateSuppressed(t *testing.T) {
 	dir := tmpM2Module(t)
-	code, stdout, stderr := runLint(t, "-escape", "-C", dir, "./escok/...")
+	code, stdout, stderr := runLint(t, "-compiler", "-C", dir, "./escok/...")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stdout=%q stderr=%q", code, stdout, stderr)
 	}
 	if !strings.Contains(stdout, "escape: ok:") || !strings.Contains(stdout, "1 suppressed") {
 		t.Errorf("stdout = %q, want escape: ok with one suppressed site", stdout)
+	}
+}
+
+func TestCompilerNoHotPackages(t *testing.T) {
+	dir := tmpModule(t)
+	code, _, stderr := runLint(t, "-compiler", "-C", dir, "./clean/...")
+	if code != 2 || !strings.Contains(stderr, "no //sptrsv:hotpath functions") {
+		t.Errorf("exit = %d stderr = %q, want 2 and a no-hot-functions error", code, stderr)
 	}
 }

@@ -47,7 +47,8 @@ func (k Kind) String() string {
 // kernel selection, recursion cut-off tied to the device size.
 type Options struct {
 	// Pool is the execution pool; nil creates one with Workers workers
-	// in the Style launch style.
+	// in the Style launch style, whose workers exit once no solver holds
+	// it. A pool passed here is the caller's to Close.
 	Pool exec.Launcher
 	// Workers sizes the pool when Pool is nil; <=0 means GOMAXPROCS.
 	Workers int
@@ -157,12 +158,12 @@ func Defaults(dev exec.Device) Options {
 }
 
 // normalised fills derived fields: pool, thresholds, cut-off. The default
-// pool is a SpinPool — the lowest-latency launcher — whose idle workers
-// park, so solvers that never Close their implicit pool hold parked
-// goroutines but burn no CPU.
+// pool is an implicit launcher of the configured style (a SpinPool unless
+// Style says otherwise): idle workers park, and they exit once no solver
+// holds the pool.
 func (o Options) normalised() Options {
 	if o.Pool == nil {
-		o.Pool = exec.NewLauncher(o.Style, o.Workers)
+		o.Pool = exec.NewImplicitLauncher(o.Style, o.Workers)
 	}
 	if o.Thresholds == (adapt.Thresholds{}) {
 		o.Thresholds = adapt.DefaultThresholds()

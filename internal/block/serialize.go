@@ -461,7 +461,9 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // ReadSolver reloads a solver serialised by WriteTo and binds it to the
-// given execution pool. The element type must match the one written.
+// given execution pool; a nil pool selects a GOMAXPROCS-wide implicit
+// spin pool (exec.NewImplicitLauncher). The element type must match the
+// one written.
 func ReadSolver[T sparse.Float](r io.Reader, pool exec.Launcher) (*Solver[T], error) {
 	return readSolver[T](&serialReader{r: bufio.NewReader(r)}, pool)
 }
@@ -474,7 +476,7 @@ func readSolverBytes[T sparse.Float](data []byte, pool exec.Launcher) (*Solver[T
 
 func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T], error) {
 	if pool == nil {
-		pool = exec.NewSpinPool(0)
+		pool = exec.NewImplicitLauncher(exec.LaunchSpin, 0)
 	}
 	magic := make([]byte, len(serialMagic))
 	sr.read(magic)

@@ -590,8 +590,10 @@ func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.Sy
 	switch tb.kernel {
 	case kernels.TriCompletelyParallel:
 		if k == 1 {
+			//lint:ignore escapecheck TriDiagOnlySolve's launch body, inlined here: one closure per launch, as in the kernel
 			kernels.TriDiagOnlySolve(s.pool, tb.diag, w, x)
 		} else {
+			//lint:ignore escapecheck TriDiagOnlySolveBatch's launch body, inlined here: one closure per launch, as in the kernel
 			kernels.TriDiagOnlySolveBatch(s.pool, tb.diag, w, x, k)
 		}
 	case kernels.TriLevelSet:

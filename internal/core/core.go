@@ -60,7 +60,7 @@ func (c Config) pool() exec.Launcher {
 	if c.Pool != nil {
 		return c.Pool
 	}
-	return c.Device.Pool()
+	return exec.NewImplicitLauncher(c.Device.Style, c.Device.Workers)
 }
 
 func (c Config) blockOptions(kind block.Kind) block.Options {

@@ -3,7 +3,7 @@
 package exec
 
 // Compiled only under the bcecheck build tag: forces instantiation of the
-// generic hot-path atomic helpers so `go build -gcflags=-d=ssa/check_bce`
+// generic hot-path atomic helpers so the compiler audit (`sptrsvlint -compiler`)
 // sees their bodies (see internal/kernels/bce_force.go).
 var bceForceInstantiations = [...]any{
 	AtomicAddFloat[float64], AtomicAddFloat[float32],

@@ -205,6 +205,22 @@ func NewLauncher(style LaunchStyle, workers int) Launcher {
 	}
 }
 
+// NewImplicitLauncher is NewLauncher for a pool library code creates on
+// a caller's behalf, which no one will Close: once the returned launcher
+// is unreachable, a cleanup closes the pool inside it. Code that launches
+// holds the launcher, so no launch starts after the cleanup, and one
+// still in flight finishes before the pool closes.
+func NewImplicitLauncher(style LaunchStyle, workers int) Launcher {
+	l := &implicitLauncher{NewLauncher(style, workers)}
+	runtime.AddCleanup(l, CloseLauncher, l.Launcher)
+	return l
+}
+
+// implicitLauncher is the handle NewImplicitLauncher returns. The pool
+// inside does not reference it (finished launch bodies are dropped), so
+// it becomes unreachable with the last solver holding it.
+type implicitLauncher struct{ Launcher }
+
 // Device is a named execution profile standing in for one of the paper's
 // GPUs (Table 3). Workers plays the role of the CUDA core count; the
 // paper's recursion cut-off "20 × core count" maps to 20 × Workers scaled

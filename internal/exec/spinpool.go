@@ -318,8 +318,10 @@ func (p *SpinPool) ParallelFor(n, grain int, body func(lo, hi int)) {
 		p.shards[w].end = int64(lo + size)
 		lo += size
 	}
-	//lint:ignore hotpathalloc one worker-0 closure per launch, dwarfed by the epoch broadcast it triggers
 	p.publish(func() { p.runChunks(0) })
+	// Drop the finished body: it may capture the solver holding this
+	// pool's implicit launcher, which would then never be released.
+	p.body = nil
 }
 
 // Run executes body once per worker (body receives the worker id) and
@@ -343,19 +345,21 @@ func (p *SpinPool) Run(body func(worker int)) {
 	}
 	p.runBody = body
 	p.body = nil
-	//lint:ignore hotpathalloc one worker-0 closure per launch, dwarfed by the epoch broadcast it triggers
 	p.publish(func() { body(0) })
+	p.runBody = nil // see ParallelFor
 }
 
 // Close stops the resident workers. The pool must not be used afterwards;
-// Close is idempotent. Workers already parked are woken to observe the
+// Close is idempotent. A launch already in flight finishes first: workers
+// that saw the pool closed mid-epoch would leave it without reaching the
+// completion barrier. Workers already parked are woken to observe the
 // shutdown, so a closed pool holds no goroutines.
 func (p *SpinPool) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed.Swap(true) {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.epoch.Add(1)
 	p.parkMu.Lock()
 	p.parkCond.Broadcast()

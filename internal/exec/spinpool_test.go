@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,41 @@ func TestSpinPoolCloseIdempotentAndPanicsAfter(t *testing.T) {
 		}
 	}()
 	p.Run(func(int) {})
+}
+
+// A Close racing a launch in flight — an implicit launcher's cleanup may
+// run while its last launch still executes — must let the launch finish:
+// workers that observed the pool closed mid-epoch would leave without
+// reaching the completion barrier, and the launch would never return. On
+// one P the closing goroutine runs before the woken workers, which makes
+// that interleaving the deterministic one.
+func TestSpinPoolCloseDuringLaunch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := NewSpinPool(3)
+	started, release, launched, closed := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(launched)
+		p.Run(func(w int) {
+			if w == 0 {
+				close(started)
+				<-release
+			}
+		})
+	}()
+	<-started
+	go func() {
+		defer close(closed)
+		p.Close()
+	}()
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	for _, ch := range []chan struct{}{launched, closed} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close stranded the launch in flight: Run or Close never returned")
+		}
+	}
 }
 
 // Workers must park after the spin budget and still wake for the next

@@ -184,7 +184,7 @@ func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState
 //sptrsv:hotpath
 func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int, g *exec.Guard) bool {
 	rowPtr, colIdx, vals := strictCSR.RowPtr, strictCSR.ColIdx, strictCSR.Val
-	//lint:ignore hotpathalloc,escapecheck one row closure per solve, shared by every chunk launch below
+	//lint:ignore escapecheck one row closure per solve, shared by every chunk launch below
 	row := func(i int, sum []T) {
 		copy(sum, w[i*k:][:k])
 		klo, khi := rowPtr[i], rowPtr[i+1]
@@ -208,7 +208,7 @@ func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSch
 		items := order[chunkPtr[c]:chunkPtr[c+1]]
 		if serial[c] {
 			p.ParallelFor(1, 1, func(_, _ int) {
-				//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
+				//lint:ignore escapecheck per-launch RHS accumulator scratch
 				sum := make([]T, k)
 				for t := range items {
 					row(items[t], sum)
@@ -216,7 +216,7 @@ func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSch
 			})
 		} else {
 			p.ParallelFor(len(items), 0, func(a, b int) {
-				//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
+				//lint:ignore escapecheck per-launch RHS accumulator scratch
 				sum := make([]T, k)
 				its := items[a:b]
 				for t := range its {
@@ -271,7 +271,7 @@ func SpMVVectorCSRSubBatch[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x,
 	rowPtr, colIdx, vals := a.RowPtr, a.ColIdx, a.Val
 	rows := a.Rows
 	p.ParallelFor(nnz, grain, func(lo, hi int) {
-		//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
+		//lint:ignore escapecheck per-launch RHS accumulator scratch
 		sum := make([]T, k)
 		i := sort.SearchInts(rowPtr, lo+1) - 1
 		for i < rows && rowPtr[i] < hi {
@@ -349,7 +349,7 @@ func SpMVVectorDCSRSubBatch[T sparse.Float](p exec.Launcher, a *sparse.DCSR[T], 
 	rowPtr, rowIdx, colIdx, vals := a.RowPtr, a.RowIdx, a.ColIdx, a.Val
 	stored := a.StoredRows()
 	p.ParallelFor(nnz, grain, func(lo, hi int) {
-		//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
+		//lint:ignore escapecheck per-launch RHS accumulator scratch
 		sum := make([]T, k)
 		s := sort.SearchInts(rowPtr, lo+1) - 1
 		for s < stored && rowPtr[s] < hi {

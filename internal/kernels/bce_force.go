@@ -4,17 +4,16 @@ package kernels
 
 import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
-	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
-// This file is compiled only under the bcecheck build tag (the Makefile
-// `bcecheck` target). Referencing every generic hot-path kernel at both
-// element types forces the compiler to instantiate — and therefore
-// bounds-check-analyze — their bodies when
-// `go build -tags bcecheck -gcflags=-d=ssa/check_bce` runs over this
-// package. Without these references the generic bodies are never compiled
-// here and the BCE invariant would silently check nothing.
+// This file is compiled only under the bcecheck build tag, which the
+// compiler audit (`sptrsvlint -compiler`) builds with. Referencing every
+// generic hot-path kernel at both element types forces the compiler to
+// instantiate their bodies in this package, so the audit reports their
+// bounds checks, inlining verdicts and escapes. Without these references
+// the generic bodies are never compiled here and the gates would
+// silently check nothing.
 var bceForceInstantiations = [...]any{
 	TriSerialSolve[float64], TriSerialSolve[float32],
 	TriDiagOnlySolve[float64], TriDiagOnlySolve[float32],
@@ -53,5 +52,4 @@ var bceForceInstantiations = [...]any{
 
 	exec.AtomicAddFloat[float64], exec.AtomicAddFloat[float32],
 	sparse.PermuteVecInto[float64], sparse.PermuteVecInto[float32],
-	levelset.FromLowerCSR[float64], levelset.FromLowerCSR[float32],
 }

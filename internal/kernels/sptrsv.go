@@ -401,7 +401,7 @@ func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule
 	// re-slices keep the body free of bounds checks on the CSR arrays
 	// (DESIGN.md §6.9). Pairing products before subtracting reassociates
 	// the sum, bounded by the documented ULP tolerance.
-	//lint:ignore hotpathalloc,escapecheck one row closure per solve, shared by every chunk launch below
+	//lint:ignore escapecheck one row closure per solve, shared by every chunk launch below
 	row := func(i int) {
 		lo, hi := rowPtr[i], rowPtr[i+1]
 		sum := w[i]

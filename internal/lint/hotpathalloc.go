@@ -4,34 +4,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// HotPathAlloc enforces the zero-allocation contract of functions
-// annotated //sptrsv:hotpath — the per-element solve path whose runtime
-// twin is TestObsHandlerZeroAllocSolve. Inside an annotated function
-// (including nested function literals) it flags every construct that
-// allocates or may allocate:
+// HotPathAlloc enforces the part of the zero-allocation contract of
+// functions annotated //sptrsv:hotpath that the compiler gate cannot
+// witness (the runtime twin is TestObsHandlerZeroAllocSolve). Heap
+// escapes — make/new, composite literals, capturing closures, interface
+// boxing, go statements — are the escape gate's (sptrsvlint -compiler):
+// the compiler reports exactly those that reach the heap. What remains
+// here, inside an annotated function and its nested function literals:
 //
-//   - append (grows), make/new, slice and map composite literals, &T{}
-//   - string concatenation and string<->slice conversions
-//   - closures that capture variables (except launch bodies handed to a
-//     Launcher's Run/ParallelFor, the one sanctioned per-launch closure)
-//   - values boxed into interfaces (conversions, call arguments,
-//     assignments, returns); pointer-shaped values are exempt, they are
-//     stored in the interface word directly
-//   - go statements
+//   - append, which allocates on growth (the compiler reports nothing);
+//   - string concatenation and string<->slice conversions, which allocate
+//     even when the compiler proves the result does not escape;
+//   - calls: a hot-path function may call only other //sptrsv:hotpath
+//     functions, launcher launch methods, the faultinject no-op hooks, or
+//     the whitelisted allocation-free stdlib packages.
 //
-// and restricts calls: a hot-path function may call only other
-// //sptrsv:hotpath functions, launcher launch methods, the faultinject
-// no-op hooks, or the whitelisted allocation-free stdlib packages.
 // Panic-recovery code (arguments of panic, blocks guarded by recover(),
 // deferred closures containing recover) is cold by definition and is
 // skipped.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "forbid allocation-inducing constructs in //sptrsv:hotpath functions",
+	Doc:  "forbid growth, string building and unannotated calls in //sptrsv:hotpath functions",
 	Run:  runHotPathAlloc,
 }
 
@@ -60,14 +56,8 @@ func runHotPathAlloc(pass *Pass) {
 			if !pass.Facts.Hotpath[astFuncKey(pass.Pkg.Path(), fd)] {
 				continue
 			}
-			h := &hotWalker{
-				pass:    pass,
-				cold:    map[ast.Node]bool{},
-				exempt:  map[ast.Node]bool{},
-				skip:    map[ast.Node]bool{},
-				retSigs: map[*ast.ReturnStmt]*types.Signature{},
-			}
-			h.prepare(fd)
+			h := &hotWalker{pass: pass, cold: map[ast.Node]bool{}}
+			h.markCold(fd)
 			h.walk(fd.Body)
 		}
 	}
@@ -78,17 +68,10 @@ type hotWalker struct {
 	pass *Pass
 	// cold marks subtrees that only execute while panicking.
 	cold map[ast.Node]bool
-	// exempt marks launch-body function literals (capture check waived).
-	exempt map[ast.Node]bool
-	// skip marks nodes already reported by an enclosing construct.
-	skip map[ast.Node]bool
-	// retSigs maps each return statement to its enclosing signature.
-	retSigs map[*ast.ReturnStmt]*types.Signature
 }
 
-// prepare runs the pre-passes: cold-code marking and return-signature
-// resolution.
-func (h *hotWalker) prepare(fd *ast.FuncDecl) {
+// markCold marks panic arguments and recover-guarded code.
+func (h *hotWalker) markCold(fd *ast.FuncDecl) {
 	info := h.pass.Info
 	ast.Inspect(fd, func(n ast.Node) bool {
 		switch t := n.(type) {
@@ -96,13 +79,6 @@ func (h *hotWalker) prepare(fd *ast.FuncDecl) {
 			if isBuiltinCall(info, t, "panic") {
 				for _, arg := range t.Args {
 					h.cold[arg] = true
-				}
-			}
-			if isLaunchCall(info, t) {
-				for _, arg := range t.Args {
-					if lit, ok := arg.(*ast.FuncLit); ok {
-						h.exempt[lit] = true
-					}
 				}
 			}
 		case *ast.IfStmt:
@@ -119,73 +95,19 @@ func (h *hotWalker) prepare(fd *ast.FuncDecl) {
 		}
 		return true
 	})
-	if sig, ok := info.Defs[fd.Name].(*types.Func); ok {
-		mapReturns(fd.Body, sig.Type().(*types.Signature), info, h.retSigs)
-	}
-}
-
-// mapReturns records the signature governing each return statement,
-// descending into nested function literals with their own signatures.
-func mapReturns(root ast.Node, sig *types.Signature, info *types.Info, out map[*ast.ReturnStmt]*types.Signature) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch t := n.(type) {
-		case *ast.FuncLit:
-			if s, ok := types.Unalias(info.TypeOf(t)).(*types.Signature); ok {
-				mapReturns(t.Body, s, info, out)
-			}
-			return false
-		case *ast.ReturnStmt:
-			out[t] = sig
-		}
-		return true
-	})
 }
 
 func (h *hotWalker) walk(body ast.Node) {
 	info := h.pass.Info
 	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if h.cold[n] {
+		if n == nil || h.cold[n] {
 			return false
 		}
 		switch t := n.(type) {
-		case *ast.GoStmt:
-			h.pass.Reportf(t.Pos(), "hot path launches a goroutine")
-		case *ast.FuncLit:
-			if !h.exempt[t] {
-				if caps := captures(info, h.pass.Pkg, t); len(caps) > 0 {
-					h.pass.Reportf(t.Pos(), "hot path allocates: closure captures %s", strings.Join(caps, ", "))
-				}
-			}
-		case *ast.UnaryExpr:
-			if t.Op == token.AND {
-				if lit, ok := t.X.(*ast.CompositeLit); ok {
-					h.pass.Reportf(t.Pos(), "hot path allocates: &composite literal")
-					h.skip[lit] = true
-				}
-			}
-		case *ast.CompositeLit:
-			if h.skip[t] {
-				return true
-			}
-			switch types.Unalias(info.TypeOf(t)).Underlying().(type) {
-			case *types.Slice:
-				h.pass.Reportf(t.Pos(), "hot path allocates: slice composite literal")
-			case *types.Map:
-				h.pass.Reportf(t.Pos(), "hot path allocates: map composite literal")
-			}
 		case *ast.BinaryExpr:
 			if t.Op == token.ADD && !isConstExpr(info, t) && isStringType(info.TypeOf(t)) {
 				h.pass.Reportf(t.Pos(), "hot path allocates: string concatenation")
 			}
-		case *ast.ReturnStmt:
-			h.checkReturn(t)
-		case *ast.AssignStmt:
-			h.checkAssign(t)
-		case *ast.ValueSpec:
-			h.checkValueSpec(t)
 		case *ast.CallExpr:
 			h.checkCall(t)
 		}
@@ -197,26 +119,20 @@ func (h *hotWalker) walk(body ast.Node) {
 func (h *hotWalker) checkCall(call *ast.CallExpr) {
 	info := h.pass.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		h.checkConversion(call, tv.Type)
-		return
-	}
-	if b := builtinName(info, call); b != "" {
-		switch b {
-		case "append":
-			h.pass.Reportf(call.Pos(), "hot path calls append, which allocates on growth")
-		case "make":
-			h.pass.Reportf(call.Pos(), "hot path allocates: make(%s)", typeWord(info.TypeOf(call)))
-		case "new":
-			h.pass.Reportf(call.Pos(), "hot path allocates: new(...)")
+		if len(call.Args) == 1 && isStringSliceConversion(info, tv.Type, call.Args[0]) {
+			h.pass.Reportf(call.Pos(), "hot path allocates: string/slice conversion")
 		}
 		return
 	}
-	callee := calleeFunc(info, call)
-	if callee != nil && !h.calleeAllowed(callee) {
-		h.pass.Reportf(call.Pos(), "hot path calls %s, which is neither //sptrsv:hotpath nor whitelisted", callee.FullName())
+	if b := builtinName(info, call); b != "" {
+		if b == "append" {
+			h.pass.Reportf(call.Pos(), "hot path calls append, which allocates on growth")
+		}
 		return
 	}
-	h.checkCallArgBoxing(call)
+	if callee := calleeFunc(info, call); callee != nil && !h.calleeAllowed(callee) {
+		h.pass.Reportf(call.Pos(), "hot path calls %s, which is neither //sptrsv:hotpath nor whitelisted", callee.FullName())
+	}
 }
 
 // calleeAllowed reports whether a hot-path function may call f: another
@@ -230,195 +146,19 @@ func (h *hotWalker) calleeAllowed(f *types.Func) bool {
 	if h.pass.Facts.Std[pkg.Path()] {
 		return hotpathStdWhitelist[pkg.Path()]
 	}
-	if h.pass.Facts.Hotpath[FuncKey(f)] {
-		return true
-	}
-	if isLaunchMethod(f) {
-		return true
-	}
-	if strings.HasSuffix(pkg.Path(), "internal/faultinject") {
-		return true
-	}
-	return false
+	return h.pass.Facts.Hotpath[FuncKey(f)] || isLaunchMethod(f) ||
+		strings.HasSuffix(pkg.Path(), "internal/faultinject")
 }
 
-// checkConversion flags allocating conversions: concrete values boxed
-// into interfaces and string<->slice copies.
-func (h *hotWalker) checkConversion(call *ast.CallExpr, target types.Type) {
-	if len(call.Args) != 1 {
-		return
-	}
-	arg := call.Args[0]
-	if h.boxes(target, arg) {
-		h.pass.Reportf(call.Pos(), "hot path allocates: %s boxed into interface", h.pass.Info.TypeOf(arg))
-		return
-	}
-	tu := types.Unalias(target).Underlying()
-	su := types.Unalias(h.pass.Info.TypeOf(arg)).Underlying()
-	_, t2s := tu.(*types.Slice)
-	_, s2s := su.(*types.Slice)
-	tStr := isStringType(target)
-	sStr := isStringType(h.pass.Info.TypeOf(arg))
-	if (tStr && s2s) || (t2s && sStr) {
-		if !isConstExpr(h.pass.Info, arg) {
-			h.pass.Reportf(call.Pos(), "hot path allocates: string/slice conversion")
-		}
-	}
-}
-
-// checkCallArgBoxing flags concrete arguments passed to interface
-// parameters of an allowed call.
-func (h *hotWalker) checkCallArgBoxing(call *ast.CallExpr) {
-	info := h.pass.Info
-	sig, ok := types.Unalias(info.TypeOf(call.Fun)).(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	if params == nil {
-		return
-	}
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			last := params.At(params.Len() - 1).Type()
-			if call.Ellipsis != token.NoPos {
-				pt = last // f(xs...) passes the slice through
-			} else if sl, ok := types.Unalias(last).Underlying().(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		if pt == nil {
-			continue
-		}
-		if h.boxes(pt, arg) {
-			h.pass.Reportf(arg.Pos(), "hot path allocates: %s boxed into interface", info.TypeOf(arg))
-		}
-	}
-}
-
-// checkReturn flags concrete values returned through interface results.
-func (h *hotWalker) checkReturn(ret *ast.ReturnStmt) {
-	sig := h.retSigs[ret]
-	if sig == nil || sig.Results() == nil || len(ret.Results) != sig.Results().Len() {
-		return
-	}
-	for i, res := range ret.Results {
-		if h.boxes(sig.Results().At(i).Type(), res) {
-			h.pass.Reportf(res.Pos(), "hot path allocates: %s boxed into interface", h.pass.Info.TypeOf(res))
-		}
-	}
-}
-
-// checkAssign flags concrete values assigned to interface-typed
-// destinations (plain assignment only — := infers the concrete type).
-func (h *hotWalker) checkAssign(as *ast.AssignStmt) {
-	if as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-			continue
-		}
-		if h.boxes(h.pass.Info.TypeOf(lhs), as.Rhs[i]) {
-			h.pass.Reportf(as.Rhs[i].Pos(), "hot path allocates: %s boxed into interface", h.pass.Info.TypeOf(as.Rhs[i]))
-		}
-	}
-}
-
-// checkValueSpec flags concrete initialisers of explicitly
-// interface-typed var declarations.
-func (h *hotWalker) checkValueSpec(vs *ast.ValueSpec) {
-	if vs.Type == nil || len(vs.Values) == 0 {
-		return
-	}
-	target := h.pass.Info.TypeOf(vs.Type)
-	for _, v := range vs.Values {
-		if h.boxes(target, v) {
-			h.pass.Reportf(v.Pos(), "hot path allocates: %s boxed into interface", h.pass.Info.TypeOf(v))
-		}
-	}
-}
-
-// boxes reports whether assigning value to a destination of type dst
-// boxes a concrete value into an interface, allocating. Pointer-shaped
-// values (pointers, channels, maps, funcs, unsafe pointers) are stored
-// directly in the interface word; constants are interned by the
-// compiler; nil and existing interfaces convert without allocation.
-func (h *hotWalker) boxes(dst types.Type, value ast.Expr) bool {
-	if dst == nil {
+// isStringSliceConversion reports whether converting arg to target
+// copies between a string and a slice, which allocates.
+func isStringSliceConversion(info *types.Info, target types.Type, arg ast.Expr) bool {
+	if isConstExpr(info, arg) {
 		return false
 	}
-	if _, ok := types.Unalias(dst).(*types.TypeParam); ok {
-		// A type parameter's Underlying is its constraint interface, but a
-		// conversion or assignment to T instantiates to a concrete type at
-		// every call site — no interface value exists at runtime.
-		return false
-	}
-	if _, ok := types.Unalias(dst).Underlying().(*types.Interface); !ok {
-		return false
-	}
-	info := h.pass.Info
-	vt := info.TypeOf(value)
-	if vt == nil {
-		return false
-	}
-	if isConstExpr(info, value) {
-		return false
-	}
-	switch types.Unalias(vt).Underlying().(type) {
-	case *types.Interface, *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Basic:
-		// Basic covers untyped nil; typed basics fall through below.
-		b, ok := types.Unalias(vt).Underlying().(*types.Basic)
-		if ok && b.Kind() != types.UntypedNil && b.Kind() != types.UnsafePointer {
-			return true
-		}
-		return false
-	}
-	return true
-}
-
-// captures returns the sorted names of variables a function literal
-// captures from enclosing scopes. Package-level variables and struct
-// fields are not captures.
-func captures(info *types.Info, pkg *types.Package, lit *ast.FuncLit) []string {
-	seen := map[*types.Var]bool{}
-	var names []string
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || seen[v] || v.IsField() {
-			return true
-		}
-		if v.Pkg() != pkg {
-			return true
-		}
-		if pkg.Scope().Lookup(v.Name()) == v {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return true
-		}
-		seen[v] = true
-		names = append(names, v.Name())
-		return true
-	})
-	sort.Strings(names)
-	return names
-}
-
-// isLaunchCall reports whether call invokes a launcher launch method —
-// Run or ParallelFor on an exec.Launcher (or any *Pool) value. Their
-// function-literal arguments are the one sanctioned per-launch closure.
-func isLaunchCall(info *types.Info, call *ast.CallExpr) bool {
-	f := calleeFunc(info, call)
-	return f != nil && isLaunchMethod(f)
+	_, toSlice := types.Unalias(target).Underlying().(*types.Slice)
+	_, fromSlice := types.Unalias(info.TypeOf(arg)).Underlying().(*types.Slice)
+	return isStringType(target) && fromSlice || toSlice && isStringType(info.TypeOf(arg))
 }
 
 // isLaunchMethod matches the Launcher interface surface by receiver type
@@ -434,14 +174,6 @@ func isLaunchMethod(f *types.Func) bool {
 		return false
 	}
 	name := namedBaseName(sig.Recv().Type())
-	if name == "" {
-		// Interface method sets reach here with an unnamed receiver; fall
-		// back to the interface the method is declared on.
-		if t, ok := types.Unalias(sig.Recv().Type()).(*types.Interface); ok && t != nil {
-			return false
-		}
-		return false
-	}
 	return name == "Launcher" || strings.HasSuffix(name, "Pool")
 }
 
@@ -501,17 +233,4 @@ func isStringType(t types.Type) bool {
 	}
 	b, ok := types.Unalias(t).Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
-}
-
-// typeWord names the allocation class of a make result for diagnostics.
-func typeWord(t types.Type) string {
-	switch types.Unalias(t).Underlying().(type) {
-	case *types.Slice:
-		return "slice"
-	case *types.Map:
-		return "map"
-	case *types.Chan:
-		return "chan"
-	}
-	return "?"
 }

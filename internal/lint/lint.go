@@ -15,7 +15,8 @@
 //
 //	//sptrsv:hotpath    on a function declaration marks it part of the
 //	                    per-element solve path checked by hotpathalloc
-//	                    (and scopes nowallclock to it).
+//	                    and the compiler gates (compiler.go), and scopes
+//	                    nowallclock to it.
 //	//sptrsv:wallclock  marks a function as a designated wall-clock
 //	                    measurement site, exempting it from nowallclock.
 //

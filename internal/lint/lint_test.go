@@ -76,18 +76,6 @@ func TestGoLifecycleOutOfScope(t *testing.T) {
 	}
 }
 
-// TestGenericInstantiationGolden pins hotpathalloc's type-parameter
-// carve-out on a generic kernel instantiated at float32 and float64:
-// conversions to and from T are concrete at every instantiation and must
-// not be reported as boxing, while a real interface conversion in the
-// same generic body still is. No suppression needed — the carve-out is
-// in the analyzer, not an ignore comment.
-func TestGenericInstantiationGolden(t *testing.T) {
-	if got := RunGolden(t, HotPathAlloc, "generics"); got != 0 {
-		t.Errorf("suppressed = %d, want 0 (T conversions must pass without ignores)", got)
-	}
-}
-
 func TestCtxFlowGolden(t *testing.T) {
 	if got := RunGolden(t, CtxFlow, "ctxflow"); got < 1 {
 		t.Errorf("suppressed = %d, want >= 1 (testdata carries an ignored false positive)", got)

@@ -1,6 +1,11 @@
-// Package hotpathalloc is golden-test input: allocation patterns inside
-// //sptrsv:hotpath functions, plus the sanctioned shapes (launch bodies,
-// annotated callees, cold panic paths) that must stay clean.
+// Package hotpathalloc is golden-test input for the hot-path allocation
+// contract. Functions with `// want` comments are hotpathalloc's true
+// positives (growth, string building, unannotated calls); the
+// sanctioned shapes (launch bodies, annotated callees, cold panic paths)
+// must stay clean. The heap escapes below carry no `// want`: hotpathalloc
+// leaves them to the compiler's escape gate, and
+// TestEscapeGateCoversDroppedRules builds this package to prove that
+// gate reports each one.
 package hotpathalloc
 
 import (
@@ -14,6 +19,10 @@ type Pool struct{ workers int }
 
 func (p *Pool) Run(body func(w int))                     { body(0) }
 func (p *Pool) ParallelFor(n int, body func(lo, hi int)) { body(0, n) }
+
+type point struct{ x, y int }
+
+var sink any
 
 //sptrsv:hotpath
 func kernelOK(x []float64, c *atomic.Int64) {
@@ -29,27 +38,8 @@ func kernelAppend(x []float64) []float64 {
 }
 
 //sptrsv:hotpath
-func kernelLiterals() int {
-	s := []int{1, 2, 3}   // want `hot path allocates: slice composite literal`
-	m := map[string]int{} // want `hot path allocates: map composite literal`
-	return len(s) + len(m)
-}
-
-//sptrsv:hotpath
-func kernelMake(n int) int {
-	buf := make([]float64, n) // want `hot path allocates: make\(slice\)`
-	return len(buf)
-}
-
-//sptrsv:hotpath
 func kernelFmt(n int) {
 	fmt.Println(n) // want `hot path calls fmt.Println, which is neither //sptrsv:hotpath nor whitelisted`
-}
-
-//sptrsv:hotpath
-func kernelClosure(xs []float64) func() {
-	f := func() { xs[0] = 1 } // want `hot path allocates: closure captures xs`
-	return f
 }
 
 //sptrsv:hotpath
@@ -58,13 +48,8 @@ func kernelConcat(a, b string) string {
 }
 
 //sptrsv:hotpath
-func kernelBox(v float64) any {
-	return v // want `hot path allocates: float64 boxed into interface`
-}
-
-//sptrsv:hotpath
-func kernelGo(xs []float64) {
-	go kernelOK(xs, nil) // want `hot path launches a goroutine`
+func kernelBytes(b []byte) int {
+	return len(string(b)) // want `hot path allocates: string/slice conversion`
 }
 
 // kernelGeneric converts through a type parameter: T's underlying type is
@@ -118,3 +103,89 @@ func falsePositive(xs []float64) []float64 {
 	//lint:ignore hotpathalloc setup-time growth, amortised across all later solves
 	return append(xs, 0)
 }
+
+// kernelLiterals' literals stay on the stack: the compiler proves they do
+// not escape, and neither gate reports them.
+//
+//sptrsv:hotpath
+func kernelLiterals() int {
+	s := []int{1, 2, 3}
+	m := map[string]int{}
+	return len(s) + len(m)
+}
+
+// The heap escapes the escape gate reports, one per construct.
+
+//sptrsv:hotpath
+func escSliceLit() []int {
+	return []int{1, 2, 3}
+}
+
+//sptrsv:hotpath
+func escMapLit() map[string]int {
+	return map[string]int{"a": 1}
+}
+
+//sptrsv:hotpath
+func escAddrLit() *point {
+	return &point{1, 2}
+}
+
+//sptrsv:hotpath
+func kernelMake(n int) int {
+	buf := make([]float64, n)
+	return len(buf)
+}
+
+//sptrsv:hotpath
+func escNew() *point {
+	return new(point)
+}
+
+//sptrsv:hotpath
+func kernelClosure(xs []float64) func() {
+	f := func() { xs[0] = 1 }
+	return f
+}
+
+//sptrsv:hotpath
+func kernelBox(v float64) any {
+	return v
+}
+
+//sptrsv:hotpath
+func sinkAny(v any) {
+	sink = v
+}
+
+//sptrsv:hotpath
+func escBoxArg(v float64) {
+	sinkAny(v)
+}
+
+//sptrsv:hotpath
+func escBoxAssign(v float64) {
+	sink = v
+}
+
+//sptrsv:hotpath
+func escBoxVar(v float64) {
+	var i any = v
+	sink = i
+}
+
+//sptrsv:hotpath
+func kernelGo(xs []float64) {
+	go kernelOK(xs, nil)
+}
+
+// boxesInGeneric boxes inside a generic body, instantiated at both
+// element types the kernels ship at.
+//
+//sptrsv:hotpath
+func boxesInGeneric[T float32 | float64](x []T) {
+	n := len(x)
+	sink = n
+}
+
+var _ = [...]any{boxesInGeneric[float32], boxesInGeneric[float64]}

@@ -61,6 +61,9 @@ func ReadMatrixMarket[T Float](r io.Reader) (*CSR[T], error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("%w: negative size", ErrMatrixMarket)
 	}
+	if symmetry != "general" && rows != cols {
+		return nil, fmt.Errorf("%w: %s matrix must be square, got %dx%d", ErrMatrixMarket, symmetry, rows, cols)
+	}
 
 	b := NewBuilder[T](rows, cols)
 	read := 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/block"
@@ -109,17 +110,20 @@ func (s *UpperSolver[T]) Stats() SolveStats { return s.inner.Stats() }
 // general sparse matrix-vector product used by the iterative-solver
 // examples; x and y must not alias.
 func MatVec[T Float](m *Matrix[T], x, y []T) {
-	kernels.Multiply(matVecPool, m, x, y)
+	kernels.Multiply(matVecPool(), m, x, y)
 }
 
-var matVecPool = exec.NewSpinPool(0)
+// matVecPool is created on the first MatVec, so importing the package
+// starts no workers.
+var matVecPool = sync.OnceValue(func() *exec.SpinPool { return exec.NewSpinPool(0) })
 
 // LoadSolver reloads a Solver previously serialised with Solver.WriteTo,
 // binding it to a pool of the given size (<=0 = GOMAXPROCS). The stored
 // analysis — permutation, blocks, kernel choices — is reused verbatim, so
-// the preprocessing cost is paid once across program runs.
+// the preprocessing cost is paid once across program runs. The pool's
+// workers exit once the solver is unreachable.
 func LoadSolver[T Float](r io.Reader, workers int) (*Solver[T], error) {
-	return block.ReadSolver[T](r, exec.NewSpinPool(workers))
+	return block.ReadSolver[T](r, exec.NewImplicitLauncher(exec.LaunchSpin, workers))
 }
 
 // TuneThresholds runs a reduced kernel-selection sweep (Figure 5 of the
