@@ -109,10 +109,11 @@ func runCompiler(dir string, update bool, pkgs []string, stdout, stderr io.Write
 	bceFile := filepath.Join(dir, filepath.FromSlash(bceAllowPath))
 	inlFile := filepath.Join(dir, filepath.FromSlash(inlAllowPath))
 	if update {
-		if err := writeAllowlists(map[string]string{
-			bceFile: lint.FormatBCEAllow(funcs),
-			inlFile: lint.FormatInlAllow(funcs),
-		}); err != nil {
+		err := os.WriteFile(bceFile, []byte(lint.FormatBCEAllow(funcs)), 0o644)
+		if err == nil {
+			err = os.WriteFile(inlFile, []byte(lint.FormatInlAllow(funcs)), 0o644)
+		}
+		if err != nil {
 			fmt.Fprintf(stderr, "sptrsvlint: %v\n", err)
 			return 2
 		}
@@ -164,18 +165,6 @@ func runCompiler(dir string, update bool, pkgs []string, stdout, stderr io.Write
 		}
 	}
 	return code
-}
-
-func writeAllowlists(files map[string]string) error {
-	for path, content := range files {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // jsonDiag is the stable JSON shape of one diagnostic.

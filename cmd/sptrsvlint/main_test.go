@@ -177,7 +177,8 @@ func TestOnlyUnknownAnalyzer(t *testing.T) {
 // tmpM2Module writes a throwaway module exercising the compiler gates: a
 // package whose hot-path functions all inline, one whose hot-path
 // function cannot inline, one with an unsanctioned hot-path heap escape,
-// and one where the same escape carries a reviewed suppression.
+// and one where the same escape carries a reviewed suppression. Its
+// internal/lint directory is where -update writes the allowlists.
 func tmpM2Module(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -224,6 +225,9 @@ func Scratch(n int) []float64 {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "internal", "lint"), 0o755); err != nil {
+		t.Fatal(err)
 	}
 	return dir
 }

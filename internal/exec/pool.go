@@ -207,9 +207,8 @@ func NewLauncher(style LaunchStyle, workers int) Launcher {
 
 // NewImplicitLauncher is NewLauncher for a pool library code creates on
 // a caller's behalf, which no one will Close: once the returned launcher
-// is unreachable, a cleanup closes the pool inside it. Code that launches
-// holds the launcher, so no launch starts after the cleanup, and one
-// still in flight finishes before the pool closes.
+// is unreachable, a cleanup closes the pool inside it. Every launch keeps
+// the handle alive until it returns, so the cleanup never overlaps one.
 func NewImplicitLauncher(style LaunchStyle, workers int) Launcher {
 	l := &implicitLauncher{NewLauncher(style, workers)}
 	runtime.AddCleanup(l, CloseLauncher, l.Launcher)
@@ -220,6 +219,21 @@ func NewImplicitLauncher(style LaunchStyle, workers int) Launcher {
 // inside does not reference it (finished launch bodies are dropped), so
 // it becomes unreachable with the last solver holding it.
 type implicitLauncher struct{ Launcher }
+
+// ParallelFor forwards to the pool. A promoted method would let the
+// handle die once the pool is loaded — a caller's final launch is often
+// its last use of the handle — and the cleanup could then close the pool
+// under the launch; KeepAlive holds it to the end.
+func (l *implicitLauncher) ParallelFor(n, grain int, body func(lo, hi int)) {
+	l.Launcher.ParallelFor(n, grain, body)
+	runtime.KeepAlive(l)
+}
+
+// Run forwards to the pool, holding the handle as ParallelFor does.
+func (l *implicitLauncher) Run(body func(worker int)) {
+	l.Launcher.Run(body)
+	runtime.KeepAlive(l)
+}
 
 // Device is a named execution profile standing in for one of the paper's
 // GPUs (Table 3). Workers plays the role of the CUDA core count; the

@@ -195,7 +195,8 @@ func (p *SpinPool) runEpoch(id int) {
 // workers and, as worker 0, executes the caller's share before waiting
 // for the completion barrier. A panic in any body — the caller's share
 // included — is re-raised here only after the barrier completes, so the
-// epoch machinery is back in its idle state first. Callers hold p.mu.
+// epoch machinery is back in its idle state first. Callers hold p.mu and
+// set exactly one of p.body and p.runBody; both are nil between launches.
 //
 //sptrsv:hotpath
 func (p *SpinPool) publish(self func()) {
@@ -208,6 +209,10 @@ func (p *SpinPool) publish(self func()) {
 	}
 	p.runSelf(self)
 	p.waitDone()
+	// Drop the finished bodies, on every exit: one may capture the solver
+	// holding this pool's implicit launcher, which would then never be
+	// released.
+	p.body, p.runBody = nil, nil
 	p.pan.Repanic()
 }
 
@@ -302,7 +307,6 @@ func (p *SpinPool) ParallelFor(n, grain int, body func(lo, hi int)) {
 		panic("exec: ParallelFor on closed SpinPool")
 	}
 	p.body = body
-	p.runBody = nil
 	p.grain = int64(grain)
 	per, rem := n/nw, n%nw
 	lo := 0
@@ -319,9 +323,6 @@ func (p *SpinPool) ParallelFor(n, grain int, body func(lo, hi int)) {
 		lo += size
 	}
 	p.publish(func() { p.runChunks(0) })
-	// Drop the finished body: it may capture the solver holding this
-	// pool's implicit launcher, which would then never be released.
-	p.body = nil
 }
 
 // Run executes body once per worker (body receives the worker id) and
@@ -344,9 +345,7 @@ func (p *SpinPool) Run(body func(worker int)) {
 		panic("exec: Run on closed SpinPool")
 	}
 	p.runBody = body
-	p.body = nil
 	p.publish(func() { body(0) })
-	p.runBody = nil // see ParallelFor
 }
 
 // Close stops the resident workers. The pool must not be used afterwards;

@@ -160,6 +160,34 @@ func TestSpinPoolAlternatingLaunchKinds(t *testing.T) {
 	}
 }
 
+// A finished launch body must not stay in the pool, panicking or not: it
+// may capture the solver that holds the pool's implicit launcher, and the
+// guarded solve path recovers kernel panics, so a solver whose last
+// launch panicked would otherwise pin itself and the resident workers.
+func TestSpinPoolDropsFinishedBodies(t *testing.T) {
+	p := NewSpinPool(3)
+	defer p.Close()
+	for _, panics := range []bool{false, true} {
+		capturePanic(func() {
+			p.Run(func(w int) {
+				if panics && w == 1 {
+					panic("boom")
+				}
+			})
+		})
+		capturePanic(func() {
+			p.ParallelFor(300, 1, func(lo, _ int) {
+				if panics && lo == 0 {
+					panic("boom")
+				}
+			})
+		})
+		if p.body != nil || p.runBody != nil {
+			t.Fatalf("panicking=%v: pool still holds a finished launch body", panics)
+		}
+	}
+}
+
 func TestSpinPoolSequentialSpawnsNoWorkers(t *testing.T) {
 	p := NewSpinPool(1)
 	defer p.Close()

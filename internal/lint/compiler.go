@@ -264,12 +264,12 @@ type lineRange struct{ start, end int }
 // and the structural facts behind the escape carve-outs, from one parse
 // without type information.
 type hotSource struct {
-	funcs     []HotFunc
-	litIdents []map[string]bool // per hot func: idents used inside its func literals
-	declPos   map[posKey]bool   // FuncDecl `func` keyword and name positions
-	argLitPos map[posKey]bool   // FuncLit-as-call-argument positions
-	cold      []lineRange       // panic args, recover-guarded code
-	ignore    map[int]bool      // lines covered by //lint:ignore escapecheck
+	funcs        []HotFunc
+	launchIdents []map[string]bool // per hot func: idents used inside its launch bodies
+	declPos      map[posKey]bool   // FuncDecl `func` keyword and name positions
+	launchLitPos map[posKey]bool   // positions of func literals passed to Run/ParallelFor
+	cold         []lineRange       // panic args, recover-guarded code
+	ignore       map[int]bool      // lines covered by //lint:ignore escapecheck
 }
 
 // parseHotSource parses one file (path on disk, file as the compiler
@@ -281,9 +281,9 @@ func parseHotSource(path, file string) (*hotSource, error) {
 		return nil, fmt.Errorf("compiler audit: parse %s: %v", path, err)
 	}
 	src := &hotSource{
-		declPos:   map[posKey]bool{},
-		argLitPos: map[posKey]bool{},
-		ignore:    map[int]bool{},
+		declPos:      map[posKey]bool{},
+		launchLitPos: map[posKey]bool{},
+		ignore:       map[int]bool{},
 	}
 	at := func(p token.Pos) posKey {
 		pos := fset.Position(p)
@@ -326,9 +326,18 @@ func parseHotSource(path, file string) (*hotSource, error) {
 				if id, ok := ast.Unparen(t.Fun).(*ast.Ident); ok && id.Name == "panic" {
 					src.cold = append(src.cold, lines(t))
 				}
+				if !isLaunchCall(t) {
+					break
+				}
 				for _, arg := range t.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
-						src.argLitPos[at(lit.Pos())] = true
+						src.launchLitPos[at(lit.Pos())] = true
+						ast.Inspect(lit.Body, func(m ast.Node) bool {
+							if id, ok := m.(*ast.Ident); ok {
+								idents[id.Name] = true
+							}
+							return true
+						})
 					}
 				}
 			case *ast.IfStmt:
@@ -339,19 +348,20 @@ func parseHotSource(path, file string) (*hotSource, error) {
 				if lit, ok := t.Call.Fun.(*ast.FuncLit); ok && astContainsRecover(lit) {
 					src.cold = append(src.cold, lines(t))
 				}
-			case *ast.FuncLit:
-				ast.Inspect(t.Body, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						idents[id.Name] = true
-					}
-					return true
-				})
 			}
 			return true
 		})
-		src.litIdents = append(src.litIdents, idents)
+		src.launchIdents = append(src.launchIdents, idents)
 	}
 	return src, nil
+}
+
+// isLaunchCall reports whether call invokes a method named Run or
+// ParallelFor — a launcher launch, judged by name since the escape gate
+// parses without type information.
+func isLaunchCall(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && (sel.Sel.Name == "Run" || sel.Sel.Name == "ParallelFor")
 }
 
 // isHotpathDecl reports whether the declaration's doc comment carries
@@ -424,9 +434,9 @@ func attribute(srcs map[string]*hotSource, a *compilerOutput) []HotFunc {
 		f := &src.funcs[i]
 		switch {
 		case src.declPos[posKey{e.Line, e.Col}],
-			strings.HasPrefix(e.What, "func literal") && src.argLitPos[posKey{e.Line, e.Col}],
+			strings.HasPrefix(e.What, "func literal") && src.launchLitPos[posKey{e.Line, e.Col}],
 			src.inCold(e.Line),
-			(e.Moved || isIdentName(e.What)) && src.litIdents[i][e.What]:
+			(e.Moved || isIdentName(e.What)) && src.launchIdents[i][e.What]:
 			f.Sanctioned++
 		case src.ignore[e.Line]:
 			f.Suppressed++
@@ -777,9 +787,10 @@ func FormatInlAllow(funcs []HotFunc) string {
 // violation unless it is one of the sanctioned per-launch publication
 // costs —
 //
-//   - a function literal handed directly to a call (the launch body),
-//   - a local variable a function literal in the same declaration
-//     captures (the counter/guard state the launch publishes),
+//   - a function literal passed to a Run or ParallelFor call (the launch
+//     body),
+//   - a local variable such a launch body captures (the counter/guard
+//     state the launch publishes),
 //   - panic arguments and recover-guarded blocks (cold by definition),
 //   - the declaration position itself (generic dictionary wrappers are
 //     reported against it),

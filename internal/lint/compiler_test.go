@@ -533,12 +533,13 @@ func TestEscapeGateCoversDroppedRules(t *testing.T) {
 		{"make", "kernelMake", "make([]float64, n)"},
 		{"new", "escNew", "new(point)"},
 		{"closure capture", "kernelClosure", "func literal"},
+		{"closure passed to a non-launch call", "escClosureArg", "func literal"},
+		{"variable captured outside a launch body", "escClosureArg", "n"},
 		{"boxing: return", "kernelBox", "v"},
 		{"boxing: call argument", "escBoxArg", "v"},
 		{"boxing: assignment", "escBoxAssign", "v"},
 		{"boxing: var spec", "escBoxVar", "v"},
 		{"boxing in a generic body", "boxesInGeneric", "n"},
-		{"go statement", "kernelGo", "func literal"},
 	} {
 		f := byFunc[c.fn]
 		if !slices.ContainsFunc(f.Escapes, func(e EscapeSite) bool { return e.What == c.what }) {

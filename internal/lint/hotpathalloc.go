@@ -11,13 +11,15 @@ import (
 // functions annotated //sptrsv:hotpath that the compiler gate cannot
 // witness (the runtime twin is TestObsHandlerZeroAllocSolve). Heap
 // escapes — make/new, composite literals, capturing closures, interface
-// boxing, go statements — are the escape gate's (sptrsvlint -compiler):
-// the compiler reports exactly those that reach the heap. What remains
-// here, inside an annotated function and its nested function literals:
+// boxing — are the escape gate's (sptrsvlint -compiler): the compiler
+// reports exactly those that reach the heap. What remains here, inside
+// an annotated function and its nested function literals:
 //
 //   - append, which allocates on growth (the compiler reports nothing);
 //   - string concatenation and string<->slice conversions, which allocate
 //     even when the compiler proves the result does not escape;
+//   - go statements: the compiler reports the wrapper closure of one with
+//     arguments, but nothing for `go f()`;
 //   - calls: a hot-path function may call only other //sptrsv:hotpath
 //     functions, launcher launch methods, the faultinject no-op hooks, or
 //     the whitelisted allocation-free stdlib packages.
@@ -27,7 +29,7 @@ import (
 // skipped.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "forbid growth, string building and unannotated calls in //sptrsv:hotpath functions",
+	Doc:  "forbid growth, string building, goroutines and unannotated calls in //sptrsv:hotpath functions",
 	Run:  runHotPathAlloc,
 }
 
@@ -104,6 +106,8 @@ func (h *hotWalker) walk(body ast.Node) {
 			return false
 		}
 		switch t := n.(type) {
+		case *ast.GoStmt:
+			h.pass.Reportf(t.Pos(), "hot path launches a goroutine")
 		case *ast.BinaryExpr:
 			if t.Op == token.ADD && !isConstExpr(info, t) && isStringType(info.TypeOf(t)) {
 				h.pass.Reportf(t.Pos(), "hot path allocates: string concatenation")

@@ -1,6 +1,6 @@
 // Package hotpathalloc is golden-test input for the hot-path allocation
 // contract. Functions with `// want` comments are hotpathalloc's true
-// positives (growth, string building, unannotated calls); the
+// positives (growth, string building, goroutines, unannotated calls); the
 // sanctioned shapes (launch bodies, annotated callees, cold panic paths)
 // must stay clean. The heap escapes below carry no `// want`: hotpathalloc
 // leaves them to the compiler's escape gate, and
@@ -22,7 +22,10 @@ func (p *Pool) ParallelFor(n int, body func(lo, hi int)) { body(0, n) }
 
 type point struct{ x, y int }
 
-var sink any
+var (
+	sink     any
+	keptFunc func()
+)
 
 //sptrsv:hotpath
 func kernelOK(x []float64, c *atomic.Int64) {
@@ -51,6 +54,17 @@ func kernelConcat(a, b string) string {
 func kernelBytes(b []byte) int {
 	return len(string(b)) // want `hot path allocates: string/slice conversion`
 }
+
+// kernelGo starts a goroutine without arguments, which the compiler's
+// escape output does not mention.
+//
+//sptrsv:hotpath
+func kernelGo() {
+	go idle() // want `hot path launches a goroutine`
+}
+
+//sptrsv:hotpath
+func idle() {}
 
 // kernelGeneric converts through a type parameter: T's underlying type is
 // its constraint interface, but no interface value exists at runtime, so
@@ -175,8 +189,18 @@ func escBoxVar(v float64) {
 }
 
 //sptrsv:hotpath
-func kernelGo(xs []float64) {
-	go kernelOK(xs, nil)
+func keep(f func()) {
+	keptFunc = f
+}
+
+// escClosureArg hands a capturing closure to an annotated helper that is
+// not a launch: neither the literal nor its capture is sanctioned.
+//
+//sptrsv:hotpath
+func escClosureArg() int {
+	n := 0
+	keep(func() { n++ })
+	return n
 }
 
 // boxesInGeneric boxes inside a generic body, instantiated at both
