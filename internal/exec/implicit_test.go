@@ -36,7 +36,6 @@ func dropMidLaunch(style LaunchStyle, viaRun bool) (collected bool) {
 	launchLast(l, viaRun, func() {
 		runtime.GC()
 		collected = handle.Value() == nil
-		time.Sleep(time.Millisecond) // room for a cleanup to overlap the launch
 	})
 	return collected
 }

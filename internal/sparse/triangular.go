@@ -151,22 +151,8 @@ func SubCSR[T Float](m *CSR[T], r0, r1, c0, c1 int) *CSR[T] {
 	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
 		panic(fmt.Sprintf("sparse: SubCSR range [%d,%d)x[%d,%d) invalid for %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
-	rows := r1 - r0
-	rowPtr := make([]int, rows+1)
-	var colIdx []int
-	var val []T
-	for i := r0; i < r1; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		seg := m.ColIdx[lo:hi]
-		a := lo + sort.SearchInts(seg, c0)
-		b := lo + sort.SearchInts(seg, c1)
-		for k := a; k < b; k++ {
-			colIdx = append(colIdx, m.ColIdx[k]-c0)
-			val = append(val, m.Val[k])
-		}
-		rowPtr[i-r0+1] = len(val)
-	}
-	return &CSR[T]{Rows: rows, Cols: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	rowPtr, colIdx, val := subCompressed(m.RowPtr, m.ColIdx, m.Val, r0, r1, c0, c1)
+	return &CSR[T]{Rows: r1 - r0, Cols: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
 // SubCSC extracts the sub-matrix with global rows [r0,r1) and columns
@@ -175,22 +161,36 @@ func SubCSC[T Float](m *CSC[T], r0, r1, c0, c1 int) *CSC[T] {
 	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
 		panic(fmt.Sprintf("sparse: SubCSC range [%d,%d)x[%d,%d) invalid for %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
-	cols := c1 - c0
-	colPtr := make([]int, cols+1)
-	var rowIdx []int
-	var val []T
-	for j := c0; j < c1; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		seg := m.RowIdx[lo:hi]
-		a := lo + sort.SearchInts(seg, r0)
-		b := lo + sort.SearchInts(seg, r1)
-		for k := a; k < b; k++ {
-			rowIdx = append(rowIdx, m.RowIdx[k]-r0)
-			val = append(val, m.Val[k])
-		}
-		colPtr[j-c0+1] = len(val)
+	colPtr, rowIdx, val := subCompressed(m.ColPtr, m.RowIdx, m.Val, c0, c1, r0, r1)
+	return &CSC[T]{Rows: r1 - r0, Cols: c1 - c0, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
+// subCompressed extracts major lines [m0,m1) and minor indices [n0,n1) of
+// a compressed matrix (CSR rows and columns, or CSC columns and rows),
+// shifting both to local numbering. It counts before it copies, so the
+// result is allocated once at its exact size: analysis extracts every
+// range of the partition tree, and growing by append made the garbage a
+// multiple of the matrix.
+func subCompressed[T Float](ptr, idx []int, val []T, m0, m1, n0, n1 int) ([]int, []int, []T) {
+	outPtr := make([]int, m1-m0+1)
+	for i := m0; i < m1; i++ {
+		seg := idx[ptr[i]:ptr[i+1]]
+		outPtr[i-m0+1] = outPtr[i-m0] + sort.SearchInts(seg, n1) - sort.SearchInts(seg, n0)
 	}
-	return &CSC[T]{Rows: r1 - r0, Cols: cols, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+	var outIdx []int
+	var outVal []T
+	if nnz := outPtr[m1-m0]; nnz > 0 {
+		outIdx, outVal = make([]int, nnz), make([]T, nnz)
+	}
+	for i := m0; i < m1; i++ {
+		a := ptr[i] + sort.SearchInts(idx[ptr[i]:ptr[i+1]], n0)
+		d0, d1 := outPtr[i-m0], outPtr[i-m0+1]
+		for k := d0; k < d1; k++ {
+			outIdx[k] = idx[a+k-d0] - n0
+		}
+		copy(outVal[d0:d1], val[a:])
+	}
+	return outPtr, outIdx, outVal
 }
 
 // SplitDiagCSC separates a square lower-triangular CSC matrix into its
