@@ -273,7 +273,8 @@ func NewSpinPool(workers int) *SpinPool { return exec.NewSpinPool(workers) }
 
 // DefaultOptions returns the paper-recommended configuration: recursive
 // partition, level-set reordering, adaptive kernel selection, recursion
-// cut-off derived from the worker count. workers <= 0 uses GOMAXPROCS.
+// cut-off derived from the worker count. workers <= 0 uses DefaultDevice's
+// worker count: GOMAXPROCS, but at least 3 (so 3 on one or two CPUs).
 func DefaultOptions(workers int) Options {
 	dev := DefaultDevice()
 	if workers > 0 {

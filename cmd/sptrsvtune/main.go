@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sptrsvtune                      # print fitted vs paper thresholds
+//	sptrsvtune                      # print fitted vs default thresholds
 //	sptrsvtune -rows 40000 -out thresholds.json
 package main
 
@@ -36,18 +36,19 @@ func main() {
 	fitted := adapt.QuickFit(pool, *rows, *repeats, 9001)
 	fmt.Printf("sweep finished in %v\n\n", time.Since(t0).Round(time.Millisecond))
 
-	paper := adapt.DefaultThresholds()
-	fmt.Printf("%-26s %14s %14s\n", "threshold", "paper (GPU)", "fitted (here)")
-	row := func(name string, p, f any) { fmt.Printf("%-26s %14v %14v\n", name, p, f) }
-	row("TriLevelSetMaxNNZRow", paper.TriLevelSetMaxNNZRow, fitted.TriLevelSetMaxNNZRow)
-	row("TriLevelSetMaxLevels", paper.TriLevelSetMaxLevels, fitted.TriLevelSetMaxLevels)
-	row("TriChainMaxNNZRow", paper.TriChainMaxNNZRow, fitted.TriChainMaxNNZRow)
-	row("TriChainMaxLevels", paper.TriChainMaxLevels, fitted.TriChainMaxLevels)
-	row("TriCuSparseMinLevels", paper.TriCuSparseMinLevels, fitted.TriCuSparseMinLevels)
-	row("SpMVScalarMaxNNZRow", paper.SpMVScalarMaxNNZRow, fitted.SpMVScalarMaxNNZRow)
-	row("SpMVScalarDCSRMin", paper.SpMVScalarDCSRMin, fitted.SpMVScalarDCSRMin)
-	row("SpMVVectorDCSRMin", paper.SpMVVectorDCSRMin, fitted.SpMVVectorDCSRMin)
-	row("LaunchCost", paper.LaunchCost, fitted.LaunchCost)
+	def := adapt.DefaultThresholds()
+	fmt.Printf("%-26s %14s %14s\n", "threshold", "default", "fitted (here)")
+	row := func(name string, d, f any) { fmt.Printf("%-26s %14v %14v\n", name, d, f) }
+	row("TriParallelMinWork", def.TriParallelMinWork, fitted.TriParallelMinWork)
+	row("TriLevelSetMaxNNZRow", def.TriLevelSetMaxNNZRow, fitted.TriLevelSetMaxNNZRow)
+	row("TriLevelSetMaxLevels", def.TriLevelSetMaxLevels, fitted.TriLevelSetMaxLevels)
+	row("TriChainMaxNNZRow", def.TriChainMaxNNZRow, fitted.TriChainMaxNNZRow)
+	row("TriChainMaxLevels", def.TriChainMaxLevels, fitted.TriChainMaxLevels)
+	row("TriCuSparseMinLevels", def.TriCuSparseMinLevels, fitted.TriCuSparseMinLevels)
+	row("SpMVScalarMaxNNZRow", def.SpMVScalarMaxNNZRow, fitted.SpMVScalarMaxNNZRow)
+	row("SpMVScalarDCSRMin", def.SpMVScalarDCSRMin, fitted.SpMVScalarDCSRMin)
+	row("SpMVVectorDCSRMin", def.SpMVVectorDCSRMin, fitted.SpMVVectorDCSRMin)
+	row("LaunchCost", def.LaunchCost, fitted.LaunchCost)
 
 	if *out != "" {
 		data, err := json.MarshalIndent(fitted, "", "  ")

@@ -2,8 +2,9 @@
 // thresholds (Algorithm 7) from a large performance sweep on its benchmark
 // GPU. This example repeats that methodology on the current machine:
 // it tunes the decision tree, shows how the fitted cut points differ from
-// the paper's GPU-derived defaults, and measures the effect on a
-// near-serial system where the crossover points matter most.
+// the paper's GPU-derived ones, and measures the paper's tree, the
+// library default (the paper's tree under a serial floor) and the fitted
+// tree on a near-serial system where the crossover points matter most.
 //
 //	go run ./examples/adaptive_tuning
 package main
@@ -20,8 +21,11 @@ import (
 func main() {
 	fmt.Println("tuning kernel-selection thresholds on this machine (a few seconds)...")
 	fitted := sptrsv.TuneThresholds(0, 20000)
-	paper := sptrsv.DefaultOptions(0).Thresholds
+	defaults := sptrsv.DefaultOptions(0).Thresholds
+	paper := defaults
+	paper.TriParallelMinWork = 0 // the paper's tree has no serial floor
 	fmt.Printf("\n%-24s %14s %14s\n", "threshold", "paper (GPU)", "fitted (here)")
+	fmt.Printf("%-24s %14d %14d\n", "serial floor work/level", paper.TriParallelMinWork, fitted.TriParallelMinWork)
 	fmt.Printf("%-24s %14.0f %14.0f\n", "levelset max nnz/row", paper.TriLevelSetMaxNNZRow, fitted.TriLevelSetMaxNNZRow)
 	fmt.Printf("%-24s %14d %14d\n", "levelset max levels", paper.TriLevelSetMaxLevels, fitted.TriLevelSetMaxLevels)
 	fmt.Printf("%-24s %14d %14d\n", "chain band max levels", paper.TriChainMaxLevels, fitted.TriChainMaxLevels)
@@ -71,6 +75,8 @@ func main() {
 
 	fmt.Printf("\nnear-serial chain, n=%d nnz=%d:\n", l.Rows, l.NNZ())
 	tPaper := run("paper thresholds", paper)
+	tDefault := run("default thresholds", defaults)
 	tFitted := run("fitted thresholds", fitted)
-	fmt.Printf("\nfitted/paper solve time: %.2fx\n", tPaper.Seconds()/tFitted.Seconds())
+	fmt.Printf("\ndefault/paper solve time: %.2fx\n", tDefault.Seconds()/tPaper.Seconds())
+	fmt.Printf("fitted/paper solve time: %.2fx\n", tFitted.Seconds()/tPaper.Seconds())
 }

@@ -23,6 +23,17 @@ type TriFeatures struct {
 	NLevels   int
 }
 
+// WorkPerLevel is the block's work per level-set: rows plus strictly-lower
+// entries, divided (rounding down) by the level count. It measures what one
+// synchronisation step of a parallel kernel has to spread over the
+// workers. A block without levels reports its whole work.
+func (f TriFeatures) WorkPerLevel() int {
+	if f.NLevels < 1 {
+		return f.Rows + f.StrictNNZ
+	}
+	return (f.Rows + f.StrictNNZ) / f.NLevels
+}
+
 // TriFeaturesOf extracts the features from a split triangular block.
 func TriFeaturesOf[T sparse.Float](strict *sparse.CSC[T], info *levelset.Info) TriFeatures {
 	f := TriFeatures{Rows: strict.Rows, StrictNNZ: strict.NNZ(), NLevels: info.NLevels}
@@ -54,8 +65,16 @@ func SpMVFeaturesOf[T sparse.Float](a *sparse.CSR[T]) SpMVFeatures {
 
 // Thresholds hold the decision-tree cut points. The defaults are the
 // values the paper reads off its 373,814-sample tuning run (Figure 5,
-// Algorithm 7); Retune derives machine-specific values.
+// Algorithm 7), plus one floor for work too small to parallelise on
+// goroutines; FitThresholds derives machine-specific values.
 type Thresholds struct {
+	// TriParallelMinWork is the serial floor: a multi-level block whose
+	// WorkPerLevel is below it runs the serial kernel on the calling
+	// goroutine, with no launch and no atomics. The paper's GPU leaves
+	// carry enough work per level to hide a barrier; a leaf of a few
+	// thousand rows on goroutines does not. Zero disables the floor,
+	// which leaves the paper's tree.
+	TriParallelMinWork int
 	// SpTRSV side (Figure 5a).
 	TriLevelSetMaxNNZRow float64 // level-set wins below this nnz/row ...
 	TriLevelSetMaxLevels int     // ... when nlevels is also below this
@@ -77,9 +96,17 @@ type Thresholds struct {
 	LaunchCost time.Duration
 }
 
-// DefaultThresholds returns the paper's published cut points.
+// DefaultThresholds returns the paper's published cut points and a serial
+// floor of 4096 work per level. The floor's exact value is not verified
+// end to end: every multi-level leaf of the benchmark matrices has under
+// 2,900 work per level, so the benchmark reads the same for any floor
+// above that, always-serial included, and the committed leaf sweep
+// (BenchmarkLeafKernels; EXPERIMENTS.md, "Why the block solver lost on
+// deep") puts the crossover higher at three workers. FitThresholds
+// measures it for the host.
 func DefaultThresholds() Thresholds {
 	return Thresholds{
+		TriParallelMinWork:   4096,
 		TriLevelSetMaxNNZRow: 15,
 		TriLevelSetMaxLevels: 20,
 		TriChainMaxNNZRow:    1,
@@ -91,11 +118,14 @@ func DefaultThresholds() Thresholds {
 	}
 }
 
-// SelectTri is the SpTRSV half of Algorithm 7's decision tree.
+// SelectTri is the SpTRSV half of Algorithm 7's decision tree, with the
+// serial floor tested right after the diagonal-only case.
 func (t Thresholds) SelectTri(f TriFeatures) kernels.TriKernel {
 	switch {
 	case f.NLevels <= 1:
 		return kernels.TriCompletelyParallel
+	case f.WorkPerLevel() < t.TriParallelMinWork:
+		return kernels.TriSerial
 	case f.NLevels > t.TriCuSparseMinLevels:
 		return kernels.TriCuSparseLike
 	case f.NNZPerRow <= t.TriChainMaxNNZRow && f.NLevels <= t.TriChainMaxLevels,

@@ -12,8 +12,11 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
+// TestSelectTriPaperCases runs the paper's tree: the defaults with the
+// serial floor disabled.
 func TestSelectTriPaperCases(t *testing.T) {
 	th := DefaultThresholds()
+	th.TriParallelMinWork = 0
 	cases := []struct {
 		name string
 		f    TriFeatures
@@ -34,6 +37,44 @@ func TestSelectTriPaperCases(t *testing.T) {
 		if got := th.SelectTri(tc.f); got != tc.want {
 			t.Errorf("%s: got %v want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+func TestSelectTriSerialFloor(t *testing.T) {
+	th := DefaultThresholds()
+	if th.TriParallelMinWork != 4096 {
+		t.Fatalf("default floor: got %d want 4096", th.TriParallelMinWork)
+	}
+	// 4 levels over 4096 rows and 3 strictly-lower entries per row: 4096
+	// work per level, exactly the floor. The paper's tree picks level-set.
+	atFloor := TriFeatures{Rows: 4096, StrictNNZ: 3 * 4096, NNZPerRow: 3, NLevels: 4}
+	below := atFloor
+	below.StrictNNZ -= 4 // 16380 / 4 = 4095
+	cases := []struct {
+		name  string
+		floor int
+		f     TriFeatures
+		want  kernels.TriKernel
+	}{
+		{"work at the floor stays parallel", 4096, atFloor, kernels.TriLevelSet},
+		{"one unit below the floor goes serial", 4096, below, kernels.TriSerial},
+		{"tiny diagonal block stays completely-parallel", 4096, TriFeatures{Rows: 3, NLevels: 1}, kernels.TriCompletelyParallel},
+		{"tiny empty block stays completely-parallel", 4096, TriFeatures{}, kernels.TriCompletelyParallel},
+		{"tiny deep chain goes serial", 4096, TriFeatures{Rows: 100, StrictNNZ: 99, NNZPerRow: 0.99, NLevels: 100}, kernels.TriSerial},
+		{"floor 0 disables the branch", 0, TriFeatures{Rows: 100, StrictNNZ: 99, NNZPerRow: 0.99, NLevels: 100}, kernels.TriLevelSet},
+		{"floor 0 keeps paper tree below old floor", 0, below, kernels.TriLevelSet},
+	}
+	for _, tc := range cases {
+		th.TriParallelMinWork = tc.floor
+		if got := th.SelectTri(tc.f); got != tc.want {
+			t.Errorf("%s: work/level=%d floor=%d: got %v want %v", tc.name, tc.f.WorkPerLevel(), tc.floor, got, tc.want)
+		}
+	}
+	if w := atFloor.WorkPerLevel(); w != 4096 {
+		t.Errorf("WorkPerLevel at floor: got %d want 4096", w)
+	}
+	if w := below.WorkPerLevel(); w != 4095 {
+		t.Errorf("WorkPerLevel below floor: got %d want 4095", w)
 	}
 }
 
@@ -59,7 +100,8 @@ func TestSelectSpMVPaperCases(t *testing.T) {
 }
 
 // TestSelectorsTotal: the decision trees must return a concrete runnable
-// kernel (never Auto/Serial) for any feature combination.
+// kernel (never Auto; serial only on the SpTRSV side, below its floor) for
+// any feature combination.
 func TestSelectorsTotal(t *testing.T) {
 	th := DefaultThresholds()
 	f := func(rows uint16, nnzPerRow float64, nlevels uint16, empty float64) bool {
@@ -72,7 +114,7 @@ func TestSelectorsTotal(t *testing.T) {
 		}
 		tk := th.SelectTri(TriFeatures{Rows: int(rows), NNZPerRow: nnzPerRow, NLevels: int(nlevels)})
 		switch tk {
-		case kernels.TriCompletelyParallel, kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike:
+		case kernels.TriCompletelyParallel, kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial:
 		default:
 			return false
 		}
@@ -130,6 +172,12 @@ func TestTuneTriProducesCompleteGrid(t *testing.T) {
 		}
 		if c.Features.NLevels <= 1 && c.Best != kernels.TriCompletelyParallel {
 			t.Fatalf("diagonal cell picked %v", c.Best)
+		}
+		if _, timed := c.GFlops[kernels.TriSerial]; timed != (c.Features.NLevels > 1) {
+			t.Fatalf("cell %+v: serial timed=%v", c.Features, timed)
+		}
+		if c.Best == kernels.TriSerial {
+			t.Fatalf("cell %+v: Best must be a parallel kernel", c.Features)
 		}
 		for k, v := range c.GFlops {
 			if v <= 0 {
@@ -193,5 +241,72 @@ func TestFitThresholdsUsesData(t *testing.T) {
 	}
 	if th.TriLevelSetMaxLevels != 40 {
 		t.Errorf("TriLevelSetMaxLevels: got %d want 40", th.TriLevelSetMaxLevels)
+	}
+}
+
+// serialFloorCells is a synthetic tri sweep over work per level: blocks
+// of the given rows with 1 or 2 strictly-lower entries per row over 2–64
+// levels. At 1,024 rows each power-of-two bucket from [32, 64) to
+// [1024, 2048) holds two cells, one at its lower edge (2048/levels) and
+// one above it (3072/levels); 16 times the rows moves every bucket up by
+// four. parallelWins says which cells the best parallel kernel wins
+// against the serial one.
+func serialFloorCells(rows int, parallelWins func(work int) bool) []TriCell {
+	var tri []TriCell
+	for _, deg := range []int{1, 2} {
+		for _, levels := range []int{2, 4, 8, 16, 32, 64} {
+			f := TriFeatures{Rows: rows, StrictNNZ: deg * rows, NNZPerRow: float64(deg), NLevels: levels}
+			g := map[kernels.TriKernel]float64{kernels.TriSerial: 1, kernels.TriSyncFree: 0.5}
+			if parallelWins(f.WorkPerLevel()) {
+				g[kernels.TriSyncFree] = 2
+			}
+			tri = append(tri, TriCell{Features: f, GFlops: g, Best: kernels.TriSyncFree})
+		}
+	}
+	// A diagonal cell never counts.
+	tri = append(tri, TriCell{
+		Features: TriFeatures{Rows: 1024, NLevels: 1},
+		GFlops:   map[kernels.TriKernel]float64{kernels.TriCompletelyParallel: 9},
+		Best:     kernels.TriCompletelyParallel,
+	})
+	return tri
+}
+
+func TestFitThresholdsSerialFloor(t *testing.T) {
+	def := DefaultThresholds().TriParallelMinWork
+	cases := []struct {
+		name string
+		rows int
+		wins func(work int) bool
+		want int
+	}{
+		{"parallel wins from 512", 1024, func(w int) bool { return w >= 512 }, 512},
+		{"parallel wins only the heaviest bucket", 1024, func(w int) bool { return w >= 1024 }, 1024},
+		{"parallel wins everywhere", 1024, func(int) bool { return true }, 32},
+		{"serial wins everywhere below the default keeps the default", 1024, func(int) bool { return false }, def},
+		{"serial wins everywhere above the default: floor at the sweep's top", 16 * 1024, func(int) bool { return false }, 32768},
+		{"heavy sweep, parallel wins from 8192", 16 * 1024, func(w int) bool { return w >= 8192 }, 8192},
+		{"light wins below a losing bucket do not count", 1024, func(w int) bool { return w >= 512 || w <= 64 }, 512},
+		{"a split bucket is no majority and ends the run", 1024, func(w int) bool { return w >= 512 && w != 768 }, 1024},
+	}
+	for _, tc := range cases {
+		if got := FitThresholds(serialFloorCells(tc.rows, tc.wins), nil).TriParallelMinWork; got != tc.want {
+			t.Errorf("%s: got %d want %d", tc.name, got, tc.want)
+		}
+	}
+	// A sweep that timed no serial cell says nothing about the floor.
+	untimed := serialFloorCells(16*1024, func(int) bool { return false })
+	for _, c := range untimed {
+		delete(c.GFlops, kernels.TriSerial)
+	}
+	if got := FitThresholds(untimed, nil).TriParallelMinWork; got != def {
+		t.Errorf("no serial timings: got %d want the default %d", got, def)
+	}
+	// The paper's cut points still fit on the best parallel kernel: cells
+	// that only move the floor leave them at their defaults.
+	th := FitThresholds(serialFloorCells(1024, func(w int) bool { return w >= 512 }), nil)
+	th.TriParallelMinWork = def
+	if th != DefaultThresholds() {
+		t.Errorf("cut points other than the floor moved: %+v", th)
 	}
 }

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
@@ -12,7 +13,9 @@ import (
 
 // TriCell is one cell of the Figure-5a sweep: a generated triangular block
 // with the given features and the measured GFlops of every applicable
-// SpTRSV kernel.
+// SpTRSV kernel, the serial one included on multi-level blocks. Best is
+// the fastest parallel kernel, the one the paper's cut points are fitted
+// on; the serial timing beside it fits the serial floor.
 type TriCell struct {
 	Features TriFeatures
 	GFlops   map[kernels.TriKernel]float64
@@ -81,6 +84,12 @@ func TuneTri(p exec.Launcher, rows int, nnzRowAxis []int, levelsAxis []int, repe
 				cell.GFlops[kernels.TriCompletelyParallel] = gflops(flops, d)
 			} else {
 				d := bestTime(repeats, func() {
+					copy(w, b)
+					kernels.TriSerialSolve(strict, diag, w, x)
+				})
+				cell.GFlops[kernels.TriSerial] = gflops(flops, d)
+
+				d = bestTime(repeats, func() {
 					copy(w, b)
 					kernels.TriLevelSetSolve(p, strict, diag, info, w, x, nil)
 				})
@@ -153,9 +162,14 @@ func TuneSpMV(p exec.Launcher, rows int, nnzRowAxis []int, emptyAxis []float64, 
 	return cells
 }
 
+// argmaxTri picks the fastest parallel kernel of a cell; the serial
+// timing is compared with it only by the floor's fit.
 func argmaxTri(m map[kernels.TriKernel]float64) kernels.TriKernel {
 	best, bestV := kernels.TriAuto, -1.0
 	for k, v := range m {
+		if k == kernels.TriSerial {
+			continue
+		}
 		if v > bestV || (v == bestV && k < best) {
 			best, bestV = k, v
 		}
@@ -287,6 +301,8 @@ func FitThresholds(tri []TriCell, spmv []SpMVCell) Thresholds {
 		}
 	}
 
+	th.TriParallelMinWork = fitParallelMinWork(tri, th.TriParallelMinWork)
+
 	// Tri level-set/sync-free boundary: the largest nlevels at which
 	// level-set still wins a majority of low-degree cells.
 	if len(tri) > 0 {
@@ -324,6 +340,51 @@ func FitThresholds(tri []TriCell, spmv []SpMVCell) Thresholds {
 		}
 	}
 	return th
+}
+
+// fitParallelMinWork fits the serial floor over buckets of work per level
+// between powers of two, [2^k, 2^(k+1)). Walking down from the heaviest
+// bucket while the best parallel kernel beats the serial one in the
+// majority of a bucket's multi-level cells, the floor is the lower edge of
+// the last such bucket. When the heaviest bucket has no parallel majority,
+// serial won everything the sweep measured: the floor is then that
+// bucket's upper edge, or def if that is higher, since the sweep says
+// nothing above it. A sweep that timed no serial cell keeps def.
+func fitParallelMinWork(tri []TriCell, def int) int {
+	type bucket struct{ wins, total int }
+	byLog := map[int]*bucket{}
+	logs := []int{}
+	for _, c := range tri {
+		serial, timed := c.GFlops[kernels.TriSerial]
+		w := c.Features.WorkPerLevel()
+		if !timed || c.Features.NLevels <= 1 || w < 1 {
+			continue
+		}
+		k := bits.Len(uint(w)) - 1
+		b, ok := byLog[k]
+		if !ok {
+			b = &bucket{}
+			byLog[k] = b
+			logs = append(logs, k)
+		}
+		if c.GFlops[c.Best] > serial {
+			b.wins++
+		}
+		b.total++
+	}
+	if len(logs) == 0 {
+		return def
+	}
+	insertionSortInts(logs)
+	top := logs[len(logs)-1]
+	cut := top + 1
+	for i := len(logs) - 1; i >= 0 && 2*byLog[logs[i]].wins > byLog[logs[i]].total; i-- {
+		cut = logs[i]
+	}
+	if cut > top {
+		return max(1<<cut, def)
+	}
+	return 1 << cut
 }
 
 func insertionSortInts(s []int) {

@@ -248,8 +248,8 @@ func Figure5(w io.Writer, p Params) error {
 	t2.write(w)
 
 	th := adapt.FitThresholds(tri, spmv)
-	fmt.Fprintf(w, "\nfitted thresholds: %+v\n", th)
-	fmt.Fprintf(w, "paper thresholds:  %+v\n", adapt.DefaultThresholds())
+	fmt.Fprintf(w, "\nfitted thresholds:  %+v\n", th)
+	fmt.Fprintf(w, "default thresholds: %+v\n", adapt.DefaultThresholds())
 	return nil
 }
 

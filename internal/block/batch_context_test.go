@@ -22,7 +22,7 @@ func TestSolveBatchContextMatchesSolveBatch(t *testing.T) {
 		for _, k := range []int{1, 3, 6} {
 			s, err := Preprocess(l, Options{
 				Workers: 1, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true,
+				Reorder: true, Adaptive: true, Thresholds: paperThresholds(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -122,7 +122,8 @@ func TestSolveBatchContextK1Delegates(t *testing.T) {
 // correctly — the daemon's worker pool depends on it.
 func TestSessionSolveBatchContextConcurrent(t *testing.T) {
 	l := gen.Layered(1200, 30, 6, 0.15, 215)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 150, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 150, Reorder: true, Adaptive: true,
+		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestSolveBatchMatchesRepeatedSolve(t *testing.T) {
 		for _, k := range []int{1, 2, 5, 8} {
 			s, err := Preprocess(l, Options{
 				Workers: 3, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true,
+				Reorder: true, Adaptive: true, Thresholds: paperThresholds(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -246,7 +246,7 @@ func TestChaosResidualFallbackRecovers(t *testing.T) {
 	n := 500
 	l := gen.Layered(n, 25, 3, 0, 908)
 	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, VerifyResidual: 1e-8, Refine: true})
+		Reorder: true, Adaptive: true, Thresholds: paperThresholds(), VerifyResidual: 1e-8, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestChaosSessionsSolveContextConcurrently(t *testing.T) {
 	n := 400
 	l := gen.Layered(n, 20, 4, 0, 910)
 	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, VerifyResidual: 1e-9, Refine: true})
+		Reorder: true, Adaptive: true, Thresholds: paperThresholds(), VerifyResidual: 1e-9, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,20 @@ package block
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
 )
 
 // Explain renders the full preprocessed plan before any solve runs: the
 // configuration, the partition tree in execution order (indented by
 // recursion depth), each block's adapt features and selected kernel, and
-// the traffic/kernel summaries. The output is deterministic — two
+// the traffic/kernel summaries. Each triangular line's work/level is
+// what the options line's serial-floor, TriParallelMinWork of
+// adapt.Thresholds, was compared with; serial-floor=n/a when no decision
+// tree chose the kernels. The output is deterministic — two
 // identical Preprocess calls explain identically — so tests and tooling
 // may diff it.
 //
@@ -18,9 +25,9 @@ func (s *Solver[T]) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: n=%d, %d triangular + %d square blocks\n",
 		s.Name(), s.n, len(s.tris), len(s.sqs))
-	fmt.Fprintf(&b, "options: partition=%s workers=%d minblockrows=%d maxdepth=%d nseg=%d reorder=%v adaptive=%v\n",
+	fmt.Fprintf(&b, "options: partition=%s workers=%d minblockrows=%d maxdepth=%d nseg=%d reorder=%v adaptive=%v serial-floor=%s\n",
 		s.opts.Kind, s.pool.Workers(), s.opts.MinBlockRows, s.opts.MaxDepth, s.opts.NSeg,
-		s.opts.Reorder, s.opts.Adaptive)
+		s.opts.Reorder, s.opts.Adaptive, treeFloor(s.opts))
 	fmt.Fprintf(&b, "reordered=%v traffic: %d b-updates, %d x-loads (dense-equivalent)\n",
 		s.perm != nil, s.traffic.BUpdates, s.traffic.XLoads)
 	b.WriteString("execution plan:\n")
@@ -33,8 +40,8 @@ func (s *Solver[T]) Explain() string {
 		if st.kind == triSeg {
 			tb := &s.tris[st.idx]
 			f := tb.feats
-			fmt.Fprintf(&b, "%4d  %stri  #%d [%d:%d)  rows=%d strict-nnz=%d nnz/row=%.2f levels=%d  kernel=%s\n",
-				si, indent, st.idx, tb.lo, tb.hi, f.Rows, f.StrictNNZ, f.NNZPerRow, f.NLevels, tb.kernel)
+			fmt.Fprintf(&b, "%4d  %stri  #%d [%d:%d)  rows=%d strict-nnz=%d nnz/row=%.2f levels=%d work/level=%d  kernel=%s\n",
+				si, indent, st.idx, tb.lo, tb.hi, f.Rows, f.StrictNNZ, f.NNZPerRow, f.NLevels, f.WorkPerLevel(), tb.kernel)
 		} else {
 			sb := &s.sqs[st.idx]
 			f := sb.feats
@@ -50,3 +57,13 @@ func (s *Solver[T]) Explain() string {
 
 // Explain renders the shared solver's plan (see Solver.Explain).
 func (ses *Session[T]) Explain() string { return ses.s.Explain() }
+
+// treeFloor is the serial floor the decision tree compared each
+// triangular block with, or "n/a" when kernels were forced, timed by the
+// calibrator, or read from a saved plan (which stores no thresholds).
+func treeFloor(o Options) string {
+	if !(o.Adaptive || o.ForceTri == kernels.TriAuto) || o.Calibrate || o.Thresholds == (adapt.Thresholds{}) {
+		return "n/a"
+	}
+	return strconv.Itoa(o.Thresholds.TriParallelMinWork)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
@@ -30,35 +31,39 @@ func FuzzPlanRoundTrip(f *testing.F) {
 		l64 := gen.Banded(rows, band, dens, seed)
 		l32 := sparse.ConvertValues[float32](l64)
 		for _, kind := range []Kind{Recursive, ColumnBlock, RowBlock} {
-			checkPlanRoundTrip(t, pool, l64, kind)
-			checkPlanRoundTrip(t, pool, l32, kind)
+			// The paper's tree stores the parallel kernels' state; the
+			// default floor stores serial leaves.
+			for _, th := range []adapt.Thresholds{paperThresholds(), adapt.DefaultThresholds()} {
+				checkPlanRoundTrip(t, pool, l64, kind, th)
+				checkPlanRoundTrip(t, pool, l32, kind, th)
+			}
 		}
 	})
 }
 
-func checkPlanRoundTrip[T sparse.Float](t *testing.T, pool exec.Launcher, l *sparse.CSR[T], kind Kind) {
+func checkPlanRoundTrip[T sparse.Float](t *testing.T, pool exec.Launcher, l *sparse.CSR[T], kind Kind, th adapt.Thresholds) {
 	t.Helper()
 	s, err := Preprocess(l, Options{
 		Pool: pool, Kind: kind, NSeg: 4, MinBlockRows: 64,
-		Reorder: true, Adaptive: true,
+		Reorder: true, Adaptive: true, Thresholds: th,
 	})
 	if err != nil {
-		t.Fatalf("kind %v: preprocess: %v", kind, err)
+		t.Fatalf("kind %v floor=%d: preprocess: %v", kind, th.TriParallelMinWork, err)
 	}
 	var first bytes.Buffer
 	if _, err := s.WriteTo(&first); err != nil {
-		t.Fatalf("kind %v: serialize: %v", kind, err)
+		t.Fatalf("kind %v floor=%d: serialize: %v", kind, th.TriParallelMinWork, err)
 	}
 	back, err := readSolverBytes[T](first.Bytes(), pool)
 	if err != nil {
-		t.Fatalf("kind %v: deserialize: %v", kind, err)
+		t.Fatalf("kind %v floor=%d: deserialize: %v", kind, th.TriParallelMinWork, err)
 	}
 	var second bytes.Buffer
 	if _, err := back.WriteTo(&second); err != nil {
-		t.Fatalf("kind %v: re-serialize: %v", kind, err)
+		t.Fatalf("kind %v floor=%d: re-serialize: %v", kind, th.TriParallelMinWork, err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("kind %v: re-serialization drifted: %d bytes vs %d", kind, first.Len(), second.Len())
+		t.Fatalf("kind %v floor=%d: re-serialization drifted: %d bytes vs %d", kind, th.TriParallelMinWork, first.Len(), second.Len())
 	}
 	b64 := gen.RandVec(l.Rows, 4242)
 	b := make([]T, l.Rows)
@@ -83,7 +88,7 @@ func checkPlanRoundTrip[T sparse.Float](t *testing.T, pool exec.Launcher, l *spa
 			m = ab
 		}
 		if abs(a-c) > tol*m {
-			t.Fatalf("kind %v: loaded solver differs at row %d: %g vs %g", kind, i, a, c)
+			t.Fatalf("kind %v floor=%d: loaded solver differs at row %d: %g vs %g", kind, th.TriParallelMinWork, i, a, c)
 		}
 	}
 }

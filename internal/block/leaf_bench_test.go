@@ -1,0 +1,51 @@
+package block
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/sss-lab/blocksptrsv/internal/exec"
+	"github.com/sss-lab/blocksptrsv/internal/gen"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
+)
+
+// BenchmarkLeafKernels times the four dependent triangular kernels on one
+// leaf of the block solver: a gen.Layered block of 1,024 or 3,072 rows
+// (the leaf cap at one and three workers) with 2, 6 or 16 nonzeros per
+// row over 2–256 levels, on spin pools of 2 and 3 workers. It is the
+// sweep behind the serial floor, adapt.Thresholds.TriParallelMinWork
+// (EXPERIMENTS.md, "Why the block solver lost on deep"). Each case
+// reports its work/level, so the crossover where a parallel kernel first
+// beats serial can be re-measured on another host:
+//
+//	go test -run '^$' -bench LeafKernels -benchtime 200x -count 5 ./internal/block
+func BenchmarkLeafKernels(b *testing.B) {
+	tris := []kernels.TriKernel{kernels.TriSerial, kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike}
+	for _, workers := range []int{2, 3} {
+		pool := exec.NewSpinPool(workers)
+		for _, rows := range []int{1024, 3072} {
+			for _, deg := range []int{2, 6, 16} {
+				for levels := 2; levels <= 256; levels *= 2 {
+					l := gen.Layered(rows, levels, deg, 0, int64(rows+deg+levels))
+					rhs := gen.RandVec(rows, 5)
+					x := make([]float64, rows)
+					for _, k := range tris {
+						// One un-split triangle: the whole system is the leaf.
+						s, err := Preprocess(l, Options{Pool: pool, Kind: ColumnBlock, NSeg: 1, ForceTri: k})
+						if err != nil {
+							b.Fatal(err)
+						}
+						name := fmt.Sprintf("workers=%d/rows=%d/nnz=%d/levels=%d/%s", workers, rows, deg, levels, k)
+						b.Run(name, func(b *testing.B) {
+							b.ReportMetric(float64(s.tris[0].feats.WorkPerLevel()), "work/level")
+							for i := 0; i < b.N; i++ {
+								s.Solve(rhs, x)
+							}
+						})
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}

@@ -179,8 +179,7 @@ func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
 	cscAll := cur.ToCSC()
 	for i := range s.tris {
 		tb := &s.tris[i]
-		sub := sparse.SubCSC(cscAll, tb.lo, tb.hi, tb.lo, tb.hi)
-		strict, diag, err := sparse.SplitDiagCSC(sub)
+		strict, diag, err := sparse.SplitDiagBlock(cscAll, tb.lo, tb.hi)
 		if err != nil {
 			return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)
 		}

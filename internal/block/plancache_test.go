@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
@@ -164,6 +165,26 @@ func TestPlanCacheKeyDiscriminatesOptions(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Stores != 4 {
 		t.Fatalf("float32 twin collided with the float64 plan: %+v", st)
+	}
+	// The serial floor discriminates: a plan stored under the paper's
+	// tree (floor 0) is a miss for the default options, whose floor gives
+	// the same partition other kernels.
+	paper := cachedOptions(pool, c)
+	paper.Thresholds = adapt.DefaultThresholds()
+	paper.Thresholds.TriParallelMinWork = 0
+	s0, err := Preprocess(l, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := Preprocess(l, cachedOptions(pool, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Stores != 6 {
+		t.Fatalf("floor 0 and the default floor must be two entries: %+v", st)
+	}
+	if s0.TriKernelCounts()[kernels.TriSerial] != 0 || s1.TriKernelCounts()[kernels.TriSerial] == 0 {
+		t.Fatalf("kernels: paper tree %v, defaults %v", s0.TriKernelCounts(), s1.TriKernelCounts())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
@@ -13,10 +14,15 @@ import (
 func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 	pool := exec.NewPool(3)
 	for name, l := range testMatrices() {
-		for _, cal := range []bool{false, true} {
+		// The paper's tree stores the parallel kernels' state; the default
+		// floor stores serial leaves.
+		for _, cfg := range []struct {
+			cal bool
+			th  adapt.Thresholds
+		}{{false, paperThresholds()}, {false, adapt.DefaultThresholds()}, {true, adapt.DefaultThresholds()}} {
 			s, err := Preprocess(l, Options{
 				Pool: pool, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true, Calibrate: cal,
+				Reorder: true, Adaptive: true, Thresholds: cfg.th, Calibrate: cfg.cal,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -48,7 +54,7 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 			back.Solve(b, x2)
 			for i := range x1 {
 				if !closeEnough(x1[i], x2[i]) {
-					t.Fatalf("%s cal=%v: loaded solver differs at %d: %g vs %g", name, cal, i, x1[i], x2[i])
+					t.Fatalf("%s cal=%v floor=%d: loaded solver differs at %d: %g vs %g", name, cfg.cal, cfg.th.TriParallelMinWork, i, x1[i], x2[i])
 				}
 			}
 			// Batch path survives the round trip too; compare against the
@@ -62,7 +68,7 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 			back.SolveBatch(packed, out2, k)
 			for i := range out1 {
 				if !closeEnough(out1[i], out2[i]) {
-					t.Fatalf("%s: batch after load differs at %d", name, i)
+					t.Fatalf("%s cal=%v floor=%d: batch after load differs at %d", name, cfg.cal, cfg.th.TriParallelMinWork, i)
 				}
 			}
 		}

@@ -56,7 +56,8 @@ func TestSessionsSolveConcurrently(t *testing.T) {
 
 func TestSessionMatchesSolver(t *testing.T) {
 	l := gen.Layered(1200, 25, 4, 0.1, 601)
-	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true,
+		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)
 	}

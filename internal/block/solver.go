@@ -152,8 +152,7 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 			changed := false
 			for _, r := range pass {
 				lo, hi := r[0], r[1]
-				sub := sparse.SubCSR(cur, lo, hi, lo, hi)
-				order := levelset.FromLowerCSR(sub).Order()
+				order := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, lo, hi).Order()
 				for i, p := range order {
 					passPerm[lo+i] = lo + p
 					if p != i {
@@ -262,8 +261,7 @@ func (s *Solver[T]) SetTrace(r *TraceRecorder) {
 func (s *Solver[T]) Trace() *TraceRecorder { return s.opts.Trace }
 
 func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Options) (triBlock[T], error) {
-	sub := sparse.SubCSC(cscAll, spec.rowLo, spec.rowHi, spec.colLo, spec.colHi)
-	strict, diag, err := sparse.SplitDiagCSC(sub)
+	strict, diag, err := sparse.SplitDiagBlock(cscAll, spec.rowLo, spec.rowHi)
 	if err != nil {
 		return triBlock[T]{}, fmt.Errorf("block: triangular block %v: %w", spec, err)
 	}

@@ -3,12 +3,15 @@ package block
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
+	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
@@ -28,7 +31,8 @@ func residual(l *sparse.CSR[float64], x, b []float64) float64 {
 }
 
 // testMatrices is a small structural zoo covering every kernel-selection
-// branch: diagonal, chain, shallow-wide, deep, power-law, grid.
+// branch of the paper's tree (paperThresholds): diagonal, chain,
+// shallow-wide, deep, power-law, grid.
 func testMatrices() map[string]*sparse.CSR[float64] {
 	return map[string]*sparse.CSR[float64]{
 		"diag":      gen.DiagonalOnly(700, 1),
@@ -39,6 +43,17 @@ func testMatrices() map[string]*sparse.CSR[float64] {
 		"grid":      gen.GridLaplacian5(30, 25, 6),
 		"tiny":      gen.SerialChain(3, 0, 7),
 	}
+}
+
+// paperThresholds is the paper's tree: the default cut points with the
+// serial floor disabled. On the small matrices of these tests the default
+// floor sends nearly every multi-level leaf to the serial kernel, so
+// tests whose subject is the parallel kernels, or the guard, session and
+// trace plumbing around them, select with this tree.
+func paperThresholds() adapt.Thresholds {
+	th := adapt.DefaultThresholds()
+	th.TriParallelMinWork = 0
+	return th
 }
 
 func TestAllKindsMatchSerialOracle(t *testing.T) {
@@ -64,22 +79,28 @@ func TestAllKindsMatchSerialOracle(t *testing.T) {
 						Reorder:      reorder,
 						Adaptive:     true,
 					}
-					s, err := Preprocess(l, opts)
-					if err != nil {
-						t.Fatalf("%s/%v reorder=%v: %v", name, kind, reorder, err)
-					}
-					x := make([]float64, l.Rows)
-					s.Solve(b, x)
-					if r := residual(l, x, b); r > 1e-9 {
-						t.Fatalf("workers=%d %s/%v reorder=%v residual=%g", workers, name, kind, reorder, r)
-					}
-					// Second solve must agree (reusable state); tolerance
-					// covers atomic-accumulation order nondeterminism.
-					x2 := make([]float64, l.Rows)
-					s.Solve(b, x2)
-					for i := range x {
-						if d := math.Abs(x[i] - x2[i]); d > 1e-10*(1+math.Abs(x[i])) {
-							t.Fatalf("%s/%v: second solve differs at %d", name, kind, i)
+					// The paper's tree runs the parallel kernels; the
+					// default floor runs most leaves serially.
+					for _, th := range []adapt.Thresholds{paperThresholds(), adapt.DefaultThresholds()} {
+						opts.Thresholds = th
+						floor := th.TriParallelMinWork
+						s, err := Preprocess(l, opts)
+						if err != nil {
+							t.Fatalf("%s/%v reorder=%v floor=%d: %v", name, kind, reorder, floor, err)
+						}
+						x := make([]float64, l.Rows)
+						s.Solve(b, x)
+						if r := residual(l, x, b); r > 1e-9 {
+							t.Fatalf("workers=%d %s/%v reorder=%v floor=%d residual=%g", workers, name, kind, reorder, floor, r)
+						}
+						// Second solve must agree (reusable state); tolerance
+						// covers atomic-accumulation order nondeterminism.
+						x2 := make([]float64, l.Rows)
+						s.Solve(b, x2)
+						for i := range x {
+							if d := math.Abs(x[i] - x2[i]); d > 1e-10*(1+math.Abs(x[i])) {
+								t.Fatalf("%s/%v floor=%d: second solve differs at %d", name, kind, floor, i)
+							}
 						}
 					}
 				}
@@ -126,10 +147,12 @@ func TestForceCompletelyParallelRejectedOnDependentBlock(t *testing.T) {
 
 func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	pool := exec.NewPool(4)
+	paper := paperThresholds()
 
 	// Pure diagonal: every triangular block must select completely-parallel.
 	s, err := Preprocess(gen.DiagonalOnly(5000, 1), Options{
 		Pool: pool, Kind: Recursive, MinBlockRows: 500, Reorder: true, Adaptive: true,
+		Thresholds: paper,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +167,7 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	deep := gen.SerialChain(25000, 0, 2)
 	s, err = Preprocess(deep, Options{
 		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false, Adaptive: true,
+		Thresholds: paper,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +182,7 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	shallow := gen.Layered(4000, 8, 3, 0, 3)
 	s, err = Preprocess(shallow, Options{
 		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false, Adaptive: true,
+		Thresholds: paper,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +190,30 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	counts = s.TriKernelCounts()
 	if counts[kernels.TriLevelSet] != 1 {
 		t.Fatalf("shallow kernel counts: %v", counts)
+	}
+
+	// Under the defaults, with the serial floor, every leaf of the deep
+	// benchmark matrices runs serially, and a diagonal stays completely
+	// parallel.
+	o := Defaults(exec.Device{Name: "test", Workers: 3, BlockFactor: 1024})
+	o.Pool = pool
+	for name, tc := range map[string]struct {
+		l    *sparse.CSR[float64]
+		want kernels.TriKernel
+	}{
+		"banded": {gen.Banded(12000, 32, 0.25, 4101), kernels.TriSerial},
+		"chain":  {gen.SerialChain(6000, 0.3, 4107), kernels.TriSerial},
+		"grid5":  {gen.GridLaplacian5(94, 94, 4102), kernels.TriSerial},
+		"diag":   {gen.DiagonalOnly(12000, 1), kernels.TriCompletelyParallel},
+	} {
+		s, err := Preprocess(tc.l, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := s.TriKernelCounts()
+		if len(counts) != 1 || counts[tc.want] != s.NumTriBlocks() {
+			t.Errorf("%s under defaults: kernel counts %v, want all %d leaves %v", name, counts, s.NumTriBlocks(), tc.want)
+		}
 	}
 }
 
@@ -236,6 +285,90 @@ func TestReorderMovesNNZIntoSquares(t *testing.T) {
 	if reordered.SquareNNZ() < plain.SquareNNZ() {
 		t.Fatalf("reordering reduced square nnz: %d -> %d", plain.SquareNNZ(), reordered.SquareNNZ())
 	}
+}
+
+// TestReorderMatchesExtractedLevelOrder pins the in-place reorder to the
+// extraction it replaced: levelling a copy of each range (SubCSR, then
+// FromLowerCSR) composes to the same permutation over the conformance
+// corpus, as given and scrambled, and every triangular leaf holds the
+// strict part and diagonal of its range of the permuted matrix.
+func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, m := range conformanceCorpus(false) {
+		scrambled, err := sparse.PermuteSym(m.l, topoShuffle(m.l, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []*sparse.CSR[float64]{m.l, scrambled} {
+			for _, o := range []Options{
+				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 100, MaxDepth: 2, Reorder: true, Adaptive: true},
+				{Workers: 2, Kind: ColumnBlock, NSeg: 3, MinBlockRows: 100, Reorder: true, Adaptive: true},
+			} {
+				s, err := Preprocess(l, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := extractedReorder(t, l, o)
+				if !reflect.DeepEqual(s.Perm(), want) {
+					t.Fatalf("%s %v minrows=%d: permutation differs from the extracted level order", m.name, o.Kind, o.MinBlockRows)
+				}
+				cur := l
+				if want != nil {
+					if cur, err = sparse.PermuteSym(l, want); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range s.tris {
+					tb := &s.tris[i]
+					strict, diag, err := sparse.SplitDiagCSC(sparse.SubCSR(cur, tb.lo, tb.hi, tb.lo, tb.hi).ToCSC())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(diag, tb.diag) || !reflect.DeepEqual(strict.ColPtr, tb.strictCSC.ColPtr) ||
+						!reflect.DeepEqual(strict.RowIdx, tb.strictCSC.RowIdx) || !reflect.DeepEqual(strict.Val, tb.strictCSC.Val) {
+						t.Fatalf("%s %v: leaf %d [%d:%d) differs from its extracted range", m.name, o.Kind, i, tb.lo, tb.hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// extractedReorder is the reorder loop as it ran on extracted copies of
+// each range: the reference TestReorderMatchesExtractedLevelOrder holds
+// Preprocess to.
+func extractedReorder(t *testing.T, l *sparse.CSR[float64], o Options) []int {
+	n := l.Rows
+	cur := l
+	var total []int
+	for _, pass := range reorderRanges(n, o) {
+		passPerm := make([]int, n)
+		for i := range passPerm {
+			passPerm[i] = i
+		}
+		changed := false
+		for _, r := range pass {
+			lo, hi := r[0], r[1]
+			for i, p := range levelset.FromLowerCSR(sparse.SubCSR(cur, lo, hi, lo, hi)).Order() {
+				passPerm[lo+i] = lo + p
+				changed = changed || p != i
+			}
+		}
+		if !changed {
+			continue
+		}
+		var err error
+		if cur, err = sparse.PermuteSym(cur, passPerm); err != nil {
+			t.Fatal(err)
+		}
+		if total == nil {
+			total = passPerm
+		} else {
+			total = sparse.ComposePerm(total, passPerm)
+		}
+	}
+	return total
 }
 
 // topoShuffle returns a random topological order of the lower-triangular

@@ -12,11 +12,13 @@ import (
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
 )
 
 // traceTestSolver builds a multi-block solver with tracing and
 // instrumentation armed, so trace records and aggregate stats can be
-// cross-checked against each other. It runs on one worker: the launch
+// cross-checked against each other. It selects with the paper's tree, so
+// its leaves run the parallel kernels. It runs on one worker: the launch
 // schedule, and with it the order of the kernels' atomic scatter adds, is
 // then fixed, so two solves of the same b agree bit for bit.
 func traceTestSolver(t *testing.T, rec *TraceRecorder) (*Solver[float64], []float64, []float64) {
@@ -24,7 +26,8 @@ func traceTestSolver(t *testing.T, rec *TraceRecorder) (*Solver[float64], []floa
 	l := gen.Layered(800, 20, 4, 0, 99)
 	s, err := Preprocess(l, Options{
 		Workers: 1, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, Instrument: true, Trace: rec,
+		Reorder: true, Adaptive: true, Thresholds: paperThresholds(),
+		Instrument: true, Trace: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +269,7 @@ func TestExplainStable(t *testing.T) {
 	if e1 != e2 {
 		t.Fatalf("Explain not deterministic:\n%s\nvs\n%s", e1, e2)
 	}
-	for _, want := range []string{"execution plan:", "tri kernels:", "spmv kernels:", "kernel="} {
+	for _, want := range []string{"execution plan:", "tri kernels:", "spmv kernels:", "kernel=", "work/level=", "serial-floor=4096"} {
 		if !strings.Contains(e1, want) {
 			t.Fatalf("Explain missing %q:\n%s", want, e1)
 		}
@@ -278,6 +281,29 @@ func TestExplainStable(t *testing.T) {
 	}
 	if ses := s1.NewSession(); ses.Explain() != e1 {
 		t.Fatal("Session.Explain differs from Solver.Explain")
+	}
+	// The floor is shown only where the decision tree chose the kernels:
+	// not for forced or calibrated kernels, nor for a reloaded plan.
+	others := map[string]*Solver[float64]{}
+	for name, o := range map[string]Options{
+		"forced":     {Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, ForceTri: kernels.TriSyncFree},
+		"calibrated": {Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true, Calibrate: true, CalibrateRepeats: 1},
+	} {
+		if others[name], err = Preprocess(l, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := s1.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if others["loaded"], err = ReadSolver[float64](&buf, s1.pool); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range others {
+		if e := s.Explain(); !strings.Contains(e, "serial-floor=n/a") {
+			t.Errorf("%s: want serial-floor=n/a:\n%s", name, e)
+		}
 	}
 }
 

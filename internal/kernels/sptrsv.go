@@ -39,7 +39,7 @@ const (
 	TriLevelSet                            // level-set, scatter on CSC
 	TriSyncFree                            // sync-free, CSC
 	TriCuSparseLike                        // merged level-set, gather on CSR
-	TriSerial                              // serial reference (not selected adaptively)
+	TriSerial                              // serial substitution; selected below the serial floor
 )
 
 func (k TriKernel) String() string {

@@ -32,7 +32,7 @@ type Info struct {
 // matrix. Diagonal entries are ignored; strictly-lower entries are
 // dependencies. The matrix must be lower triangular (callers validate).
 func FromLowerCSR[T sparse.Float](m *sparse.CSR[T]) *Info {
-	return FromLowerPattern(m.Rows, m.RowPtr, m.ColIdx)
+	return FromLowerPattern(m.RowPtr, m.ColIdx, 0, m.Rows)
 }
 
 // FromLowerCSC computes the decomposition from a lower triangular CSC
@@ -60,22 +60,26 @@ func FromLowerCSC[T sparse.Float](m *sparse.CSC[T]) *Info {
 	return fromLevels(n, level)
 }
 
-// FromLowerPattern computes the decomposition from a lower triangular CSR
-// pattern given as raw pointer/index arrays. Entries with col >= row are
-// ignored, so a matrix with an explicit diagonal works unchanged. It is a
-// single O(nnz) pass because rows ascend and every dependency of row i has
-// index < i.
-func FromLowerPattern(n int, rowPtr, colIdx []int) *Info {
+// FromLowerPattern computes the decomposition of the diagonal block
+// [lo,hi)×[lo,hi) of a lower triangular CSR pattern given as raw
+// pointer/index arrays, in the block's local numbering. Entries left of
+// lo (dependencies on earlier blocks) and entries with col >= row are
+// ignored, so a matrix with an explicit diagonal works unchanged and a
+// block is analysed in place, without being extracted. It is a single
+// pass over the block's entries because rows ascend and every dependency
+// of row i has index < i.
+func FromLowerPattern(rowPtr, colIdx []int, lo, hi int) *Info {
+	n := hi - lo
 	level := make([]int, n)
 	for i := 0; i < n; i++ {
 		li := 0
 		// Re-slice the row window so the per-nonzero walk carries no
-		// bounds checks on ColIdx; level[j] is in bounds once j < i is
-		// established (j < i < n = len(level)).
-		cols := colIdx[rowPtr[i]:rowPtr[i+1]]
+		// bounds checks on ColIdx; level[j] is in bounds once 0 <= j < i
+		// is established (i < n = len(level)).
+		cols := colIdx[rowPtr[lo+i]:rowPtr[lo+i+1]]
 		for k := range cols {
-			j := cols[k]
-			if j >= i {
+			j := cols[k] - lo
+			if j < 0 || j >= i {
 				continue
 			}
 			if lj := level[j] + 1; lj > li {

@@ -170,7 +170,7 @@ func TestFullySerialChain(t *testing.T) {
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	in := FromLowerPattern(0, []int{0}, nil)
+	in := FromLowerPattern([]int{0}, nil, 0, 0)
 	if in.NLevels != 0 || in.N != 0 {
 		t.Fatalf("empty: %+v", in)
 	}

@@ -155,16 +155,6 @@ func SubCSR[T Float](m *CSR[T], r0, r1, c0, c1 int) *CSR[T] {
 	return &CSR[T]{Rows: r1 - r0, Cols: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
-// SubCSC extracts the sub-matrix with global rows [r0,r1) and columns
-// [c0,c1) as a new CSC matrix with local (shifted) indices.
-func SubCSC[T Float](m *CSC[T], r0, r1, c0, c1 int) *CSC[T] {
-	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
-		panic(fmt.Sprintf("sparse: SubCSC range [%d,%d)x[%d,%d) invalid for %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
-	}
-	colPtr, rowIdx, val := subCompressed(m.ColPtr, m.RowIdx, m.Val, c0, c1, r0, r1)
-	return &CSC[T]{Rows: r1 - r0, Cols: c1 - c0, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
-}
-
 // subCompressed extracts major lines [m0,m1) and minor indices [n0,n1) of
 // a compressed matrix (CSR rows and columns, or CSC columns and rows),
 // shifting both to local numbering. It counts before it copies, so the
@@ -197,34 +187,48 @@ func subCompressed[T Float](ptr, idx []int, val []T, m0, m1, n0, n1 int) ([]int,
 // strictly-lower part and a dense diagonal vector, the storage convention
 // the paper uses for triangular sub-blocks ("the diagonal is saved
 // separately"). It returns ErrSingular if any diagonal entry is missing or
-// zero.
+// zero, and ErrNotTriangular for an entry above the diagonal.
 func SplitDiagCSC[T Float](m *CSC[T]) (strict *CSC[T], diag []T, err error) {
 	if m.Rows != m.Cols {
 		return nil, nil, fmt.Errorf("%w: %dx%d not square", ErrShape, m.Rows, m.Cols)
 	}
-	n := m.Rows
+	return SplitDiagBlock(m, 0, m.Rows)
+}
+
+// SplitDiagBlock is SplitDiagCSC of the diagonal block [lo,hi)×[lo,hi) of
+// m, in the block's local numbering, taken in one pass without extracting
+// the block first: it finds each column's in-range entries below the
+// diagonal, allocates once, and copies them. Column numbers in errors are
+// local.
+func SplitDiagBlock[T Float](m *CSC[T], lo, hi int) (strict *CSC[T], diag []T, err error) {
+	if lo < 0 || hi > m.Rows || hi > m.Cols || lo > hi {
+		panic(fmt.Sprintf("sparse: SplitDiagBlock range [%d,%d) invalid for %dx%d", lo, hi, m.Rows, m.Cols))
+	}
+	n := hi - lo
 	diag = make([]T, n)
 	colPtr := make([]int, n+1)
-	rowIdx := make([]int, 0, m.NNZ()-n)
-	val := make([]T, 0, m.NNZ()-n)
-	for j := 0; j < n; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		if lo == hi || m.RowIdx[lo] != j {
-			return nil, nil, fmt.Errorf("%w: column %d", ErrSingular, j)
+	below := make([]int, n) // where each column's entries below the diagonal start in m
+	for j := lo; j < hi; j++ {
+		p0 := m.ColPtr[j]
+		seg := m.RowIdx[p0:m.ColPtr[j+1]]
+		a, b := sort.SearchInts(seg, lo), sort.SearchInts(seg, hi)
+		switch {
+		case a < b && seg[a] < j:
+			return nil, nil, fmt.Errorf("%w: column %d has entry above diagonal", ErrNotTriangular, j-lo)
+		case a == b || seg[a] != j || m.Val[p0+a] == 0:
+			return nil, nil, fmt.Errorf("%w: column %d", ErrSingular, j-lo)
 		}
-		if m.RowIdx[lo] < j {
-			return nil, nil, fmt.Errorf("%w: column %d has entry above diagonal", ErrNotTriangular, j)
-		}
-		if m.Val[lo] == 0 {
-			return nil, nil, fmt.Errorf("%w: column %d", ErrSingular, j)
-		}
-		diag[j] = m.Val[lo]
-		for k := lo + 1; k < hi; k++ {
-			rowIdx = append(rowIdx, m.RowIdx[k])
-			val = append(val, m.Val[k])
-		}
-		colPtr[j+1] = len(val)
+		diag[j-lo] = m.Val[p0+a]
+		below[j-lo] = p0 + a + 1
+		colPtr[j-lo+1] = colPtr[j-lo] + b - a - 1
 	}
-	strict = &CSC[T]{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
-	return strict, diag, nil
+	rowIdx, val := make([]int, colPtr[n]), make([]T, colPtr[n])
+	for j := 0; j < n; j++ {
+		p, d0, d1 := below[j], colPtr[j], colPtr[j+1]
+		for k := d0; k < d1; k++ {
+			rowIdx[k] = m.RowIdx[p+k-d0] - lo
+		}
+		copy(val[d0:d1], m.Val[p:])
+	}
+	return &CSC[T]{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, diag, nil
 }

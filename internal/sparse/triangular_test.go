@@ -110,17 +110,9 @@ func TestSubBlocksMatchDense(t *testing.T) {
 			return false
 		}
 		subD := sub.ToDense()
-		subC := SubCSC(m.ToCSC(), r0, r1, c0, c1)
-		if err := subC.Validate(); err != nil {
-			t.Logf("SubCSC invalid: %v", err)
-			return false
-		}
-		subCD := subC.ToDense()
 		for i := r0; i < r1; i++ {
 			for j := c0; j < c1; j++ {
-				want := d[i*cols+j]
-				li, lj := i-r0, j-c0
-				if subD[li*(c1-c0)+lj] != want || subCD[li*(c1-c0)+lj] != want {
+				if subD[(i-r0)*(c1-c0)+j-c0] != d[i*cols+j] {
 					return false
 				}
 			}
@@ -157,6 +149,43 @@ func TestSplitDiagCSC(t *testing.T) {
 	densesEqual(t, d, l.ToDense(), 0)
 }
 
+// TestSplitDiagBlockMatchesDense: the one-pass split of a diagonal block
+// reassembles to the dense block of the whole matrix.
+func TestSplitDiagBlockMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	f := func(seed int64) bool {
+		lr := rand.New(rand.NewSource(seed))
+		n := 1 + lr.Intn(20)
+		l := randLowerCSR(lr, n, 0.3)
+		d := l.ToDense()
+		lo := lr.Intn(n + 1)
+		hi := lo + lr.Intn(n-lo+1)
+		strict, diag, err := SplitDiagBlock(l.ToCSC(), lo, hi)
+		if err != nil {
+			t.Logf("SplitDiagBlock [%d,%d): %v", lo, hi, err)
+			return false
+		}
+		if err := strict.Validate(); err != nil {
+			t.Logf("strict part invalid: %v", err)
+			return false
+		}
+		m := hi - lo
+		got := strict.ToDense()
+		for i := 0; i < m; i++ {
+			got[i*m+i] += diag[i]
+			for j := 0; j < m; j++ {
+				if got[i*m+j] != d[(lo+i)*n+lo+j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSplitDiagCSCSingular(t *testing.T) {
 	b := NewBuilder[float64](2, 2)
 	b.Add(0, 0, 1)
@@ -166,8 +195,8 @@ func TestSplitDiagCSCSingular(t *testing.T) {
 	}
 	// Entry above the diagonal.
 	u := FromDense(2, 2, []float64{1, 3, 0, 1}).ToCSC()
-	if _, _, err := SplitDiagCSC(u); err == nil {
-		t.Fatal("expected error for non-lower matrix")
+	if _, _, err := SplitDiagCSC(u); !errors.Is(err, ErrNotTriangular) {
+		t.Fatalf("non-lower matrix: got %v want ErrNotTriangular", err)
 	}
 }
 
