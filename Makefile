@@ -153,7 +153,7 @@ cachecheck:
 daemon-smoke:
 	$(GO) run ./cmd/sptrsvd -smoke
 
-# Launch-latency microbenchmarks: the three launcher styles head to head.
+# Launch-latency microbenchmarks: the two launcher styles head to head.
 bench-launch:
 	$(GO) test -run - -bench 'LaunchOverhead|LevelSetLauncherStyles' \
 		./internal/exec ./internal/kernels

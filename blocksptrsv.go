@@ -111,10 +111,6 @@ type Device = exec.Device
 // into Options.Pool to control worker count and dispatch style.
 type Launcher = exec.Launcher
 
-// PersistentPool is a Launcher with resident worker goroutines (lower
-// launch latency; must be Closed). See NewPersistentPool.
-type PersistentPool = exec.PersistentPool
-
 // SpinPool is the lowest-latency Launcher: resident workers driven by an
 // atomic epoch broadcast and a spin barrier, costing two atomic operations
 // per worker per launch. It is the default for solvers that don't supply
@@ -122,15 +118,14 @@ type PersistentPool = exec.PersistentPool
 type SpinPool = exec.SpinPool
 
 // LaunchStyle selects the launch mechanism a Device constructs: LaunchSpin
-// (default), LaunchSpawn, or LaunchChannel. Set Device.Style, or pick a
-// pool directly with NewSpinPool / NewPool / NewPersistentPool.
+// (default) or LaunchSpawn. Set Device.Style, or pick a pool directly
+// with NewSpinPool / NewPool.
 type LaunchStyle = exec.LaunchStyle
 
 // Launch styles for Device.Style.
 const (
-	LaunchSpin    = exec.LaunchSpin
-	LaunchSpawn   = exec.LaunchSpawn
-	LaunchChannel = exec.LaunchChannel
+	LaunchSpin  = exec.LaunchSpin
+	LaunchSpawn = exec.LaunchSpawn
 )
 
 // Traffic is the dense-equivalent b-update/x-load accounting of a
@@ -257,18 +252,12 @@ func DefaultDevice() Device { return exec.DefaultDevices()[1] }
 // selects GOMAXPROCS.
 func NewPool(workers int) Launcher { return exec.NewPool(workers) }
 
-// NewPersistentPool returns a pool with resident worker goroutines fed
-// over channels, which lowers per-launch latency for solvers that launch
-// many small kernels (deep level-set schedules). The pool must be Closed
-// when done.
-func NewPersistentPool(workers int) *PersistentPool { return exec.NewPersistentPool(workers) }
-
 // NewSpinPool returns the spin-barrier pool: resident workers woken by an
 // atomic epoch broadcast, parking only after a spin budget, with static
 // per-worker ranges plus bounded work-stealing inside each launch. It has
-// the lowest per-launch latency of the three pools and is the library
-// default. The pool must be Closed when done; idle workers park, so an
-// open pool burns no CPU between launches.
+// lower per-launch latency than NewPool and is the library default. The
+// pool must be Closed when done; idle workers park, so an open pool burns
+// no CPU between launches.
 func NewSpinPool(workers int) *SpinPool { return exec.NewSpinPool(workers) }
 
 // DefaultOptions returns the paper-recommended configuration: recursive

@@ -46,7 +46,7 @@ func conformanceCorpus(short bool) []struct {
 func TestKernelConformanceMatrix(t *testing.T) {
 	corpus := conformanceCorpus(testing.Short())
 
-	styles := []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn, exec.LaunchChannel}
+	styles := []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn}
 	pools := make(map[exec.LaunchStyle]exec.Launcher, len(styles))
 	for _, st := range styles {
 		p := exec.NewLauncher(st, 3)
@@ -86,7 +86,7 @@ func TestCompletelyParallelConformance(t *testing.T) {
 		n = 160
 	}
 	l := gen.DiagonalOnly(n, 21)
-	for _, style := range []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn, exec.LaunchChannel} {
+	for _, style := range []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn} {
 		pool := exec.NewLauncher(style, 3)
 		for _, kind := range []Kind{ColumnBlock, RowBlock, Recursive} {
 			t.Run(fmt.Sprintf("%s/%s", style, kind), func(t *testing.T) {

@@ -90,8 +90,9 @@ type Options struct {
 	// Trace attaches a per-step execution recorder: every plan step of
 	// every solve records kind, kernel, geometry and wall time into the
 	// recorder's bounded ring, exportable as a text table or Chrome
-	// trace_event JSON. nil (the default) costs one pointer check per
-	// solve. See NewTraceRecorder and Solver.SetTrace.
+	// trace_event JSON. nil (the default) is tested per solve, not per
+	// step, and with Instrument also off the steps read no clock. See
+	// NewTraceRecorder and Solver.SetTrace.
 	Trace *TraceRecorder
 
 	// Validate runs sparse.ValidateLower on the input at preprocessing

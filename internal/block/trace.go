@@ -18,7 +18,8 @@ import (
 // block geometry, wall time — into a preallocated ring buffer, so tracing
 // a solve costs two clock reads, one short critical section and one
 // struct copy per step, and never allocates. A nil recorder (the default)
-// costs one pointer check per step.
+// is tested per solve, not per step: with Options.Instrument also off,
+// the steps read no clock.
 //
 // The ring is bounded: when full, the oldest steps are overwritten and
 // Dropped counts what was lost. Export either as a text table (WriteTable)
@@ -269,9 +270,9 @@ func (r *TraceRecorder) WriteTable(w io.Writer) error {
 	return nil
 }
 
-// Summary aggregates the retained steps: wall time and call count per
-// segment kind and per kernel. It is what the breakdown experiment and
-// the CLI print.
+// TraceSummary aggregates the retained steps: wall time and call count
+// per segment kind and per kernel. It is what the breakdown experiment
+// and the CLI print.
 type TraceSummary struct {
 	Steps     int
 	Solves    int
@@ -283,7 +284,8 @@ type TraceSummary struct {
 	// quantiles, extracted from a log₂ histogram of the retained steps
 	// (metrics.Histogram.Quantile: within 2× of the true value).
 	StepP50, StepP90, StepP99 time.Duration
-	// ByKernel maps kernel name to total wall time and call count.
+	// KernelTime and KernelCalls map kernel name to total wall time and
+	// call count.
 	KernelTime  map[string]time.Duration
 	KernelCalls map[string]int64
 }

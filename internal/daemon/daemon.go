@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -204,6 +205,10 @@ func (d *Daemon) Solve(ctx context.Context, matrix string, b []float64) ([]float
 	return d.SolveSpan(ctx, matrix, b, nil)
 }
 
+// maxUnknownName bounds how much of an unregistered matrix name a flight
+// record keeps.
+const maxUnknownName = 128
+
 // SolveSpan is Solve with a caller-provided request span (the HTTP layer
 // passes one seeded from an incoming X-Request-Id; nil starts a fresh
 // one). Whatever the outcome, the span is finished exactly once, its
@@ -215,6 +220,11 @@ func (d *Daemon) SolveSpan(ctx context.Context, matrix string, b []float64, sp *
 	}
 	sp.Matrix = matrix
 	x, p, err := d.admit(ctx, matrix, b, sp)
+	if p == nil && len(matrix) > maxUnknownName {
+		// No registered matrix bounds the name: it is whatever the
+		// caller sent (a URL path segment over HTTP).
+		sp.Matrix = strings.ToValidUTF8(matrix[:maxUnknownName], "")
+	}
 	rec := sp.Finish(classifyOutcome(err, sp))
 	d.rec.Record(rec)
 	d.finishRequest(p, rec)

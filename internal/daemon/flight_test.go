@@ -7,12 +7,16 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
+	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
 )
 
@@ -147,6 +151,83 @@ func TestExpiredRequestInFlightRing(t *testing.T) {
 	<-entered // second batch parked and released too (release is closed)
 }
 
+// faultyPool panics at the start of its next armed launches, first
+// calling onPanic: a kernel fault the test can aim at one solve.
+type faultyPool struct {
+	exec.Launcher
+	armed   atomic.Int32
+	onPanic func()
+}
+
+func (f *faultyPool) ParallelFor(n, grain int, body func(lo, hi int)) {
+	if f.armed.Add(-1) >= 0 {
+		f.onPanic()
+		panic("injected launch fault")
+	}
+	f.Launcher.ParallelFor(n, grain, body)
+}
+
+// TestSoloRetriesLinkTheirOwnSolve: when a batch fails and its members
+// retry alone, each flight record names the solve that member ran
+// itself — the retry that panicked included — or none when its context
+// ended first, and reports a batch of one.
+func TestSoloRetriesLinkTheirOwnSolve(t *testing.T) {
+	l := testMatrix()
+	d := newTestDaemon(t, Config{Workers: 1, MaxBatch: 3, Window: -1}, l)
+	pool := &faultyPool{Launcher: exec.NewPool(2)}
+	// Level-set launches once per level; the default plan for this
+	// matrix is one serial leaf, which never launches.
+	opts := block.Options{Pool: pool, Trace: block.NewTraceRecorder(4096), ForceTri: kernels.TriLevelSet}
+	if err := d.AddMatrix("r", l, opts); err != nil {
+		t.Fatal(err)
+	}
+	// The first batch parks the worker until A, B and C are queued; the
+	// second, [A B C], arms two faults: the batch solve and A's retry.
+	// The first fault cancels C, so C's retry never reaches a kernel.
+	ctxC, cancelC := context.WithCancel(context.Background())
+	defer cancelC()
+	pool.onPanic = cancelC
+	entered, release := make(chan struct{}), make(chan struct{})
+	batches := 0
+	d.pipes["r"].beforeSolve = func() {
+		if batches++; batches == 1 {
+			entered <- struct{}{}
+			<-release
+		} else if batches == 2 {
+			pool.armed.Store(2)
+		}
+	}
+	b := gen.RandVec(l.Rows, 5150)
+	errs := make(chan error, 4)
+	go func() { _, err := d.Solve(context.Background(), "r", b); errs <- err }()
+	<-entered
+	for i, ctx := range []context.Context{context.Background(), context.Background(), ctxC} {
+		sp := reqtrace.StartSpan("retry-" + string(rune('a'+i)))
+		go func() { _, err := d.SolveSpan(ctx, "r", b, sp); errs <- err }()
+		waitQueued(t, d, "r", i+1)
+	}
+	close(release)
+	for range 4 {
+		<-errs
+	}
+
+	a, bb, c := lastRecord(t, d, "retry-a"), lastRecord(t, d, "retry-b"), lastRecord(t, d, "retry-c")
+	if a.Outcome != reqtrace.OutcomeFault || bb.Outcome != reqtrace.OutcomeOK || c.Outcome != reqtrace.OutcomeCanceled {
+		t.Fatalf("outcomes a=%v b=%v c=%v, want fault, ok, canceled", a.Outcome, bb.Outcome, c.Outcome)
+	}
+	for _, rec := range []reqtrace.Record{a, bb, c} {
+		if rec.Batch != 1 {
+			t.Errorf("%s: batch %d after degrading to a solo retry, want 1", rec.ID, rec.Batch)
+		}
+	}
+	if a.SolveID == 0 || bb.SolveID <= a.SolveID {
+		t.Errorf("solve ids a=%d b=%d: each retry must link its own, later, solve", a.SolveID, bb.SolveID)
+	}
+	if c.SolveID != 0 {
+		t.Errorf("c ran no solve but links solve %d (b ran %d)", c.SolveID, bb.SolveID)
+	}
+}
+
 // TestStatsSnapshotUnderConcurrentLoad hammers every read-side snapshot
 // — Stats, SLOStatuses, Health, the flight ring, and both flight exports
 // — while solves are in flight. Failures here are data races (caught by
@@ -277,6 +358,34 @@ func TestHTTPRequestIDAndPhaseHeaders(t *testing.T) {
 	rec := lastRecord(t, d, "client-chosen-id-1")
 	if rec.Outcome != reqtrace.OutcomeOK {
 		t.Fatalf("ring outcome = %v", rec.Outcome)
+	}
+}
+
+// TestHTTPBoundsClientChosenText: a request id and an unknown matrix
+// name of 64 KiB each come back bounded in the response header and in
+// the flight record, so a client cannot grow what the ring keeps.
+func TestHTTPBoundsClientChosenText(t *testing.T) {
+	d := newTestDaemon(t, Config{Workers: 1}, testMatrix())
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	long := strings.Repeat("n", 64<<10)
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/solve/"+long, strings.NewReader(`{"b":[1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", long)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := resp.Header.Get("X-Request-Id")
+	if resp.StatusCode != http.StatusNotFound || id == "" || len(id) > 128 {
+		t.Errorf("status %d with a %d-byte X-Request-Id, want 404 and 1-128 bytes", resp.StatusCode, len(id))
+	}
+	if rec := lastRecord(t, d, id); len(rec.Matrix) == 0 || len(rec.Matrix) > 128 {
+		t.Errorf("flight record keeps a %d-byte matrix name, want 1-128", len(rec.Matrix))
 	}
 }
 

@@ -159,7 +159,7 @@ func (w *workerState) solveBatch(batch []*request) {
 		return
 	}
 	for _, r := range live {
-		r.sp.MarkSolveStart(len(live))
+		r.sp.MarkSolveStart()
 	}
 	start := time.Now()
 	err := w.solveLive(live)
@@ -173,7 +173,7 @@ func (w *workerState) solveBatch(batch []*request) {
 		p.batched.Add(int64(len(live)))
 		mBatchedRHS.Add(int64(len(live)))
 		for _, r := range live {
-			r.sp.MarkSolveEnd(sid)
+			r.sp.MarkSolveEnd(sid, len(live))
 			r.done <- nil
 		}
 		return
@@ -183,8 +183,8 @@ func (w *workerState) solveBatch(batch []*request) {
 	// guarded single-RHS ladder under its own context, so one poisoned
 	// request cannot take its neighbours down with it.
 	for _, r := range live {
-		rerr := w.solveOne(r)
-		r.sp.MarkSolveEnd(w.ses.Stats().LastTraceID)
+		sid, rerr := w.solveOne(r)
+		r.sp.MarkSolveEnd(sid, 1)
 		if rerr != nil {
 			p.errors.Add(1)
 			mErrors.Inc()
@@ -244,8 +244,17 @@ func (w *workerState) solveLive(live []*request) (err error) {
 
 // solveOne is the degradation rung: one request alone on the guarded
 // single-RHS path under its own context, with the same panic isolation.
-func (w *workerState) solveOne(r *request) (err error) {
+// sid is the step-trace id of the solve it ran, read from the session
+// that ran it (a panic replaces w.ses); 0 when it ran none — the context
+// had ended or the arguments were refused — or no recorder is attached.
+// Recorder ids only grow, so an unchanged LastTraceID means no solve.
+func (w *workerState) solveOne(r *request) (sid int64, err error) {
+	ses := w.ses
+	prev := ses.Stats().LastTraceID
 	defer func() {
+		if sid = ses.Stats().LastTraceID; sid == prev {
+			sid = 0
+		}
 		if rec := recover(); rec != nil {
 			mPanics.Inc()
 			w.p.recovered.Add(1)
@@ -254,9 +263,9 @@ func (w *workerState) solveOne(r *request) (err error) {
 		}
 	}()
 	if err := r.ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
-	return w.ses.SolveContext(r.ctx, r.b, r.x)
+	return 0, ses.SolveContext(r.ctx, r.b, r.x)
 }
 
 // batchContext is the coalesced solve's context: derived from the batch

@@ -30,8 +30,8 @@ func launchLast(l Launcher, viaRun bool, body func()) {
 // dropMidLaunch runs the final launch of a fresh implicit launcher and
 // collects garbage from inside its body, reporting whether the handle
 // (whose cleanup closes the pool) was already unreachable by then.
-func dropMidLaunch(style LaunchStyle, viaRun bool) (collected bool) {
-	l := NewImplicitLauncher(style, 3)
+func dropMidLaunch(viaRun bool) (collected bool) {
+	l := NewImplicitLauncher(LaunchSpin, 3)
 	handle := weak.Make(l.(*implicitLauncher))
 	launchLast(l, viaRun, func() {
 		runtime.GC()
@@ -40,20 +40,18 @@ func dropMidLaunch(style LaunchStyle, viaRun bool) (collected bool) {
 	return collected
 }
 
-// TestImplicitLauncherOutlivesItsLastLaunch drops implicit launchers of
-// both resident styles in the middle of their final launch. The handle
-// must stay reachable until the launch returns — otherwise its cleanup
-// can close the pool under the running launch, which then panics — and
-// once every handle is dropped the pools' resident workers must exit.
+// TestImplicitLauncherOutlivesItsLastLaunch drops implicit spin
+// launchers in the middle of their final launch. The handle must stay
+// reachable until the launch returns — otherwise its cleanup can close
+// the pool under the running launch, which then panics — and once every
+// handle is dropped the pools' resident workers must exit.
 // Not parallel: it counts goroutines.
 func TestImplicitLauncherOutlivesItsLastLaunch(t *testing.T) {
 	start := runtime.NumGoroutine()
-	for _, style := range []LaunchStyle{LaunchSpin, LaunchChannel} {
-		for _, viaRun := range []bool{true, false} {
-			for i := 0; i < 20; i++ {
-				if dropMidLaunch(style, viaRun) {
-					t.Fatalf("%v launcher (Run=%v): handle collected during its final launch", style, viaRun)
-				}
+	for _, viaRun := range []bool{true, false} {
+		for i := 0; i < 20; i++ {
+			if dropMidLaunch(viaRun) {
+				t.Fatalf("spin launcher (Run=%v): handle collected during its final launch", viaRun)
 			}
 		}
 	}

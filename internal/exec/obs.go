@@ -20,8 +20,8 @@ var (
 // labelWorker pins static pprof labels on a resident pool worker for the
 // goroutine's lifetime. Called once at worker start — label cost is paid
 // at pool construction, never per launch.
-func labelWorker(style string, id int) {
+func labelWorker(id int) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(
-		"sptrsv_pool", style,
+		"sptrsv_pool", "spin",
 		"sptrsv_worker", strconv.Itoa(id))))
 }

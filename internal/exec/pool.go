@@ -24,9 +24,8 @@ import (
 // Launcher is the execution interface every kernel runs on: data-parallel
 // launches with a completion barrier (ParallelFor) and persistent-kernel
 // launches (Run). Pool implements it with goroutine-per-launch semantics;
-// PersistentPool with resident workers fed over channels; SpinPool with
-// resident workers driven by an atomic epoch broadcast and a spin barrier
-// (the lowest-latency launch path, and the device default).
+// SpinPool with resident workers driven by an atomic epoch broadcast and
+// a spin barrier (the lowest-latency launch path, and the device default).
 type Launcher interface {
 	// Workers reports the device's worker count.
 	Workers() int
@@ -163,17 +162,12 @@ const (
 	LaunchSpin LaunchStyle = iota
 	// LaunchSpawn selects Pool: a goroutine spawn per worker per launch.
 	LaunchSpawn
-	// LaunchChannel selects PersistentPool: resident workers fed over
-	// per-worker channels with a WaitGroup join.
-	LaunchChannel
 )
 
 func (s LaunchStyle) String() string {
 	switch s {
 	case LaunchSpawn:
 		return "spawn"
-	case LaunchChannel:
-		return "channel"
 	default:
 		return "spin"
 	}
@@ -186,23 +180,17 @@ func ParseLaunchStyle(s string) (LaunchStyle, error) {
 		return LaunchSpin, nil
 	case "spawn":
 		return LaunchSpawn, nil
-	case "channel":
-		return LaunchChannel, nil
 	}
-	return LaunchSpin, fmt.Errorf("exec: unknown launcher style %q (want spin, spawn or channel)", s)
+	return LaunchSpin, fmt.Errorf("exec: unknown launcher style %q (want spin or spawn)", s)
 }
 
 // NewLauncher constructs a launcher of the given style and worker count
 // (non-positive selects GOMAXPROCS).
 func NewLauncher(style LaunchStyle, workers int) Launcher {
-	switch style {
-	case LaunchSpawn:
+	if style == LaunchSpawn {
 		return NewPool(workers)
-	case LaunchChannel:
-		return NewPersistentPool(workers)
-	default:
-		return NewSpinPool(workers)
 	}
+	return NewSpinPool(workers)
 }
 
 // NewImplicitLauncher is NewLauncher for a pool library code creates on
@@ -252,8 +240,8 @@ type Device struct {
 }
 
 // Pool returns a launcher sized for the device in the device's launch
-// style. Spin and channel launchers keep resident workers; callers that
-// create launchers transiently should release them with CloseLauncher.
+// style. Spin launchers keep resident workers; callers that create
+// launchers transiently should release them with CloseLauncher.
 func (d Device) Pool() Launcher { return NewLauncher(d.Style, d.Workers) }
 
 // MinBlockRows is the smallest number of rows worth splitting further on

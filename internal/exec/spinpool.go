@@ -17,11 +17,10 @@ const (
 	spinYield = 4096
 )
 
-// SpinPool is the third Launcher: resident workers driven by an atomic
-// epoch broadcast with a sense-reversing completion barrier. Where Pool
-// pays a goroutine spawn per worker per launch and PersistentPool a
-// channel send/receive plus WaitGroup round-trip, a SpinPool launch costs
-// two atomic operations per worker on the fast path: one epoch load that
+// SpinPool is the resident Launcher: workers driven by an atomic epoch
+// broadcast with a sense-reversing completion barrier. Where Pool pays a
+// goroutine spawn per worker per launch, a SpinPool launch costs two
+// atomic operations per worker on the fast path: one epoch load that
 // observes the broadcast and one fetch-add on the completion counter.
 // Workers spin on the epoch word (spin, then runtime.Gosched, and park on
 // a condition variable only after a budget), so an idle pool costs no CPU
@@ -33,7 +32,7 @@ const (
 // uncontended fetch-adds on its private cursor — then makes one bounded
 // pass over the other shards stealing leftover chunks, which rebalances
 // irregular rows without the single global counter all workers hammer in
-// the other two pools.
+// Pool.
 //
 // On a runtime with a single P the pool degenerates gracefully: workers
 // skip the hot-spin phase (no other P can make progress meanwhile) and
@@ -41,11 +40,10 @@ const (
 // is pure launch overhead — the exact cost this launcher exists to remove.
 //
 // The launching goroutine participates as worker 0, so NewSpinPool(w)
-// spawns w-1 resident goroutines and NewSpinPool(1) spawns none. Like
-// PersistentPool, a SpinPool serialises launches (concurrent launches
-// queue on an internal mutex), must be Closed when no longer needed, and
-// panics if used after Close. Launch bodies must not launch on the same
-// pool recursively.
+// spawns w-1 resident goroutines and NewSpinPool(1) spawns none. A
+// SpinPool serialises launches (concurrent launches queue on an internal
+// mutex), must be Closed when no longer needed, and panics if used after
+// Close. Launch bodies must not launch on the same pool recursively.
 type SpinPool struct {
 	workers  int
 	launches atomic.Int64
@@ -135,7 +133,7 @@ func (p *SpinPool) ResetLaunches() { p.launches.Store(0) }
 func (p *SpinPool) Sequential() bool { return p.workers == 1 }
 
 func (p *SpinPool) worker(id int) {
-	labelWorker("spin", id)
+	labelWorker(id)
 	last := uint64(0)
 	for {
 		last = p.awaitEpoch(last)
@@ -366,9 +364,9 @@ func (p *SpinPool) Close() {
 }
 
 // CloseLauncher releases l's resident workers if its concrete type keeps
-// any (SpinPool, PersistentPool); for spawn-per-launch pools it is a
-// no-op. Transient launcher users (benchmarks, tuners) call it so
-// switching launcher styles never leaks worker goroutines.
+// any (SpinPool); for spawn-per-launch pools it is a no-op. Transient
+// launcher users (benchmarks, tuners) call it so switching launcher
+// styles never leaks worker goroutines.
 func CloseLauncher(l Launcher) {
 	if c, ok := l.(interface{ Close() }); ok {
 		c.Close()

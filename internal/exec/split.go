@@ -2,7 +2,7 @@ package exec
 
 // splitWork resolves the chunking parameters of a ParallelFor launch: the
 // effective grain and the number of participating workers. It is shared by
-// every Launcher implementation so the three pools agree exactly on how a
+// every Launcher implementation so the pools agree exactly on how a
 // launch decomposes (the conformance tests rely on this).
 //
 // A non-positive grain picks a chunk size giving each *participating*

@@ -67,7 +67,7 @@ func BenchmarkLevelSetLauncherStyles(b *testing.B) {
 	rhs := gen.RandVec(l.Rows, 7)
 	w := make([]float64, l.Rows)
 	x := make([]float64, l.Rows)
-	for _, style := range []exec.LaunchStyle{exec.LaunchSpawn, exec.LaunchChannel, exec.LaunchSpin} {
+	for _, style := range []exec.LaunchStyle{exec.LaunchSpawn, exec.LaunchSpin} {
 		pool := exec.NewLauncher(style, 4)
 		sched := NewMergedSchedule(info, 0, pool.Workers())
 		b.Run(fmt.Sprintf("level-set/%s", style), func(b *testing.B) {

@@ -59,8 +59,8 @@ func TestSyncFreeCSRSerialChainNoDeadlock(t *testing.T) {
 	}
 }
 
-func TestSyncFreeCSRPersistentPool(t *testing.T) {
-	p := exec.NewPersistentPool(3)
+func TestSyncFreeCSRSpinPool(t *testing.T) {
+	p := exec.NewSpinPool(3)
 	defer p.Close()
 	rng := rand.New(rand.NewSource(231))
 	l := randLower(rng, 400, 0.08)

@@ -116,7 +116,8 @@ func newID() string {
 // result vector), so the marks need no synchronization.
 type Span struct {
 	// ID is the request id: the caller-provided one (an incoming
-	// X-Request-Id) or a generated process-unique id.
+	// X-Request-Id that StartSpan honored) or a generated process-unique
+	// id.
 	ID string
 	// Matrix is the target matrix name, set at admission.
 	Matrix string
@@ -136,15 +137,33 @@ type Span struct {
 	rec         Record
 }
 
-// StartSpan begins a request span at the current instant. An empty id
-// mints a fresh process-unique one; a non-empty id (e.g. an incoming
-// X-Request-Id header) is honored verbatim so clients can correlate
-// their own retries with flight-recorder dumps.
+// maxIDLen bounds an honored incoming id: every flight record and fault
+// snapshot keeps the id, so its size must not be the client's choice.
+const maxIDLen = 128
+
+// StartSpan begins a request span at the current instant. An incoming id
+// (e.g. an X-Request-Id header) of 1–128 bytes of visible ASCII is
+// honored verbatim so clients can correlate their own retries with
+// flight-recorder dumps; any other id, the empty one included, is
+// replaced by a fresh process-unique one.
 func StartSpan(id string) *Span {
-	if id == "" {
+	if !validID(id) {
 		id = newID()
 	}
 	return &Span{ID: id, ingress: time.Now()}
+}
+
+// validID reports whether id is 1–maxIDLen bytes in 0x21–0x7E.
+func validID(id string) bool {
+	if len(id) == 0 || len(id) > maxIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return false
+		}
+	}
+	return true
 }
 
 // SetDeadline records the request's effective deadline so the finished
@@ -169,25 +188,23 @@ func (sp *Span) MarkEnqueued() { sp.enqueued = time.Now() }
 //sptrsv:wallclock
 func (sp *Span) MarkDequeued() { sp.dequeued = time.Now() }
 
-// MarkSolveStart marks the head of the batch solve the request rides in,
-// along with how many right-hand sides that batch carries.
+// MarkSolveStart marks the head of the batch solve the request rides in.
 //
 //sptrsv:hotpath
 //sptrsv:wallclock
-func (sp *Span) MarkSolveStart(batch int) {
-	sp.solveStart = time.Now()
-	sp.batch = int32(batch)
-}
+func (sp *Span) MarkSolveStart() { sp.solveStart = time.Now() }
 
-// MarkSolveEnd marks the end of the solve attempt and links the span to
-// the per-step TraceRecorder stream via the solve id the recorder
-// assigned (0 when step tracing is not armed).
+// MarkSolveEnd marks the end of the solve attempts and records the last
+// one: how many right-hand sides it carried, and the solve id the
+// per-step TraceRecorder assigned it (0 when step tracing is not armed
+// or no solve ran).
 //
 //sptrsv:hotpath
 //sptrsv:wallclock
-func (sp *Span) MarkSolveEnd(solveID int64) {
+func (sp *Span) MarkSolveEnd(solveID int64, batch int) {
 	sp.solveEnd = time.Now()
 	sp.solveID = solveID
+	sp.batch = int32(batch)
 }
 
 // MarkExpired tags the span as dropped at dequeue: its deadline passed
@@ -267,10 +284,11 @@ type Record struct {
 	Solve time.Duration
 	// Total is ingress → finish: the end-to-end service latency.
 	Total time.Duration
-	// Batch is how many right-hand sides shared the request's solve.
+	// Batch is how many right-hand sides shared the request's last solve
+	// attempt: 1 once a failed batch has degraded to solo retries.
 	Batch int32
-	// SolveID links to the per-step TraceRecorder records of the solve
-	// the request rode in (0 when step tracing was not armed).
+	// SolveID links to the per-step TraceRecorder records of that
+	// attempt (0 when step tracing was not armed or no solve ran).
 	SolveID int64
 	// DeadlineSlack is deadline minus finish time — negative when the
 	// deadline had already passed. Valid only when HasDeadline.

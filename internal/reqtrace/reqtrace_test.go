@@ -15,8 +15,8 @@ func finishedSpan(id, matrix string, o Outcome) (*Span, Record) {
 	sp.Matrix = matrix
 	sp.MarkEnqueued()
 	sp.MarkDequeued()
-	sp.MarkSolveStart(3)
-	sp.MarkSolveEnd(42)
+	sp.MarkSolveStart()
+	sp.MarkSolveEnd(42, 3)
 	sp.SetDeadline(time.Now().Add(time.Second))
 	return sp, sp.Finish(o)
 }
@@ -39,9 +39,13 @@ func TestSpanPhasesSumToTotal(t *testing.T) {
 }
 
 func TestSpanIDs(t *testing.T) {
-	sp := StartSpan("client-supplied-7")
-	if sp.ID != "client-supplied-7" {
-		t.Fatalf("incoming id not honored: %q", sp.ID)
+	for in, honored := range map[string]bool{
+		"client-supplied-7": true, strings.Repeat("x", 128): true,
+		strings.Repeat("x", 129): false, "na\u00efve-id": false,
+	} {
+		if sp := StartSpan(in); (sp.ID == in) != honored || len(sp.ID) == 0 || len(sp.ID) > 128 {
+			t.Fatalf("StartSpan(%.20q) = %.20q, want honored=%v", in, sp.ID, honored)
+		}
 	}
 	a, b := StartSpan(""), StartSpan("")
 	if a.ID == "" || a.ID == b.ID {
@@ -205,8 +209,8 @@ func TestWriteFlightJSON(t *testing.T) {
 	sp.Matrix = "demo"
 	sp.MarkEnqueued()
 	sp.MarkDequeued()
-	sp.MarkSolveStart(2)
-	sp.MarkSolveEnd(7)
+	sp.MarkSolveStart()
+	sp.MarkSolveEnd(7, 2)
 	r.Record(sp.Finish(OutcomeOK))
 	r.CaptureSnapshot("overload-burst", "", "queue demo: 4/4")
 
@@ -256,8 +260,8 @@ func TestRecordAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		sp.MarkEnqueued()
 		sp.MarkDequeued()
-		sp.MarkSolveStart(4)
-		sp.MarkSolveEnd(9)
+		sp.MarkSolveStart()
+		sp.MarkSolveEnd(9, 4)
 		sp.finished = false
 		r.Record(sp.Finish(OutcomeOK))
 	}); n != 0 {
