@@ -12,10 +12,10 @@ import (
 )
 
 // The cross-kernel conformance matrix: every forceable triangular kernel,
-// on every launcher style, under every partition shape, in both
-// precisions, over a structurally diverse corpus — each combination's
-// solution compared elementwise against the same-precision serial
-// reference. This is the lockdown the observability layer rides on: any
+// on every launcher style and at both extremes of width, under every
+// partition shape, in both precisions, over a structurally diverse
+// corpus — each combination's solution compared elementwise against the
+// same-precision serial reference. This is the lockdown the observability layer rides on: any
 // kernel/launcher/partition interaction that corrupts a solution fails
 // here by name.
 
@@ -43,15 +43,35 @@ func conformanceCorpus(short bool) []struct {
 	}
 }
 
+// conformanceLauncher is one entry on the launcher axis.
+type conformanceLauncher struct {
+	name string
+	pool exec.Launcher
+}
+
+// conformanceLaunchers is the launcher axis of the conformance tests:
+// both styles at the device default of three workers, then the two
+// extremes of width. One worker, what a pool sized to a single CPU gets,
+// runs every launch inline on the caller and fuses only single-row
+// levels into serial chunks. Eight workers oversubscribe any machine
+// with fewer CPUs, where sync-free workers busy-wait on producers that
+// are not running, and the merged schedules fuse every level narrower
+// than sixteen rows.
+func conformanceLaunchers() []conformanceLauncher {
+	return []conformanceLauncher{
+		{exec.LaunchSpin.String(), exec.NewLauncher(exec.LaunchSpin, 3)},
+		{exec.LaunchSpawn.String(), exec.NewLauncher(exec.LaunchSpawn, 3)},
+		{"one-worker", exec.NewSpinPool(1)},
+		{"eight-workers", exec.NewSpinPool(8)},
+	}
+}
+
 func TestKernelConformanceMatrix(t *testing.T) {
 	corpus := conformanceCorpus(testing.Short())
 
-	styles := []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn}
-	pools := make(map[exec.LaunchStyle]exec.Launcher, len(styles))
-	for _, st := range styles {
-		p := exec.NewLauncher(st, 3)
-		pools[st] = p
-		defer exec.CloseLauncher(p)
+	launchers := conformanceLaunchers()
+	for _, ln := range launchers {
+		defer exec.CloseLauncher(ln.pool)
 	}
 
 	kinds := []Kind{ColumnBlock, RowBlock, Recursive}
@@ -60,16 +80,15 @@ func TestKernelConformanceMatrix(t *testing.T) {
 	}
 
 	for _, m := range corpus {
-		for _, style := range styles {
-			pool := pools[style]
+		for _, ln := range launchers {
 			for _, kind := range kinds {
 				for _, tri := range triKernels {
-					name := fmt.Sprintf("%s/%s/%s/%s", m.name, style, kind, tri)
+					name := fmt.Sprintf("%s/%s/%s/%s", m.name, ln.name, kind, tri)
 					t.Run(name+"/float64", func(t *testing.T) {
-						conformanceCase[float64](t, m.l, pool, kind, tri, 1e-8)
+						conformanceCase[float64](t, m.l, ln.pool, kind, tri, 1e-8)
 					})
 					t.Run(name+"/float32", func(t *testing.T) {
-						conformanceCase[float32](t, m.l, pool, kind, tri, 2e-3)
+						conformanceCase[float32](t, m.l, ln.pool, kind, tri, 2e-3)
 					})
 				}
 			}
@@ -86,15 +105,14 @@ func TestCompletelyParallelConformance(t *testing.T) {
 		n = 160
 	}
 	l := gen.DiagonalOnly(n, 21)
-	for _, style := range []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn} {
-		pool := exec.NewLauncher(style, 3)
+	for _, ln := range conformanceLaunchers() {
 		for _, kind := range []Kind{ColumnBlock, RowBlock, Recursive} {
-			t.Run(fmt.Sprintf("%s/%s", style, kind), func(t *testing.T) {
-				conformanceCase[float64](t, l, pool, kind, kernels.TriCompletelyParallel, 1e-12)
-				conformanceCase[float32](t, l, pool, kind, kernels.TriCompletelyParallel, 1e-5)
+			t.Run(fmt.Sprintf("%s/%s", ln.name, kind), func(t *testing.T) {
+				conformanceCase[float64](t, l, ln.pool, kind, kernels.TriCompletelyParallel, 1e-12)
+				conformanceCase[float32](t, l, ln.pool, kind, kernels.TriCompletelyParallel, 1e-5)
 			})
 		}
-		exec.CloseLauncher(pool)
+		exec.CloseLauncher(ln.pool)
 	}
 }
 

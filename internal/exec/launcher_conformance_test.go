@@ -8,24 +8,28 @@ import (
 )
 
 // launcherCase names one Launcher implementation for the conformance table.
-// Every behavioural guarantee the kernels rely on is asserted against both
-// styles here, so a new launcher only has to be added to this list to
+// Every behavioural guarantee the kernels rely on is asserted against each
+// case here, so a new launcher only has to be added to this list to
 // inherit the full suite.
 type launcherCase struct {
-	style LaunchStyle
-	make  func(workers int) Launcher
+	name string
+	make func(workers int) Launcher
 }
 
 func launcherCases() []launcherCase {
 	return []launcherCase{
-		{LaunchSpawn, func(w int) Launcher { return NewPool(w) }},
-		{LaunchSpin, func(w int) Launcher { return NewSpinPool(w) }},
+		{"spawn", func(w int) Launcher { return NewPool(w) }},
+		{"spin", func(w int) Launcher { return NewSpinPool(w) }},
+		// The handle a solver runs on when its caller passes no pool. Its
+		// launches forward to the spin pool by hand, not by promotion, and
+		// it has no Close: the pool closes once the handle is unreachable.
+		{"implicit", func(w int) Launcher { return NewImplicitLauncher(LaunchSpin, w) }},
 	}
 }
 
 func TestLauncherCoversRangeExactlyOnce(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 9} {
 				l := c.make(workers)
 				for _, n := range []int{0, 1, 7, 100, 1000} {
@@ -55,7 +59,7 @@ func TestLauncherCoversRangeExactlyOnce(t *testing.T) {
 
 func TestLauncherRunLaunchesAllWorkers(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 6} {
 				l := c.make(workers)
 				seen := make([]atomic.Int32, workers)
@@ -73,7 +77,7 @@ func TestLauncherRunLaunchesAllWorkers(t *testing.T) {
 
 func TestLauncherLaunchCounter(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(2)
 			defer CloseLauncher(l)
 			l.ParallelFor(10, 0, func(lo, hi int) {})
@@ -95,7 +99,7 @@ func TestLauncherLaunchCounter(t *testing.T) {
 // the race detector the referee: any off-goroutine execution is a race.
 func TestLauncherOneWorkerRunsInline(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(1)
 			defer CloseLauncher(l)
 			if s, ok := l.(interface{ Sequential() bool }); ok && !s.Sequential() {
@@ -124,7 +128,7 @@ func TestLauncherOneWorkerRunsInline(t *testing.T) {
 // covered exactly once with at most n chunks.
 func TestLauncherFewerItemsThanWorkers(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(8)
 			defer CloseLauncher(l)
 			var chunks, covered atomic.Int32
@@ -144,11 +148,12 @@ func TestLauncherFewerItemsThanWorkers(t *testing.T) {
 
 // Closeable launchers must panic on use after Close (catching a stranded
 // solver early beats hanging on workers that no longer exist), and Close
-// must be idempotent. The spawn-per-launch Pool has no Close; CloseLauncher
-// treats it as a no-op and the launcher keeps working.
+// must be idempotent. The spawn-per-launch Pool and the implicit handle
+// have no Close; CloseLauncher treats them as a no-op and the launcher
+// keeps working.
 func TestLauncherUseAfterClose(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(2)
 			closeable := false
 			if cl, ok := l.(interface{ Close() }); ok {
@@ -176,7 +181,7 @@ func TestLauncherUseAfterClose(t *testing.T) {
 // epoch state are restored, not merely survived once.
 func TestLauncherParallelForPanicPropagates(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				l := c.make(workers)
 				for round := 0; round < 3; round++ {
@@ -214,7 +219,7 @@ func TestLauncherParallelForPanicPropagates(t *testing.T) {
 // workers and from the launching goroutine's own share alike.
 func TestLauncherRunPanicPropagates(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(4)
 			defer CloseLauncher(l)
 			for _, victim := range []int{0, 1} { // launcher share, resident worker
@@ -242,7 +247,7 @@ func TestLauncherRunPanicPropagates(t *testing.T) {
 // launches.
 func TestLauncherPanicFirstWinsAndClears(t *testing.T) {
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(4)
 			defer CloseLauncher(l)
 			got := capturePanic(func() {
@@ -270,7 +275,7 @@ func TestLaunchersAgree(t *testing.T) {
 	n := 100000
 	want := int64(n) * int64(n-1) / 2
 	for _, c := range launcherCases() {
-		t.Run(c.style.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			l := c.make(4)
 			defer CloseLauncher(l)
 			var sum atomic.Int64
@@ -289,16 +294,22 @@ func TestLaunchersAgree(t *testing.T) {
 }
 
 func TestNewLauncherStyles(t *testing.T) {
-	for _, c := range launcherCases() {
+	for _, c := range []struct {
+		style LaunchStyle
+		want  string
+	}{{LaunchSpawn, "*exec.Pool"}, {LaunchSpin, "*exec.SpinPool"}} {
 		l := NewLauncher(c.style, 3)
 		if l.Workers() != 3 {
 			t.Fatalf("%v: workers %d", c.style, l.Workers())
 		}
-		want := fmt.Sprintf("%T", c.make(1))
-		if got := fmt.Sprintf("%T", l); got != want {
-			t.Fatalf("NewLauncher(%v) = %s, want %s", c.style, got, want)
+		if got := fmt.Sprintf("%T", l); got != c.want {
+			t.Fatalf("NewLauncher(%v) = %s, want %s", c.style, got, c.want)
 		}
 		CloseLauncher(l)
+		inner := NewImplicitLauncher(c.style, 3).(*implicitLauncher).Launcher
+		if got := fmt.Sprintf("%T", inner); got != c.want {
+			t.Fatalf("NewImplicitLauncher(%v) wraps %s, want %s", c.style, got, c.want)
+		}
 	}
 }
 
@@ -323,14 +334,14 @@ func TestMeasureLaunchCost(t *testing.T) {
 	for _, c := range launcherCases() {
 		l := c.make(2)
 		if cost := MeasureLaunchCost(l, 8); cost <= 0 {
-			t.Fatalf("%v: non-positive launch cost %v", c.style, cost)
+			t.Fatalf("%s: non-positive launch cost %v", c.name, cost)
 		}
 		CloseLauncher(l)
 	}
 }
 
 // BenchmarkLaunchOverhead is the tentpole's acceptance metric: per-launch
-// latency of an empty 64-chunk ParallelFor, per style, at GOMAXPROCS and at
+// latency of an empty 64-chunk ParallelFor, per launcher, at GOMAXPROCS and at
 // a fixed 4 workers (on small machines GOMAXPROCS-wide pools inline and
 // measure nothing).
 func BenchmarkLaunchOverhead(b *testing.B) {
@@ -340,7 +351,7 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 	}
 	for _, workers := range counts {
 		for _, c := range launcherCases() {
-			b.Run(fmt.Sprintf("%s/workers=%d", c.style, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
 				l := c.make(workers)
 				defer CloseLauncher(l)
 				b.ResetTimer()
