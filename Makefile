@@ -25,7 +25,7 @@ test:
 race:
 	$(GO) test -race . ./internal/exec ./internal/kernels ./internal/block \
 		./internal/core ./internal/metrics ./internal/bench ./internal/daemon \
-		./internal/plancache ./internal/reqtrace
+		./internal/plancache ./internal/trace
 
 # Project-specific static analyzers (DESIGN.md §6.8): hot-path allocation
 # discipline, atomic-field access, spin-loop guards, wall-clock placement,
@@ -79,14 +79,14 @@ chaos:
 COVER_FLOOR_BLOCK     ?= 80
 COVER_FLOOR_EXEC      ?= 60
 COVER_FLOOR_PLANCACHE ?= 80
-COVER_FLOOR_REQTRACE  ?= 85
+COVER_FLOOR_TRACE     ?= 85
 COVER_FLOOR_LINT      ?= 75
 
 cover:
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-block.out ./internal/block
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-exec.out ./internal/exec
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-plancache.out ./internal/plancache
-	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-reqtrace.out ./internal/reqtrace
+	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-trace.out ./internal/trace
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-lint.out ./internal/lint
 	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-block.out | awk '$$1=="total:" \
 		{ pct=$$3; sub(/%/,"",pct); printf "internal/block coverage: %s (floor $(COVER_FLOOR_BLOCK)%%)\n", $$3; \
@@ -97,9 +97,9 @@ cover:
 	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-plancache.out | awk '$$1=="total:" \
 		{ pct=$$3; sub(/%/,"",pct); printf "internal/plancache coverage: %s (floor $(COVER_FLOOR_PLANCACHE)%%)\n", $$3; \
 		  if (pct+0 < $(COVER_FLOOR_PLANCACHE)) exit 1 }'
-	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-reqtrace.out | awk '$$1=="total:" \
-		{ pct=$$3; sub(/%/,"",pct); printf "internal/reqtrace coverage: %s (floor $(COVER_FLOOR_REQTRACE)%%)\n", $$3; \
-		  if (pct+0 < $(COVER_FLOOR_REQTRACE)) exit 1 }'
+	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-trace.out | awk '$$1=="total:" \
+		{ pct=$$3; sub(/%/,"",pct); printf "internal/trace coverage: %s (floor $(COVER_FLOOR_TRACE)%%)\n", $$3; \
+		  if (pct+0 < $(COVER_FLOOR_TRACE)) exit 1 }'
 	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-lint.out | awk '$$1=="total:" \
 		{ pct=$$3; sub(/%/,"",pct); printf "internal/lint coverage: %s (floor $(COVER_FLOOR_LINT)%%)\n", $$3; \
 		  if (pct+0 < $(COVER_FLOOR_LINT)) exit 1 }'
@@ -148,8 +148,9 @@ cachecheck:
 
 # Daemon smoke (part of `make ci`): an in-process one-worker sptrsvd
 # under a 2s concurrent burst must coalesce requests into multi-RHS
-# batches (factor > 1) and answer every request without an error
-# response, then drain cleanly. DESIGN.md §6.10.
+# batches (factor > 1), answer every request without an error response,
+# nest kernel steps inside the solve phases of /debug/requests, then
+# drain cleanly. DESIGN.md §6.10, §6.12.
 daemon-smoke:
 	$(GO) run ./cmd/sptrsvd -smoke
 

@@ -38,6 +38,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/metrics"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Float constrains the supported element types.
@@ -141,17 +142,17 @@ type SolveStats = block.SolveStats
 // TraceRecorder is a bounded ring buffer of per-step solve traces. Attach
 // one via Options.Trace (or Solver.SetTrace) and export with WriteTable,
 // WriteChromeTrace, Steps or Summarize.
-type TraceRecorder = block.TraceRecorder
+type TraceRecorder = trace.StepRecorder
 
 // TraceStep is one recorded plan step of a traced solve.
-type TraceStep = block.TraceStep
+type TraceStep = trace.Step
 
 // TraceSummary aggregates recorded steps per segment kind and per kernel.
-type TraceSummary = block.TraceSummary
+type TraceSummary = trace.Summary
 
 // NewTraceRecorder returns a recorder retaining the most recent capacity
 // steps (non-positive selects 65536). Recording never allocates.
-func NewTraceRecorder(capacity int) *TraceRecorder { return block.NewTraceRecorder(capacity) }
+func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewStepRecorder(capacity) }
 
 // Metrics returns the process-wide metrics registry as a JSON string:
 // cumulative solve counts, per-kernel call counts, solve-latency and

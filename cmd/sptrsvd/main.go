@@ -22,8 +22,9 @@
 //	sptrsvd -loadgen -url http://localhost:8437 -name demo -c 16 -d 10s -json load.json
 //
 // Smoke (in-process, for `make daemon-smoke`): starts a one-worker
-// daemon on a loopback port, runs a short burst, and fails unless
-// coalescing actually happened and no request errored:
+// daemon with a step recorder on a loopback port, runs a short burst,
+// and fails unless coalescing actually happened, no request errored, and
+// /debug/requests nests kernel steps inside the requests' solve phases:
 //
 //	sptrsvd -smoke
 package main
@@ -73,7 +74,7 @@ func main() {
 		drain        = flag.Duration("drain", 30*time.Second, "serve: shutdown drain budget")
 		cacheDir     = flag.String("cache-dir", "", "serve/smoke: plan-cache directory; a restart with the same matrices loads serialized analysis instead of redoing it")
 		flight       = flag.Int("flight", 0, "serve: flight-recorder ring size in requests (0 = default 256)")
-		traceSteps   = flag.Int("trace", 0, "serve: retain the last N solve steps in a trace recorder served at /trace (0 = off)")
+		traceSteps   = flag.Int("trace", 0, "serve: retain the last N solve steps in a step recorder: served at /trace, and nested in each request's solve phase at /debug/requests?format=chrome (0 = off)")
 
 		sloLatency = flag.Duration("slo-latency", 0, "serve: SLO latency threshold per request (0 = default 50ms)")
 		sloTarget  = flag.Float64("slo-target", 0, "serve: fraction of requests that must beat -slo-latency (0 = default 0.99)")
@@ -158,9 +159,9 @@ func runServe(specs []matrixSpec, listen, cacheDir string, solveWorkers, workers
 	if err != nil {
 		return err
 	}
-	// One step recorder shared by every matrix: /trace shows kernel-level
-	// steps, /debug/requests shows request spans, and Record.SolveID links
-	// the two.
+	// One step recorder shared by every matrix: /trace shows its kernel
+	// steps, and the chrome form of /debug/requests nests each request's
+	// steps inside its solve phase, on the same timeline.
 	var steps *sptrsv.TraceRecorder
 	if traceSteps > 0 {
 		steps = sptrsv.NewTraceRecorder(traceSteps)
@@ -298,7 +299,9 @@ func runSmoke(conc int, dur time.Duration, cacheDir string) error {
 		Obs:       sptrsv.ObsHandler(sptrsv.ObsOptions{}),
 		PlanCache: cache,
 	})
-	if err := d.AddMatrix("smoke", l, sptrsv.DefaultOptions(0)); err != nil {
+	opts := sptrsv.DefaultOptions(0)
+	opts.Trace = sptrsv.NewTraceRecorder(0)
+	if err := d.AddMatrix("smoke", l, opts); err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -347,24 +350,42 @@ func runSmoke(conc int, dur time.Duration, cacheDir string) error {
 }
 
 // smokeDebugChecks asserts the observability surface the burst should
-// have populated: /debug/requests serves a well-formed Chrome trace with
-// events, and /debug/flight holds a non-empty ring whose phase times sum
-// to no more than each request's total.
+// have populated: /debug/requests serves a well-formed Chrome trace that
+// nests at least one kernel step inside a request's solve phase, and
+// /debug/flight holds a non-empty ring whose phase times sum to no more
+// than each request's total.
 func smokeDebugChecks(base string) error {
 	resp, err := http.Get(base + "/debug/requests?format=chrome")
 	if err != nil {
 		return fmt.Errorf("smoke: /debug/requests: %w", err)
 	}
 	var trace struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Name, Cat string
+			TS, Dur   float64
+			TID       int64
+		} `json:"traceEvents"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&trace)
 	resp.Body.Close()
 	if err != nil {
 		return fmt.Errorf("smoke: /debug/requests is not valid Chrome trace JSON: %w", err)
 	}
-	if len(trace.TraceEvents) == 0 {
-		return errors.New("smoke: /debug/requests has no trace events after the burst")
+	solves := map[int64][2]float64{} // request row -> solve phase [start, end] in µs
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat == "phase" && ev.Name == "solve" {
+			solves[ev.TID] = [2]float64{ev.TS, ev.TS + ev.Dur}
+		}
+	}
+	// 1 ns of slack absorbs the rounding of the µs floats.
+	nested := 0
+	for _, ev := range trace.TraceEvents {
+		if ph, ok := solves[ev.TID]; ok && (ev.Cat == "tri" || ev.Cat == "spmv") && ev.TS >= ph[0] && ev.TS+ev.Dur <= ph[1]+1e-3 {
+			nested++
+		}
+	}
+	if nested == 0 {
+		return errors.New("smoke: /debug/requests nests no step event inside a solve phase after the burst")
 	}
 
 	resp, err = http.Get(base + "/debug/flight?format=json")
@@ -395,8 +416,8 @@ func smokeDebugChecks(base string) error {
 			return fmt.Errorf("smoke: request %s phases sum to %dns > total %dns", rec.ID, sum, rec.TotalNs)
 		}
 	}
-	fmt.Printf("  flight ring: %d records (%d total), span tree: %d trace events\n",
-		len(flight.Records), flight.Total, len(trace.TraceEvents))
+	fmt.Printf("  flight ring: %d records (%d total), span tree: %d trace events, %d steps nested in solve phases\n",
+		len(flight.Records), flight.Total, len(trace.TraceEvents), nested)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/block"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Breakdown dissects block solves with the tracing layer: every plan step
@@ -29,7 +30,7 @@ func Breakdown(w io.Writer, p Params) error {
 		o := block.Defaults(dev)
 		o.Pool = pool
 		o.Instrument = true
-		rec := block.NewTraceRecorder(1 << 18)
+		rec := trace.NewStepRecorder(1 << 18)
 		o.Trace = rec
 		s, err := block.Preprocess(l, o)
 		if err != nil {
@@ -99,7 +100,7 @@ func Breakdown(w io.Writer, p Params) error {
 }
 
 // sortedKernels orders a summary's kernels by descending total time.
-func sortedKernels(sum block.TraceSummary) []string {
+func sortedKernels(sum trace.Summary) []string {
 	names := make([]string, 0, len(sum.KernelTime))
 	for name := range sum.KernelTime {
 		names = append(names, name)

@@ -12,7 +12,7 @@ import (
 // sparsity machinery (dependency schedule, row traversal, permutation)
 // once instead of k times — the multi-rhs optimisation of Liu et al.'s
 // follow-up work that the paper cites as its motivating scenario. An
-// attached TraceRecorder sees one solve id per batch and one record per
+// attached StepRecorder sees one solve id per batch and one record per
 // plan step, exactly like a single-RHS solve.
 //
 // B is not modified; B and X may alias. Not safe for concurrent use.

@@ -122,7 +122,7 @@ func (ses *Session[T]) solveGuarded(ctx context.Context, op string, b, x []T, k 
 	// Stop the watchers before returning — and before a kernel panic
 	// unwinds further, so no watchdog outlives its solve.
 	defer stopWatchers()
-	if !ses.run(b, x, k, g) {
+	if !ses.run(b, x, k, g, 0) {
 		return s.guardCause(g)
 	}
 	if k == 1 && s.opts.VerifyResidual > 0 {
@@ -232,7 +232,9 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 			ses.r, ses.d = make([]T, s.n), make([]T, s.n)
 		}
 		s.residualInto(ses.r, b, x)
-		ses.run(ses.r, ses.d, 1, nil)
+		// The correction is part of this guarded call: its steps record
+		// under the attempt's solve id, so one call traces as one solve.
+		ses.run(ses.r, ses.d, 1, nil, ses.stats.LastTraceID)
 		for i := range x {
 			x[i] += ses.d[i]
 		}

@@ -12,6 +12,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Kind selects which of the three block partitions a solver uses.
@@ -92,8 +93,8 @@ type Options struct {
 	// recorder's bounded ring, exportable as a text table or Chrome
 	// trace_event JSON. nil (the default) is tested per solve, not per
 	// step, and with Instrument also off the steps read no clock. See
-	// NewTraceRecorder and Solver.SetTrace.
-	Trace *TraceRecorder
+	// trace.NewStepRecorder and Solver.SetTrace.
+	Trace *trace.StepRecorder
 
 	// Validate runs sparse.ValidateLower on the input at preprocessing
 	// time: sorted in-bounds indices, finite values, a present nonzero

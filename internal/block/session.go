@@ -78,7 +78,7 @@ func (ses *Session[T]) Solve(b, x []T) {
 	if n := ses.s.n; len(b) != n || len(x) != n {
 		panic(fmt.Sprintf("block: Solve got len(b)=%d len(x)=%d want %d", len(b), len(x), n))
 	}
-	ses.run(b, x, 1, nil)
+	ses.run(b, x, 1, nil, 0)
 }
 
 // SolveBatch is the batched counterpart of Solve (see Solver.SolveBatch).
@@ -87,7 +87,7 @@ func (ses *Session[T]) SolveBatch(b, x []T, k int) {
 		panic(err.Error())
 	}
 	ses.grow(k)
-	ses.run(b, x, k, nil)
+	ses.run(b, x, k, nil, 0)
 }
 
 // checkArgs validates the row-major n×k blocks of a k-RHS solve.

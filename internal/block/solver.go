@@ -14,6 +14,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Traffic is the dense-equivalent data movement of one solve, the metric
@@ -40,8 +41,9 @@ type SolveStats struct {
 	// the way back to the serial reference (see Options.VerifyResidual).
 	Refinements int64
 	Fallbacks   int64
-	// LastTraceID is the TraceRecorder solve id assigned to the most
-	// recent solve on this stats stream (0 when no recorder is attached).
+	// LastTraceID is the StepRecorder solve id of the most recent solve on
+	// this stats stream (0 when no recorder is attached). A guarded solve's
+	// refinement step records under the id of the attempt it corrects.
 	// Request-scoped observability (the daemon's span tracing) reads it
 	// after a solve to link a request span to the per-step trace records.
 	LastTraceID int64
@@ -96,12 +98,12 @@ type Solver[T sparse.Float] struct {
 
 	// Observability state. stepDepth holds each step's recursion depth
 	// for Explain's tree rendering (nil on deserialised solvers); meta
-	// and labels exist only while a TraceRecorder is attached (SetTrace)
+	// and labels exist only while a StepRecorder is attached (SetTrace)
 	// — meta is the per-step geometry the recorder copies, labels the
 	// prebuilt pprof label sets applied around each step so CPU profiles
 	// attribute caller-side samples to block indices.
 	stepDepth []int
-	meta      []stepMeta
+	meta      []trace.StepMeta
 	labels    []context.Context
 }
 
@@ -218,36 +220,25 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 // deserialised solvers too. It precomputes the per-step geometry the
 // recorder copies on the hot path and the pprof label set applied around
 // each step. Not safe to call concurrently with solves.
-func (s *Solver[T]) SetTrace(r *TraceRecorder) {
+func (s *Solver[T]) SetTrace(r *trace.StepRecorder) {
 	s.opts.Trace = r
 	if r == nil {
 		s.meta, s.labels = nil, nil
 		return
 	}
-	s.meta = make([]stepMeta, len(s.steps))
+	s.meta = make([]trace.StepMeta, len(s.steps))
 	s.labels = make([]context.Context, len(s.steps))
 	for si, st := range s.steps {
-		var m stepMeta
-		kind := "tri"
-		if st.kind == triSeg {
+		m := trace.StepMeta{Tri: st.kind == triSeg, Block: int32(st.idx)}
+		kind := "spmv"
+		if m.Tri {
 			tb := &s.tris[st.idx]
-			rows := tb.hi - tb.lo
-			m = stepMeta{
-				kind: triSeg, block: int32(st.idx),
-				rows: int32(rows), cols: int32(rows),
-				nnz:    int32(tb.strictCSC.NNZ() + len(tb.diag)),
-				levels: int32(tb.feats.NLevels),
-			}
+			kind, m.Rows, m.Cols = "tri", int32(tb.hi-tb.lo), int32(tb.hi-tb.lo)
+			m.NNZ, m.Levels = int32(tb.strictCSC.NNZ()+len(tb.diag)), int32(tb.feats.NLevels)
 		} else {
 			sb := &s.sqs[st.idx]
-			kind = "spmv"
-			nnz := sb.feats.NNZ
-			m = stepMeta{
-				kind: sqSeg, block: int32(st.idx),
-				rows: int32(sb.spec.rowHi - sb.spec.rowLo),
-				cols: int32(sb.spec.colHi - sb.spec.colLo),
-				nnz:  int32(nnz),
-			}
+			m.Rows, m.Cols = int32(sb.spec.rowHi-sb.spec.rowLo), int32(sb.spec.colHi-sb.spec.colLo)
+			m.NNZ = int32(sb.feats.NNZ)
 		}
 		s.meta[si] = m
 		s.labels[si] = pprof.WithLabels(context.Background(), pprof.Labels(
@@ -258,7 +249,7 @@ func (s *Solver[T]) SetTrace(r *TraceRecorder) {
 }
 
 // Trace returns the attached step recorder, or nil.
-func (s *Solver[T]) Trace() *TraceRecorder { return s.opts.Trace }
+func (s *Solver[T]) Trace() *trace.StepRecorder { return s.opts.Trace }
 
 func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Options) (triBlock[T], error) {
 	strict, diag, err := sparse.SplitDiagBlock(cscAll, spec.rowLo, spec.rowHi)
@@ -452,14 +443,15 @@ func (s *Solver[T]) Solve(b, x []T) { s.own.Solve(b, x) }
 //
 // A nil guard is the plain solve. A live guard is polled before every
 // step and inside the kernels; run reports false once it trips, leaving x
-// unspecified and the cause in the guard. Either way this loop is the one
-// place a solve is instrumented, traced, labelled for pprof and counted,
-// and its per-step clock reads make the whole function a measurement
-// site.
+// unspecified and the cause in the guard. With a step recorder attached,
+// the steps record under solve id sid, or under a fresh one when sid is
+// 0. Either way this loop is the one place a solve is instrumented,
+// traced, labelled for pprof and counted, and its per-step clock reads
+// make the whole function a measurement site.
 //
 //sptrsv:hotpath
 //sptrsv:wallclock
-func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard) bool {
+func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 	s := ses.s
 	rec, instrument := s.opts.Trace, s.opts.Instrument
 	timed := instrument || rec != nil
@@ -479,9 +471,8 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard) bool {
 	} else {
 		copy(w, b)
 	}
-	var sid int64
-	if rec != nil {
-		sid = rec.beginSolve()
+	if rec != nil && sid == 0 {
+		sid = rec.BeginSolve()
 	}
 	stats := &ses.stats
 	stats.LastTraceID = sid
@@ -531,7 +522,7 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard) bool {
 				}
 			}
 			if rec != nil {
-				rec.record(sid, si, s.meta[si], kernel, t0, d)
+				rec.Record(sid, si, s.meta[si], kernel, t0, d)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // TestTraceDisabledAllocs pins the zero-allocation contract of the
@@ -30,7 +31,7 @@ func TestTraceDisabledAllocs(t *testing.T) {
 		t.Fatalf("untraced solve allocates %.0f objects per run, want 0", allocs)
 	}
 
-	s.SetTrace(NewTraceRecorder(1 << 12))
+	s.SetTrace(trace.NewStepRecorder(1 << 12))
 	if allocs := testing.AllocsPerRun(100, func() { s.Solve(b, x) }); allocs != 0 {
 		t.Fatalf("traced solve allocates %.0f objects per run, want 0", allocs)
 	}
@@ -46,7 +47,7 @@ func TestTraceDisabledAllocs(t *testing.T) {
 func BenchmarkTraceOverhead(b *testing.B) {
 	l := gen.Layered(20000, 200, 6, 0, 913)
 	rhs := gen.RandVec(l.Rows, 3)
-	run := func(b *testing.B, rec *TraceRecorder) {
+	run := func(b *testing.B, rec *trace.StepRecorder) {
 		pool := exec.NewLauncher(exec.LaunchSpin, 0)
 		defer exec.CloseLauncher(pool)
 		s, err := Preprocess(l, Options{
@@ -65,5 +66,5 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	}
 	b.Run("trace-off", func(b *testing.B) { run(b, nil) })
-	b.Run("trace-on", func(b *testing.B) { run(b, NewTraceRecorder(1<<16)) })
+	b.Run("trace-on", func(b *testing.B) { run(b, trace.NewStepRecorder(1<<16)) })
 }

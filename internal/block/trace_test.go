@@ -3,7 +3,7 @@ package block
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +13,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // traceTestSolver builds a multi-block solver with tracing and
@@ -21,7 +22,7 @@ import (
 // its leaves run the parallel kernels. It runs on one worker: the launch
 // schedule, and with it the order of the kernels' atomic scatter adds, is
 // then fixed, so two solves of the same b agree bit for bit.
-func traceTestSolver(t *testing.T, rec *TraceRecorder) (*Solver[float64], []float64, []float64) {
+func traceTestSolver(t *testing.T, rec *trace.StepRecorder) (*Solver[float64], []float64, []float64) {
 	t.Helper()
 	l := gen.Layered(800, 20, 4, 0, 99)
 	s, err := Preprocess(l, Options{
@@ -54,7 +55,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
-			rec := NewTraceRecorder(1 << 12)
+			rec := trace.NewStepRecorder(1 << 12)
 			s, b, _ := traceTestSolver(t, rec)
 			bk := InterleaveRHS(slices.Repeat([][]float64{b}, in.k))
 			xk := make([]float64, len(bk))
@@ -63,7 +64,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	}
 }
 
-func traceMatchesStats(t *testing.T, rec *TraceRecorder, s *Solver[float64], solve func() error) {
+func traceMatchesStats(t *testing.T, rec *trace.StepRecorder, s *Solver[float64], solve func() error) {
 	t.Helper()
 	steps := s.NumTriBlocks() + s.NumSquareBlocks()
 	if steps < 3 {
@@ -135,17 +136,8 @@ func traceMatchesStats(t *testing.T, rec *TraceRecorder, s *Solver[float64], sol
 	}
 }
 
-// TestSummarizeEmpty: an empty recorder summarises to zeroes, quantiles
-// included.
-func TestSummarizeEmpty(t *testing.T) {
-	sum := NewTraceRecorder(16).Summarize()
-	if sum.Steps != 0 || sum.StepP50 != 0 || sum.StepP99 != 0 {
-		t.Fatalf("empty summary = %+v", sum)
-	}
-}
-
 func TestTraceRecordsGeometry(t *testing.T) {
-	rec := NewTraceRecorder(1 << 12)
+	rec := trace.NewStepRecorder(1 << 12)
 	s, b, x := traceTestSolver(t, rec)
 	s.Solve(b, x)
 	for _, step := range rec.Steps() {
@@ -161,56 +153,8 @@ func TestTraceRecordsGeometry(t *testing.T) {
 	}
 }
 
-func TestChromeTraceValid(t *testing.T) {
-	rec := NewTraceRecorder(1 << 12)
-	s, b, x := traceTestSolver(t, rec)
-	s.Solve(b, x)
-	s.Solve(b, x)
-
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			PID  int     `json:"pid"`
-			TID  int64   `json:"tid"`
-			Args struct {
-				Step int `json:"step"`
-				Rows int `json:"rows"`
-				NNZ  int `json:"nnz"`
-			} `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid Chrome trace JSON: %v", err)
-	}
-	if int64(len(doc.TraceEvents)) != rec.Total() {
-		t.Fatalf("%d events, want %d", len(doc.TraceEvents), rec.Total())
-	}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" || ev.PID != 1 || ev.TID < 1 || ev.Cat == "" || ev.Name == "" || ev.Dur < 0 {
-			t.Fatalf("malformed event: %+v", ev)
-		}
-	}
-
-	var table strings.Builder
-	if err := rec.WriteTable(&table); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(table.String(), "\n"); int64(lines) != rec.Total()+1 {
-		t.Fatalf("table has %d lines, want %d steps + header", lines, rec.Total())
-	}
-}
-
 func TestTraceRingBounded(t *testing.T) {
-	rec := NewTraceRecorder(4)
+	rec := trace.NewStepRecorder(4)
 	s, b, x := traceTestSolver(t, rec)
 	steps := s.NumTriBlocks() + s.NumSquareBlocks()
 	s.Solve(b, x)
@@ -237,7 +181,7 @@ func TestTraceRingBounded(t *testing.T) {
 }
 
 func TestSetTraceDetach(t *testing.T) {
-	rec := NewTraceRecorder(64)
+	rec := trace.NewStepRecorder(64)
 	s, b, x := traceTestSolver(t, rec)
 	s.Solve(b, x)
 	if rec.Total() == 0 {
@@ -308,7 +252,7 @@ func TestExplainStable(t *testing.T) {
 }
 
 func TestConcurrentSessionsSharedRecorder(t *testing.T) {
-	rec := NewTraceRecorder(1 << 14)
+	rec := trace.NewStepRecorder(1 << 14)
 	s, b, _ := traceTestSolver(t, rec)
 	steps := s.NumTriBlocks() + s.NumSquareBlocks()
 	const sessions, solvesEach = 4, 5
@@ -398,7 +342,7 @@ func TestTraceAcrossSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder(1 << 10)
+	rec := trace.NewStepRecorder(1 << 10)
 	s2.SetTrace(rec)
 	b := gen.RandVec(l.Rows, 3)
 	x := make([]float64, l.Rows)
@@ -415,7 +359,7 @@ func TestTraceAcrossSerialization(t *testing.T) {
 // TestTraceGuardedPath checks SolveContext records steps identically to
 // Solve and that recovery counters reach the registry path unharmed.
 func TestTraceGuardedPath(t *testing.T) {
-	rec := NewTraceRecorder(1 << 12)
+	rec := trace.NewStepRecorder(1 << 12)
 	s, b, x := traceTestSolver(t, rec)
 	steps := s.NumTriBlocks() + s.NumSquareBlocks()
 	if err := s.SolveContext(nil, b, x); err != nil {
@@ -441,12 +385,45 @@ func TestTraceGuardedPath(t *testing.T) {
 	}
 }
 
+// TestTraceRefinementSharesSolveID: a traced SolveContext that refines
+// records the refinement's steps under the solve id of the attempt it
+// corrects, so one guarded call is one solve in the trace.
+func TestTraceRefinementSharesSolveID(t *testing.T) {
+	rec := trace.NewStepRecorder(1 << 12)
+	l := gen.Layered(800, 20, 4, 0, 99)
+	s, err := Preprocess(l, Options{
+		Workers: 1, Kind: Recursive, MinBlockRows: 64, Reorder: true, Trace: rec,
+		VerifyResidual: 1e-300, Refine: true, // unattainable: every rung runs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := gen.RandVec(l.Rows, 3)
+	var re *ResidualError
+	if err := s.SolveContext(context.Background(), b, make([]float64, l.Rows)); !errors.As(err, &re) {
+		t.Fatalf("SolveContext = %v, want a ResidualError after the whole ladder", err)
+	}
+	st := s.Stats()
+	if st.Refinements != 1 || st.Solves != 2 {
+		t.Fatalf("stats %+v, want one attempt and its refinement", st)
+	}
+	steps := s.NumTriBlocks() + s.NumSquareBlocks()
+	if rec.Total() != int64(2*steps) {
+		t.Fatalf("recorded %d steps, want %d for the attempt and its refinement", rec.Total(), 2*steps)
+	}
+	for _, step := range rec.Steps() {
+		if step.Solve != st.LastTraceID {
+			t.Fatalf("step %d recorded under solve %d, want the call's id %d", step.Step, step.Solve, st.LastTraceID)
+		}
+	}
+}
+
 // TestTraceBatchPaths: the batched solve paths assign one solve id per
 // batch, record one step entry per plan step (same as single-RHS), and
 // expose the id through SolveStats.LastTraceID so request-scoped spans
 // can link to the step trace.
 func TestTraceBatchPaths(t *testing.T) {
-	rec := NewTraceRecorder(1 << 12)
+	rec := trace.NewStepRecorder(1 << 12)
 	s, b, _ := traceTestSolver(t, rec)
 	n := s.Rows()
 	steps := len(s.steps)

@@ -16,7 +16,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/metrics"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
-	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // The daemon chaos suite (`make chaos`): fault hooks drive the service
@@ -221,7 +221,7 @@ func TestChaosFaultSnapshotCapturesRequestID(t *testing.T) {
 		}
 	}()
 
-	sp := reqtrace.StartSpan("")
+	sp := trace.StartSpan("")
 	b := gen.RandVec(l.Rows, 1801)
 	_, err := d.SolveSpan(context.Background(), "m", b, sp)
 	var fault *SolveFault
@@ -248,7 +248,7 @@ func TestChaosFaultSnapshotCapturesRequestID(t *testing.T) {
 	}
 	var found bool
 	for _, rec := range snap.Records {
-		if rec.ID == sp.ID && rec.Outcome == reqtrace.OutcomeFault {
+		if rec.ID == sp.ID && rec.Outcome == trace.OutcomeFault {
 			found = true
 		}
 	}

@@ -37,8 +37,8 @@ import (
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
-	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Config sizes the daemon. The zero value is usable: New fills every
@@ -105,7 +105,7 @@ type Daemon struct {
 	cfg Config
 	// rec is the always-on flight recorder every finished request lands
 	// in (see Flight).
-	rec *reqtrace.Recorder
+	rec *trace.FlightRecorder
 
 	// mu guards pipes, closed, and liveWorkers against Shutdown.
 	// Admission holds the read side across its queue send, so
@@ -134,7 +134,7 @@ func New(cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
 	return &Daemon{
 		cfg:       cfg,
-		rec:       reqtrace.NewRecorder(cfg.FlightRecorder),
+		rec:       trace.NewFlightRecorder(cfg.FlightRecorder),
 		pipes:     map[string]*pipeline{},
 		drainDone: make(chan struct{}),
 	}
@@ -214,9 +214,9 @@ const maxUnknownName = 128
 // one). Whatever the outcome, the span is finished exactly once, its
 // record lands in the flight ring, and the SLO monitor and automatic
 // snapshot triggers observe it.
-func (d *Daemon) SolveSpan(ctx context.Context, matrix string, b []float64, sp *reqtrace.Span) ([]float64, error) {
+func (d *Daemon) SolveSpan(ctx context.Context, matrix string, b []float64, sp *trace.Span) ([]float64, error) {
 	if sp == nil {
-		sp = reqtrace.StartSpan("")
+		sp = trace.StartSpan("")
 	}
 	sp.Matrix = matrix
 	x, p, err := d.admit(ctx, matrix, b, sp)
@@ -235,7 +235,7 @@ func (d *Daemon) SolveSpan(ctx context.Context, matrix string, b []float64, sp *
 // try the bounded queue, wait for resolution. It returns the pipeline it
 // resolved against (nil for unknown matrices) so the caller can attribute
 // the outcome.
-func (d *Daemon) admit(ctx context.Context, matrix string, b []float64, sp *reqtrace.Span) ([]float64, *pipeline, error) {
+func (d *Daemon) admit(ctx context.Context, matrix string, b []float64, sp *trace.Span) ([]float64, *pipeline, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

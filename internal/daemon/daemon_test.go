@@ -23,8 +23,14 @@ func testMatrix() *sparse.CSR[float64] {
 
 func newTestDaemon(t *testing.T, cfg Config, l *sparse.CSR[float64]) *Daemon {
 	t.Helper()
+	return newDaemonWith(t, cfg, l, block.Options{Workers: 2})
+}
+
+// newDaemonWith is newTestDaemon with the solver options of matrix "m".
+func newDaemonWith(t *testing.T, cfg Config, l *sparse.CSR[float64], opts block.Options) *Daemon {
+	t.Helper()
 	d := New(cfg)
-	if err := d.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
+	if err := d.AddMatrix("m", l, opts); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

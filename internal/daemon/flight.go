@@ -8,25 +8,25 @@ import (
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
-	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // The daemon's side of the flight recorder: outcome classification, the
 // per-request finish hook (phase histograms + SLO observation + snapshot
 // triggers), and the automatic black-box captures. The recorder itself
-// lives in internal/reqtrace; this file decides when its snapshots fire.
+// lives in internal/trace; this file decides when its snapshots fire.
 
 // Flight returns the daemon's always-on flight recorder, for dumping
 // (SIGQUIT handlers, /debug/flight) or inspection in tests.
-func (d *Daemon) Flight() *reqtrace.Recorder { return d.rec }
+func (d *Daemon) Flight() *trace.FlightRecorder { return d.rec }
 
 // classifyOutcome maps a Solve error to the flight-record outcome. The
 // span's expired tag wins over the raw context error: both surface as
 // context.DeadlineExceeded, but a request dropped at dequeue never cost
 // a kernel call and must be distinguishable in the ring.
-func classifyOutcome(err error, sp *reqtrace.Span) reqtrace.Outcome {
+func classifyOutcome(err error, sp *trace.Span) trace.Outcome {
 	if err == nil {
-		return reqtrace.OutcomeOK
+		return trace.OutcomeOK
 	}
 	var (
 		overload *OverloadError
@@ -36,30 +36,30 @@ func classifyOutcome(err error, sp *reqtrace.Span) reqtrace.Outcome {
 	)
 	switch {
 	case sp.Expired():
-		return reqtrace.OutcomeExpired
+		return trace.OutcomeExpired
 	case errors.As(err, &overload):
-		return reqtrace.OutcomeShed
+		return trace.OutcomeShed
 	case errors.Is(err, ErrDraining):
-		return reqtrace.OutcomeDraining
+		return trace.OutcomeDraining
 	case errors.As(err, &fault):
-		return reqtrace.OutcomeFault
+		return trace.OutcomeFault
 	case errors.As(err, &stall):
-		return reqtrace.OutcomeStall
+		return trace.OutcomeStall
 	case errors.As(err, &residual):
-		return reqtrace.OutcomeResidual
+		return trace.OutcomeResidual
 	case errors.Is(err, context.DeadlineExceeded):
-		return reqtrace.OutcomeDeadline
+		return trace.OutcomeDeadline
 	case errors.Is(err, context.Canceled):
-		return reqtrace.OutcomeCanceled
+		return trace.OutcomeCanceled
 	default:
-		return reqtrace.OutcomeError
+		return trace.OutcomeError
 	}
 }
 
 // finishRequest runs once per finished request, off the solve path (the
 // submitter's goroutine, after the worker handed the result back): phase
 // histograms, the SLO window, and the fault/stall snapshot triggers.
-func (d *Daemon) finishRequest(p *pipeline, rec reqtrace.Record) {
+func (d *Daemon) finishRequest(p *pipeline, rec trace.Record) {
 	mTotalNs.Observe(rec.Total)
 	if rec.Coalesce > 0 {
 		mCoalesceNs.Observe(rec.Coalesce)
@@ -71,9 +71,9 @@ func (d *Daemon) finishRequest(p *pipeline, rec reqtrace.Record) {
 		p.slo.observe(rec.Total, rec.Outcome.Failed(), time.Now())
 	}
 	switch rec.Outcome {
-	case reqtrace.OutcomeFault:
+	case trace.OutcomeFault:
 		d.snapshot("fault", rec.ID)
-	case reqtrace.OutcomeStall:
+	case trace.OutcomeStall:
 		d.snapshot("stall", rec.ID)
 	}
 }

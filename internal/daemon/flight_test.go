@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +21,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
-	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Tests for the daemon's side of the request-observability layer: flight
@@ -26,7 +30,7 @@ import (
 // SLO monitor's degradation thresholds.
 
 // lastRecord returns the newest flight record for the given request id.
-func lastRecord(t *testing.T, d *Daemon, id string) reqtrace.Record {
+func lastRecord(t *testing.T, d *Daemon, id string) trace.Record {
 	t.Helper()
 	recs := d.Flight().Records()
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -35,28 +39,18 @@ func lastRecord(t *testing.T, d *Daemon, id string) reqtrace.Record {
 		}
 	}
 	t.Fatalf("request %s not in flight ring (%d records)", id, len(recs))
-	return reqtrace.Record{}
+	return trace.Record{}
 }
 
 // TestFlightRingPhaseAttribution: every Solve leaves exactly one record
 // in the flight ring, its phase durations sum to the end-to-end latency
 // within the admit+respond overhead of a direct in-process call, and —
-// with a step recorder attached — its solve id resolves to actual step
-// records in the TraceRecorder ring.
+// with a step recorder attached — it links that recorder, where its
+// solve id resolves to actual step records.
 func TestFlightRingPhaseAttribution(t *testing.T) {
 	l := testMatrix()
-	steps := block.NewTraceRecorder(4096)
-	d := New(Config{Workers: 2, MaxBatch: 8, Window: 200 * time.Microsecond})
-	if err := d.AddMatrix("m", l, block.Options{Workers: 2, Trace: steps}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := d.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	steps := trace.NewStepRecorder(4096)
+	d := newDaemonWith(t, Config{Workers: 2, MaxBatch: 8, Window: 200 * time.Microsecond}, l, block.Options{Workers: 2, Trace: steps})
 
 	const n = 6
 	ids := make([]string, n)
@@ -65,7 +59,7 @@ func TestFlightRingPhaseAttribution(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			sp := reqtrace.StartSpan("")
+			sp := trace.StartSpan("")
 			ids[c] = sp.ID
 			b := gen.RandVec(l.Rows, int64(5000+c))
 			if _, err := d.SolveSpan(context.Background(), "m", b, sp); err != nil {
@@ -84,14 +78,14 @@ func TestFlightRingPhaseAttribution(t *testing.T) {
 	}
 	for c, id := range ids {
 		rec := lastRecord(t, d, id)
-		if rec.Outcome != reqtrace.OutcomeOK {
+		if rec.Outcome != trace.OutcomeOK {
 			t.Fatalf("request %d outcome = %v, want ok", c, rec.Outcome)
 		}
 		if rec.Matrix != "m" || rec.Batch < 1 || rec.Solve <= 0 || rec.Total <= 0 {
 			t.Fatalf("request %d record incomplete: %+v", c, rec)
 		}
-		if rec.SolveID == 0 {
-			t.Fatalf("request %d has no solve id: the span never linked to the step trace", c)
+		if rec.SolveID == 0 || rec.Steps != steps {
+			t.Fatalf("request %d links solve %d in recorder %p, want a solve in %p", c, rec.SolveID, rec.Steps, steps)
 		}
 		if stepsBySolve[rec.SolveID] == 0 {
 			t.Fatalf("request %d solve id %d has no step records in the trace ring", c, rec.SolveID)
@@ -124,7 +118,7 @@ func TestExpiredRequestInFlightRing(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	victim := reqtrace.StartSpan("")
+	victim := trace.StartSpan("")
 	victimErr := make(chan error, 1)
 	go func() { _, err := d.SolveSpan(ctx, "m", b, victim); victimErr <- err }()
 	waitQueued(t, d, "m", 1)
@@ -139,7 +133,7 @@ func TestExpiredRequestInFlightRing(t *testing.T) {
 	}
 
 	rec := lastRecord(t, d, victim.ID)
-	if rec.Outcome != reqtrace.OutcomeExpired {
+	if rec.Outcome != trace.OutcomeExpired {
 		t.Fatalf("expired request recorded as %v, want expired", rec.Outcome)
 	}
 	if rec.Solve != 0 || rec.Batch != 0 {
@@ -177,7 +171,7 @@ func TestSoloRetriesLinkTheirOwnSolve(t *testing.T) {
 	pool := &faultyPool{Launcher: exec.NewPool(2)}
 	// Level-set launches once per level; the default plan for this
 	// matrix is one serial leaf, which never launches.
-	opts := block.Options{Pool: pool, Trace: block.NewTraceRecorder(4096), ForceTri: kernels.TriLevelSet}
+	opts := block.Options{Pool: pool, Trace: trace.NewStepRecorder(4096), ForceTri: kernels.TriLevelSet}
 	if err := d.AddMatrix("r", l, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +196,7 @@ func TestSoloRetriesLinkTheirOwnSolve(t *testing.T) {
 	go func() { _, err := d.Solve(context.Background(), "r", b); errs <- err }()
 	<-entered
 	for i, ctx := range []context.Context{context.Background(), context.Background(), ctxC} {
-		sp := reqtrace.StartSpan("retry-" + string(rune('a'+i)))
+		sp := trace.StartSpan("retry-" + string(rune('a'+i)))
 		go func() { _, err := d.SolveSpan(ctx, "r", b, sp); errs <- err }()
 		waitQueued(t, d, "r", i+1)
 	}
@@ -212,10 +206,10 @@ func TestSoloRetriesLinkTheirOwnSolve(t *testing.T) {
 	}
 
 	a, bb, c := lastRecord(t, d, "retry-a"), lastRecord(t, d, "retry-b"), lastRecord(t, d, "retry-c")
-	if a.Outcome != reqtrace.OutcomeFault || bb.Outcome != reqtrace.OutcomeOK || c.Outcome != reqtrace.OutcomeCanceled {
+	if a.Outcome != trace.OutcomeFault || bb.Outcome != trace.OutcomeOK || c.Outcome != trace.OutcomeCanceled {
 		t.Fatalf("outcomes a=%v b=%v c=%v, want fault, ok, canceled", a.Outcome, bb.Outcome, c.Outcome)
 	}
-	for _, rec := range []reqtrace.Record{a, bb, c} {
+	for _, rec := range []trace.Record{a, bb, c} {
 		if rec.Batch != 1 {
 			t.Errorf("%s: batch %d after degrading to a solo retry, want 1", rec.ID, rec.Batch)
 		}
@@ -267,7 +261,7 @@ func TestStatsSnapshotUnderConcurrentLoad(t *testing.T) {
 				t.Errorf("health = %q mid-load", h)
 				return
 			}
-			var prev uint64
+			var prev int64
 			for _, rec := range d.Flight().Records() {
 				if rec.Seq <= prev && prev != 0 {
 					t.Errorf("flight ring out of order: seq %d after %d", rec.Seq, prev)
@@ -296,7 +290,7 @@ func TestStatsSnapshotUnderConcurrentLoad(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got, want := d.Flight().Total(), uint64(24); got != want {
+	if got, want := d.Flight().Total(), int64(24); got != want {
 		t.Fatalf("flight ring total = %d, want %d", got, want)
 	}
 }
@@ -356,7 +350,7 @@ func TestHTTPRequestIDAndPhaseHeaders(t *testing.T) {
 		t.Fatalf("X-Batch = %q", resp.Header.Get("X-Batch"))
 	}
 	rec := lastRecord(t, d, "client-chosen-id-1")
-	if rec.Outcome != reqtrace.OutcomeOK {
+	if rec.Outcome != trace.OutcomeOK {
 		t.Fatalf("ring outcome = %v", rec.Outcome)
 	}
 }
@@ -428,7 +422,7 @@ func TestHTTPOverloadBodyCarriesQueueState(t *testing.T) {
 		t.Fatalf("queue state = %d/%d, want 1/1", er.QueueDepth, er.QueueCapacity)
 	}
 	rec := lastRecord(t, d, er.RequestID)
-	if rec.Outcome != reqtrace.OutcomeShed {
+	if rec.Outcome != trace.OutcomeShed {
 		t.Fatalf("shed request recorded as %v", rec.Outcome)
 	}
 
@@ -441,9 +435,45 @@ func TestHTTPOverloadBodyCarriesQueueState(t *testing.T) {
 	<-entered
 }
 
+// chromeEvent is one decoded Chrome trace_event.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	TID  int64          `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// decodeChrome decodes a Chrome trace_event export.
+func decodeChrome(t *testing.T, r io.Reader) []chromeEvent {
+	t.Helper()
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		t.Fatalf("chrome export is not JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
+// getChrome fetches and decodes the chrome form of /debug/requests.
+func getChrome(t *testing.T, base string) []chromeEvent {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/requests?format=chrome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return decodeChrome(t, resp.Body)
+}
+
 // TestHTTPDebugEndpoints: /debug/requests serves both formats, the
-// Chrome export is valid JSON with one request event per solve, and
-// /debug/flight round-trips through its JSON form.
+// Chrome export is valid JSON with one request event per request, even
+// for matrix names the client chose, and /debug/flight round-trips
+// through its JSON form. Without a step recorder the export holds only
+// request and phase events, on the request rows, with the args keys the
+// request tooling reads.
 func TestHTTPDebugEndpoints(t *testing.T) {
 	l := gen.Layered(800, 20, 5, 0.1, 5500)
 	d := newTestDaemon(t, Config{Workers: 2}, l)
@@ -456,36 +486,55 @@ func TestHTTPDebugEndpoints(t *testing.T) {
 			t.Fatalf("solve %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
+	// Unregistered names arrive unescaped: a control byte, and a byte
+	// that is not UTF-8.
+	for _, path := range []string{"/solve/%07x", "/solve/%ff"} {
+		if resp, body := postJSON(t, srv.URL+path, SolveRequest{B: []float64{1}}); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
+		}
+	}
 
-	resp, err := http.Get(srv.URL + "/debug/requests?format=chrome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-		} `json:"traceEvents"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&trace)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/debug/requests chrome export is not JSON: %v", err)
-	}
+	phaseNames := map[string]bool{"admit": true, "queue-wait": true, "coalesce-hold": true, "solve": true, "respond": true}
+	rows := map[int64]bool{}
+	matrices := map[any]int{}
 	var requests, phases int
-	for _, ev := range trace.TraceEvents {
+	events := getChrome(t, srv.URL)
+	for _, ev := range events {
+		keys := strings.Join(slices.Sorted(maps.Keys(ev.Args)), ",")
 		switch ev.Cat {
 		case "request":
 			requests++
+			rows[ev.TID] = true
+			matrices[ev.Args["matrix"]]++
+			want := "batch,id,matrix,outcome,solve_id"
+			if ev.Args["outcome"] == "ok" {
+				want = "batch,deadline_slack_ns,id,matrix,outcome,solve_id"
+			}
+			if ev.Name != "request" || keys != want {
+				t.Fatalf("request event %q with args %s, want %s", ev.Name, keys, want)
+			}
 		case "phase":
 			phases++
+			if !phaseNames[ev.Name] || keys != "id" {
+				t.Fatalf("phase event %q with args %s", ev.Name, keys)
+			}
+		default:
+			t.Fatalf("event %q of category %q with no step recorder attached", ev.Name, ev.Cat)
 		}
 	}
-	if requests != 3 || phases == 0 {
-		t.Fatalf("span tree has %d request events (want 3) and %d phase events (want > 0)", requests, phases)
+	if requests != 5 || phases == 0 {
+		t.Fatalf("span tree has %d request events (want 5) and %d phase events (want > 0)", requests, phases)
+	}
+	if matrices["m"] != 3 || matrices["\ax"] != 1 || matrices["\ufffd"] != 1 {
+		t.Fatalf("request matrices %v, want m three times, \\ax and U+FFFD once", matrices)
+	}
+	for _, ev := range events {
+		if ev.Cat == "phase" && !rows[ev.TID] {
+			t.Fatalf("phase %q on row %d, which has no request", ev.Name, ev.TID)
+		}
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/flight?format=json")
+	resp, err := http.Get(srv.URL + "/debug/flight?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,13 +549,15 @@ func TestHTTPDebugEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/debug/flight json export: %v", err)
 	}
-	if flight.Total != 3 || len(flight.Records) != 3 {
-		t.Fatalf("flight = %d total, %d records, want 3/3", flight.Total, len(flight.Records))
+	if flight.Total != 5 || len(flight.Records) != 5 {
+		t.Fatalf("flight = %d total, %d records, want 5/5", flight.Total, len(flight.Records))
 	}
+	outcomes := map[string]int{}
 	for _, rec := range flight.Records {
-		if rec.Outcome != "ok" {
-			t.Fatalf("flight outcome %q", rec.Outcome)
-		}
+		outcomes[rec.Outcome]++
+	}
+	if outcomes["ok"] != 3 || outcomes["error"] != 2 {
+		t.Fatalf("flight outcomes %v, want 3 ok and 2 error", outcomes)
 	}
 
 	for _, bad := range []string{"/debug/requests?format=nope", "/debug/flight?format=nope"} {
@@ -517,6 +568,86 @@ func TestHTTPDebugEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s = %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
+// TestChromeRequestsNestSteps: with a step recorder attached to the
+// matrix's solver, the chrome form of /debug/requests copies every step
+// of each request's solve onto the request's row, inside its solve phase,
+// at the times the recorder's own export (what /trace serves) shows.
+func TestChromeRequestsNestSteps(t *testing.T) {
+	l := testMatrix()
+	steps := trace.NewStepRecorder(1 << 14)
+	// A multi-step plan: triangular leaves of at most 256 rows and the
+	// SpMV squares between them.
+	d := newDaemonWith(t, Config{Workers: 2, MaxBatch: 8, Window: 200 * time.Microsecond}, l,
+		block.Options{Workers: 2, MinBlockRows: 256, Trace: steps})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	const n = 6
+	var wg sync.WaitGroup
+	for c := 0; c < n; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			if _, err := d.Solve(context.Background(), "m", gen.RandVec(l.Rows, int64(5700+c))); err != nil {
+				t.Errorf("request %d: %v", c, err)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	var buf bytes.Buffer
+	if err := steps.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type stepKey struct {
+		solve int64
+		step  any
+	}
+	own := map[stepKey]chromeEvent{}
+	perSolve := map[int64]int{}
+	for _, ev := range decodeChrome(t, &buf) {
+		own[stepKey{ev.TID, ev.Args["step"]}] = ev
+		perSolve[ev.TID]++
+	}
+
+	solveID := map[int64]int64{}
+	solvePhase := map[int64]chromeEvent{}
+	nested := map[int64][]chromeEvent{}
+	for _, ev := range getChrome(t, srv.URL) {
+		switch ev.Cat {
+		case "request":
+			solveID[ev.TID] = int64(ev.Args["solve_id"].(float64))
+		case "phase":
+			if ev.Name == "solve" {
+				solvePhase[ev.TID] = ev
+			}
+		default:
+			nested[ev.TID] = append(nested[ev.TID], ev)
+		}
+	}
+	if len(solveID) != n {
+		t.Fatalf("%d request rows, want %d", len(solveID), n)
+	}
+	ns := func(us float64) int64 { return int64(math.Round(us * 1e3)) }
+	for row, sid := range solveID {
+		ph, ok := solvePhase[row]
+		if sid == 0 || !ok {
+			t.Fatalf("request row %d: solve id %d, solve phase %v", row, sid, ok)
+		}
+		if got := len(nested[row]); got == 0 || got != perSolve[sid] {
+			t.Fatalf("request row %d carries %d steps, want all %d of solve %d", row, got, perSolve[sid], sid)
+		}
+		for _, st := range nested[row] {
+			if ns(st.TS) < ns(ph.TS) || ns(st.TS)+ns(st.Dur) > ns(ph.TS)+ns(ph.Dur) {
+				t.Fatalf("row %d: step [%v, +%v] µs outside its solve phase [%v, +%v] µs", row, st.TS, st.Dur, ph.TS, ph.Dur)
+			}
+			if o, ok := own[stepKey{sid, st.Args["step"]}]; !ok || o.TS != st.TS || o.Dur != st.Dur || o.Name != st.Name {
+				t.Fatalf("row %d: nested step %+v differs from the recorder's %+v", row, st, o)
+			}
 		}
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
-	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // The HTTP surface: a thin JSON façade over Solve. Every daemon error
@@ -27,9 +28,12 @@ const maxSolveBody = 16 << 20
 type SolveRequest struct {
 	// B is the right-hand side; its length must equal the matrix's rows.
 	B []float64 `json:"b"`
-	// TimeoutMS overrides the daemon's default per-request deadline.
+	// TimeoutMS, when positive, overrides the daemon's default deadline.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
+
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
 
 // SolveResponse is the success body: the solution vector.
 type SolveResponse struct {
@@ -57,7 +61,8 @@ type ErrorResponse struct {
 //	POST /solve/{matrix}   solve one RHS (JSON in/out, see SolveRequest)
 //	GET  /matrices         per-matrix service stats (JSON, see MatrixStats)
 //	GET  /healthz          service health; ?verbose=1 adds per-matrix SLO detail
-//	GET  /debug/requests   recent request spans (?format=table|chrome)
+//	GET  /debug/requests   recent request spans (?format=table|chrome; chrome
+//	                       nests each request's steps from its solver's recorder)
 //	GET  /debug/flight     flight-recorder dump (?format=text|json)
 //
 // Any other path falls through to Config.Obs when configured (the
@@ -93,12 +98,16 @@ func (d *Daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The span starts before body decode so admit time covers request
 	// parsing; an incoming X-Request-Id is honored so clients can
 	// correlate retries across services.
-	sp := reqtrace.StartSpan(r.Header.Get("X-Request-Id"))
+	sp := trace.StartSpan(r.Header.Get("X-Request-Id"))
 	w.Header().Set("X-Request-Id", sp.ID)
 	var req SolveRequest
 	body := http.MaxBytesReader(w, r.Body, maxSolveBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decoding solve request: %w", err), sp.ID)
+		return
+	}
+	if int64(req.TimeoutMS) > maxTimeoutMS {
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("timeout_ms %d exceeds %d", req.TimeoutMS, maxTimeoutMS), sp.ID)
 		return
 	}
 	ctx := r.Context()
@@ -119,7 +128,7 @@ func (d *Daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 // setPhaseHeaders exposes the finished span's phase attribution as
 // response headers, so load generators can collect per-phase latency
 // without a second round trip to /debug/requests.
-func setPhaseHeaders(h http.Header, rec reqtrace.Record) {
+func setPhaseHeaders(h http.Header, rec trace.Record) {
 	h.Set("X-Phase-Queue-Wait-Ns", strconv.FormatInt(rec.QueueWait.Nanoseconds(), 10))
 	h.Set("X-Phase-Coalesce-Ns", strconv.FormatInt(rec.Coalesce.Nanoseconds(), 10))
 	h.Set("X-Phase-Solve-Ns", strconv.FormatInt(rec.Solve.Nanoseconds(), 10))

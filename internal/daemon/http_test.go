@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -115,10 +116,17 @@ func TestHTTPTypedErrors(t *testing.T) {
 		t.Fatalf("bad body: %d", r.StatusCode)
 	}
 
-	// An aggressive client deadline surfaces as the deadline kind.
+	// A non-positive timeout means the server default.
 	resp, body = postJSON(t, srv.URL+"/solve/m", SolveRequest{B: make([]float64, 200), TimeoutMS: -1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("negative timeout should mean server default: %d %s", resp.StatusCode, body)
+	}
+
+	// One millisecond past the largest time.Duration is refused, not
+	// wrapped into a deadline already past.
+	resp, body = postJSON(t, srv.URL+"/solve/m", SolveRequest{B: make([]float64, 200), TimeoutMS: math.MaxInt64/1_000_000 + 1})
+	if resp.StatusCode != http.StatusBadRequest || errKind(t, body) != "bad_request" {
+		t.Fatalf("overflowing timeout: %d %s", resp.StatusCode, body)
 	}
 }
 

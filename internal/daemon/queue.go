@@ -8,7 +8,7 @@ import (
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
 	"github.com/sss-lab/blocksptrsv/internal/faultinject"
-	"github.com/sss-lab/blocksptrsv/internal/reqtrace"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // The admission queue and its workers: one bounded channel per matrix,
@@ -27,7 +27,7 @@ type request struct {
 	b, x []float64
 	enq  time.Time
 	done chan error
-	sp   *reqtrace.Span
+	sp   *trace.Span
 }
 
 // pipeline is the per-matrix service state: the shared preprocessed
@@ -168,12 +168,14 @@ func (w *workerState) solveBatch(batch []*request) {
 		// One solve id covers the whole coalesced batch: every member's
 		// span links to the same per-step trace records.
 		sid := w.ses.Stats().LastTraceID
-		p.batches.Add(1)
-		mBatches.Inc()
+		// batched before batches: Stats loads batches first, so no
+		// snapshot shows more batches than right-hand sides.
 		p.batched.Add(int64(len(live)))
 		mBatchedRHS.Add(int64(len(live)))
+		p.batches.Add(1)
+		mBatches.Inc()
 		for _, r := range live {
-			r.sp.MarkSolveEnd(sid, len(live))
+			r.sp.MarkSolveEnd(p.solver.Trace(), sid, len(live))
 			r.done <- nil
 		}
 		return
@@ -184,15 +186,15 @@ func (w *workerState) solveBatch(batch []*request) {
 	// request cannot take its neighbours down with it.
 	for _, r := range live {
 		sid, rerr := w.solveOne(r)
-		r.sp.MarkSolveEnd(sid, 1)
+		r.sp.MarkSolveEnd(p.solver.Trace(), sid, 1)
 		if rerr != nil {
 			p.errors.Add(1)
 			mErrors.Inc()
 		} else {
-			p.batches.Add(1)
-			mBatches.Inc()
 			p.batched.Add(1)
 			mBatchedRHS.Inc()
+			p.batches.Add(1)
+			mBatches.Inc()
 		}
 		r.done <- rerr
 	}

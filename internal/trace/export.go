@@ -1,76 +1,87 @@
-package reqtrace
+package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 )
 
-// Exports: the flight ring as a per-request span tree in Chrome
-// trace_event JSON (chrome://tracing, Perfetto), as an aligned text
-// table, and as the flight dump — ring plus fault snapshots — in text or
-// JSON. All exports snapshot under the ring mutex and format outside it.
+// Exports of the flight ring: a per-request span tree in Chrome
+// trace_event JSON, an aligned text table, and the flight dump (ring plus
+// fault snapshots) in text or JSON. All exports copy the ring under its
+// mutex and format outside it.
+
+// requestJSON is a request's identity, batch, solve id and outcome: the
+// head of both its Chrome span args and its flight JSON record.
+type requestJSON struct {
+	ID      string `json:"id"`
+	Matrix  string `json:"matrix"`
+	Outcome string `json:"outcome"`
+	Batch   int32  `json:"batch"`
+	SolveID int64  `json:"solve_id"`
+}
+
+func requestToJSON(rec Record) requestJSON {
+	return requestJSON{rec.ID, rec.Matrix, rec.Outcome.String(), rec.Batch, rec.SolveID}
+}
+
+// slackNs is the record's deadline slack in ns, or nil without a deadline.
+func slackNs(rec Record) *int64 {
+	if !rec.HasDeadline {
+		return nil
+	}
+	ns := rec.DeadlineSlack.Nanoseconds()
+	return &ns
+}
 
 // WriteChromeTrace writes the retained records as Chrome trace_event
 // JSON. Each request is one timeline row (tid = its sequence number)
-// carrying a parent "request" span and child spans for each recorded
-// phase, so the span tree reads directly off the timeline. Identity,
-// batch geometry, the per-step solve id, and the outcome travel in args.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	recs := r.Records()
-	epoch := r.epoch
-	var b strings.Builder
-	b.WriteString("{\"traceEvents\":[")
-	first := true
-	emit := func(name, cat string, tid uint64, ts time.Duration, dur time.Duration, args string) {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, `{"name":%q,"cat":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{%s}}`,
-			name, cat, float64(ts.Nanoseconds())/1e3, float64(dur.Nanoseconds())/1e3, tid, args)
-	}
-	var flushErr error
-	flush := func() {
-		if flushErr == nil {
-			_, flushErr = io.WriteString(w, b.String())
-			b.Reset()
-		}
-	}
-	for _, rec := range recs {
-		t0 := rec.Ingress.Sub(epoch)
-		args := fmt.Sprintf(`"id":%q,"matrix":%q,"outcome":%q,"batch":%d,"solve_id":%d`,
-			rec.ID, rec.Matrix, rec.Outcome, rec.Batch, rec.SolveID)
-		if rec.HasDeadline {
-			args += fmt.Sprintf(`,"deadline_slack_ns":%d`, rec.DeadlineSlack.Nanoseconds())
-		}
-		emit("request", "request", rec.Seq, t0, rec.Total, args)
+// carrying a parent "request" span and a child span per recorded phase.
+// Identity, batch geometry, the solve id and the outcome travel in args.
+// A request that links its solve's steps (Record.Steps) carries copies of
+// them on its row, inside its solve phase, at the times the step
+// recorder's own export shows.
+func (r *FlightRecorder) WriteChromeTrace(w io.Writer) error {
+	var events []event
+	bySolve := map[*StepRecorder]map[int64][]event{}
+	for _, rec := range r.Records() {
+		t0 := rec.Ingress.Sub(origin)
+		args := struct {
+			requestJSON
+			DeadlineSlackNs *int64 `json:"deadline_slack_ns,omitempty"`
+		}{requestToJSON(rec), slackNs(rec)}
+		events = append(events, newEvent("request", "request", rec.Seq, t0, rec.Total, args))
 		at := t0
-		phase := func(name string, dur time.Duration) {
-			if dur > 0 {
-				emit(name, "phase", rec.Seq, at, dur, fmt.Sprintf(`"id":%q`, rec.ID))
+		for _, ph := range []struct {
+			name string
+			dur  time.Duration
+		}{
+			{"admit", rec.Admit}, {"queue-wait", rec.QueueWait}, {"coalesce-hold", rec.Coalesce},
+			{"solve", rec.Solve}, {"respond", rec.Respond()},
+		} {
+			if ph.dur > 0 {
+				events = append(events, newEvent(ph.name, "phase", rec.Seq, at, ph.dur, map[string]string{"id": rec.ID}))
 			}
-			at += dur
+			at += ph.dur
 		}
-		phase("admit", rec.Admit)
-		phase("queue-wait", rec.QueueWait)
-		phase("coalesce-hold", rec.Coalesce)
-		phase("solve", rec.Solve)
-		phase("respond", rec.Respond())
-		if b.Len() >= 1<<16 {
-			flush()
+		if sr := rec.Steps; sr != nil && rec.SolveID != 0 && bySolve[sr] == nil {
+			bySolve[sr] = map[int64][]event{}
+			for _, ev := range sr.events() {
+				bySolve[sr][ev.TID] = append(bySolve[sr][ev.TID], ev)
+			}
+		}
+		for _, ev := range bySolve[rec.Steps][rec.SolveID] {
+			ev.TID = rec.Seq
+			events = append(events, ev)
 		}
 	}
-	b.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
-	flush()
-	return flushErr
+	return writeChrome(w, events)
 }
 
 // WriteTable writes the retained records as an aligned text table,
 // oldest-first.
-func (r *Recorder) WriteTable(w io.Writer) error {
+func (r *FlightRecorder) WriteTable(w io.Writer) error {
 	recs := r.Records()
 	if _, err := fmt.Fprintf(w, "%6s %-17s %-10s %-8s %5s %8s %12s %12s %12s %12s %12s\n",
 		"seq", "id", "matrix", "outcome", "batch", "solve", "queue-wait", "coalesce", "solve-time", "total", "slack"); err != nil {
@@ -98,12 +109,8 @@ func (r *Recorder) WriteTable(w io.Writer) error {
 
 // recordJSON is the machine-readable form of a Record.
 type recordJSON struct {
-	Seq             uint64 `json:"seq"`
-	ID              string `json:"id"`
-	Matrix          string `json:"matrix"`
-	Outcome         string `json:"outcome"`
-	Batch           int32  `json:"batch"`
-	SolveID         int64  `json:"solve_id"`
+	Seq int64 `json:"seq"`
+	requestJSON
 	IngressUnixNs   int64  `json:"ingress_unix_ns"`
 	AdmitNs         int64  `json:"admit_ns"`
 	QueueWaitNs     int64  `json:"queue_wait_ns"`
@@ -115,26 +122,18 @@ type recordJSON struct {
 }
 
 func recordToJSON(rec Record) recordJSON {
-	j := recordJSON{
-		Seq:           rec.Seq,
-		ID:            rec.ID,
-		Matrix:        rec.Matrix,
-		Outcome:       rec.Outcome.String(),
-		Batch:         rec.Batch,
-		SolveID:       rec.SolveID,
-		IngressUnixNs: rec.Ingress.UnixNano(),
-		AdmitNs:       rec.Admit.Nanoseconds(),
-		QueueWaitNs:   rec.QueueWait.Nanoseconds(),
-		CoalesceNs:    rec.Coalesce.Nanoseconds(),
-		SolveNs:       rec.Solve.Nanoseconds(),
-		RespondNs:     rec.Respond().Nanoseconds(),
-		TotalNs:       rec.Total.Nanoseconds(),
+	return recordJSON{
+		Seq:             rec.Seq,
+		requestJSON:     requestToJSON(rec),
+		IngressUnixNs:   rec.Ingress.UnixNano(),
+		AdmitNs:         rec.Admit.Nanoseconds(),
+		QueueWaitNs:     rec.QueueWait.Nanoseconds(),
+		CoalesceNs:      rec.Coalesce.Nanoseconds(),
+		SolveNs:         rec.Solve.Nanoseconds(),
+		RespondNs:       rec.Respond().Nanoseconds(),
+		TotalNs:         rec.Total.Nanoseconds(),
+		DeadlineSlackNs: slackNs(rec),
 	}
-	if rec.HasDeadline {
-		slack := rec.DeadlineSlack.Nanoseconds()
-		j.DeadlineSlackNs = &slack
-	}
-	return j
 }
 
 // snapshotJSON is the machine-readable form of a Snapshot.
@@ -149,15 +148,15 @@ type snapshotJSON struct {
 
 // flightJSON is the /debug/flight?format=json payload.
 type flightJSON struct {
-	Total     uint64         `json:"total"`
-	Dropped   uint64         `json:"dropped"`
+	Total     int64          `json:"total"`
+	Dropped   int64          `json:"dropped"`
 	Records   []recordJSON   `json:"records"`
 	Snapshots []snapshotJSON `json:"snapshots"`
 }
 
 // WriteFlightJSON writes the whole flight state — ring plus snapshots —
 // as one JSON object.
-func (r *Recorder) WriteFlightJSON(w io.Writer) error {
+func (r *FlightRecorder) WriteFlightJSON(w io.Writer) error {
 	recs := r.Records()
 	out := flightJSON{Total: r.Total(), Dropped: r.Dropped()}
 	out.Records = make([]recordJSON, len(recs))
@@ -185,7 +184,7 @@ func (r *Recorder) WriteFlightJSON(w io.Writer) error {
 // WriteFlight writes the flight dump as text: the request table followed
 // by every retained snapshot with its goroutine dump. This is what the
 // daemon prints on SIGQUIT and serves at /debug/flight.
-func (r *Recorder) WriteFlight(w io.Writer) error {
+func (r *FlightRecorder) WriteFlight(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "flight recorder: %d requests recorded, %d retained, %d snapshots\n\n",
 		r.Total(), r.Len(), len(r.Snapshots())); err != nil {
 		return err

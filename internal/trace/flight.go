@@ -1,7 +1,9 @@
-// Package reqtrace is the request-scoped observability layer of the
-// solver daemon: span timing for one request's journey through the
-// service, and an always-on flight recorder holding the most recent
-// request records plus black-box snapshots captured at fault time.
+package trace
+
+// Request-scoped tracing for the solver daemon: span timing for one
+// request's journey through the service, and an always-on flight
+// recorder holding the most recent request records plus black-box
+// snapshots captured at fault time.
 //
 // The phase taxonomy follows the admission pipeline (DESIGN.md §6.12):
 //
@@ -14,17 +16,15 @@
 // the request at each boundary: the submitter at admission, the batch
 // worker at dequeue/solve, the submitter again at finish. Finish folds
 // the marks into an immutable Record; the daemon appends it to the
-// Recorder's fixed-size ring. Recording is a struct copy under a short
-// mutex and never allocates (pinned by TestRecordAllocs), so the flight
+// FlightRecorder's ring. Recording is a struct copy under a short mutex
+// and never allocates (pinned by TestRecordAllocs), so the flight
 // recorder can stay on for every request the daemon ever serves.
-package reqtrace
 
 import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -131,6 +131,7 @@ type Span struct {
 
 	batch       int32
 	solveID     int64
+	steps       *StepRecorder
 	hasDeadline bool
 	expired     bool
 	finished    bool
@@ -195,15 +196,15 @@ func (sp *Span) MarkDequeued() { sp.dequeued = time.Now() }
 func (sp *Span) MarkSolveStart() { sp.solveStart = time.Now() }
 
 // MarkSolveEnd marks the end of the solve attempts and records the last
-// one: how many right-hand sides it carried, and the solve id the
-// per-step TraceRecorder assigned it (0 when step tracing is not armed
-// or no solve ran).
+// one: how many right-hand sides it carried, and the solve id its steps
+// carry in steps, the solver's step recorder (0 and nil when step tracing
+// is not armed; 0 when no solve ran).
 //
 //sptrsv:hotpath
 //sptrsv:wallclock
-func (sp *Span) MarkSolveEnd(solveID int64, batch int) {
+func (sp *Span) MarkSolveEnd(steps *StepRecorder, solveID int64, batch int) {
 	sp.solveEnd = time.Now()
-	sp.solveID = solveID
+	sp.steps, sp.solveID = steps, solveID
 	sp.batch = int32(batch)
 }
 
@@ -235,6 +236,7 @@ func (sp *Span) Finish(o Outcome) Record {
 		Total:   now.Sub(sp.ingress),
 		Batch:   sp.batch,
 		SolveID: sp.solveID,
+		Steps:   sp.steps,
 		Outcome: o,
 	}
 	if !sp.enqueued.IsZero() {
@@ -267,8 +269,8 @@ func (sp *Span) Record() Record { return sp.rec }
 // time (solve end to finish) is Total minus the recorded phases.
 type Record struct {
 	// Seq is the recorder-assigned monotonic sequence number (1-based);
-	// 0 until the record has been appended to a Recorder.
-	Seq uint64
+	// 0 until the record has been appended to a FlightRecorder.
+	Seq int64
 	// ID is the request id; Matrix the target matrix.
 	ID     string
 	Matrix string
@@ -287,9 +289,11 @@ type Record struct {
 	// Batch is how many right-hand sides shared the request's last solve
 	// attempt: 1 once a failed batch has degraded to solo retries.
 	Batch int32
-	// SolveID links to the per-step TraceRecorder records of that
-	// attempt (0 when step tracing was not armed or no solve ran).
+	// SolveID names that attempt's steps in Steps, the solver's step
+	// recorder (0 and nil when step tracing was not armed; 0 when no
+	// solve ran).
 	SolveID int64
+	Steps   *StepRecorder
 	// DeadlineSlack is deadline minus finish time — negative when the
 	// deadline had already passed. Valid only when HasDeadline.
 	DeadlineSlack time.Duration
@@ -329,121 +333,60 @@ type Snapshot struct {
 	Goroutines []byte
 }
 
-// maxSnapshots bounds retained snapshots: faults during a sustained
-// failure storm keep the first and most recent captures, not unbounded
-// memory.
+// maxSnapshots bounds retained snapshots: a sustained failure storm
+// keeps its most recent captures, not unbounded memory.
 const maxSnapshots = 4
 
 // snapshotRecords bounds how much of the ring one snapshot freezes.
 const snapshotRecords = 64
 
-// Recorder is the always-on flight recorder: a fixed-size ring of the
-// most recent request records plus a short ring of fault snapshots. All
-// memory is allocated up front; Record never allocates and holds its
+// FlightRecorder is the always-on flight recorder: a fixed-size ring of
+// the most recent request records plus a short ring of fault snapshots.
+// All memory is allocated up front; Record never allocates and holds its
 // mutex only for a struct copy, so it sits on the daemon's request path
 // at effectively zero cost.
-type Recorder struct {
-	epoch time.Time
-
-	mu    sync.Mutex
-	ring  []Record
-	total uint64
-
-	snapMu sync.Mutex
-	snaps  []Snapshot
-	// snapTotal counts captures ever made; the slice keeps the last
-	// maxSnapshots of them.
-	snapTotal uint64
+type FlightRecorder struct {
+	ring[Record]
+	snaps ring[Snapshot]
 }
 
-// NewRecorder returns a flight recorder retaining the most recent
+// NewFlightRecorder returns a flight recorder retaining the most recent
 // capacity request records (non-positive selects 256).
-func NewRecorder(capacity int) *Recorder {
+func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Recorder{epoch: time.Now(), ring: make([]Record, capacity)}
+	return &FlightRecorder{
+		ring:  ring[Record]{buf: make([]Record, capacity)},
+		snaps: ring[Snapshot]{buf: make([]Snapshot, maxSnapshots)},
+	}
 }
-
-// Epoch is the recorder's construction instant; exports report times
-// relative to it.
-func (r *Recorder) Epoch() time.Time { return r.epoch }
 
 // Record appends one finished request record and returns its assigned
 // sequence number. Zero allocations, one short critical section.
 //
 //sptrsv:hotpath
-func (r *Recorder) Record(rec Record) uint64 {
-	r.mu.Lock()
-	r.total++
-	rec.Seq = r.total
-	r.ring[(r.total-1)%uint64(len(r.ring))] = rec
-	r.mu.Unlock()
-	return rec.Seq
-}
-
-// Len reports how many records the ring currently holds.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total < uint64(len(r.ring)) {
-		return int(r.total)
-	}
-	return len(r.ring)
-}
-
-// Total reports how many records were ever appended, including those the
-// bounded ring has overwritten.
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped reports how many records the bounded ring has overwritten.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total > uint64(len(r.ring)) {
-		return r.total - uint64(len(r.ring))
-	}
-	return 0
-}
+func (r *FlightRecorder) Record(rec Record) int64 { return r.add(rec) }
 
 // Records returns the retained records oldest-first.
-func (r *Recorder) Records() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recordsLocked(len(r.ring))
-}
+func (r *FlightRecorder) Records() []Record { return r.newest(len(r.buf)) }
 
-// recordsLocked copies up to lastN retained records oldest-first; the
-// caller holds mu.
-func (r *Recorder) recordsLocked(lastN int) []Record {
-	n := uint64(len(r.ring))
-	held := r.total
-	if held > n {
-		held = n
+// newest copies up to n of the newest records oldest-first, each with its
+// sequence number.
+func (r *FlightRecorder) newest(n int) []Record {
+	recs, seq := r.last(n)
+	for i := range recs {
+		recs[i].Seq = seq + int64(i)
 	}
-	if uint64(lastN) < held {
-		held = uint64(lastN)
-	}
-	out := make([]Record, 0, held)
-	for i := r.total - held; i < r.total; i++ {
-		out = append(out, r.ring[i%n])
-	}
-	return out
+	return recs
 }
 
 // CaptureSnapshot freezes the newest ring records together with a full
 // goroutine dump and the caller's detail string, and retains it in the
 // snapshot ring (the last maxSnapshots captures are kept). It allocates
 // freely — captures happen on fault paths, never on the solve path.
-func (r *Recorder) CaptureSnapshot(reason, requestID, detail string) Snapshot {
-	r.mu.Lock()
-	recs := r.recordsLocked(snapshotRecords)
-	r.mu.Unlock()
-
+func (r *FlightRecorder) CaptureSnapshot(reason, requestID, detail string) Snapshot {
+	recs := r.newest(snapshotRecords)
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	snap := Snapshot{
@@ -454,28 +397,15 @@ func (r *Recorder) CaptureSnapshot(reason, requestID, detail string) Snapshot {
 		Records:    recs,
 		Goroutines: buf,
 	}
-	r.snapMu.Lock()
-	r.snapTotal++
-	if len(r.snaps) == maxSnapshots {
-		copy(r.snaps, r.snaps[1:])
-		r.snaps[len(r.snaps)-1] = snap
-	} else {
-		r.snaps = append(r.snaps, snap)
-	}
-	r.snapMu.Unlock()
+	r.snaps.add(snap)
 	return snap
 }
 
 // Snapshots returns the retained snapshots oldest-first.
-func (r *Recorder) Snapshots() []Snapshot {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return append([]Snapshot(nil), r.snaps...)
+func (r *FlightRecorder) Snapshots() []Snapshot {
+	snaps, _ := r.snaps.last(maxSnapshots)
+	return snaps
 }
 
 // SnapshotTotal reports how many snapshots were ever captured.
-func (r *Recorder) SnapshotTotal() uint64 {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return r.snapTotal
-}
+func (r *FlightRecorder) SnapshotTotal() int64 { return r.snaps.Total() }

@@ -1,8 +1,9 @@
-package reqtrace
+package trace
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func finishedSpan(id, matrix string, o Outcome) (*Span, Record) {
 	sp.MarkEnqueued()
 	sp.MarkDequeued()
 	sp.MarkSolveStart()
-	sp.MarkSolveEnd(42, 3)
+	sp.MarkSolveEnd(nil, 42, 3)
 	sp.SetDeadline(time.Now().Add(time.Second))
 	return sp, sp.Finish(o)
 }
@@ -83,11 +84,11 @@ func TestOutcomeNames(t *testing.T) {
 }
 
 func TestRingWrapAndDropped(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewFlightRecorder(4)
 	for i := 0; i < 7; i++ {
 		_, rec := finishedSpan("", "m", OutcomeOK)
 		seq := r.Record(rec)
-		if seq != uint64(i+1) {
+		if seq != int64(i+1) {
 			t.Fatalf("seq = %d, want %d", seq, i+1)
 		}
 	}
@@ -99,14 +100,14 @@ func TestRingWrapAndDropped(t *testing.T) {
 		t.Fatalf("got %d records", len(recs))
 	}
 	for i, rec := range recs {
-		if rec.Seq != uint64(4+i) {
+		if rec.Seq != int64(4+i) {
 			t.Fatalf("record %d has seq %d, want %d (oldest-first)", i, rec.Seq, 4+i)
 		}
 	}
 }
 
 func TestSnapshotCaptureAndCap(t *testing.T) {
-	r := NewRecorder(8)
+	r := NewFlightRecorder(8)
 	_, rec := finishedSpan("victim", "m", OutcomeFault)
 	r.Record(rec)
 	for i := 0; i < maxSnapshots+2; i++ {
@@ -131,52 +132,72 @@ func TestSnapshotCaptureAndCap(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceWellFormed: the request export is valid JSON with
+// a request span per record and its phases on the same row, and a record
+// that links its solve's steps carries them on its row at the times the
+// step recorder's own export shows.
 func TestWriteChromeTraceWellFormed(t *testing.T) {
-	r := NewRecorder(8)
-	_, rec := finishedSpan("req-1", "demo", OutcomeOK)
+	steps := NewStepRecorder(8)
+	recordSolve(steps, time.Now()) // solve 1: no request links it
+	steps.Record(42, 0, StepMeta{Tri: true, Rows: 8, Cols: 8, NNZ: 8, Levels: 1}, 0, time.Now(), time.Microsecond)
+	r := NewFlightRecorder(8)
+	_, rec := finishedSpan("req-1", "demo", OutcomeOK) // solve id 42
+	rec.Steps = steps
 	r.Record(rec)
-	_, rec2 := finishedSpan("req-2", "demo", OutcomeExpired)
+	_, rec2 := finishedSpan("req-2", "demo", OutcomeExpired) // links no recorder
 	r.Record(rec2)
 
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
+	type ev struct {
+		Name string  `json:"name"`
+		Cat  string  `json:"cat"`
+		Ph   string  `json:"ph"`
+		TS   float64 `json:"ts"`
+		Tid  int64   `json:"tid"`
+		Dur  float64 `json:"dur"`
+		Args map[string]any
 	}
-	var tr struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			Tid  uint64  `json:"tid"`
-			Dur  float64 `json:"dur"`
-			Args map[string]any
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	var requests, phases int
-	for _, ev := range tr.TraceEvents {
-		if ev.Ph != "X" {
-			t.Fatalf("event %q has ph %q", ev.Name, ev.Ph)
+	decode := func(write func(io.Writer) error) []ev {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
 		}
-		switch ev.Cat {
+		var tr struct {
+			TraceEvents []ev `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+			t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
+		}
+		return tr.TraceEvents
+	}
+	own := decode(steps.WriteChromeTrace)
+	var requests, phases int
+	var nested []ev
+	for _, e := range decode(r.WriteChromeTrace) {
+		if e.Ph != "X" {
+			t.Fatalf("event %q has ph %q", e.Name, e.Ph)
+		}
+		switch e.Cat {
 		case "request":
 			requests++
-			if ev.Args["id"] == "" || ev.Args["outcome"] == "" {
-				t.Fatalf("request event args incomplete: %+v", ev.Args)
+			if e.Args["id"] == "" || e.Args["outcome"] == "" {
+				t.Fatalf("request event args incomplete: %+v", e.Args)
 			}
 		case "phase":
 			phases++
+		default:
+			nested = append(nested, e)
 		}
 	}
 	if requests != 2 || phases == 0 {
 		t.Fatalf("requests=%d phases=%d", requests, phases)
 	}
+	if len(nested) != 1 || nested[0].Tid != 1 || nested[0].TS != own[2].TS || nested[0].Name != own[2].Name {
+		t.Fatalf("nested %+v, want solve 42's step %+v on request row 1 only", nested, own[2])
+	}
 }
 
 func TestWriteTableAndFlight(t *testing.T) {
-	r := NewRecorder(2)
+	r := NewFlightRecorder(2)
 	for i := 0; i < 3; i++ {
 		_, rec := finishedSpan("", "demo", OutcomeOK)
 		r.Record(rec)
@@ -204,13 +225,13 @@ func TestWriteTableAndFlight(t *testing.T) {
 }
 
 func TestWriteFlightJSON(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewFlightRecorder(4)
 	sp := StartSpan("j1")
 	sp.Matrix = "demo"
 	sp.MarkEnqueued()
 	sp.MarkDequeued()
 	sp.MarkSolveStart()
-	sp.MarkSolveEnd(7, 2)
+	sp.MarkSolveEnd(nil, 7, 2)
 	r.Record(sp.Finish(OutcomeOK))
 	r.CaptureSnapshot("overload-burst", "", "queue demo: 4/4")
 
@@ -219,7 +240,7 @@ func TestWriteFlightJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out struct {
-		Total   uint64 `json:"total"`
+		Total   int64 `json:"total"`
 		Records []struct {
 			ID          string `json:"id"`
 			Outcome     string `json:"outcome"`
@@ -254,14 +275,14 @@ func TestWriteFlightJSON(t *testing.T) {
 // nothing. Only StartSpan (one *Span plus, for generated ids, the id
 // string) allocates, once per request, at ingress.
 func TestRecordAllocs(t *testing.T) {
-	r := NewRecorder(64)
+	r := NewFlightRecorder(64)
 	sp := StartSpan("pinned")
 	sp.Matrix = "m"
 	if n := testing.AllocsPerRun(200, func() {
 		sp.MarkEnqueued()
 		sp.MarkDequeued()
 		sp.MarkSolveStart()
-		sp.MarkSolveEnd(9, 4)
+		sp.MarkSolveEnd(nil, 9, 4)
 		sp.finished = false
 		r.Record(sp.Finish(OutcomeOK))
 	}); n != 0 {
@@ -270,10 +291,10 @@ func TestRecordAllocs(t *testing.T) {
 }
 
 func TestRecorderDefaults(t *testing.T) {
-	if got := len(NewRecorder(0).ring); got != 256 {
+	if got := len(NewFlightRecorder(0).buf); got != 256 {
 		t.Fatalf("default capacity = %d, want 256", got)
 	}
-	if got := len(NewRecorder(-5).ring); got != 256 {
+	if got := len(NewFlightRecorder(-5).buf); got != 256 {
 		t.Fatalf("negative capacity gave %d", got)
 	}
 }
