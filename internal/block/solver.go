@@ -472,7 +472,7 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 		copy(w, b)
 	}
 	if rec != nil && sid == 0 {
-		sid = rec.BeginSolve()
+		sid = trace.BeginSolve(rec)
 	}
 	stats := &ses.stats
 	stats.LastTraceID = sid
@@ -522,7 +522,7 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 				}
 			}
 			if rec != nil {
-				rec.Record(sid, si, s.meta[si], kernel, t0, d)
+				trace.RecordStep(rec, sid, si, s.meta[si], kernel, t0, d)
 			}
 		}
 	}

@@ -139,7 +139,7 @@ func TestSnapshotCaptureAndCap(t *testing.T) {
 func TestWriteChromeTraceWellFormed(t *testing.T) {
 	steps := NewStepRecorder(8)
 	recordSolve(steps, time.Now()) // solve 1: no request links it
-	steps.Record(42, 0, StepMeta{Tri: true, Rows: 8, Cols: 8, NNZ: 8, Levels: 1}, 0, time.Now(), time.Microsecond)
+	RecordStep(steps, 42, 0, StepMeta{Tri: true, Rows: 8, Cols: 8, NNZ: 8, Levels: 1}, 0, time.Now(), time.Microsecond)
 	r := NewFlightRecorder(8)
 	_, rec := finishedSpan("req-1", "demo", OutcomeOK) // solve id 42
 	rec.Steps = steps

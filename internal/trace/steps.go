@@ -54,7 +54,7 @@ type StepMeta struct {
 }
 
 // stepRec is the compact in-ring form of a step; Step values are
-// materialised only on export, keeping Record copy-only.
+// materialised only on export, keeping RecordStep copy-only.
 type stepRec struct {
 	StepMeta
 	solve  int64
@@ -83,16 +83,18 @@ func NewStepRecorder(capacity int) *StepRecorder {
 	return &StepRecorder{ring: ring[stepRec]{buf: make([]stepRec, capacity)}}
 }
 
-// BeginSolve assigns the next solve id.
+// BeginSolve assigns r's next solve id. It and RecordStep are functions,
+// not methods: library users reach StepRecorder through the root
+// package's TraceRecorder alias, whose method set is the export API.
 //
 //sptrsv:hotpath
-func (r *StepRecorder) BeginSolve() int64 { return r.solves.Add(1) }
+func BeginSolve(r *StepRecorder) int64 { return r.solves.Add(1) }
 
-// Record appends one step of solve: plan step index step, its geometry m,
-// the kernel that ran it, and its start and wall time.
+// RecordStep appends one step of solve to r: plan step index step, its
+// geometry m, the kernel that ran it, and its start and wall time.
 //
 //sptrsv:hotpath
-func (r *StepRecorder) Record(solve int64, step int, m StepMeta, kernel uint8, start time.Time, dur time.Duration) {
+func RecordStep(r *StepRecorder, solve int64, step int, m StepMeta, kernel uint8, start time.Time, dur time.Duration) {
 	r.add(stepRec{
 		StepMeta: m,
 		solve:    solve,
