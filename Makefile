@@ -1,15 +1,17 @@
 # Development targets. `make ci` is the gate every change must pass: vet
 # (including a gofmt cleanliness check), full build, full test suite, the
 # race detector on the packages that exercise the lock-free machinery or
-# hammer shared metrics, the tagged fault-injection chaos suite, the perf
-# regression gate, the project static analyzers (cmd/sptrsvlint), and a
-# short fuzzing pass over the input parsers.
+# hammer shared metrics, the tagged fault-injection chaos suite, the
+# in-process daemon smoke, the perf regression gate, the project static
+# analyzers (cmd/sptrsvlint), the compiler gates, a short fuzzing pass
+# over the input parsers, and the vet and short tests of the benchmark
+# module, which `./...` does not reach.
 
 GO ?= go
 
-.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke cachecheck startup
+.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke benchmark-module startup
 
-ci: vet build test race chaos daemon-smoke perfgate lint compilercheck fuzz-short cachecheck
+ci: vet build test race chaos daemon-smoke perfgate lint compilercheck fuzz-short benchmark-module
 
 vet:
 	$(GO) vet ./...
@@ -135,17 +137,6 @@ perfgate: startup
 startup:
 	$(GO) run ./cmd/sptrsvbench -startup -short -scale $(BENCH_SCALE) -repeats 3
 
-# Corpus regeneration check: the committed pregenerated suite matrices
-# under internal/bench/testdata/corpus must be byte-identical to what the
-# fixed-seed generators produce. Guards both directions: a generator
-# change without `matgen -emit-binary`, and a corpus edit by hand.
-cachecheck:
-	@tmp=$$(mktemp -d /tmp/blocksptrsv-cachecheck-XXXXXX); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/matgen -emit-binary -dir "$$tmp" >/dev/null && \
-	diff -r internal/bench/testdata/corpus "$$tmp" && \
-	echo "cachecheck: corpus regeneration is byte-identical"
-
 # Daemon smoke (part of `make ci`): an in-process one-worker sptrsvd
 # under a 2s concurrent burst must coalesce requests into multi-RHS
 # batches (factor > 1), answer every request without an error response,
@@ -153,6 +144,12 @@ cachecheck:
 # drain cleanly. DESIGN.md §6.10, §6.12.
 daemon-smoke:
 	$(GO) run ./cmd/sptrsvd -smoke
+
+# The benchmark (benchmark/) is a Go module of its own, so the root
+# module's vet and test targets never reach it: vet it and run its short
+# tests, every workload on tiny matrices, from inside it.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Launch-latency microbenchmarks: the two launcher styles head to head.
 bench-launch:

@@ -1,14 +1,10 @@
-// matgen generates the synthetic benchmark corpus as Matrix Market files,
-// and the benchmark suite's pregenerated binary corpus.
+// matgen generates the synthetic benchmark corpus as Matrix Market files.
 //
 // Usage:
 //
 //	matgen -list                     # show corpus entries
 //	matgen -name fullchip-like -out fullchip.mtx
 //	matgen -all -dir ./matrices      # write the whole corpus
-//	matgen -emit-binary              # regenerate the committed suite
-//	                                 # corpus (internal/bench/testdata/
-//	                                 # corpus/*.bsm, deterministic)
 package main
 
 import (
@@ -18,43 +14,20 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/sss-lab/blocksptrsv/internal/bench"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
-// defaultCorpusDir is where -emit-binary writes relative to the repo
-// root: the directory internal/bench embeds.
-const defaultCorpusDir = "internal/bench/testdata/corpus"
-
 func main() {
 	var (
-		list   = flag.Bool("list", false, "list corpus entries and exit")
-		name   = flag.String("name", "", "corpus entry to generate")
-		out    = flag.String("out", "", "output .mtx path (default <name>.mtx)")
-		all    = flag.Bool("all", false, "generate every corpus entry")
-		dir    = flag.String("dir", "", "output directory for -all / -emit-binary")
-		scale  = flag.Float64("scale", 0.25, "size multiplier (-name / -all)")
-		binOut = flag.Bool("emit-binary", false, "write the suite corpus as deterministic .bsm files")
+		list  = flag.Bool("list", false, "list corpus entries and exit")
+		name  = flag.String("name", "", "corpus entry to generate")
+		out   = flag.String("out", "", "output .mtx path (default <name>.mtx)")
+		all   = flag.Bool("all", false, "generate every corpus entry")
+		dir   = flag.String("dir", "", "output directory for -all")
+		scale = flag.Float64("scale", 0.25, "size multiplier (-name / -all)")
 	)
 	flag.Parse()
-
-	if *binOut {
-		d := *dir
-		if d == "" {
-			d = defaultCorpusDir
-		}
-		// The suite corpus is always generated at bench.CorpusScale —
-		// the scale the suite loads it back at — so regeneration is
-		// byte-identical regardless of -scale.
-		if err := bench.WriteCorpus(d); err != nil {
-			fatal(err)
-		}
-		for _, e := range bench.CorpusEntries(bench.CorpusScale) {
-			fmt.Printf("wrote %s\n", filepath.Join(d, e.Name+".bsm"))
-		}
-		return
-	}
 
 	entries := gen.Corpus(*scale)
 	if *list {

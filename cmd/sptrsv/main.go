@@ -131,21 +131,20 @@ func main() {
 		s, err = sptrsv.NewSolver(*algo, l, *workers)
 		fatalIf(err)
 		fmt.Printf("preprocessing (%s): %v\n", *algo, time.Since(t0).Round(time.Microsecond))
-		if *saveA != "" {
-			blockSolver, ok := s.(*sptrsv.Solver[float64])
-			if !ok {
-				fatalIf(fmt.Errorf("-save-analysis requires a block algorithm, got %s", *algo))
-			}
-			f, err := os.Create(*saveA)
-			fatalIf(err)
-			n, err := blockSolver.WriteTo(f)
-			fatalIf(err)
-			fatalIf(f.Close())
-			fmt.Printf("analysis saved to %s (%d bytes)\n", *saveA, n)
-		}
 	}
 
 	blockSolver, _ := s.(*sptrsv.Solver[float64])
+	if *saveA != "" {
+		if blockSolver == nil {
+			fatalIf(fmt.Errorf("-save-analysis requires a block algorithm, got %s", *algo))
+		}
+		f, err := os.Create(*saveA)
+		fatalIf(err)
+		n, err := blockSolver.WriteTo(f)
+		fatalIf(err)
+		fatalIf(f.Close())
+		fmt.Printf("analysis saved to %s (%d bytes)\n", *saveA, n)
+	}
 	if (*tracePath != "" || *explain) && blockSolver == nil {
 		fatalIf(fmt.Errorf("-trace/-explain require a block algorithm, got %s", *algo))
 	}

@@ -44,8 +44,7 @@ type StartupResult struct {
 
 // StartupConfig sizes a startup run.
 type StartupConfig struct {
-	// Scale multiplies corpus matrix sizes (0 = the suite default, which
-	// also enables the pregenerated-corpus fast path).
+	// Scale multiplies corpus matrix sizes (0 = the suite default).
 	Scale float64
 	// Repeats is the number of timed preprocessings per side.
 	Repeats int

@@ -151,13 +151,12 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	return c
 }
 
-// rawSuiteEntries is the fixed-seed suite corpus: one representative per
+// suiteEntries is the fixed-seed suite corpus: one representative per
 // structural class of the paper's dataset (§4.1), seeds disjoint from the
 // figure corpus so suite timings are stable even if Corpus evolves. Order
 // and names are part of the report schema — gate keys are matrix names.
-// These entries always *generate*; suiteEntries wraps them with the
-// pregenerated-corpus fast path (corpus.go).
-func rawSuiteEntries(scale float64, short bool) []gen.Entry {
+// TestSuiteDigests pins what the generators produce at scale 0.1.
+func suiteEntries(scale float64, short bool) []gen.Entry {
 	sc := func(n int) int {
 		s := int(float64(n) * scale)
 		if s < 16 {

@@ -2,11 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
 // tinySuite runs the suite once per test binary at the smallest usable
@@ -270,5 +276,61 @@ func TestExperimentTableConsistency(t *testing.T) {
 		if !strings.Contains(err.Error(), id) {
 			t.Fatalf("unknown-id error does not list %q: %v", id, err)
 		}
+	}
+}
+
+// matrixDigest is SHA-256 over rows, cols, RowPtr, ColIdx and the value
+// bits, each as a little-endian uint64.
+func matrixDigest(m *sparse.CSR[float64]) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(m.Rows))
+	put(uint64(m.Cols))
+	for _, p := range m.RowPtr {
+		put(uint64(p))
+	}
+	for _, c := range m.ColIdx {
+		put(uint64(c))
+	}
+	for _, v := range m.Val {
+		put(math.Float64bits(v))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSuiteDigests pins the suite matrices at scale 0.1, the scale
+// BENCH_baseline.json was recorded at and the benchmark's seed-4100
+// inputs use. A generator change that alters any of them fails here
+// instead of silently moving those numbers; re-pin only on purpose.
+func TestSuiteDigests(t *testing.T) {
+	want := map[string]string{
+		"suite-banded":    "1d2372554154cf32635da93fe2af0a2c495d39bc6be2ff6cd504487aa4a56c6d",
+		"suite-grid5":     "bbdfb834c1907e84267c1748de1305fe728de01029a7ea4cfad33ad58b936b73",
+		"suite-bipartite": "1cae028adddd7a1f75c5b5c12efbb263cb1df87b39f85d99bee6403dabce5fbe",
+		"suite-layered":   "81fb8f0bcd9ef080b2d7992b5432f66670251b55feead969dfe2a4d88c20df65",
+		"suite-powerlaw":  "a9839506412a385b4e285202eb82d288942c8850ec2322c4c36e2d49f6a8a7b5",
+		"suite-rmat":      "11ee5988a13b6b5a46a55f39dea20df24d66d14eb1dd994d4d75c54c664edea4",
+		"suite-chain":     "abcd467aaa9c4571ffe239adedf616c711e8338266714dad931b307b6121b77e",
+		"suite-ilu0":      "cd1d94b27e44b173d7b780db05f4885dfa35507858a8f634601681971ade7a16",
+	}
+	var changed []string
+	var got strings.Builder
+	seen := 0
+	for _, e := range suiteEntries(0.1, false) {
+		d := matrixDigest(e.Build())
+		fmt.Fprintf(&got, "\t\t%q: %q,\n", e.Name, d)
+		if want[e.Name] == d {
+			seen++
+		} else {
+			changed = append(changed, e.Name)
+		}
+	}
+	if len(changed) > 0 || seen != len(want) {
+		t.Fatalf("suite matrices changed: %v (%d of %d pinned entries match)\nnew digests:\n%s",
+			changed, seen, len(want), got.String())
 	}
 }

@@ -16,7 +16,10 @@ import (
 // sweep behind the serial floor, adapt.Thresholds.TriParallelMinWork
 // (EXPERIMENTS.md, "Why the block solver lost on deep"). Each case
 // reports its work/level, so the crossover where a parallel kernel first
-// beats serial can be re-measured on another host:
+// beats serial can be re-measured on another host. The serial-csr case
+// solves the serial case's leaf as a CSR gather (kernels.SerialSolveCSR)
+// instead of the CSC scatter; it calls the kernel directly, so unlike the
+// others it skips Solve's copy of the right-hand side:
 //
 //	go test -run '^$' -bench LeafKernels -benchtime 200x -count 5 ./internal/block
 func BenchmarkLeafKernels(b *testing.B) {
@@ -29,20 +32,28 @@ func BenchmarkLeafKernels(b *testing.B) {
 					l := gen.Layered(rows, levels, deg, 0, int64(rows+deg+levels))
 					rhs := gen.RandVec(rows, 5)
 					x := make([]float64, rows)
+					name := fmt.Sprintf("workers=%d/rows=%d/nnz=%d/levels=%d/", workers, rows, deg, levels)
+					var work float64
 					for _, k := range tris {
 						// One un-split triangle: the whole system is the leaf.
 						s, err := Preprocess(l, Options{Pool: pool, Kind: ColumnBlock, NSeg: 1, ForceTri: k})
 						if err != nil {
 							b.Fatal(err)
 						}
-						name := fmt.Sprintf("workers=%d/rows=%d/nnz=%d/levels=%d/%s", workers, rows, deg, levels, k)
-						b.Run(name, func(b *testing.B) {
-							b.ReportMetric(float64(s.tris[0].feats.WorkPerLevel()), "work/level")
+						work = float64(s.tris[0].feats.WorkPerLevel())
+						b.Run(name+k.String(), func(b *testing.B) {
+							b.ReportMetric(work, "work/level")
 							for i := 0; i < b.N; i++ {
 								s.Solve(rhs, x)
 							}
 						})
 					}
+					b.Run(name+"serial-csr", func(b *testing.B) {
+						b.ReportMetric(work, "work/level")
+						for i := 0; i < b.N; i++ {
+							kernels.SerialSolveCSR(l, rhs, x)
+						}
+					})
 				}
 			}
 		}

@@ -144,7 +144,7 @@ func planChecks(n int, plan []segSpec) error {
 			if s.rowLo < covered {
 				return fmt.Errorf("block: spec %d (%v): square updates already-solved rows (covered %d)", i, s, covered)
 			}
-			if s.rowHi > n || s.rowLo >= s.rowHi || s.colLo >= s.colHi {
+			if s.rowHi > n || s.rowLo >= s.rowHi || s.colLo < 0 || s.colLo >= s.colHi {
 				return fmt.Errorf("block: spec %d (%v): malformed range", i, s)
 			}
 		}

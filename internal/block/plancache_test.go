@@ -227,57 +227,83 @@ func TestPlanCacheConcurrentPreprocessSingleFlight(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCorruptEntryDegrades corrupts the stored entry on disk
-// between two runs: the warm run must fall back to a full analysis
-// (typed verification miss inside the cache, counted), still solve
-// correctly, and leave a repaired entry behind for the next run.
+// TestPlanCacheCorruptEntryDegrades corrupts the stored entry between two
+// runs: the warm run must fall back to a full analysis, still solve
+// correctly, and leave a repaired entry behind for the next run. A
+// flipped byte on disk is a typed verification miss inside the cache; a
+// checksum-valid payload whose plan contradicts itself passes the cache
+// and is caught by the solver stream's validation.
 func TestPlanCacheCorruptEntryDegrades(t *testing.T) {
-	dir := t.TempDir()
 	pool := exec.NewPool(3)
 	l := gen.Layered(900, 20, 4, 0.2, 851)
-	c1 := openCache(t, dir)
-	if _, err := Preprocess(l, cachedOptions(pool, c1)); err != nil {
-		t.Fatal(err)
+	cases := map[string]struct {
+		corrupt    func(t *testing.T, dir string)
+		verifyFail bool
+	}{
+		"flipped byte on disk": {verifyFail: true, corrupt: func(t *testing.T, dir string) {
+			entries, err := filepath.Glob(filepath.Join(dir, "*.plan"))
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("entries: %v, %v", entries, err)
+			}
+			raw, err := os.ReadFile(entries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0x40
+			if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"incoherent plan": {corrupt: func(t *testing.T, dir string) {
+			o := cachedOptions(pool, nil)
+			s, err := Preprocess(l, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			csrSquare(t, s).kernel = kernels.SpMVScalarDCSR
+			payload, err := encodePlanPayload(s, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := openCache(t, dir).Put(cacheKey(l, o.normalised()), payload); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := Preprocess(l, cachedOptions(pool, openCache(t, dir))); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(t, dir)
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.plan"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries: %v, %v", entries, err)
-	}
-	raw, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			before := mAnalyzes.Value()
+			c2 := openCache(t, dir)
+			s, err := Preprocess(l, cachedOptions(pool, c2))
+			if err != nil {
+				t.Fatalf("corrupt entry must degrade to analysis, not fail: %v", err)
+			}
+			if got := mAnalyzes.Value() - before; got != 1 {
+				t.Fatalf("degraded preprocess ran %d analyses, want 1", got)
+			}
+			if st := c2.Stats(); tc.verifyFail && st.VerifyFails == 0 {
+				t.Fatalf("corruption not classified as a verification miss: %+v", st)
+			}
+			solveAgainstOracle(t, s, l, 852)
 
-	before := mAnalyzes.Value()
-	c2 := openCache(t, dir)
-	s, err := Preprocess(l, cachedOptions(pool, c2))
-	if err != nil {
-		t.Fatalf("corrupt entry must degrade to analysis, not fail: %v", err)
+			// The rebuild repaired the entry: a third run is warm again.
+			warm := mAnalyzes.Value()
+			s3, err := Preprocess(l, cachedOptions(pool, openCache(t, dir)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mAnalyzes.Value() - warm; got != 0 {
+				t.Fatalf("entry was not repaired: %d analyses on the third run", got)
+			}
+			solveAgainstOracle(t, s3, l, 853)
+		})
 	}
-	if got := mAnalyzes.Value() - before; got != 1 {
-		t.Fatalf("degraded preprocess ran %d analyses, want 1", got)
-	}
-	if st := c2.Stats(); st.VerifyFails == 0 {
-		t.Fatalf("corruption not classified as a verification miss: %+v", st)
-	}
-	solveAgainstOracle(t, s, l, 852)
-
-	// The rebuild repaired the entry: a third run is warm again.
-	warm := mAnalyzes.Value()
-	c3 := openCache(t, dir)
-	s3, err := Preprocess(l, cachedOptions(pool, c3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mAnalyzes.Value() - warm; got != 0 {
-		t.Fatalf("entry was not repaired: %d analyses on the third run", got)
-	}
-	solveAgainstOracle(t, s3, l, 853)
 }
 
 // TestRefreshValuesRejectsStructureMismatch: RefreshValues is the only

@@ -27,7 +27,7 @@ import (
 
 const (
 	serialMagic   = "BSPTRSV"
-	serialVersion = 1
+	serialVersion = 2
 )
 
 // ErrSerialize reports a malformed or incompatible solver stream.
@@ -96,13 +96,6 @@ func (sw *serialWriter) bools(v []bool) {
 			x = 1
 		}
 		binary.LittleEndian.PutUint64(buf, x)
-	})
-}
-
-func (sw *serialWriter) int32s(v []int32) {
-	sw.i(len(v))
-	sw.bulk(len(v), func(buf []byte, i int) {
-		binary.LittleEndian.PutUint64(buf, uint64(uint32(v[i])))
 	})
 }
 
@@ -278,27 +271,6 @@ func (sr *serialReader) bools() []bool {
 	return v
 }
 
-func (sr *serialReader) int32s() []int32 {
-	n := sr.length(maxSerialLen)
-	v := make([]int32, n)
-	var scratch [serialChunk * 8]byte
-	for base := 0; base < n; {
-		cnt := n - base
-		if cnt > serialChunk {
-			cnt = serialChunk
-		}
-		p := sr.view(cnt*8, scratch[:])
-		if sr.err != nil {
-			return v
-		}
-		for i := 0; i < cnt; i++ {
-			v[base+i] = int32(uint32(binary.LittleEndian.Uint64(p[i*8:])))
-		}
-		base += cnt
-	}
-	return v
-}
-
 func readFloats[T sparse.Float](sr *serialReader) []T {
 	n := sr.length(maxSerialLen)
 	v := make([]T, n)
@@ -403,10 +375,6 @@ func (s *Solver[T]) WriteTo(w io.Writer) (int64, error) {
 			sw.ints(cp)
 			sw.bools(serial)
 			sw.ints(items)
-		}
-		sw.b(tb.state != nil)
-		if tb.state != nil {
-			sw.int32s(tb.state.BaseCounts())
 		}
 	}
 
@@ -540,9 +508,6 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 			items := sr.ints()
 			tb.sched = kernels.NewMergedScheduleFromData(cp, serial, items)
 		}
-		if sr.b() {
-			tb.state = kernels.NewSyncFreeStateFromCounts(sr.int32s())
-		}
 		if sr.err == nil {
 			tb.feats.Rows = tb.strictCSC.Rows
 			tb.feats.StrictNNZ = tb.strictCSC.NNZ()
@@ -591,6 +556,14 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 	if err := s.validateLoaded(); err != nil {
 		return nil, err
 	}
+	// The sync-free in-degrees are the strict row counts of the block's
+	// CSC, so they are rebuilt, not stored: no stream can carry counts
+	// that contradict its own structure and stall the first solve.
+	for i := range s.tris {
+		if tb := &s.tris[i]; tb.kernel == kernels.TriSyncFree {
+			tb.state = kernels.NewSyncFreeState(tb.strictCSC)
+		}
+	}
 	s.own = s.newSession()
 	return s, nil
 }
@@ -618,7 +591,9 @@ func infoFromArrays(n int, levelPtr, levelItem []int) *levelset.Info {
 }
 
 // validateLoaded checks the structural coherence of a deserialised solver
-// so a corrupt stream fails loudly instead of producing wrong solves.
+// so a corrupt stream fails loudly instead of producing wrong solves:
+// every block against its window and its kernel, then the plan's tiling.
+// A stream that passes drives no kernel out of bounds or into a stall.
 func (s *Solver[T]) validateLoaded() error {
 	if s.n < 0 {
 		return fmt.Errorf("%w: negative size", ErrSerialize)
@@ -626,6 +601,16 @@ func (s *Solver[T]) validateLoaded() error {
 	if s.perm != nil {
 		if err := sparse.CheckPerm(s.n, s.perm); err != nil {
 			return fmt.Errorf("%w: %v", ErrSerialize, err)
+		}
+	}
+	for i := range s.tris {
+		if err := s.tris[i].validate(); err != nil {
+			return fmt.Errorf("%w: tri block %d: %v", ErrSerialize, i, err)
+		}
+	}
+	for i := range s.sqs {
+		if err := s.sqs[i].validate(); err != nil {
+			return fmt.Errorf("%w: square block %d: %v", ErrSerialize, i, err)
 		}
 	}
 	plan := make([]segSpec, 0, len(s.steps))
@@ -637,47 +622,124 @@ func (s *Solver[T]) validateLoaded() error {
 			}
 			tb := &s.tris[st.idx]
 			plan = append(plan, segSpec{triSeg, tb.lo, tb.hi, tb.lo, tb.hi, 0})
-			if err := tb.strictCSC.Validate(); err != nil {
-				return fmt.Errorf("%w: %v", ErrSerialize, err)
-			}
-			if len(tb.diag) != tb.hi-tb.lo {
-				return fmt.Errorf("%w: diag length mismatch", ErrSerialize)
-			}
-			switch tb.kernel {
-			case kernels.TriCuSparseLike:
-				if tb.strictCSR == nil || tb.sched == nil {
-					return fmt.Errorf("%w: cusparse block missing structures", ErrSerialize)
-				}
-			case kernels.TriSyncFree:
-				if tb.state == nil {
-					return fmt.Errorf("%w: sync-free block missing state", ErrSerialize)
-				}
-			}
 		case sqSeg:
 			if st.idx < 0 || st.idx >= len(s.sqs) {
 				return fmt.Errorf("%w: square step out of range", ErrSerialize)
 			}
-			sb := &s.sqs[st.idx]
-			plan = append(plan, sb.spec)
-			if sb.csr == nil && sb.dcsr == nil {
-				return fmt.Errorf("%w: square block has no storage", ErrSerialize)
-			}
-			if sb.csr != nil {
-				if err := sb.csr.Validate(); err != nil {
-					return fmt.Errorf("%w: %v", ErrSerialize, err)
-				}
-			}
-			if sb.dcsr != nil {
-				if err := sb.dcsr.Validate(); err != nil {
-					return fmt.Errorf("%w: %v", ErrSerialize, err)
-				}
-			}
+			plan = append(plan, s.sqs[st.idx].spec)
 		default:
 			return fmt.Errorf("%w: unknown step kind", ErrSerialize)
 		}
 	}
 	if err := planChecks(s.n, plan); err != nil {
 		return fmt.Errorf("%w: %v", ErrSerialize, err)
+	}
+	return nil
+}
+
+// validate checks a loaded triangular block: a strictly lower CSC and a
+// diagonal of its window's size, level sets over its rows, and the
+// structures its kernel reads.
+func (tb *triBlock[T]) validate() error {
+	n := tb.hi - tb.lo
+	c := tb.strictCSC
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.Rows != n || c.Cols != n {
+		return fmt.Errorf("CSC is %dx%d, window has %d rows", c.Rows, c.Cols, n)
+	}
+	for j := 0; j < n; j++ {
+		if lo := c.ColPtr[j]; lo < c.ColPtr[j+1] && c.RowIdx[lo] <= j {
+			return fmt.Errorf("CSC column %d is not strictly lower", j)
+		}
+	}
+	if len(tb.diag) != n {
+		return fmt.Errorf("diagonal has %d entries, window has %d rows", len(tb.diag), n)
+	}
+	if err := checkLevels(tb.info.LevelPtr, tb.info.LevelItem, n); err != nil {
+		return fmt.Errorf("level sets: %v", err)
+	}
+	switch tb.kernel {
+	case kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriSerial:
+	case kernels.TriCompletelyParallel:
+		if c.NNZ() != 0 {
+			return fmt.Errorf("%v block has %d off-diagonal entries", tb.kernel, c.NNZ())
+		}
+	case kernels.TriCuSparseLike:
+		r := tb.strictCSR
+		if r == nil || tb.sched == nil {
+			return fmt.Errorf("%v block missing structures", tb.kernel)
+		}
+		if err := r.Validate(); err != nil {
+			return err
+		}
+		if r.Rows != n || r.Cols != n {
+			return fmt.Errorf("CSR is %dx%d, window has %d rows", r.Rows, r.Cols, n)
+		}
+		for i := 0; i < n; i++ {
+			if hi := r.RowPtr[i+1]; hi > r.RowPtr[i] && r.ColIdx[hi-1] >= i {
+				return fmt.Errorf("CSR row %d is not strictly lower", i)
+			}
+		}
+		chunkPtr, serial, items := tb.sched.Data()
+		if len(serial)+1 != len(chunkPtr) {
+			return fmt.Errorf("schedule has %d chunk pointers for %d chunks", len(chunkPtr), len(serial))
+		}
+		if err := checkLevels(chunkPtr, items, n); err != nil {
+			return fmt.Errorf("schedule: %v", err)
+		}
+	default:
+		return fmt.Errorf("unknown kernel %v", tb.kernel)
+	}
+	return nil
+}
+
+// checkLevels checks a level-ordered row list: ptr rises from 0 to n and
+// items is a permutation of the block's n rows.
+func checkLevels(ptr, items []int, n int) error {
+	if len(ptr) == 0 || ptr[0] != 0 || ptr[len(ptr)-1] != n {
+		return fmt.Errorf("pointers do not run from 0 to %d", n)
+	}
+	for l := 1; l < len(ptr); l++ {
+		if ptr[l] < ptr[l-1] {
+			return fmt.Errorf("pointers fall at %d", l)
+		}
+	}
+	return sparse.CheckPerm(n, items)
+}
+
+// validate checks a loaded square block: it stores the format its kernel
+// reads, and every storage it holds is its window's size.
+func (sb *sqBlock[T]) validate() error {
+	rows, cols := sb.spec.rowHi-sb.spec.rowLo, sb.spec.colHi-sb.spec.colLo
+	switch sb.kernel {
+	case kernels.SpMVScalarCSR, kernels.SpMVVectorCSR, kernels.SpMVSerial:
+		if sb.csr == nil {
+			return fmt.Errorf("%v block stores no CSR", sb.kernel)
+		}
+	case kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR:
+		if sb.dcsr == nil {
+			return fmt.Errorf("%v block stores no DCSR", sb.kernel)
+		}
+	default:
+		return fmt.Errorf("unknown kernel %v", sb.kernel)
+	}
+	if m := sb.csr; m != nil {
+		if err := m.Validate(); err != nil {
+			return err
+		}
+		if m.Rows != rows || m.Cols != cols {
+			return fmt.Errorf("CSR is %dx%d, window is %dx%d", m.Rows, m.Cols, rows, cols)
+		}
+	}
+	if m := sb.dcsr; m != nil {
+		if err := m.Validate(); err != nil {
+			return err
+		}
+		if m.Rows != rows || m.Cols != cols {
+			return fmt.Errorf("DCSR is %dx%d, window is %dx%d", m.Rows, m.Cols, rows, cols)
+		}
 	}
 	return nil
 }

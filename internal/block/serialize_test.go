@@ -2,12 +2,16 @@ package block
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
@@ -116,29 +120,138 @@ func TestSerializeFloat32(t *testing.T) {
 func TestSerializeRejectsCorruption(t *testing.T) {
 	pool := exec.NewPool(2)
 	l := gen.Layered(500, 10, 4, 0, 501)
-	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+	// Each case corrupts either the bytes of a valid stream or, before
+	// WriteTo, the solver itself, so the stream's checksum still holds
+	// and only validation can catch the contradiction.
+	cases := map[string]struct {
+		mutate  func(t *testing.T, s *Solver[float64])
+		corrupt func([]byte) []byte
+	}{
+		"truncated":    {corrupt: func(b []byte) []byte { return b[:len(b)/2] }},
+		"bad magic":    {corrupt: func(b []byte) []byte { c := clone(b); c[0] = 'X'; return c }},
+		"bad version":  {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 99; return c }},
+		"version 1":    {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 1; return c }},
+		"empty":        {corrupt: func(b []byte) []byte { return nil }},
+		"flipped byte": {corrupt: func(b []byte) []byte { c := clone(b); c[40] ^= 0xFF; return c }},
+		"dcsr kernel without dcsr": {mutate: func(t *testing.T, s *Solver[float64]) {
+			sb := csrSquare(t, s)
+			sb.kernel = kernels.SpMVScalarDCSR
+		}},
+		"square storage outside window": {mutate: func(t *testing.T, s *Solver[float64]) {
+			sb := csrSquare(t, s)
+			m := sb.csr
+			sb.csr = &sparse.CSR[float64]{Rows: m.Rows + 1, Cols: m.Cols + 1,
+				RowPtr: append(slices.Clone(m.RowPtr), m.NNZ()), ColIdx: m.ColIdx, Val: m.Val}
+		}},
+		"square window left of the matrix": {mutate: func(t *testing.T, s *Solver[float64]) {
+			sb := csrSquare(t, s)
+			sb.spec.colLo = -1
+			sb.csr.Cols = sb.spec.colHi + 1
+		}},
+		"triangle entry on its diagonal": {mutate: func(t *testing.T, s *Solver[float64]) {
+			c := s.tris[0].strictCSC
+			j := 0
+			for c.ColPtr[j] == c.ColPtr[j+1] {
+				j++
+			}
+			c.RowIdx[c.ColPtr[j]] = j
+		}},
+		"cusparse schedule short of the block": {mutate: func(t *testing.T, s *Solver[float64]) {
+			tb := &s.tris[0]
+			tb.kernel = kernels.TriCuSparseLike
+			tb.strictCSR = tb.strictCSC.ToCSR()
+			chunkPtr, serial, items := kernels.NewMergedSchedule(tb.info, 0, 2).Data()
+			tb.sched = kernels.NewMergedScheduleFromData(chunkPtr, serial, items[:len(items)-1])
+		}},
+		"level item out of range": {mutate: func(t *testing.T, s *Solver[float64]) {
+			tb := &s.tris[0]
+			tb.kernel = kernels.TriLevelSet
+			tb.info.LevelItem[0] = 1 << 20
+		}},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mutate != nil {
+				tc.mutate(t, s)
+			}
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			if tc.corrupt != nil {
+				data = tc.corrupt(data)
+			}
+			if _, err := ReadSolver[float64](bytes.NewReader(data), pool); !errors.Is(err, ErrSerialize) {
+				t.Fatalf("corrupted stream: got %v, want ErrSerialize", err)
+			}
+		})
+	}
+}
+
+// csrSquare returns the solver's first square block stored as CSR.
+func csrSquare(t *testing.T, s *Solver[float64]) *sqBlock[float64] {
+	t.Helper()
+	for i := range s.sqs {
+		if s.sqs[i].csr != nil {
+			return &s.sqs[i]
+		}
+	}
+	t.Fatal("no CSR square block")
+	return nil
+}
+
+// TestSerializeRebuildsSyncFreeInDegrees: the sync-free in-degrees are
+// not trusted from the stream. A solver whose stored count for its last
+// row was one too high reloads with the CSC's row counts and solves
+// within a deadline instead of spinning on a dependency that never comes.
+func TestSerializeRebuildsSyncFreeInDegrees(t *testing.T) {
+	pool := exec.NewPool(2)
+	n := 500
+	l := gen.Layered(n, 20, 3, 0, 502)
+	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: n,
+		Adaptive: false, ForceTri: kernels.TriSyncFree})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(s.tris) != 1 || s.tris[0].kernel != kernels.TriSyncFree {
+		t.Fatalf("expected a single sync-free triangle, got %d tris", len(s.tris))
+	}
+	s.tris[0].state.BaseCounts()[n-1]++
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-
-	cases := map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
-		"bad magic":    func(b []byte) []byte { c := clone(b); c[0] = 'X'; return c },
-		"bad version":  func(b []byte) []byte { c := clone(b); c[7] = 99; return c },
-		"empty":        func(b []byte) []byte { return nil },
-		"flipped byte": func(b []byte) []byte { c := clone(b); c[40] ^= 0xFF; return c },
+	back, err := ReadSolver[float64](&buf, pool)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, corrupt := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadSolver[float64](bytes.NewReader(corrupt(good)), pool); err == nil {
-				t.Fatal("corrupted stream accepted")
-			}
-		})
+	tb := &back.tris[0]
+	want := make([]int32, n)
+	for _, r := range tb.strictCSC.RowIdx {
+		want[r]++
+	}
+	if got := tb.state.BaseCounts(); !slices.Equal(got, want) {
+		t.Errorf("reloaded in-degrees differ from the CSC row counts")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	b := gen.RandVec(n, 503)
+	x := make([]float64, n)
+	if err := back.SolveContext(ctx, b, x); err != nil {
+		t.Fatalf("reloaded solver: %v", err)
+	}
+	ref := make([]float64, n)
+	kernels.SerialSolveCSR(l, b, ref)
+	for i := range x {
+		if !closeEnough(x[i], ref[i]) {
+			t.Fatalf("x[%d] = %g, want %g", i, x[i], ref[i])
+		}
 	}
 }
 

@@ -364,11 +364,11 @@ func NewMergedScheduleFromData(chunkPtr []int, serial []bool, items []int) *Merg
 	return &MergedSchedule{chunkPtr: chunkPtr, serial: serial, items: items}
 }
 
-// BaseCounts exposes the initial in-degrees for serialisation.
+// BaseCounts exposes the initial in-degrees, the live slice.
 func (s *SyncFreeState) BaseCounts() []int32 { return s.base }
 
-// NewSyncFreeStateFromCounts rebuilds sync-free state from serialised
-// in-degrees.
+// NewSyncFreeStateFromCounts builds sync-free state over shared initial
+// in-degrees with counters of its own, as each solve session needs.
 func NewSyncFreeStateFromCounts(base []int32) *SyncFreeState {
 	return &SyncFreeState{indeg: make([]exec.PaddedInt32, len(base)), base: base}
 }
