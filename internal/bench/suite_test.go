@@ -334,3 +334,33 @@ func TestSuiteDigests(t *testing.T) {
 			changed, seen, len(want), got.String())
 	}
 }
+
+// TestSuiteEntriesDeterministic: two builds of each suite matrix at the
+// pinned scale agree bit for bit, and each is a valid lower triangle. A
+// TestSuiteDigests failure therefore means a generator changed, not that
+// one draws differently from run to run.
+func TestSuiteEntriesDeterministic(t *testing.T) {
+	for _, e := range suiteEntries(0.1, false) {
+		m := e.Build()
+		if err := sparse.ValidateLower(m); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
+		if a, b := matrixDigest(m), matrixDigest(e.Build()); a != b {
+			t.Errorf("%s: two builds differ: %s vs %s", e.Name, a, b)
+		}
+	}
+}
+
+// TestSuiteEntriesFollowScale: every suite matrix is generated at the
+// requested scale, so doubling the scale grows each one.
+func TestSuiteEntriesFollowScale(t *testing.T) {
+	small, large := suiteEntries(0.05, false), suiteEntries(0.1, false)
+	if len(small) == 0 || len(small) != len(large) {
+		t.Fatalf("%d entries at scale 0.05, %d at 0.1", len(small), len(large))
+	}
+	for i, e := range small {
+		if a, b := e.Build().Rows, large[i].Build().Rows; b <= a {
+			t.Errorf("%s: %d rows at scale 0.05, %d at 0.1", e.Name, a, b)
+		}
+	}
+}
