@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke benchmark-module startup
+.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke benchmark-module startup ab
 
 ci: vet build test race chaos daemon-smoke perfgate lint compilercheck fuzz-short benchmark-module
 
@@ -150,6 +150,17 @@ daemon-smoke:
 # tests, every workload on tiny matrices, from inside it.
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# Interleaved A/B pairs of the repository benchmark (scripts/ab.sh): the
+# working tree against BASE, checked out in a git worktree under
+# .bench_build/. PAIRS pairs of `-workload all -seconds 25`, alternating
+# which side runs first, then `benchmark/run.sh -compare` on both sets;
+# fails when a median leaves its bound. About four minutes a pair.
+BASE  ?= HEAD
+PAIRS ?= 10
+
+ab:
+	bash scripts/ab.sh $(BASE) $(PAIRS)
 
 # Launch-latency microbenchmarks: the two launcher styles head to head.
 bench-launch:

@@ -220,6 +220,9 @@ func TestSolverIntrospection(t *testing.T) {
 	l := buildRandomLower(2000, 0.01, 4)
 	o := sptrsv.DefaultOptions(2)
 	o.MinBlockRows = 200
+	// The paper's size-only tree: the default serial floor would keep this
+	// matrix whole as one serial leaf.
+	o.Thresholds.TriParallelMinWork = 0
 	s, err := sptrsv.Analyze(l, o)
 	if err != nil {
 		t.Fatal(err)

@@ -34,13 +34,19 @@ func (f TriFeatures) WorkPerLevel() int {
 	return (f.Rows + f.StrictNNZ) / f.NLevels
 }
 
-// TriFeaturesOf extracts the features from a split triangular block.
-func TriFeaturesOf[T sparse.Float](strict *sparse.CSC[T], info *levelset.Info) TriFeatures {
-	f := TriFeatures{Rows: strict.Rows, StrictNNZ: strict.NNZ(), NLevels: info.NLevels}
-	if f.Rows > 0 {
-		f.NNZPerRow = float64(f.StrictNNZ) / float64(f.Rows)
+// NewTriFeatures derives the features of a triangular block from its
+// row count, strictly-lower entry count and level count.
+func NewTriFeatures(rows, strictNNZ, nlevels int) TriFeatures {
+	f := TriFeatures{Rows: rows, StrictNNZ: strictNNZ, NLevels: nlevels}
+	if rows > 0 {
+		f.NNZPerRow = float64(strictNNZ) / float64(rows)
 	}
 	return f
+}
+
+// TriFeaturesOf extracts the features from a split triangular block.
+func TriFeaturesOf[T sparse.Float](strict *sparse.CSC[T], info *levelset.Info) TriFeatures {
+	return NewTriFeatures(strict.Rows, strict.NNZ(), info.NLevels)
 }
 
 // SpMVFeatures are the selection features of a square/rectangular
@@ -72,8 +78,11 @@ type Thresholds struct {
 	// WorkPerLevel is below it runs the serial kernel on the calling
 	// goroutine, with no launch and no atomics. The paper's GPU leaves
 	// carry enough work per level to hide a barrier; a leaf of a few
-	// thousand rows on goroutines does not. Zero disables the floor,
-	// which leaves the paper's tree.
+	// thousand rows on goroutines does not. Above zero it also shapes the
+	// recursive partition: a range the tree sends to the serial (or, with
+	// one level, the completely-parallel) kernel is not split further,
+	// whatever its size. Zero disables the floor, which leaves the
+	// paper's size-only tree.
 	TriParallelMinWork int
 	// SpTRSV side (Figure 5a).
 	TriLevelSetMaxNNZRow float64 // level-set wins below this nnz/row ...
@@ -98,12 +107,13 @@ type Thresholds struct {
 
 // DefaultThresholds returns the paper's published cut points and a serial
 // floor of 4096 work per level. The floor's exact value is not verified
-// end to end: every multi-level leaf of the benchmark matrices has under
-// 2,900 work per level, so the benchmark reads the same for any floor
-// above that, always-serial included, and the committed leaf sweep
-// (BenchmarkLeafKernels; EXPERIMENTS.md, "Why the block solver lost on
-// deep") puts the crossover higher at three workers. FitThresholds
-// measures it for the host.
+// end to end, and since the floor decides whole ranges of the partition,
+// the benchmark sees it: the power-law matrix's top range has 11,514 work
+// per level and splits under 4096, but at 16384 it runs whole as one
+// serial leaf, slower (EXPERIMENTS.md, "Selection-aware recursion"). The
+// committed leaf sweep (BenchmarkLeafKernels; EXPERIMENTS.md, "Why the
+// block solver lost on deep") puts the crossover higher at three
+// workers. FitThresholds measures it for the host.
 func DefaultThresholds() Thresholds {
 	return Thresholds{
 		TriParallelMinWork:   4096,

@@ -85,7 +85,7 @@ func TuneTri(p exec.Launcher, rows int, nnzRowAxis []int, levelsAxis []int, repe
 			} else {
 				d := bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriSerialSolve(strict, diag, w, x)
+					kernels.TriSerialSolve(strict, diag, w, x, nil)
 				})
 				cell.GFlops[kernels.TriSerial] = gflops(flops, d)
 

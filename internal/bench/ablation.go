@@ -127,6 +127,7 @@ func Ablation(w io.Writer, p Params) error {
 			o := block.Defaults(dev)
 			o.Pool = pool
 			o.Calibrate = p.Calibrate
+			o.Thresholds = paperTree()
 			o.MinBlockRows = 1
 			o.MaxDepth = depth
 			if depth == 0 {

@@ -60,6 +60,17 @@ func Run(id string, w io.Writer, p Params) error {
 	return fmt.Errorf("bench: unknown experiment %q (known: %v)", id, ExperimentNames())
 }
 
+// paperTree is the default decision tree with the serial floor off. The
+// experiments that sweep the partition shape (Tables 1–2, Figure 4, the
+// recursion-depth ablation) use it: with the floor on, the recursion
+// stops wherever a range selects the serial kernel, so the part count no
+// longer follows MaxDepth.
+func paperTree() adapt.Thresholds {
+	th := adapt.DefaultThresholds()
+	th.TriParallelMinWork = 0
+	return th
+}
+
 // trafficTable renders Table 1 or Table 2: the closed forms evaluated at
 // the paper's part counts, plus a measured verification on a dense
 // triangle (the measured counters must equal the formulas exactly).
@@ -85,7 +96,7 @@ func trafficTable(w io.Writer, p Params, title string,
 	v := newTable("method", "parts", "measured", "formula", "match")
 	for _, kind := range []block.Kind{block.ColumnBlock, block.RowBlock, block.Recursive} {
 		for _, x := range []int{1, 2, 3, 4} {
-			o := block.Options{Workers: 1, Kind: kind, Adaptive: true, MinBlockRows: 1}
+			o := block.Options{Workers: 1, Kind: kind, Adaptive: true, MinBlockRows: 1, Thresholds: paperTree()}
 			if kind == block.Recursive {
 				o.MaxDepth = x
 			} else {
@@ -166,7 +177,7 @@ func Figure4(w io.Writer, p Params) error {
 			for _, kind := range []block.Kind{block.ColumnBlock, block.RowBlock, block.Recursive} {
 				o := block.Options{
 					Pool: pool, Kind: kind, Adaptive: true, Reorder: kind == block.Recursive,
-					MinBlockRows: 1, Instrument: true,
+					MinBlockRows: 1, Instrument: true, Thresholds: paperTree(),
 				}
 				if kind == block.Recursive {
 					o.MaxDepth = x

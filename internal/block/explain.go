@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
-	"github.com/sss-lab/blocksptrsv/internal/kernels"
 )
 
 // Explain renders the full preprocessed plan before any solve runs: the
@@ -15,12 +14,17 @@ import (
 // the traffic/kernel summaries. Each triangular line's work/level is
 // what the options line's serial-floor, TriParallelMinWork of
 // adapt.Thresholds, was compared with; serial-floor=n/a when no decision
-// tree chose the kernels. The output is deterministic — two
-// identical Preprocess calls explain identically — so tests and tooling
-// may diff it.
+// tree chose the kernels. Each triangular line's stop names the rule that
+// ended the recursion there: size (at most minblockrows rows), depth
+// (maxdepth reached), serial or one-level (with the floor on, Algorithm 7
+// sends the whole range to the serial or completely-parallel kernel), or
+// n/a for panel partitions. The output is deterministic — two identical
+// Preprocess calls explain identically — so tests and tooling may diff
+// it.
 //
-// Solvers reloaded with LoadSolver explain flat (the recursion depths are
-// a preprocessing artefact and are not serialised).
+// Solvers reloaded with LoadSolver explain flat, with stop=n/a (the
+// recursion depths and stop rules are a preprocessing artefact and are
+// not serialised).
 func (s *Solver[T]) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: n=%d, %d triangular + %d square blocks\n",
@@ -32,16 +36,16 @@ func (s *Solver[T]) Explain() string {
 		s.perm != nil, s.traffic.BUpdates, s.traffic.XLoads)
 	b.WriteString("execution plan:\n")
 	for si, st := range s.steps {
-		depth := 0
-		if si < len(s.stepDepth) {
-			depth = s.stepDepth[si]
+		var spec segSpec
+		if si < len(s.plan) {
+			spec = s.plan[si]
 		}
-		indent := strings.Repeat("  ", depth)
+		indent := strings.Repeat("  ", spec.depth)
 		if st.kind == triSeg {
 			tb := &s.tris[st.idx]
 			f := tb.feats
-			fmt.Fprintf(&b, "%4d  %stri  #%d [%d:%d)  rows=%d strict-nnz=%d nnz/row=%.2f levels=%d work/level=%d  kernel=%s\n",
-				si, indent, st.idx, tb.lo, tb.hi, f.Rows, f.StrictNNZ, f.NNZPerRow, f.NLevels, f.WorkPerLevel(), tb.kernel)
+			fmt.Fprintf(&b, "%4d  %stri  #%d [%d:%d)  rows=%d strict-nnz=%d nnz/row=%.2f levels=%d work/level=%d  kernel=%s stop=%s\n",
+				si, indent, st.idx, tb.lo, tb.hi, f.Rows, f.StrictNNZ, f.NNZPerRow, f.NLevels, f.WorkPerLevel(), tb.kernel, spec.stop)
 		} else {
 			sb := &s.sqs[st.idx]
 			f := sb.feats
@@ -62,7 +66,7 @@ func (ses *Session[T]) Explain() string { return ses.s.Explain() }
 // triangular block with, or "n/a" when kernels were forced, timed by the
 // calibrator, or read from a saved plan (which stores no thresholds).
 func treeFloor(o Options) string {
-	if !(o.Adaptive || o.ForceTri == kernels.TriAuto) || o.Calibrate || o.Thresholds == (adapt.Thresholds{}) {
+	if !o.treeSelects() || o.Thresholds == (adapt.Thresholds{}) {
 		return "n/a"
 	}
 	return strconv.Itoa(o.Thresholds.TriParallelMinWork)

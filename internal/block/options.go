@@ -64,7 +64,11 @@ type Options struct {
 	NSeg int
 	// MinBlockRows stops recursive splitting: blocks at or below this many
 	// rows become leaves. <=0 derives the paper's "20 × core count"
-	// analogue from the device (exec.Device.MinBlockRows).
+	// analogue from the device (exec.Device.MinBlockRows). With the serial
+	// floor on (Thresholds.TriParallelMinWork > 0 and the thresholds
+	// choosing the kernels) it binds only ranges that Algorithm 7 sends to
+	// a parallel dependent kernel; a range it sends to the serial or
+	// completely-parallel kernel stays whole.
 	MinBlockRows int
 	// MaxDepth caps recursive split depth; 0 means limited only by
 	// MinBlockRows. Depth d yields up to 2^d triangular leaves.
@@ -157,6 +161,22 @@ func Defaults(dev exec.Device) Options {
 		Adaptive:     true,
 		Thresholds:   adapt.DefaultThresholds(),
 	}
+}
+
+// treeSelects reports whether Algorithm 7's thresholds choose the
+// triangular kernels: adaptive (or TriAuto) and not calibrated.
+func (o Options) treeSelects() bool {
+	return (o.Adaptive || o.ForceTri == kernels.TriAuto) && !o.Calibrate
+}
+
+// floorOn reports whether the serial floor is on: the thresholds choose
+// the kernels and TriParallelMinWork > 0, exactly when Explain's
+// serial-floor prints a number above 0. Only then does the recursion stop
+// at ranges Algorithm 7 sends to the serial or completely-parallel kernel,
+// and do empty squares leave the plan. Otherwise the partition is the
+// paper's size-only tree, which its figures use.
+func (o Options) floorOn() bool {
+	return o.treeSelects() && o.Thresholds.TriParallelMinWork > 0
 }
 
 // normalised fills derived fields: pool, thresholds, cut-off. The default

@@ -1,6 +1,13 @@
 package block
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
+	"github.com/sss-lab/blocksptrsv/internal/levelset"
+	"github.com/sss-lab/blocksptrsv/internal/sparse"
+)
 
 // segKind distinguishes triangular solves from square/rectangular updates
 // in the flattened execution plan.
@@ -19,9 +26,11 @@ type segSpec struct {
 	kind                       segKind
 	rowLo, rowHi, colLo, colHi int
 	// depth is the recursion depth the spec was emitted at (0 for panel
-	// partitions) — a preprocessing artefact kept for Explain's tree
-	// rendering, not serialised.
+	// partitions) and stop, on a triangle, the rule that ended the
+	// recursion there — preprocessing artefacts kept for Explain, not
+	// serialised.
 	depth int
+	stop  stopReason
 }
 
 func (s segSpec) String() string {
@@ -32,96 +41,215 @@ func (s segSpec) String() string {
 	return fmt.Sprintf("%s[%d:%d)x[%d:%d)", k, s.rowLo, s.rowHi, s.colLo, s.colHi)
 }
 
-// buildPlan flattens the chosen partition into the execution order of
-// Figure 2's arrows. All three partitions interleave triangles and
-// rectangles such that executing specs in order respects every dependency:
-// a rectangle's column range is always fully solved before it runs, and a
-// triangle's rows have received every update from columns left of it.
-func buildPlan(n int, o Options) []segSpec {
+// stopReason names the rule that made a range of the recursive partition
+// a leaf.
+type stopReason uint8
+
+const (
+	// stopNA: no recursion decided the leaf — a panel partition, or a
+	// solver reloaded from a saved plan.
+	stopNA stopReason = iota
+	// stopSize: at most MinBlockRows rows, or fewer than 2.
+	stopSize
+	// stopDepth: MaxDepth reached.
+	stopDepth
+	// stopSerial: with the serial floor on, Algorithm 7 sends the range
+	// to the serial kernel.
+	stopSerial
+	// stopOneLevel: with the serial floor on, the range has one level, so
+	// Algorithm 7 sends it to the completely-parallel kernel.
+	stopOneLevel
+)
+
+func (r stopReason) String() string {
+	switch r {
+	case stopSize:
+		return "size"
+	case stopDepth:
+		return "depth"
+	case stopSerial:
+		return "serial"
+	case stopOneLevel:
+		return "one-level"
+	}
+	return "n/a"
+}
+
+// treeRule names the rule that shapes the recursion tree. The plan-cache
+// key carries it, so a plan cached under the earlier size-only rule is
+// not served in place of the selection-aware tree.
+const treeRule = "selection-aware"
+
+// rangeNode is one diagonal range of the recursion tree. A leaf has
+// left == 0 (the root sits at index 0, so no child can); a split range's
+// halves are tree[left] and tree[left+1].
+type rangeNode struct {
+	lo, hi, depth int
+	left          int
+	stop          stopReason
+}
+
+// walkTree is the one walk over the recursion tree, coarsest range first,
+// matching Figure 3(a→b→c). It returns the matrix in plan order (l itself
+// when no reordering moved a row), the applied permutation (nil when
+// none) and the tree in breadth-first order. Each range is levelled
+// once, in place, then reordered by its level order when o.Reorder is
+// set, and decided: a leaf when the size rule says so (at most
+// MinBlockRows rows, fewer than 2, or MaxDepth reached) or, with the
+// serial floor on, when Algorithm 7 sends it to the serial or
+// completely-parallel kernel; otherwise it splits in half. A range's
+// level count and strictly-lower count do not change under its own
+// level-order permutation, so a decision made before the reorder still
+// holds after it. All ranges of one depth share one permutation pass.
+// Panel partitions do not recurse: their walk is the whole-matrix pass
+// alone (the ablation variant; the paper reorders the recursive
+// structure).
+func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []int, []rangeNode, error) {
+	n := l.Rows
+	if n == 0 {
+		return l, nil, nil, nil
+	}
+	recursive := o.Kind == Recursive
+	aware := recursive && o.floorOn()
+	cur := l
+	var perm []int
+	tree := []rangeNode{{lo: 0, hi: n}}
+	for first := 0; first < len(tree); {
+		last := len(tree)
+		var passPerm []int
+		changed := false
+		for i := first; i < last; i++ {
+			r := tree[i]
+			size := r.hi - r.lo
+			switch {
+			case size <= o.MinBlockRows || size < 2:
+				r.stop = stopSize
+			case o.MaxDepth > 0 && r.depth >= o.MaxDepth:
+				r.stop = stopDepth
+			}
+			decide := aware && r.stop == stopNA
+			if o.Reorder || decide {
+				info := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, r.lo, r.hi)
+				if decide {
+					f := adapt.NewTriFeatures(size, strictLowerIn(cur.RowPtr, cur.ColIdx, r.lo, r.hi), info.NLevels)
+					switch o.Thresholds.SelectTri(f) {
+					case kernels.TriSerial:
+						r.stop = stopSerial
+					case kernels.TriCompletelyParallel:
+						r.stop = stopOneLevel
+					}
+				}
+				if o.Reorder {
+					if passPerm == nil {
+						passPerm = identityPerm(n)
+					}
+					for k, p := range info.Order() {
+						passPerm[r.lo+k] = r.lo + p
+						changed = changed || p != k
+					}
+				}
+			}
+			if recursive && r.stop == stopNA {
+				mid := r.lo + size/2
+				r.left = len(tree)
+				tree = append(tree, rangeNode{lo: r.lo, hi: mid, depth: r.depth + 1},
+					rangeNode{lo: mid, hi: r.hi, depth: r.depth + 1})
+			}
+			tree[i] = r
+		}
+		first = last
+		if !changed {
+			continue
+		}
+		var err error
+		if cur, err = sparse.PermuteSym(cur, passPerm); err != nil {
+			return nil, nil, nil, fmt.Errorf("block: reorder pass failed: %w", err)
+		}
+		if perm == nil {
+			perm = passPerm
+		} else {
+			perm = sparse.ComposePerm(perm, passPerm)
+		}
+	}
+	return cur, perm, tree, nil
+}
+
+func identityPerm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
+// strictLowerIn counts the entries of rows [lo,hi) of a lower-triangular
+// CSR pattern whose column lies in [lo,row): the strictly-lower part of
+// the diagonal block, counted in place.
+func strictLowerIn(rowPtr, colIdx []int, lo, hi int) int {
+	nnz := 0
+	for i := lo; i < hi; i++ {
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if j >= lo && j < i {
+				nnz++
+			}
+		}
+	}
+	return nnz
+}
+
+// planOf flattens the walked partition into the execution order of
+// Figure 2's arrows: a rectangle's column range is always fully solved
+// before it runs, and a triangle's rows have received every update from
+// columns left of it. The recursive plan visits the tree in order: left
+// half, the square below it, right half. The panel plans interleave each
+// panel's triangle with its rectangle.
+func planOf(n int, o Options, tree []rangeNode) []segSpec {
 	if n == 0 {
 		return nil
 	}
 	switch o.Kind {
 	case Recursive:
 		var plan []segSpec
-		var rec func(lo, hi, depth int)
-		rec = func(lo, hi, depth int) {
-			size := hi - lo
-			if size <= o.MinBlockRows || size < 2 || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
-				plan = append(plan, segSpec{triSeg, lo, hi, lo, hi, depth})
+		var emit func(i int)
+		emit = func(i int) {
+			r := tree[i]
+			if r.left == 0 {
+				plan = append(plan, segSpec{kind: triSeg, rowLo: r.lo, rowHi: r.hi, colLo: r.lo, colHi: r.hi, depth: r.depth, stop: r.stop})
 				return
 			}
-			mid := lo + size/2
-			rec(lo, mid, depth+1)
-			plan = append(plan, segSpec{sqSeg, mid, hi, lo, mid, depth})
-			rec(mid, hi, depth+1)
+			mid := tree[r.left].hi
+			emit(r.left)
+			plan = append(plan, segSpec{kind: sqSeg, rowLo: mid, rowHi: r.hi, colLo: r.lo, colHi: mid, depth: r.depth})
+			emit(r.left + 1)
 		}
-		rec(0, n, 0)
+		emit(0)
 		return plan
 
 	case ColumnBlock:
-		nseg := o.NSeg
-		if nseg > n {
-			nseg = n
-		}
+		nseg := min(o.NSeg, n)
 		plan := make([]segSpec, 0, 2*nseg-1)
 		for si := 0; si < nseg; si++ {
 			lo, hi := si*n/nseg, (si+1)*n/nseg
-			plan = append(plan, segSpec{triSeg, lo, hi, lo, hi, 0})
+			plan = append(plan, segSpec{kind: triSeg, rowLo: lo, rowHi: hi, colLo: lo, colHi: hi})
 			if si != nseg-1 {
-				plan = append(plan, segSpec{sqSeg, hi, n, lo, hi, 0})
+				plan = append(plan, segSpec{kind: sqSeg, rowLo: hi, rowHi: n, colLo: lo, colHi: hi})
 			}
 		}
 		return plan
 
 	case RowBlock:
-		nseg := o.NSeg
-		if nseg > n {
-			nseg = n
-		}
+		nseg := min(o.NSeg, n)
 		plan := make([]segSpec, 0, 2*nseg-1)
 		for si := 0; si < nseg; si++ {
 			lo, hi := si*n/nseg, (si+1)*n/nseg
 			if si != 0 {
-				plan = append(plan, segSpec{sqSeg, lo, hi, 0, lo, 0})
+				plan = append(plan, segSpec{kind: sqSeg, rowLo: lo, rowHi: hi, colLo: 0, colHi: lo})
 			}
-			plan = append(plan, segSpec{triSeg, lo, hi, lo, hi, 0})
+			plan = append(plan, segSpec{kind: triSeg, rowLo: lo, rowHi: hi, colLo: lo, colHi: hi})
 		}
 		return plan
 	}
 	panic(fmt.Sprintf("block: unknown partition kind %d", o.Kind))
-}
-
-// reorderRanges lists, per pass, the diagonal ranges whose internal
-// level-set order is applied in that pass (§3.3). For the recursive
-// partition this is the recursion tree by depth — the whole matrix first,
-// then each half, and so on down to the leaves, matching Figure 3(a→b→c).
-// For panel partitions a single whole-matrix pass is used (the ablation
-// variant; the paper applies reordering to the recursive structure).
-func reorderRanges(n int, o Options) [][][2]int {
-	if n == 0 {
-		return nil
-	}
-	if o.Kind != Recursive {
-		return [][][2]int{{{0, n}}}
-	}
-	var passes [][][2]int
-	cur := [][2]int{{0, n}}
-	for depth := 0; len(cur) > 0; depth++ {
-		passes = append(passes, cur)
-		var next [][2]int
-		for _, r := range cur {
-			lo, hi := r[0], r[1]
-			size := hi - lo
-			if size <= o.MinBlockRows || size < 2 || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
-				continue // leaf: no further split, no further pass
-			}
-			mid := lo + size/2
-			next = append(next, [2]int{lo, mid}, [2]int{mid, hi})
-		}
-		cur = next
-	}
-	return passes
 }
 
 // planChecks validates a plan's structural invariants; tests call it and

@@ -1,12 +1,19 @@
 package block
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
+	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
+	"github.com/sss-lab/blocksptrsv/internal/levelset"
+	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
 func TestBuildPlanInvariantsQuick(t *testing.T) {
@@ -18,8 +25,20 @@ func TestBuildPlanInvariantsQuick(t *testing.T) {
 			NSeg:         1 + rng.Intn(9),
 			MinBlockRows: 1 + rng.Intn(64),
 			MaxDepth:     rng.Intn(6),
+			Reorder:      rng.Intn(2) == 0,
+			Adaptive:     true,
 		}
-		plan := buildPlan(n, o)
+		if rng.Intn(2) == 0 {
+			// Floor on; the zero thresholds leave the size-only tree.
+			o.Thresholds = adapt.DefaultThresholds()
+			o.Thresholds.TriParallelMinWork = 1 + rng.Intn(64)
+		}
+		l := gen.Banded(n, 1+rng.Intn(40), rng.Float64(), seed)
+		_, _, tree, err := walkTree(l, o)
+		if err != nil {
+			return false
+		}
+		plan := planOf(n, o, tree)
 		if n == 0 {
 			return plan == nil
 		}
@@ -33,15 +52,15 @@ func TestBuildPlanInvariantsQuick(t *testing.T) {
 func TestPlanChecksCatchesBadPlans(t *testing.T) {
 	bad := [][]segSpec{
 		// Gap in the diagonal.
-		{{triSeg, 0, 4, 0, 4, 0}, {triSeg, 5, 8, 5, 8, 0}},
+		{{triSeg, 0, 4, 0, 4, 0, 0}, {triSeg, 5, 8, 5, 8, 0, 0}},
 		// Square reads unsolved columns.
-		{{triSeg, 0, 4, 0, 4, 0}, {sqSeg, 4, 8, 0, 5, 0}, {triSeg, 4, 8, 4, 8, 0}},
+		{{triSeg, 0, 4, 0, 4, 0, 0}, {sqSeg, 4, 8, 0, 5, 0, 0}, {triSeg, 4, 8, 4, 8, 0, 0}},
 		// Square updates already-solved rows.
-		{{triSeg, 0, 4, 0, 4, 0}, {sqSeg, 2, 8, 0, 4, 0}, {triSeg, 4, 8, 4, 8, 0}},
+		{{triSeg, 0, 4, 0, 4, 0, 0}, {sqSeg, 2, 8, 0, 4, 0, 0}, {triSeg, 4, 8, 4, 8, 0, 0}},
 		// Diagonal not fully covered.
-		{{triSeg, 0, 4, 0, 4, 0}},
+		{{triSeg, 0, 4, 0, 4, 0, 0}},
 		// Non-square triangle spec.
-		{{triSeg, 0, 4, 0, 5, 0}, {triSeg, 4, 8, 4, 8, 0}},
+		{{triSeg, 0, 4, 0, 5, 0, 0}, {triSeg, 4, 8, 4, 8, 0, 0}},
 	}
 	for i, plan := range bad {
 		if err := planChecks(8, plan); err == nil {
@@ -50,9 +69,20 @@ func TestPlanChecksCatchesBadPlans(t *testing.T) {
 	}
 }
 
+// planFor is the plan Preprocess lays out for l under o.
+func planFor(t *testing.T, l *sparse.CSR[float64], o Options) []segSpec {
+	t.Helper()
+	_, _, tree, err := walkTree(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return planOf(l.Rows, o, tree)
+}
+
 func TestColumnAndRowPlansShape(t *testing.T) {
 	o := Options{Kind: ColumnBlock, NSeg: 4}
-	plan := buildPlan(100, o)
+	l := gen.DiagonalOnly(100, 1)
+	plan := planFor(t, l, o)
 	// 4 triangles, 3 rectangles, alternating tri,sq,...,tri.
 	if len(plan) != 7 {
 		t.Fatalf("column plan length %d", len(plan))
@@ -66,7 +96,7 @@ func TestColumnAndRowPlansShape(t *testing.T) {
 	}
 
 	o.Kind = RowBlock
-	plan = buildPlan(100, o)
+	plan = planFor(t, l, o)
 	if len(plan) != 7 {
 		t.Fatalf("row plan length %d", len(plan))
 	}
@@ -78,15 +108,15 @@ func TestColumnAndRowPlansShape(t *testing.T) {
 
 func TestRecursivePlanShape(t *testing.T) {
 	o := Options{Kind: Recursive, MinBlockRows: 1, MaxDepth: 2}
-	plan := buildPlan(8, o)
+	plan := planFor(t, gen.DenseLower(8, 1), o)
 	want := []segSpec{
-		{triSeg, 0, 2, 0, 2, 2},
-		{sqSeg, 2, 4, 0, 2, 1},
-		{triSeg, 2, 4, 2, 4, 2},
-		{sqSeg, 4, 8, 0, 4, 0},
-		{triSeg, 4, 6, 4, 6, 2},
-		{sqSeg, 6, 8, 4, 6, 1},
-		{triSeg, 6, 8, 6, 8, 2},
+		{triSeg, 0, 2, 0, 2, 2, stopDepth},
+		{sqSeg, 2, 4, 0, 2, 1, 0},
+		{triSeg, 2, 4, 2, 4, 2, stopDepth},
+		{sqSeg, 4, 8, 0, 4, 0, 0},
+		{triSeg, 4, 6, 4, 6, 2, stopDepth},
+		{sqSeg, 6, 8, 4, 6, 1, 0},
+		{triSeg, 6, 8, 6, 8, 2, stopDepth},
 	}
 	if len(plan) != len(want) {
 		t.Fatalf("plan: %v", plan)
@@ -99,19 +129,39 @@ func TestRecursivePlanShape(t *testing.T) {
 }
 
 func TestNSegClampedToN(t *testing.T) {
-	plan := buildPlan(3, Options{Kind: ColumnBlock, NSeg: 10})
+	l := gen.SerialChain(3, 0, 1)
+	plan := planFor(t, l, Options{Kind: ColumnBlock, NSeg: 10})
 	if err := planChecks(3, plan); err != nil {
 		t.Fatal(err)
 	}
-	plan = buildPlan(3, Options{Kind: RowBlock, NSeg: 10})
+	plan = planFor(t, l, Options{Kind: RowBlock, NSeg: 10})
 	if err := planChecks(3, plan); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// walkPasses lists, per depth, the ranges walkTree levelled and reordered
+// in that pass, coarsest first.
+func walkPasses(t *testing.T, l *sparse.CSR[float64], o Options) [][][2]int {
+	t.Helper()
+	_, _, tree, err := walkTree(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var passes [][][2]int
+	for _, r := range tree {
+		if r.depth == len(passes) {
+			passes = append(passes, nil)
+		}
+		passes[r.depth] = append(passes[r.depth], [2]int{r.lo, r.hi})
+	}
+	return passes
+}
+
 func TestReorderRangesTree(t *testing.T) {
-	o := Options{Kind: Recursive, MinBlockRows: 2, MaxDepth: 0}
-	passes := reorderRanges(16, o)
+	o := Options{Kind: Recursive, MinBlockRows: 2, MaxDepth: 0, Reorder: true}
+	l := gen.Banded(16, 3, 0.5, 1)
+	passes := walkPasses(t, l, o)
 	if len(passes) == 0 || len(passes[0]) != 1 || passes[0][0] != [2]int{0, 16} {
 		t.Fatalf("pass 0: %v", passes)
 	}
@@ -129,25 +179,26 @@ func TestReorderRangesTree(t *testing.T) {
 		}
 	}
 	// Panel partitions get exactly one whole-matrix pass.
-	passes = reorderRanges(16, Options{Kind: ColumnBlock, NSeg: 4})
-	if len(passes) != 1 || passes[0][0] != [2]int{0, 16} {
+	passes = walkPasses(t, l, Options{Kind: ColumnBlock, NSeg: 4, Reorder: true})
+	if len(passes) != 1 || len(passes[0]) != 1 || passes[0][0] != [2]int{0, 16} {
 		t.Fatalf("panel passes: %v", passes)
 	}
-	if reorderRanges(0, o) != nil {
+	if walkPasses(t, gen.DiagonalOnly(0, 1), o) != nil {
 		t.Fatal("empty matrix should have no passes")
 	}
 }
 
 // TestTrafficMatchesPaperFormulas reproduces Tables 1 and 2: the measured
 // traffic of each partition on a dense triangle equals the closed forms
-// for 2^x parts.
+// for 2^x parts. The formulas are of the paper's size-only tree, so the
+// serial floor is off.
 func TestTrafficMatchesPaperFormulas(t *testing.T) {
 	n := 64
 	l := gen.DenseLower(n, 40)
 	for x := 1; x <= 4; x++ {
 		parts := 1 << x
 		for _, kind := range []Kind{Recursive, ColumnBlock, RowBlock} {
-			o := Options{Workers: 1, Kind: kind, Adaptive: true, MinBlockRows: 1}
+			o := Options{Workers: 1, Kind: kind, Adaptive: true, MinBlockRows: 1, Thresholds: paperThresholds()}
 			if kind == Recursive {
 				o.MaxDepth = x
 			} else {
@@ -201,5 +252,140 @@ func TestFormulaSpotValuesFromPaper(t *testing.T) {
 	}
 	if !math.IsNaN(FormulaBUpdates(Kind(9), 1, 1)) || !math.IsNaN(FormulaXLoads(Kind(9), 1, 1)) {
 		t.Error("unknown kind should be NaN")
+	}
+}
+
+// sizeOnlyPlan is the recursive partition as Preprocess built it before
+// the recursion became selection-aware: split by size alone, every square
+// kept. It is the paper's tree, the reference of TestFloorZeroKeepsPaperTree.
+func sizeOnlyPlan(n int, o Options) []segSpec {
+	var plan []segSpec
+	var rec func(lo, hi, depth int)
+	rec = func(lo, hi, depth int) {
+		size := hi - lo
+		if size <= o.MinBlockRows || size < 2 || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
+			plan = append(plan, segSpec{kind: triSeg, rowLo: lo, rowHi: hi, colLo: lo, colHi: hi, depth: depth})
+			return
+		}
+		mid := lo + size/2
+		rec(lo, mid, depth+1)
+		plan = append(plan, segSpec{kind: sqSeg, rowLo: mid, rowHi: hi, colLo: lo, colHi: mid, depth: depth})
+		rec(mid, hi, depth+1)
+	}
+	rec(0, n, 0)
+	return plan
+}
+
+// sizeOnlyPerm is the reorder loop as Preprocess ran it over the size-only
+// tree: per depth, every range of that depth is levelled in place and
+// reordered by its level order in one pass.
+func sizeOnlyPerm(t *testing.T, l *sparse.CSR[float64], o Options) []int {
+	n := l.Rows
+	var passes [][][2]int
+	cur := [][2]int{{0, n}}
+	for depth := 0; len(cur) > 0; depth++ {
+		passes = append(passes, cur)
+		var next [][2]int
+		for _, r := range cur {
+			lo, hi := r[0], r[1]
+			size := hi - lo
+			if size <= o.MinBlockRows || size < 2 || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
+				continue
+			}
+			mid := lo + size/2
+			next = append(next, [2]int{lo, mid}, [2]int{mid, hi})
+		}
+		cur = next
+	}
+	m := l
+	var total []int
+	for _, pass := range passes {
+		passPerm := identityPerm(n)
+		changed := false
+		for _, r := range pass {
+			for i, p := range levelset.FromLowerPattern(m.RowPtr, m.ColIdx, r[0], r[1]).Order() {
+				passPerm[r[0]+i] = r[0] + p
+				changed = changed || p != i
+			}
+		}
+		if !changed {
+			continue
+		}
+		var err error
+		if m, err = sparse.PermuteSym(m, passPerm); err != nil {
+			t.Fatal(err)
+		}
+		if total == nil {
+			total = passPerm
+		} else {
+			total = sparse.ComposePerm(total, passPerm)
+		}
+	}
+	return total
+}
+
+// TestFloorZeroKeepsPaperTree: without the serial floor (floor 0, forced
+// kernels, calibration) the recursive partition is the paper's size-only
+// tree bit for bit over the conformance corpus: the same specs in the
+// same order, empty squares included, the same permutation and, where
+// the thresholds choose them, the same kernels.
+func TestFloorZeroKeepsPaperTree(t *testing.T) {
+	pool := exec.NewPool(2)
+	for _, m := range conformanceCorpus(false) {
+		for _, o := range []Options{
+			{Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
+			{Kind: Recursive, MinBlockRows: 50, Adaptive: true, Thresholds: paperThresholds()},
+			{Kind: Recursive, MinBlockRows: 1, MaxDepth: 3, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
+			{Kind: Recursive, MinBlockRows: 16, Reorder: true, ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVVectorCSR},
+			{Kind: Recursive, MinBlockRows: 32, Reorder: true, Adaptive: true, Calibrate: true, CalibrateRepeats: 1},
+		} {
+			o.Pool = pool
+			name := fmt.Sprintf("%s minrows=%d maxdepth=%d reorder=%v force=%v calibrate=%v",
+				m.name, o.MinBlockRows, o.MaxDepth, o.Reorder, o.ForceTri, o.Calibrate)
+			s, err := Preprocess(m.l, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sizeOnlyPlan(m.l.Rows, o)
+			if len(s.steps) != len(want) {
+				t.Fatalf("%s: %d steps, size-only tree has %d", name, len(s.steps), len(want))
+			}
+			for si, st := range s.steps {
+				got := segSpec{kind: triSeg, depth: s.plan[si].depth}
+				if st.kind == triSeg {
+					tb := &s.tris[st.idx]
+					got.rowLo, got.rowHi, got.colLo, got.colHi = tb.lo, tb.hi, tb.lo, tb.hi
+				} else {
+					sb := &s.sqs[st.idx]
+					got.kind, got.rowLo, got.rowHi, got.colLo, got.colHi = sqSeg, sb.spec.rowLo, sb.spec.rowHi, sb.spec.colLo, sb.spec.colHi
+				}
+				if got != want[si] {
+					t.Fatalf("%s: step %d is %v at depth %d, size-only tree has %v at depth %d", name, si, got, got.depth, want[si], want[si].depth)
+				}
+			}
+			var wantPerm []int
+			if o.Reorder {
+				wantPerm = sizeOnlyPerm(t, m.l, o)
+			}
+			if !reflect.DeepEqual(s.Perm(), wantPerm) {
+				t.Fatalf("%s: permutation differs from the size-only reorder", name)
+			}
+			if o.Calibrate {
+				continue // the calibrator times the kernels
+			}
+			for i := range s.tris {
+				tb := &s.tris[i]
+				want := o.ForceTri
+				switch {
+				case tb.feats.NLevels <= 1:
+					want = kernels.TriCompletelyParallel
+				case o.Adaptive:
+					want = paperThresholds().SelectTri(tb.feats)
+				}
+				if tb.kernel != want {
+					t.Fatalf("%s: leaf %d [%d:%d) runs %v, want %v", name, i, tb.lo, tb.hi, tb.kernel, want)
+				}
+			}
+		}
 	}
 }

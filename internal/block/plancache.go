@@ -28,7 +28,8 @@ const planPayloadHeader = 8
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // cacheKey derives the plan-cache key for (matrix structure, options).
-// Every option that changes the preprocessed plan participates; values
+// Every option that changes the preprocessed plan participates, and so
+// does the rule that shapes the recursion tree (treeRule); values
 // deliberately do not (see the package comment above).
 func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 	var probe T
@@ -36,8 +37,8 @@ func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 	if probeIs64(probe) {
 		width = 8
 	}
-	fp := fmt.Sprintf("serial=%d|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d",
-		serialVersion, width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
+	fp := fmt.Sprintf("serial=%d|tree=%s|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d",
+		serialVersion, treeRule, width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
 		o.Reorder, o.Adaptive, o.Thresholds, o.ForceTri, o.ForceSpMV,
 		o.Calibrate, o.CalibrateRepeats, o.Pool.Workers())
 	return plancache.DeriveKey(plancache.StructureKey(l.Rows, l.RowPtr, l.ColIdx), fp)

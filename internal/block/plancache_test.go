@@ -235,7 +235,9 @@ func TestPlanCacheConcurrentPreprocessSingleFlight(t *testing.T) {
 // and is caught by the solver stream's validation.
 func TestPlanCacheCorruptEntryDegrades(t *testing.T) {
 	pool := exec.NewPool(3)
-	l := gen.Layered(900, 20, 4, 0.2, 851)
+	// Wide enough that the default tree keeps a CSR square for the
+	// incoherent-plan case to contradict.
+	l := gen.Layered(4000, 4, 6, 0.2, 851)
 	cases := map[string]struct {
 		corrupt    func(t *testing.T, dir string)
 		verifyFail bool

@@ -621,7 +621,7 @@ func (s *Solver[T]) validateLoaded() error {
 				return fmt.Errorf("%w: tri step out of range", ErrSerialize)
 			}
 			tb := &s.tris[st.idx]
-			plan = append(plan, segSpec{triSeg, tb.lo, tb.hi, tb.lo, tb.hi, 0})
+			plan = append(plan, segSpec{kind: triSeg, rowLo: tb.lo, rowHi: tb.hi, colLo: tb.lo, colHi: tb.hi})
 		case sqSeg:
 			if st.idx < 0 || st.idx >= len(s.sqs) {
 				return fmt.Errorf("%w: square step out of range", ErrSerialize)

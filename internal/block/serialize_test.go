@@ -119,7 +119,9 @@ func TestSerializeFloat32(t *testing.T) {
 
 func TestSerializeRejectsCorruption(t *testing.T) {
 	pool := exec.NewPool(2)
-	l := gen.Layered(500, 10, 4, 0, 501)
+	// Wide enough that the default tree splits it: two serial leaves
+	// with strict entries and one CSR square between them.
+	l := gen.Layered(4000, 4, 6, 0, 501)
 	// Each case corrupts either the bytes of a valid stream or, before
 	// WriteTo, the solver itself, so the stream's checksum still holds
 	// and only validation can catch the contradiction.

@@ -96,22 +96,27 @@ type Solver[T sparse.Float] struct {
 	traffic Traffic
 	sqNNZ   int
 
-	// Observability state. stepDepth holds each step's recursion depth
-	// for Explain's tree rendering (nil on deserialised solvers); meta
+	// Observability state. plan holds each step's spec, with the
+	// recursion depth and stop rule Explain renders (nil on deserialised
+	// solvers); meta
 	// and labels exist only while a StepRecorder is attached (SetTrace)
 	// — meta is the per-step geometry the recorder copies, labels the
 	// prebuilt pprof label sets applied around each step so CPU profiles
 	// attribute caller-side samples to block indices.
-	stepDepth []int
-	meta      []trace.StepMeta
-	labels    []context.Context
+	plan   []segSpec
+	meta   []trace.StepMeta
+	labels []context.Context
 }
 
 // Preprocess builds a block solver for the lower-triangular system L
 // according to opts. It performs the full pipeline of §3.3: optional
 // recursive level-set reordering, partition into triangular and square
 // blocks stored in execution order, per-block format choice (CSC triangles
-// with separated diagonals, CSR/DCSR squares) and kernel selection.
+// with separated diagonals, CSR/DCSR squares) and kernel selection. With
+// the serial floor on (the thresholds choose the kernels and
+// TriParallelMinWork > 0), the recursion stops at ranges Algorithm 7
+// sends to the serial or completely-parallel kernel, and squares without
+// entries leave the plan.
 func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], error) {
 	o := opts.normalised()
 	if o.Validate {
@@ -136,54 +141,21 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 	n := l.Rows
 	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l}
 
-	plan := buildPlan(n, o)
+	cur, perm, tree, err := walkTree(l, o)
+	if err != nil {
+		return nil, err
+	}
+	plan := planOf(n, o, tree)
 	if err := planChecks(n, plan); err != nil {
 		return nil, err
 	}
-
-	// Improved structure (§3.3): reorder every triangular range of the
-	// partition tree by its own level-set order, coarsest range first.
-	cur := l
-	if o.Reorder {
-		var total []int
-		for _, pass := range reorderRanges(n, o) {
-			passPerm := make([]int, n)
-			for i := range passPerm {
-				passPerm[i] = i
-			}
-			changed := false
-			for _, r := range pass {
-				lo, hi := r[0], r[1]
-				order := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, lo, hi).Order()
-				for i, p := range order {
-					passPerm[lo+i] = lo + p
-					if p != i {
-						changed = true
-					}
-				}
-			}
-			if !changed {
-				continue
-			}
-			var err error
-			cur, err = sparse.PermuteSym(cur, passPerm)
-			if err != nil {
-				return nil, fmt.Errorf("block: reorder pass failed: %w", err)
-			}
-			if total == nil {
-				total = passPerm
-			} else {
-				total = sparse.ComposePerm(total, passPerm)
-			}
-		}
-		s.perm = total
-	}
+	s.perm = perm
 
 	cscAll := cur.ToCSC()
 	s.traffic.BUpdates = int64(n)
-	s.stepDepth = make([]int, 0, len(plan))
+	s.plan = make([]segSpec, 0, len(plan))
+	dropEmpty := o.floorOn()
 	for _, spec := range plan {
-		s.stepDepth = append(s.stepDepth, spec.depth)
 		switch spec.kind {
 		case triSeg:
 			tb, err := buildTriBlock[T](cscAll, spec, o)
@@ -194,12 +166,16 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 			s.tris = append(s.tris, tb)
 		case sqSeg:
 			sb := buildSqBlock[T](cur, spec, o)
+			if dropEmpty && sb.feats.NNZ == 0 {
+				continue
+			}
 			s.traffic.BUpdates += int64(spec.rowHi - spec.rowLo)
 			s.traffic.XLoads += int64(spec.colHi - spec.colLo)
 			s.sqNNZ += sb.feats.NNZ
 			s.steps = append(s.steps, planStep{sqSeg, len(s.sqs)})
 			s.sqs = append(s.sqs, sb)
 		}
+		s.plan = append(s.plan, spec)
 	}
 	s.own = s.newSession()
 	if o.Calibrate {
@@ -570,9 +546,9 @@ func stateFor[T sparse.Float](states []*kernels.SyncFreeState, idx int, tb *triB
 
 // solveTri is the one triangular-kernel dispatch: block tb's selected
 // kernel over k right-hand sides, the single-RHS kernel at k == 1 and its
-// batch counterpart above. Kernels without internal waits take one guard
-// progress step per block. It reports false when g tripped before the
-// block finished.
+// batch counterpart above. The completely-parallel kernel takes one guard
+// progress step per block; the others step and poll the guard inside. It
+// reports false when g tripped before the block finished.
 //
 //sptrsv:hotpath
 func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.SyncFreeState, g *exec.Guard) bool {
@@ -602,10 +578,9 @@ func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.Sy
 		return kernels.TriCuSparseLikeSolveBatch(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k, g)
 	case kernels.TriSerial:
 		if k == 1 {
-			kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x)
-		} else {
-			kernels.TriSerialSolveBatch(tb.strictCSC, tb.diag, w, x, k)
+			return kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x, g)
 		}
+		return kernels.TriSerialSolveBatch(tb.strictCSC, tb.diag, w, x, k, g)
 	default:
 		panic(fmt.Sprintf("block: unresolved tri kernel %v", tb.kernel))
 	}

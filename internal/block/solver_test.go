@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -220,8 +221,10 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 func TestRecursionRespectsMinBlockRowsAndMaxDepth(t *testing.T) {
 	n := 1 << 12
 	l := gen.Banded(n, 4, 0.5, 20)
+	// The paper's tree splits by size alone.
 	s, err := Preprocess(l, Options{
 		Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: false, Adaptive: true,
+		Thresholds: paperThresholds(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,12 +237,32 @@ func TestRecursionRespectsMinBlockRowsAndMaxDepth(t *testing.T) {
 	// MaxDepth=3 -> exactly 8 leaves, 7 squares for a power-of-two size.
 	s, err = Preprocess(l, Options{
 		Workers: 2, Kind: Recursive, MinBlockRows: 1, MaxDepth: 3, Adaptive: true,
+		Thresholds: paperThresholds(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.NumTriBlocks() != 8 || s.NumSquareBlocks() != 7 {
 		t.Fatalf("depth 3: %d tris, %d squares; want 8, 7", s.NumTriBlocks(), s.NumSquareBlocks())
+	}
+	// With the serial floor on, the size rule binds only ranges that
+	// Algorithm 7 sends to a parallel kernel: a leaf above MinBlockRows
+	// runs serial or completely-parallel.
+	for name, l := range testMatrices() {
+		for _, work := range []int{24, 4096} {
+			s, err := Preprocess(l, Options{
+				Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true,
+				Thresholds: floorAt(work),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tb := range s.tris {
+				if size := tb.hi - tb.lo; size > 100 && tb.kernel != kernels.TriSerial && tb.kernel != kernels.TriCompletelyParallel {
+					t.Fatalf("%s floor=%d: leaf [%d:%d) of %d rows runs %v", name, work, tb.lo, tb.hi, size, tb.kernel)
+				}
+			}
+		}
 	}
 }
 
@@ -287,11 +310,13 @@ func TestReorderMovesNNZIntoSquares(t *testing.T) {
 	}
 }
 
-// TestReorderMatchesExtractedLevelOrder pins the in-place reorder to the
-// extraction it replaced: levelling a copy of each range (SubCSR, then
-// FromLowerCSR) composes to the same permutation over the conformance
-// corpus, as given and scrambled, and every triangular leaf holds the
-// strict part and diagonal of its range of the permuted matrix.
+// TestReorderMatchesExtractedLevelOrder pins the in-place walk to the
+// extraction it replaced: levelling and deciding a copy of each range
+// (SubCSR, then FromLowerCSR and TriFeaturesOf) composes to the same
+// permutation and the same leaves over the conformance corpus, as given
+// and scrambled, with the serial floor on and off, and every triangular
+// leaf holds the strict part and diagonal of its range of the permuted
+// matrix.
 func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, m := range conformanceCorpus(false) {
@@ -302,6 +327,8 @@ func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 		for _, l := range []*sparse.CSR[float64]{m.l, scrambled} {
 			for _, o := range []Options{
 				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true, Thresholds: floorAt(24)},
 				{Workers: 2, Kind: Recursive, MinBlockRows: 100, MaxDepth: 2, Reorder: true, Adaptive: true},
 				{Workers: 2, Kind: ColumnBlock, NSeg: 3, MinBlockRows: 100, Reorder: true, Adaptive: true},
 			} {
@@ -309,9 +336,19 @@ func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := extractedReorder(t, l, o)
+				want, leaves := extractedReorder(t, l, o)
+				floor := o.normalised().Thresholds.TriParallelMinWork
 				if !reflect.DeepEqual(s.Perm(), want) {
-					t.Fatalf("%s %v minrows=%d: permutation differs from the extracted level order", m.name, o.Kind, o.MinBlockRows)
+					t.Fatalf("%s %v minrows=%d floor=%d: permutation differs from the extracted level order", m.name, o.Kind, o.MinBlockRows, floor)
+				}
+				if o.Kind == Recursive {
+					var got [][2]int
+					for i := range s.tris {
+						got = append(got, [2]int{s.tris[i].lo, s.tris[i].hi})
+					}
+					if !reflect.DeepEqual(got, leaves) {
+						t.Fatalf("%s minrows=%d floor=%d: leaves %v, extracted walk %v", m.name, o.MinBlockRows, floor, got, leaves)
+					}
 				}
 				cur := l
 				if want != nil {
@@ -335,26 +372,63 @@ func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 	}
 }
 
-// extractedReorder is the reorder loop as it ran on extracted copies of
-// each range: the reference TestReorderMatchesExtractedLevelOrder holds
-// Preprocess to.
-func extractedReorder(t *testing.T, l *sparse.CSR[float64], o Options) []int {
+// floorAt is the default tree with the serial floor at work.
+func floorAt(work int) adapt.Thresholds {
+	th := adapt.DefaultThresholds()
+	th.TriParallelMinWork = work
+	return th
+}
+
+// extractedReorder is the recursion walk as it runs on extracted copies of
+// each range: per depth, each range is copied out (SubCSR), levelled
+// (FromLowerCSR) and, with the serial floor on, decided from its features
+// (TriFeaturesOf); its level order composes into that depth's pass. It
+// returns the permutation and the recursive partition's leaves in
+// execution order: the reference TestReorderMatchesExtractedLevelOrder
+// holds Preprocess to.
+func extractedReorder(t *testing.T, l *sparse.CSR[float64], o Options) ([]int, [][2]int) {
+	th := o.Thresholds
+	if th == (adapt.Thresholds{}) {
+		th = adapt.DefaultThresholds()
+	}
+	aware := o.Kind == Recursive && o.Adaptive && th.TriParallelMinWork > 0
 	n := l.Rows
 	cur := l
 	var total []int
-	for _, pass := range reorderRanges(n, o) {
+	var leaves [][2]int
+	pass := [][2]int{{0, n}}
+	for depth := 0; len(pass) > 0; depth++ {
 		passPerm := make([]int, n)
 		for i := range passPerm {
 			passPerm[i] = i
 		}
 		changed := false
+		var next [][2]int
 		for _, r := range pass {
 			lo, hi := r[0], r[1]
-			for i, p := range levelset.FromLowerCSR(sparse.SubCSR(cur, lo, hi, lo, hi)).Order() {
+			sub := sparse.SubCSR(cur, lo, hi, lo, hi)
+			info := levelset.FromLowerCSR(sub)
+			leaf := o.Kind != Recursive || hi-lo <= o.MinBlockRows || hi-lo < 2 || (o.MaxDepth > 0 && depth >= o.MaxDepth)
+			if !leaf && aware {
+				strict, _, err := sparse.SplitDiagCSC(sub.ToCSC())
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := th.SelectTri(adapt.TriFeaturesOf(strict, info))
+				leaf = k == kernels.TriSerial || k == kernels.TriCompletelyParallel
+			}
+			for i, p := range info.Order() {
 				passPerm[lo+i] = lo + p
 				changed = changed || p != i
 			}
+			if leaf {
+				leaves = append(leaves, r)
+			} else {
+				mid := lo + (hi-lo)/2
+				next = append(next, [2]int{lo, mid}, [2]int{mid, hi})
+			}
 		}
+		pass = next
 		if !changed {
 			continue
 		}
@@ -368,7 +442,8 @@ func extractedReorder(t *testing.T, l *sparse.CSR[float64], o Options) []int {
 			total = sparse.ComposePerm(total, passPerm)
 		}
 	}
-	return total
+	slices.SortFunc(leaves, func(a, b [2]int) int { return a[0] - b[0] })
+	return total, leaves
 }
 
 // topoShuffle returns a random topological order of the lower-triangular

@@ -13,6 +13,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
+	"github.com/sss-lab/blocksptrsv/internal/sparse"
 	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
@@ -248,6 +249,67 @@ func TestExplainStable(t *testing.T) {
 		if e := s.Explain(); !strings.Contains(e, "serial-floor=n/a") {
 			t.Errorf("%s: want serial-floor=n/a:\n%s", name, e)
 		}
+	}
+}
+
+// TestExplainStopReasons: every triangular line names the rule that
+// ended the recursion at its range.
+func TestExplainStopReasons(t *testing.T) {
+	pool := exec.NewPool(3)
+	banded := gen.Banded(12000, 32, 0.25, 4101)
+	defaults := Defaults(exec.Device{Name: "test", Workers: 3, BlockFactor: 1024})
+	defaults.Pool = pool
+	paper := defaults
+	paper.Thresholds = paperThresholds()
+	shallow := paper
+	shallow.MaxDepth, shallow.MinBlockRows = 1, 1
+	reloaded := func(t *testing.T, s *Solver[float64]) *Solver[float64] {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadSolver[float64](&buf, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	for _, tc := range []struct {
+		name   string
+		l      *sparse.CSR[float64]
+		o      Options
+		reload bool
+		want   string
+	}{
+		{"banded at defaults", banded, defaults, false, "stop=serial"},
+		{"diagonal at defaults", gen.DiagonalOnly(12000, 1), defaults, false, "stop=one-level"},
+		{"banded at floor 0", banded, paper, false, "stop=size"},
+		{"maxdepth 1", banded, shallow, false, "stop=depth"},
+		{"reloaded", banded, paper, true, "stop=n/a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Preprocess(tc.l, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.reload {
+				s = reloaded(t, s)
+			}
+			e := s.Explain()
+			tris := 0
+			for _, line := range strings.Split(e, "\n") {
+				if !strings.Contains(line, " tri ") {
+					continue
+				}
+				tris++
+				if !strings.HasSuffix(line, " "+tc.want) {
+					t.Fatalf("line %q does not end in %s:\n%s", line, tc.want, e)
+				}
+			}
+			if tris != s.NumTriBlocks() {
+				t.Fatalf("%d triangular lines for %d leaves:\n%s", tris, s.NumTriBlocks(), e)
+			}
+		})
 	}
 }
 

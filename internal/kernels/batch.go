@@ -34,13 +34,22 @@ import (
 // unrolling. Update order per RHS column is exactly the rolled serial
 // order, so batched results carry no reassociation slack.
 
-// TriSerialSolveBatch is TriSerialSolve over an n×k right-hand-side block.
+// TriSerialSolveBatch is TriSerialSolve over an n×k right-hand-side
+// block, with the same guard step and poll every serialGuardCols columns.
 //
 //sptrsv:hotpath
-func TriSerialSolveBatch[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T, k int) {
+func TriSerialSolveBatch[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T, k int, g *exec.Guard) bool {
 	n := len(diag)
 	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
+	next := serialGuardCols
 	for j := 0; j < n; j++ {
+		if j == next {
+			g.Step()
+			if g.Tripped() {
+				return false
+			}
+			next += serialGuardCols
+		}
 		inv := 1 / diag[j]
 		xj := x[j*k:][:k]
 		wj := w[j*k:][:k]
@@ -56,6 +65,8 @@ func TriSerialSolveBatch[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x [
 			}
 		}
 	}
+	g.Step()
+	return !g.Tripped()
 }
 
 // scaleInto computes dst[r] = src[r]·inv over one RHS window with the

@@ -35,7 +35,7 @@ func TestTriBatchKernelsMatchSerialBatch(t *testing.T) {
 
 			want := make([]float64, n*k)
 			w := append([]float64(nil), b...)
-			TriSerialSolveBatch(strict, diag, w, want, k)
+			TriSerialSolveBatch(strict, diag, w, want, k, nil)
 
 			check := func(name string, x []float64) {
 				t.Helper()
@@ -139,7 +139,7 @@ func TestTriSyncFreeBatchEmptyAndChain(t *testing.T) {
 	TriSyncFreeSolveBatch(p, NewSyncFreeState(strictC), strictC, diag, w, x, k, nil)
 	want := make([]float64, 300*k)
 	w = append(w[:0], b...)
-	TriSerialSolveBatch(strictC, diag, w, want, k)
+	TriSerialSolveBatch(strictC, diag, w, want, k, nil)
 	for i := range want {
 		if math.Abs(x[i]-want[i]) > 1e-12 {
 			t.Fatalf("chain batch x[%d]=%g want %g", i, x[i], want[i])

@@ -44,7 +44,7 @@ func BenchmarkTriKernels(b *testing.B) {
 				b.ReportMetric(2*float64(l.NNZ())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 			})
 		}
-		run("serial", func() { TriSerialSolve(strict, diag, w, x) })
+		run("serial", func() { TriSerialSolve(strict, diag, w, x, nil) })
 		run("level-set", func() { TriLevelSetSolve(pool, strict, diag, info, w, x, nil) })
 		run("sync-free", func() { TriSyncFreeSolve(pool, state, strict, diag, w, x, nil) })
 		run("cusparse-like", func() { TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, nil) })
@@ -129,7 +129,7 @@ func BenchmarkBatchVsLoopedKernels(b *testing.B) {
 	b.Run("serial-batched-k8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(wb, rhs)
-			TriSerialSolveBatch(strict, diag, wb, xb, k)
+			TriSerialSolveBatch(strict, diag, wb, xb, k, nil)
 		}
 	})
 	b.Run("serial-looped-k8", func(b *testing.B) {
@@ -140,7 +140,7 @@ func BenchmarkBatchVsLoopedKernels(b *testing.B) {
 				for j := 0; j < l.Rows; j++ {
 					w[j] = rhs[j*k+r]
 				}
-				TriSerialSolve(strict, diag, w, x)
+				TriSerialSolve(strict, diag, w, x, nil)
 			}
 		}
 	})

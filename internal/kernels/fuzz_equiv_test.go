@@ -71,7 +71,7 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 
 	want := make([]T, n)
 	w := append([]T(nil), b...)
-	TriSerialSolve(strictCSC, diag, w, want)
+	TriSerialSolve(strictCSC, diag, w, want, nil)
 
 	tol := fuzzTolerance[T](n)
 	check := func(name string, x []T) {

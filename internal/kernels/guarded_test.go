@@ -41,7 +41,7 @@ func TestGuardedKernelsMatchSerial(t *testing.T) {
 	}
 	want := make([]float64, n)
 	w := append([]float64(nil), b...)
-	TriSerialSolve(strict, diag, w, want)
+	TriSerialSolve(strict, diag, w, want, nil)
 
 	info := levelset.FromLowerCSC(strict)
 	strictCSR := strict.ToCSR()
@@ -201,5 +201,58 @@ func TestGuardedKernelsHonourPreTrippedGuard(t *testing.T) {
 	}
 	if TriCuSparseLikeSolveBatch(p, NewMergedSchedule(info, 0, 2), strict.ToCSR(), diag, w, x, 1, g) {
 		t.Fatal("batch cusparse-like ran under a tripped guard")
+	}
+}
+
+// The serial kernels take one guard progress step per serialGuardCols
+// columns and stop at the first chunk boundary after the guard trips, so
+// a watchdog sees a long serial leaf progress and a deadline can
+// interrupt it.
+func TestSerialKernelsStepAndPollGuard(t *testing.T) {
+	n := 3*serialGuardCols + 5
+	strict, diag := chainStrict(n)
+	for _, k := range []int{1, 2} {
+		run := func(w, x []float64, g *exec.Guard) bool {
+			if k == 1 {
+				return TriSerialSolve(strict, diag, w, x, g)
+			}
+			return TriSerialSolveBatch(strict, diag, w, x, k, g)
+		}
+		ones := func() []float64 {
+			w := make([]float64, n*k)
+			for i := range w {
+				w[i] = 1
+			}
+			return w
+		}
+		want := make([]float64, n*k)
+		if !run(ones(), want, nil) {
+			t.Fatalf("k=%d: unguarded solve reported a trip", k)
+		}
+		x := make([]float64, n*k)
+		g := exec.NewGuard()
+		if !run(ones(), x, g) {
+			t.Fatalf("k=%d: clean guarded solve tripped", k)
+		}
+		if got := g.Progress(); got != 4 {
+			t.Fatalf("k=%d: %d progress steps over %d columns, want 4", k, got, n)
+		}
+		for i := range x {
+			if x[i] != want[i] {
+				t.Fatalf("k=%d: guarded x[%d]=%g, unguarded %g", k, i, x[i], want[i])
+			}
+		}
+
+		g = exec.NewGuard()
+		g.Trip(errors.New("deadline"))
+		for i := range x {
+			x[i] = math.NaN()
+		}
+		if run(ones(), x, g) {
+			t.Fatalf("k=%d: solve under a tripped guard reported success", k)
+		}
+		if math.IsNaN(x[(serialGuardCols-1)*k]) || !math.IsNaN(x[serialGuardCols*k]) {
+			t.Fatalf("k=%d: tripped solve did not stop at the first chunk boundary", k)
+		}
 	}
 }

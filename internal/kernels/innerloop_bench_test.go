@@ -51,7 +51,7 @@ func BenchmarkInnerLoop(b *testing.B) {
 	b.Run("scatter-csc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(w, rhs)
-			TriSerialSolve(strict, diag, w, x)
+			TriSerialSolve(strict, diag, w, x, nil)
 		}
 		perNNZ(b, nnz)
 	})
@@ -62,7 +62,7 @@ func BenchmarkInnerLoop(b *testing.B) {
 	b.Run("batch-k1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(w, rhs)
-			TriSerialSolveBatch(strict, diag, w, x, 1)
+			TriSerialSolveBatch(strict, diag, w, x, 1, nil)
 		}
 		perNNZ(b, nnz)
 	})
@@ -88,7 +88,7 @@ func BenchmarkInnerLoop(b *testing.B) {
 	b.Run("batch-axpy-k8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(wb, rhsb)
-			TriSerialSolveBatch(strict, diag, wb, xb, k)
+			TriSerialSolveBatch(strict, diag, wb, xb, k, nil)
 		}
 		perNNZ(b, nnz*k) // one multiply-sub per nonzero per RHS column
 	})

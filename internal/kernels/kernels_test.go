@@ -261,7 +261,7 @@ func TestTriKernelsMatchTriSerial(t *testing.T) {
 
 			want := make([]float64, n)
 			w := append([]float64(nil), b...)
-			TriSerialSolve(strictCSC, diag, w, want)
+			TriSerialSolve(strictCSC, diag, w, want, nil)
 
 			check := func(name string, x []float64) {
 				t.Helper()

@@ -90,10 +90,20 @@ func (k SpMVKernel) String() string {
 	return "unknown"
 }
 
+// serialGuardCols is how many columns the serial kernels solve between
+// two guard polls. A serial leaf can be a whole matrix of millions of
+// rows; stepping the progress counter and polling the guard once per
+// chunk keeps the stall watchdog fed and lets a deadline interrupt the
+// leaf. A plain solve pays one compare per column and two nil checks per
+// chunk for it.
+const serialGuardCols = 256
+
 // TriSerialSolve solves the triangular block serially: x[i] =
 // w[i]/diag[i], scattering -val·x[i] into w for the remaining rows. On
 // return x holds the solution; w is consumed (its tail holds fully-updated
 // partial sums). This is Algorithm 1 restated for the split storage.
+// After every serialGuardCols columns it takes one guard progress step
+// and polls g; it reports false once g tripped, leaving x unspecified.
 //
 // The loop is written in the repo's BCE shape (DESIGN.md §6.9): length
 // hints up front and per-column window re-slices let the compiler prove
@@ -103,16 +113,24 @@ func (k SpMVKernel) String() string {
 // the update order — and therefore the rounding — of the rolled loop.
 //
 //sptrsv:hotpath
-func TriSerialSolve[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T) {
+func TriSerialSolve[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T, g *exec.Guard) bool {
 	n := len(diag)
 	if n == 0 {
-		return
+		return true
 	}
 	colPtr := strict.ColPtr
 	_ = colPtr[n]
 	_ = w[n-1]
 	_ = x[n-1]
+	next := serialGuardCols
 	for j := 0; j < n; j++ {
+		if j == next {
+			g.Step()
+			if g.Tripped() {
+				return false
+			}
+			next += serialGuardCols
+		}
 		xj := w[j] / diag[j]
 		x[j] = xj
 		lo, hi := colPtr[j], colPtr[j+1]
@@ -141,6 +159,8 @@ func TriSerialSolve[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T) {
 			w[rows[k]] -= vals[k] * xj
 		}
 	}
+	g.Step()
+	return !g.Tripped()
 }
 
 // TriDiagOnlySolve handles the completely-parallel case: the block is a
