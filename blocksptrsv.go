@@ -276,6 +276,12 @@ func DefaultOptions(workers int) Options {
 // Analyze preprocesses the lower-triangular system L for repeated solves
 // (the paper's recursive block preprocessing, §3.3). L must be square,
 // lower triangular, with a full nonzero diagonal — see LowerTriangle.
+//
+// The solver keeps a reference to L, for residual verification and the
+// serial fallback, and, when the plan is one serial leaf in gather form
+// over the unpermuted matrix, as that leaf's storage. Callers must not
+// modify L while the solver is in use; new values on the same pattern go
+// through Solver.RefreshValues.
 func Analyze[T Float](l *Matrix[T], opts Options) (*Solver[T], error) {
 	return block.Preprocess(l, opts)
 }

@@ -42,6 +42,9 @@ func (s *Solver[T]) CalibrateKernels(repeats int) {
 	}
 	for i := range s.tris {
 		tb := &s.tris[i]
+		if tb.lower != nil {
+			continue // a gather leaf stores no CSC for the other kernels
+		}
 		n := len(tb.diag)
 		if tb.feats.NLevels <= 1 || n == 0 {
 			continue // completely-parallel is already optimal

@@ -199,7 +199,7 @@ func TestChaosWatchdogAbortsCorruptedInDegree(t *testing.T) {
 				t.Fatalf("solve after repair: %v", err)
 			}
 			ref := make([]float64, n)
-			kernels.SerialSolveCSR(l, b, ref)
+			kernels.SerialSolveCSR(l, b, ref, nil)
 			for i := range x {
 				if want := ref[i/ep.k]; math.Abs(x[i]-want) > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("x[%d]=%g want %g", i, x[i], want)
@@ -273,7 +273,7 @@ func TestChaosResidualFallbackRecovers(t *testing.T) {
 		t.Fatalf("recovery counters: refinements=%d fallbacks=%d, want 1 and 1", st.Refinements, st.Fallbacks)
 	}
 	ref := make([]float64, n)
-	kernels.SerialSolveCSR(l, b, ref)
+	kernels.SerialSolveCSR(l, b, ref, nil)
 	for i := range x {
 		if math.Abs(x[i]-ref[i]) > 1e-8*(1+math.Abs(ref[i])) {
 			t.Fatalf("fallback x[%d]=%g want %g", i, x[i], ref[i])
@@ -296,7 +296,7 @@ func TestChaosSessionsSolveContextConcurrently(t *testing.T) {
 	}
 	ref := make([]float64, n)
 	b := gen.RandVec(n, 911)
-	kernels.SerialSolveCSR(l, b, ref)
+	kernels.SerialSolveCSR(l, b, ref, nil)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 4)

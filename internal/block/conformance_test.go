@@ -135,7 +135,7 @@ func conformanceCase[T sparse.Float](t *testing.T, l64 *sparse.CSR[float64], poo
 	s.Solve(b, x)
 
 	ref := make([]T, l.Rows)
-	kernels.SerialSolveCSR(l, b, ref)
+	kernels.SerialSolveCSR(l, b, ref, nil)
 	assertClose(t, x, ref, tol)
 }
 

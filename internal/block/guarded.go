@@ -245,7 +245,7 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 		}
 	}
 	// Last rung: the serial reference on the untouched original matrix.
-	kernels.SerialSolveCSR(s.orig, b, x)
+	kernels.SerialSolveCSR(s.orig, b, x, nil)
 	ses.stats.Fallbacks++
 	mFallbacks.Inc()
 	if res := sparse.ScaledResidual(s.orig, x, b); res > tol {

@@ -31,6 +31,18 @@ type segSpec struct {
 	// serialised.
 	depth int
 	stop  stopReason
+	// On a triangle the walk sent to the serial kernel (stopSerial):
+	// feats are the features it was decided on and far counts its
+	// strictly-lower entries that reach far in plan order
+	// (adapt.LeafCounts). Zero elsewhere; not serialised.
+	feats adapt.TriFeatures
+	far   int
+}
+
+// gather reports whether the spec is a serial leaf the form rule sends
+// to the CSR gather (adapt.PrefersGather).
+func (s segSpec) gather() bool {
+	return s.stop == stopSerial && adapt.PrefersGather(s.feats.Rows, s.far)
 }
 
 func (s segSpec) String() string {
@@ -82,11 +94,14 @@ const treeRule = "selection-aware"
 
 // rangeNode is one diagonal range of the recursion tree. A leaf has
 // left == 0 (the root sits at index 0, so no child can); a split range's
-// halves are tree[left] and tree[left+1].
+// halves are tree[left] and tree[left+1]. A serial leaf carries the
+// walk's counts (segSpec's feats and far).
 type rangeNode struct {
 	lo, hi, depth int
 	left          int
 	stop          stopReason
+	feats         adapt.TriFeatures
+	far           int
 }
 
 // walkTree is the one walk over the recursion tree, coarsest range first,
@@ -100,7 +115,11 @@ type rangeNode struct {
 // completely-parallel kernel; otherwise it splits in half. A range's
 // level count and strictly-lower count do not change under its own
 // level-order permutation, so a decision made before the reorder still
-// holds after it. All ranges of one depth share one permutation pass.
+// holds after it. The reach of an entry does change, so the pass that
+// counts the strictly-lower entries also counts the far-reaching ones at
+// their level-order positions, the plan order of a leaf, and a serial
+// leaf's form is chosen on that count (adapt.PrefersGather). All ranges
+// of one depth share one permutation pass.
 // Panel partitions do not recurse: their walk is the whole-matrix pass
 // alone (the ablation variant; the paper reorders the recursive
 // structure).
@@ -130,11 +149,17 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 			decide := aware && r.stop == stopNA
 			if o.Reorder || decide {
 				info := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, r.lo, r.hi)
+				var order []int
+				if o.Reorder {
+					order = info.Order()
+				}
 				if decide {
-					f := adapt.NewTriFeatures(size, strictLowerIn(cur.RowPtr, cur.ColIdx, r.lo, r.hi), info.NLevels)
+					strict, far := adapt.LeafCounts(cur.RowPtr, cur.ColIdx, r.lo, r.hi, order)
+					f := adapt.NewTriFeatures(size, strict, info.NLevels)
 					switch o.Thresholds.SelectTri(f) {
 					case kernels.TriSerial:
 						r.stop = stopSerial
+						r.feats, r.far = f, far
 					case kernels.TriCompletelyParallel:
 						r.stop = stopOneLevel
 					}
@@ -143,7 +168,7 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 					if passPerm == nil {
 						passPerm = identityPerm(n)
 					}
-					for k, p := range info.Order() {
+					for k, p := range order {
 						passPerm[r.lo+k] = r.lo + p
 						changed = changed || p != k
 					}
@@ -182,21 +207,6 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// strictLowerIn counts the entries of rows [lo,hi) of a lower-triangular
-// CSR pattern whose column lies in [lo,row): the strictly-lower part of
-// the diagonal block, counted in place.
-func strictLowerIn(rowPtr, colIdx []int, lo, hi int) int {
-	nnz := 0
-	for i := lo; i < hi; i++ {
-		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
-			if j >= lo && j < i {
-				nnz++
-			}
-		}
-	}
-	return nnz
-}
-
 // planOf flattens the walked partition into the execution order of
 // Figure 2's arrows: a rectangle's column range is always fully solved
 // before it runs, and a triangle's rows have received every update from
@@ -214,7 +224,8 @@ func planOf(n int, o Options, tree []rangeNode) []segSpec {
 		emit = func(i int) {
 			r := tree[i]
 			if r.left == 0 {
-				plan = append(plan, segSpec{kind: triSeg, rowLo: r.lo, rowHi: r.hi, colLo: r.lo, colHi: r.hi, depth: r.depth, stop: r.stop})
+				plan = append(plan, segSpec{kind: triSeg, rowLo: r.lo, rowHi: r.hi, colLo: r.lo, colHi: r.hi,
+					depth: r.depth, stop: r.stop, feats: r.feats, far: r.far})
 				return
 			}
 			mid := tree[r.left].hi

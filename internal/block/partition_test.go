@@ -52,21 +52,26 @@ func TestBuildPlanInvariantsQuick(t *testing.T) {
 func TestPlanChecksCatchesBadPlans(t *testing.T) {
 	bad := [][]segSpec{
 		// Gap in the diagonal.
-		{{triSeg, 0, 4, 0, 4, 0, 0}, {triSeg, 5, 8, 5, 8, 0, 0}},
+		{seg(triSeg, 0, 4, 0, 4, 0, 0), seg(triSeg, 5, 8, 5, 8, 0, 0)},
 		// Square reads unsolved columns.
-		{{triSeg, 0, 4, 0, 4, 0, 0}, {sqSeg, 4, 8, 0, 5, 0, 0}, {triSeg, 4, 8, 4, 8, 0, 0}},
+		{seg(triSeg, 0, 4, 0, 4, 0, 0), seg(sqSeg, 4, 8, 0, 5, 0, 0), seg(triSeg, 4, 8, 4, 8, 0, 0)},
 		// Square updates already-solved rows.
-		{{triSeg, 0, 4, 0, 4, 0, 0}, {sqSeg, 2, 8, 0, 4, 0, 0}, {triSeg, 4, 8, 4, 8, 0, 0}},
+		{seg(triSeg, 0, 4, 0, 4, 0, 0), seg(sqSeg, 2, 8, 0, 4, 0, 0), seg(triSeg, 4, 8, 4, 8, 0, 0)},
 		// Diagonal not fully covered.
-		{{triSeg, 0, 4, 0, 4, 0, 0}},
+		{seg(triSeg, 0, 4, 0, 4, 0, 0)},
 		// Non-square triangle spec.
-		{{triSeg, 0, 4, 0, 5, 0, 0}, {triSeg, 4, 8, 4, 8, 0, 0}},
+		{seg(triSeg, 0, 4, 0, 5, 0, 0), seg(triSeg, 4, 8, 4, 8, 0, 0)},
 	}
 	for i, plan := range bad {
 		if err := planChecks(8, plan); err == nil {
 			t.Errorf("bad plan %d accepted", i)
 		}
 	}
+}
+
+// seg is a plan spec with no walk counts, for literal plans.
+func seg(kind segKind, rowLo, rowHi, colLo, colHi, depth int, stop stopReason) segSpec {
+	return segSpec{kind: kind, rowLo: rowLo, rowHi: rowHi, colLo: colLo, colHi: colHi, depth: depth, stop: stop}
 }
 
 // planFor is the plan Preprocess lays out for l under o.
@@ -110,13 +115,13 @@ func TestRecursivePlanShape(t *testing.T) {
 	o := Options{Kind: Recursive, MinBlockRows: 1, MaxDepth: 2}
 	plan := planFor(t, gen.DenseLower(8, 1), o)
 	want := []segSpec{
-		{triSeg, 0, 2, 0, 2, 2, stopDepth},
-		{sqSeg, 2, 4, 0, 2, 1, 0},
-		{triSeg, 2, 4, 2, 4, 2, stopDepth},
-		{sqSeg, 4, 8, 0, 4, 0, 0},
-		{triSeg, 4, 6, 4, 6, 2, stopDepth},
-		{sqSeg, 6, 8, 4, 6, 1, 0},
-		{triSeg, 6, 8, 6, 8, 2, stopDepth},
+		seg(triSeg, 0, 2, 0, 2, 2, stopDepth),
+		seg(sqSeg, 2, 4, 0, 2, 1, 0),
+		seg(triSeg, 2, 4, 2, 4, 2, stopDepth),
+		seg(sqSeg, 4, 8, 0, 4, 0, 0),
+		seg(triSeg, 4, 6, 4, 6, 2, stopDepth),
+		seg(sqSeg, 6, 8, 4, 6, 1, 0),
+		seg(triSeg, 6, 8, 6, 8, 2, stopDepth),
 	}
 	if len(plan) != len(want) {
 		t.Fatalf("plan: %v", plan)

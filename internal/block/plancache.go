@@ -3,10 +3,12 @@ package block
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
@@ -29,7 +31,8 @@ var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // cacheKey derives the plan-cache key for (matrix structure, options).
 // Every option that changes the preprocessed plan participates, and so
-// does the rule that shapes the recursion tree (treeRule); values
+// do the solver-stream version, the rule that shapes the recursion tree
+// (treeRule) and the serial-leaf form rule (adapt.FormRule); values
 // deliberately do not (see the package comment above).
 func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 	var probe T
@@ -37,8 +40,8 @@ func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 	if probeIs64(probe) {
 		width = 8
 	}
-	fp := fmt.Sprintf("serial=%d|tree=%s|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d",
-		serialVersion, treeRule, width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
+	fp := fmt.Sprintf("serial=%d|tree=%s|form=%s|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d",
+		serialVersion, treeRule, adapt.FormRule(), width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
 		o.Reorder, o.Adaptive, o.Thresholds, o.ForceTri, o.ForceSpMV,
 		o.Calibrate, o.CalibrateRepeats, o.Pool.Workers())
 	return plancache.DeriveKey(plancache.StructureKey(l.Rows, l.RowPtr, l.ColIdx), fp)
@@ -113,9 +116,16 @@ func decodePlanPayload[T sparse.Float](payload []byte, l *sparse.CSR[T], o Optio
 	return s, nil
 }
 
+// errInPlace keeps an in-place plan out of the plan cache. Its analysis
+// is a level walk over L and nothing more, while its payload would be a
+// copy of L that every hit must read and check, so loading it costs
+// more than analysing again.
+var errInPlace = errors.New("block: in-place plan is not cached")
+
 // preprocessCached is Preprocess behind a plan cache: load on hit,
 // analyze-and-store on miss, with concurrent misses for the same key
-// single-flighted down to one analysis.
+// single-flighted down to one analysis. In-place plans are analysed and
+// not stored (errInPlace).
 func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], error) {
 	cache := o.PlanCache
 	key := cacheKey(l, o)
@@ -126,8 +136,19 @@ func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], 
 			return nil, err
 		}
 		built = s
+		if s.inPlace {
+			return nil, errInPlace
+		}
 		return encodePlanPayload(s, l)
 	})
+	if errors.Is(err, errInPlace) {
+		if built != nil {
+			return built, nil
+		}
+		// A concurrent caller analysed the same plan and did not store
+		// it: analyse here too.
+		return preprocessCold(l, o)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +163,14 @@ func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], 
 	}
 	// The cached payload did not decode (stale solver-stream version, a
 	// collision with a foreign payload, a refresh mismatch). Treat it as
-	// a miss: analyze cold and repair the entry.
+	// a miss: analyze cold and repair the entry, unless the plan is in
+	// place (errInPlace).
 	s, cerr := preprocessCold(l, o)
 	if cerr != nil {
 		return nil, cerr
+	}
+	if s.inPlace {
+		return s, nil
 	}
 	if p2, perr := encodePlanPayload(s, l); perr == nil {
 		if perr := cache.Put(key, p2); perr != nil {
@@ -158,13 +183,14 @@ func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], 
 }
 
 // RefreshValues re-derives every numeric array of the plan (block
-// values, diagonals, alternate-format copies) from the caller's matrix,
-// keeping all symbolic structure — permutation, partition, level sets,
-// schedules, kernel choices — intact. It is the value-update half of the
-// plan cache: same sparsity pattern, new numbers, no re-analysis. The
-// matrix must have exactly the structure the plan was built from; a
-// mismatch returns an error wrapping ErrSerialize and the solver is left
-// unusable.
+// values, diagonals, alternate-format copies, gather leaves) from the
+// caller's matrix, keeping all symbolic structure — permutation,
+// partition, level sets, schedules, kernel choices and serial forms —
+// intact. It is the value-update half of the plan cache: same sparsity
+// pattern, new numbers, no re-analysis. The matrix must have exactly the
+// structure the plan was built from; a mismatch returns an error wrapping
+// ErrSerialize and the solver is left unusable. Like Preprocess, the
+// solver keeps a reference to l: an in-place plan solves on l itself.
 func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
 	if l.Rows != s.n || l.Cols != s.n {
 		return fmt.Errorf("%w: refresh with %dx%d matrix, plan is %dx%d", ErrSerialize, l.Rows, l.Cols, s.n, s.n)
@@ -177,9 +203,23 @@ func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
 			return fmt.Errorf("%w: refresh: %v", ErrSerialize, err)
 		}
 	}
-	cscAll := cur.ToCSC()
+	var cscAll *sparse.CSC[T]
 	for i := range s.tris {
 		tb := &s.tris[i]
+		if tb.lower != nil {
+			nnz := tb.lower.NNZ()
+			tb.lower = gatherCSR(cur, tb.lo, tb.hi)
+			if err := tb.validate(); err != nil {
+				return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)
+			}
+			if tb.lower.NNZ() != nnz {
+				return fmt.Errorf("%w: refresh tri block %d: structure mismatch", ErrSerialize, i)
+			}
+			continue
+		}
+		if cscAll == nil {
+			cscAll = cur.ToCSC()
+		}
 		strict, diag, err := sparse.SplitDiagBlock(cscAll, tb.lo, tb.hi)
 		if err != nil {
 			return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)

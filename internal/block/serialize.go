@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/levelset"
@@ -23,11 +24,13 @@ import (
 //
 // The format is a little-endian stream: magic, version, element width,
 // then length-prefixed arrays. It is independent of word size and
-// validated on load.
+// validated on load. Version 3 stores each triangle's serial form: a
+// gather leaf is its lower CSR and level count, any other triangle its
+// split CSC, level sets and kernel structures. Older streams are refused.
 
 const (
 	serialMagic   = "BSPTRSV"
-	serialVersion = 2
+	serialVersion = 3
 )
 
 // ErrSerialize reports a malformed or incompatible solver stream.
@@ -361,6 +364,12 @@ func (s *Solver[T]) WriteTo(w io.Writer) (int64, error) {
 		sw.i(tb.lo)
 		sw.i(tb.hi)
 		sw.u64(uint64(tb.kernel))
+		sw.b(tb.lower != nil)
+		if tb.lower != nil {
+			writeCSR(sw, tb.lower)
+			sw.i(tb.feats.NLevels)
+			continue
+		}
 		floats(sw, tb.diag)
 		writeCSC(sw, tb.strictCSC)
 		sw.ints(tb.info.LevelPtr)
@@ -492,6 +501,12 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 		tb.lo = sr.i()
 		tb.hi = sr.i()
 		tb.kernel = kernels.TriKernel(sr.u64())
+		if sr.b() {
+			tb.lower = readCSR[T](sr)
+			rows, nlevels := tb.lower.Rows, sr.i()
+			tb.feats = adapt.NewTriFeatures(rows, tb.lower.NNZ()-rows, nlevels)
+			continue
+		}
 		tb.diag = readFloats[T](sr)
 		tb.strictCSC = readCSC[T](sr)
 		levelPtr := sr.ints()
@@ -556,6 +571,7 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 	if err := s.validateLoaded(); err != nil {
 		return nil, err
 	}
+	s.inPlace = s.onlyGatherLeaf()
 	// The sync-free in-degrees are the strict row counts of the block's
 	// CSC, so they are rebuilt, not stored: no stream can carry counts
 	// that contradict its own structure and stall the first solve.
@@ -639,9 +655,29 @@ func (s *Solver[T]) validateLoaded() error {
 
 // validate checks a loaded triangular block: a strictly lower CSC and a
 // diagonal of its window's size, level sets over its rows, and the
-// structures its kernel reads.
+// structures its kernel reads; or, in gather form, a serial leaf's lower
+// CSR of its window's size with sorted rows, each ending in a nonzero
+// diagonal.
 func (tb *triBlock[T]) validate() error {
 	n := tb.hi - tb.lo
+	if m := tb.lower; m != nil {
+		if tb.kernel != kernels.TriSerial {
+			return fmt.Errorf("%v block stored in gather form", tb.kernel)
+		}
+		if err := m.Validate(); err != nil {
+			return err
+		}
+		if m.Rows != n || m.Cols != n {
+			return fmt.Errorf("gather CSR is %dx%d, window has %d rows", m.Rows, m.Cols, n)
+		}
+		if err := sparse.CheckLowerSolvable(m); err != nil {
+			return fmt.Errorf("gather CSR: %w", err)
+		}
+		if l := tb.feats.NLevels; l < 0 || l > n {
+			return fmt.Errorf("gather leaf has %d levels over %d rows", l, n)
+		}
+		return nil
+	}
 	c := tb.strictCSC
 	if err := c.Validate(); err != nil {
 		return err

@@ -133,6 +133,7 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 		"bad magic":    {corrupt: func(b []byte) []byte { c := clone(b); c[0] = 'X'; return c }},
 		"bad version":  {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 99; return c }},
 		"version 1":    {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 1; return c }},
+		"version 2":    {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 2; return c }},
 		"empty":        {corrupt: func(b []byte) []byte { return nil }},
 		"flipped byte": {corrupt: func(b []byte) []byte { c := clone(b); c[40] ^= 0xFF; return c }},
 		"dcsr kernel without dcsr": {mutate: func(t *testing.T, s *Solver[float64]) {
@@ -249,7 +250,7 @@ func TestSerializeRebuildsSyncFreeInDegrees(t *testing.T) {
 		t.Fatalf("reloaded solver: %v", err)
 	}
 	ref := make([]float64, n)
-	kernels.SerialSolveCSR(l, b, ref)
+	kernels.SerialSolveCSR(l, b, ref, nil)
 	for i := range x {
 		if !closeEnough(x[i], ref[i]) {
 			t.Fatalf("x[%d] = %g, want %g", i, x[i], ref[i])

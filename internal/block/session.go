@@ -18,7 +18,8 @@ import (
 type Session[T sparse.Float] struct {
 	s *Solver[T]
 	// w and xp hold the permuted right-hand sides and solutions (xp only
-	// with a permutation), sized for the widest batch solved so far.
+	// with a permutation), sized for the widest batch solved so far. An
+	// in-place plan solves on the caller's vectors and has neither.
 	w, xp []T
 	// states[i] is the private sync-free state of triangular block i, or
 	// nil when block i's kernel needs no mutable state. The Solver's own
@@ -32,7 +33,10 @@ type Session[T sparse.Float] struct {
 
 // newSession allocates a session's single-RHS scratch.
 func (s *Solver[T]) newSession() *Session[T] {
-	ses := &Session[T]{s: s, w: make([]T, s.n)}
+	ses := &Session[T]{s: s}
+	if !s.inPlace {
+		ses.w = make([]T, s.n)
+	}
 	if s.perm != nil {
 		ses.xp = make([]T, s.n)
 	}
@@ -99,8 +103,11 @@ func (ses *Session[T]) checkArgs(op string, b, x []T, k int) error {
 }
 
 // grow sizes the scratch for k right-hand sides. Sessions start sized for
-// one, so only batch solves ever allocate here.
+// one, so only batch solves ever allocate here, and in-place plans never.
 func (ses *Session[T]) grow(k int) {
+	if ses.s.inPlace {
+		return
+	}
 	if nk := ses.s.n * k; len(ses.w) < nk {
 		ses.w = make([]T, nk)
 		if ses.s.perm != nil {

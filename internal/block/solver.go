@@ -51,17 +51,27 @@ type SolveStats struct {
 
 // triBlock is a preprocessed triangular diagonal block: strictly-lower
 // storage plus separate diagonal (§3.3), with the auxiliary structures of
-// its selected kernel.
+// its selected kernel. A serial leaf in gather form stores instead its
+// lower CSR with the diagonal last in each row, and nothing else.
 type triBlock[T sparse.Float] struct {
 	lo, hi    int
 	diag      []T
 	strictCSC *sparse.CSC[T]
 	strictCSR *sparse.CSR[T]          // cusparse-like only
+	lower     *sparse.CSR[T]          // serial gather form only; diag, strictCSC and info are nil
 	info      *levelset.Info          // level-set only
 	sched     *kernels.MergedSchedule // cusparse-like only
 	state     *kernels.SyncFreeState  // sync-free only
 	kernel    kernels.TriKernel
 	feats     adapt.TriFeatures
+}
+
+// nnz counts the block's stored entries, its diagonal included.
+func (tb *triBlock[T]) nnz() int {
+	if tb.lower != nil {
+		return tb.lower.NNZ()
+	}
+	return tb.strictCSC.NNZ() + len(tb.diag)
 }
 
 // sqBlock is a preprocessed off-diagonal block: CSR or DCSR (exactly one
@@ -89,6 +99,7 @@ type Solver[T sparse.Float] struct {
 	pool    exec.Launcher
 	perm    []int          // newIdx[original] = permuted position; nil without reorder
 	orig    *sparse.CSR[T] // caller's matrix, for residual checks and fallback; nil when deserialised
+	inPlace bool           // the plan is one gather leaf, not permuted: solves read b directly
 	tris    []triBlock[T]
 	sqs     []sqBlock[T]
 	steps   []planStep
@@ -115,8 +126,16 @@ type Solver[T sparse.Float] struct {
 // with separated diagonals, CSR/DCSR squares) and kernel selection. With
 // the serial floor on (the thresholds choose the kernels and
 // TriParallelMinWork > 0), the recursion stops at ranges Algorithm 7
-// sends to the serial or completely-parallel kernel, and squares without
-// entries leave the plan.
+// sends to the serial or completely-parallel kernel, squares without
+// entries leave the plan, and each serial leaf whose entries reach far
+// below its diagonal runs as a CSR gather instead of the CSC scatter
+// (adapt.PrefersGather). When such a leaf is the whole, unpermuted
+// matrix, it is L itself and solves read b in place.
+//
+// The solver keeps a reference to L: for residual verification and the
+// serial fallback, and as the gather leaf's storage. Callers must not
+// modify L while the solver is in use; new values on the same pattern
+// go through RefreshValues.
 func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], error) {
 	o := opts.normalised()
 	if o.Validate {
@@ -151,14 +170,24 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 	}
 	s.perm = perm
 
-	cscAll := cur.ToCSC()
+	// The CSC is built only if some triangle needs it: a plan of gather
+	// leaves reads the plan-order CSR alone.
+	var cscAll *sparse.CSC[T]
 	s.traffic.BUpdates = int64(n)
 	s.plan = make([]segSpec, 0, len(plan))
 	dropEmpty := o.floorOn()
 	for _, spec := range plan {
 		switch spec.kind {
 		case triSeg:
-			tb, err := buildTriBlock[T](cscAll, spec, o)
+			var tb triBlock[T]
+			if spec.gather() {
+				tb, err = buildGatherLeaf(cur, spec)
+			} else {
+				if cscAll == nil {
+					cscAll = cur.ToCSC()
+				}
+				tb, err = buildTriBlock[T](cscAll, spec, o)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -177,6 +206,7 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 		}
 		s.plan = append(s.plan, spec)
 	}
+	s.inPlace = s.onlyGatherLeaf()
 	s.own = s.newSession()
 	if o.Calibrate {
 		reps := o.CalibrateRepeats
@@ -210,7 +240,7 @@ func (s *Solver[T]) SetTrace(r *trace.StepRecorder) {
 		if m.Tri {
 			tb := &s.tris[st.idx]
 			kind, m.Rows, m.Cols = "tri", int32(tb.hi-tb.lo), int32(tb.hi-tb.lo)
-			m.NNZ, m.Levels = int32(tb.strictCSC.NNZ()+len(tb.diag)), int32(tb.feats.NLevels)
+			m.NNZ, m.Levels = int32(tb.nnz()), int32(tb.feats.NLevels)
 		} else {
 			sb := &s.sqs[st.idx]
 			m.Rows, m.Cols = int32(sb.spec.rowHi-sb.spec.rowLo), int32(sb.spec.colHi-sb.spec.colLo)
@@ -262,6 +292,39 @@ func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Option
 	}
 	// level-set keeps info; completely-parallel and serial need nothing.
 	return tb, nil
+}
+
+// buildGatherLeaf builds a serial leaf in gather form and checks it as
+// the loader does (triBlock.validate): sorted rows, lower triangular,
+// each row ending in a nonzero diagonal. Preprocess checks only the last
+// entry of each row, and the gather reads every other entry as solved,
+// so an entry above the diagonal must be refused here, as SplitDiagBlock
+// refuses it on the scatter's path.
+func buildGatherLeaf[T sparse.Float](cur *sparse.CSR[T], spec segSpec) (triBlock[T], error) {
+	tb := triBlock[T]{lo: spec.rowLo, hi: spec.rowHi, lower: gatherCSR(cur, spec.rowLo, spec.rowHi),
+		kernel: kernels.TriSerial, feats: spec.feats}
+	if err := tb.validate(); err != nil {
+		return triBlock[T]{}, fmt.Errorf("block: triangular block %v: %w", spec, err)
+	}
+	return tb, nil
+}
+
+// gatherCSR is a gather leaf's storage: rows [lo,hi) of the plan-order
+// matrix cur as a lower CSR, diagonal last. A leaf that covers the whole
+// matrix is cur itself, with no copy.
+func gatherCSR[T sparse.Float](cur *sparse.CSR[T], lo, hi int) *sparse.CSR[T] {
+	if lo == 0 && hi == cur.Rows {
+		return cur
+	}
+	return sparse.SubCSR(cur, lo, hi, lo, hi)
+}
+
+// onlyGatherLeaf reports whether the plan is one gather leaf over the
+// unpermuted matrix. Its CSR is then the caller's matrix (or, reloaded,
+// a copy of it), and run solves on the caller's b with no copy into the
+// scratch.
+func (s *Solver[T]) onlyGatherLeaf() bool {
+	return s.perm == nil && len(s.steps) == 1 && len(s.tris) == 1 && s.tris[0].lower != nil
 }
 
 func buildSqBlock[T sparse.Float](cur *sparse.CSR[T], spec segSpec, o Options) sqBlock[T] {
@@ -345,7 +408,7 @@ func (s *Solver[T]) Describe() string {
 		s.Name(), s.n, len(s.tris), len(s.sqs))
 	totalNNZ := s.sqNNZ
 	for i := range s.tris {
-		totalNNZ += s.tris[i].strictCSC.NNZ() + len(s.tris[i].diag)
+		totalNNZ += s.tris[i].nnz()
 	}
 	share := 0.0
 	if totalNNZ > 0 {
@@ -414,7 +477,10 @@ func (s *Solver[T]) Solve(b, x []T) { s.own.Solve(b, x) }
 // SolveBatchContext. It permutes b into the session's scratch, walks the
 // plan's blocks in execution order over k row-major right-hand sides —
 // the single-RHS kernels at k == 1, the batch kernels above — and
-// unpermutes into x. Callers check the argument lengths and size the
+// unpermutes into x. An in-place plan, one gather leaf over the
+// unpermuted matrix, reads b directly: the gather never writes its
+// right-hand side, and it reads b[i] before it writes x[i], so b and x
+// may still alias. Callers check the argument lengths and size the
 // scratch for k.
 //
 // A nil guard is the plain solve. A live guard is polled before every
@@ -436,16 +502,19 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 		solveT0 = time.Now()
 	}
 	nk := s.n * k
-	w, xp := ses.w[:nk], x
-	if s.perm != nil {
-		xp = ses.xp[:nk]
-		if k == 1 {
-			sparse.PermuteVecInto(w, b, s.perm)
+	w, xp := b, x
+	if !s.inPlace {
+		w = ses.w[:nk]
+		if s.perm == nil {
+			copy(w, b)
 		} else {
-			permuteRowsInto(w, b, s.perm, k)
+			xp = ses.xp[:nk]
+			if k == 1 {
+				sparse.PermuteVecInto(w, b, s.perm)
+			} else {
+				permuteRowsInto(w, b, s.perm, k)
+			}
 		}
-	} else {
-		copy(w, b)
 	}
 	if rec != nil && sid == 0 {
 		sid = trace.BeginSolve(rec)
@@ -577,7 +646,12 @@ func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.Sy
 		}
 		return kernels.TriCuSparseLikeSolveBatch(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k, g)
 	case kernels.TriSerial:
-		if k == 1 {
+		switch {
+		case tb.lower != nil && k == 1:
+			return kernels.SerialSolveCSR(tb.lower, w, x, g)
+		case tb.lower != nil:
+			return kernels.SerialSolveCSRBatch(tb.lower, w, x, k, g)
+		case k == 1:
 			return kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x, g)
 		}
 		return kernels.TriSerialSolveBatch(tb.strictCSC, tb.diag, w, x, k, g)

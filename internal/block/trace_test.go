@@ -313,6 +313,81 @@ func TestExplainStopReasons(t *testing.T) {
 	}
 }
 
+// TestExplainNamesSerialForm: every serial line names the leaf's form
+// and the form rule's feature, far/row; a reloaded solver names the form
+// it stored, with the feature n/a.
+func TestExplainNamesSerialForm(t *testing.T) {
+	pool := exec.NewPool(3)
+	defaults := Defaults(exec.Device{Name: "test", Workers: 3, BlockFactor: 1024})
+	defaults.Pool = pool
+	paper := defaults
+	paper.Thresholds = paperThresholds()
+	layered := gen.Layered(10_000, 512, 6, 0, 4104) // batch's layered-10k
+	grid5 := gen.GridLaplacian5(94, 94, 4102)       // deep's grid5
+	for _, tc := range []struct {
+		name    string
+		l       *sparse.CSR[float64]
+		o       Options
+		reload  bool
+		want    string // on every serial line
+		serial  int    // serial lines
+		gathers int    // of them in gather form
+	}{
+		{"layered-10k at defaults", layered, defaults, false, "kernel=serial form=gather far/row=3.34 stop=serial", 1, 1},
+		{"grid5 at defaults", grid5, defaults, false, "kernel=serial form=scatter far/row=0.00 stop=serial", 1, 0},
+		{"layered-10k at floor 0", layered, paper, false, "", 0, 0},
+		{"reloaded", layered, defaults, true, "kernel=serial form=gather far/row=n/a stop=n/a", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Preprocess(tc.l, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.reload {
+				var buf bytes.Buffer
+				if _, err := s.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = ReadSolver[float64](&buf, pool); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := s.Explain()
+			serial, gathers := 0, 0
+			for _, line := range strings.Split(e, "\n") {
+				if !strings.Contains(line, " tri ") {
+					continue
+				}
+				if strings.Contains(line, "form=gather") {
+					gathers++
+				}
+				if !strings.Contains(line, "kernel=serial") {
+					if strings.Contains(line, "form=") {
+						t.Fatalf("non-serial line %q names a form:\n%s", line, e)
+					}
+					continue
+				}
+				serial++
+				if !strings.HasSuffix(line, " "+tc.want) {
+					t.Fatalf("line %q does not end in %q:\n%s", line, tc.want, e)
+				}
+			}
+			if serial != tc.serial || gathers != tc.gathers {
+				t.Fatalf("%d serial lines, %d in gather form; want %d and %d:\n%s", serial, gathers, tc.serial, tc.gathers, e)
+			}
+			stored := 0
+			for i := range s.tris {
+				if s.tris[i].lower != nil {
+					stored++
+				}
+			}
+			if stored != tc.gathers {
+				t.Fatalf("%d leaves stored in gather form, Explain names %d", stored, tc.gathers)
+			}
+		})
+	}
+}
+
 func TestConcurrentSessionsSharedRecorder(t *testing.T) {
 	rec := trace.NewStepRecorder(1 << 14)
 	s, b, _ := traceTestSolver(t, rec)

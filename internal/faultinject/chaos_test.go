@@ -33,7 +33,7 @@ func buildSolver(t *testing.T, opts block.Options) (*block.Solver[float64], []fl
 	}
 	b := gen.RandVec(n, 1002)
 	ref := make([]float64, n)
-	kernels.SerialSolveCSR(l, b, ref)
+	kernels.SerialSolveCSR(l, b, ref, nil)
 	return s, b, ref
 }
 

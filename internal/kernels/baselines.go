@@ -56,19 +56,41 @@ func (s *SerialSolver[T]) Name() string { return "serial" }
 func (s *SerialSolver[T]) Rows() int    { return s.l.Rows }
 
 func (s *SerialSolver[T]) Solve(b, x []T) {
-	SerialSolveCSR(s.l, b, x)
+	SerialSolveCSR(s.l, b, x, nil)
 }
 
 // SerialSolveCSR is the serial forward substitution on a solvable lower CSR
-// (diagonal last in each row), shared by SerialSolver and by the guarded
-// path's last-resort fallback. The gather loop runs in the repo's BCE
-// shape with a dual-accumulator 4-way unroll (DESIGN.md §6.9); the
-// reassociated sum stays within the documented ULP tolerance.
+// (diagonal last in each row): Algorithm 1 in gather form. It serves the
+// serial baseline, the guarded path's last-resort fallback and the block
+// solver's gather leaves. Row i reads b[i] before it writes x[i], and b is
+// never written, so b and x may be the same slice. After every
+// serialGuardCols rows it takes one guard progress step and polls g, as
+// TriSerialSolve does per column; it reports false once g tripped,
+// leaving x unspecified. A nil guard never trips. The gather loop runs in
+// the repo's BCE shape with a dual-accumulator 4-way unroll (DESIGN.md
+// §6.9); the reassociated sum stays within the documented ULP tolerance.
 //
 //sptrsv:hotpath
-func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T) {
+func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) bool {
+	n := l.Rows
+	if n == 0 {
+		return true
+	}
+	// Length hints up front, as in TriSerialSolve: the per-row reads of
+	// the row pointers and b and the write of x[i] carry no bounds checks.
 	rowPtr, colIdx, vals := l.RowPtr, l.ColIdx, l.Val
-	for i := 0; i < l.Rows; i++ {
+	_ = rowPtr[n]
+	_ = b[n-1]
+	_ = x[n-1]
+	next := serialGuardCols
+	for i := 0; i < n; i++ {
+		if i == next {
+			g.Step()
+			if g.Tripped() {
+				return false
+			}
+			next += serialGuardCols
+		}
 		lo, hi := rowPtr[i], rowPtr[i+1]-1 // diagonal is the last entry of a solvable row
 		sum := b[i]
 		if hi-lo < 4 { // short row: direct indexing, see internal/kernels/spmv.go
@@ -94,6 +116,8 @@ func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T) {
 		}
 		x[i] = (s0 - s1) / vals[hi]
 	}
+	g.Step()
+	return !g.Tripped()
 }
 
 // LevelSetSolver is the plain level-set baseline (Algorithm 2): one

@@ -69,6 +69,65 @@ func TriSerialSolveBatch[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x [
 	return !g.Tripped()
 }
 
+// SerialSolveCSRBatch is SerialSolveCSR over row-major n×k blocks, with
+// the same guard step and poll every serialGuardCols rows. Row i's k
+// values are copied from b into x and reduced there in place, so b is read
+// before x is written and never written itself: b and x may be the same
+// slice. The diagonal is applied as one reciprocal, as in
+// TriSerialSolveBatch.
+//
+// Every entry of a row updates the same k values, so a rolled loop chains
+// each value's subtractions through memory. The entries are taken four at
+// a time instead, their products summed in pairs before one subtraction:
+// on a 2-vCPU Xeon, at k = 16 on a 10,000-row gen.Layered matrix, the
+// rolled loop took 1.05–1.09× the scatter's time and this one 0.60×. The
+// reassociated sum stays within the documented ULP tolerance.
+//
+//sptrsv:hotpath
+func SerialSolveCSRBatch[T sparse.Float](l *sparse.CSR[T], b, x []T, k int, g *exec.Guard) bool {
+	n := l.Rows
+	rowPtr, colIdx, vals := l.RowPtr, l.ColIdx, l.Val
+	_ = rowPtr[n]
+	next := serialGuardCols
+	for i := 0; i < n; i++ {
+		if i == next {
+			g.Step()
+			if g.Tripped() {
+				return false
+			}
+			next += serialGuardCols
+		}
+		lo, hi := rowPtr[i], rowPtr[i+1]-1 // diagonal is the last entry of a solvable row
+		xi := x[i*k:][:k]
+		copy(xi, b[i*k:][:len(xi)])
+		cols := colIdx[lo:hi]
+		vs := vals[lo:hi][:len(cols)]
+		for len(cols) >= 4 && len(vs) >= 4 {
+			v0, v1, v2, v3 := vs[0], vs[1], vs[2], vs[3]
+			x0 := x[cols[0]*k:][:len(xi)]
+			x1 := x[cols[1]*k:][:len(xi)]
+			x2 := x[cols[2]*k:][:len(xi)]
+			x3 := x[cols[3]*k:][:len(xi)]
+			for r := range xi {
+				xi[r] -= (v0*x0[r] + v1*x1[r]) + (v2*x2[r] + v3*x3[r])
+			}
+			cols = cols[4:]
+			vs = vs[4:]
+		}
+		vs = vs[:len(cols)]
+		for p := range cols {
+			v := vs[p]
+			xj := x[cols[p]*k:][:len(xi)]
+			for r := range xi {
+				xi[r] -= v * xj[r]
+			}
+		}
+		scaleInto(xi, xi, 1/vals[hi])
+	}
+	g.Step()
+	return !g.Tripped()
+}
+
 // scaleInto computes dst[r] = src[r]·inv over one RHS window with the
 // source re-tied to the destination length, so the body carries no
 // bounds checks. Called once per component, not per nonzero, so the

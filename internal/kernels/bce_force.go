@@ -32,6 +32,7 @@ var bceForceInstantiations = [...]any{
 	RunSpMV[float64], RunSpMV[float32],
 
 	TriSerialSolveBatch[float64], TriSerialSolveBatch[float32],
+	SerialSolveCSRBatch[float64], SerialSolveCSRBatch[float32],
 	TriDiagOnlySolveBatch[float64], TriDiagOnlySolveBatch[float32],
 	TriLevelSetSolveBatch[float64], TriLevelSetSolveBatch[float32],
 	TriSyncFreeSolveBatch[float64], TriSyncFreeSolveBatch[float32],

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
@@ -53,8 +54,9 @@ func buildRandLower[T sparse.Float](rng *rand.Rand, n int, density float64) *spa
 }
 
 // checkKernelEquivalence solves one random system with every optimized
-// SpTRSV kernel and compares each result to the TriSerialSolve reference;
-// the guard-taking kernels run with a nil and with a live guard.
+// SpTRSV kernel, the CSR gathers included, and compares each result to
+// the TriSerialSolve reference; the guard-taking kernels run with a nil
+// and with a live guard.
 func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers int, density float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -129,15 +131,44 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 		}
 	}
 
-	x := make([]T, n)
-	SerialSolveCSR(l, b, x)
-	check("serial-csr", x)
+	// The gather forms on L as given, with a nil and a live guard: the
+	// single-RHS kernel, and the batch kernel over k copies of b solved
+	// in place (b and x the same slice). Both are serial, so the two
+	// guards must agree bit for bit.
+	const k = 3
+	var plain []T
+	for _, g := range []*exec.Guard{nil, exec.NewGuard()} {
+		x := make([]T, n)
+		if !SerialSolveCSR(l, b, x, g) {
+			t.Fatalf("%T serial-csr: seed=%d n=%d: untripped guard aborted the solve", T(0), seed, n)
+		}
+		check("serial-csr", x)
+		if plain == nil {
+			plain = x
+		} else if !slices.Equal(plain, x) {
+			t.Fatalf("%T serial-csr: seed=%d n=%d: guarded solve differs from unguarded", T(0), seed, n)
+		}
+		xk := make([]T, n*k)
+		for i := range xk {
+			xk[i] = b[i/k]
+		}
+		if !SerialSolveCSRBatch(l, xk, xk, k, g) {
+			t.Fatalf("%T serial-csr-batch: seed=%d n=%d: untripped guard aborted the solve", T(0), seed, n)
+		}
+		for r := 0; r < k; r++ {
+			col := make([]T, n)
+			for i := range col {
+				col[i] = xk[i*k+r]
+			}
+			check("serial-csr-batch", col)
+		}
+	}
 
 	csr, err := NewSyncFreeCSRSolver(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x = make([]T, n)
+	x := make([]T, n)
 	csr.Solve(b, x)
 	check("sync-free-csr", x)
 }

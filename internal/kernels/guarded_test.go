@@ -32,6 +32,22 @@ func chainStrict(n int) (*sparse.CSC[float64], []float64) {
 	return &sparse.CSC[float64]{Rows: n, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, diag
 }
 
+// lowerCSR joins a strictly-lower CSC part and its diagonal into the
+// lower CSR, diagonal last in each row, that the gather kernels read.
+func lowerCSR[T sparse.Float](strict *sparse.CSC[T], diag []T) *sparse.CSR[T] {
+	r := strict.ToCSR()
+	n := len(diag)
+	rowPtr := make([]int, n+1)
+	colIdx := make([]int, 0, r.NNZ()+n)
+	val := make([]T, 0, r.NNZ()+n)
+	for i := 0; i < n; i++ {
+		colIdx = append(append(colIdx, r.ColIdx[r.RowPtr[i]:r.RowPtr[i+1]]...), i)
+		val = append(append(val, r.Val[r.RowPtr[i]:r.RowPtr[i+1]]...), diag[i])
+		rowPtr[i+1] = len(val)
+	}
+	return &sparse.CSR[T]{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+}
+
 func TestGuardedKernelsMatchSerial(t *testing.T) {
 	n := 300
 	strict, diag := chainStrict(n)
@@ -204,20 +220,26 @@ func TestGuardedKernelsHonourPreTrippedGuard(t *testing.T) {
 	}
 }
 
-// The serial kernels take one guard progress step per serialGuardCols
-// columns and stop at the first chunk boundary after the guard trips, so
-// a watchdog sees a long serial leaf progress and a deadline can
-// interrupt it.
+// The serial kernels, scatter and gather, single and batch, take one
+// guard progress step per serialGuardCols columns (rows for the gather)
+// and stop at the first chunk boundary after the guard trips, so a
+// watchdog sees a long serial leaf progress and a deadline can interrupt
+// it.
 func TestSerialKernelsStepAndPollGuard(t *testing.T) {
 	n := 3*serialGuardCols + 5
 	strict, diag := chainStrict(n)
-	for _, k := range []int{1, 2} {
-		run := func(w, x []float64, g *exec.Guard) bool {
-			if k == 1 {
-				return TriSerialSolve(strict, diag, w, x, g)
-			}
-			return TriSerialSolveBatch(strict, diag, w, x, k, g)
-		}
+	lower := lowerCSR(strict, diag)
+	for _, kern := range []struct {
+		name string
+		k    int
+		run  func(w, x []float64, g *exec.Guard) bool
+	}{
+		{"scatter", 1, func(w, x []float64, g *exec.Guard) bool { return TriSerialSolve(strict, diag, w, x, g) }},
+		{"scatter-batch", 2, func(w, x []float64, g *exec.Guard) bool { return TriSerialSolveBatch(strict, diag, w, x, 2, g) }},
+		{"gather", 1, func(w, x []float64, g *exec.Guard) bool { return SerialSolveCSR(lower, w, x, g) }},
+		{"gather-batch", 2, func(w, x []float64, g *exec.Guard) bool { return SerialSolveCSRBatch(lower, w, x, 2, g) }},
+	} {
+		k, run := kern.k, kern.run
 		ones := func() []float64 {
 			w := make([]float64, n*k)
 			for i := range w {
@@ -227,19 +249,19 @@ func TestSerialKernelsStepAndPollGuard(t *testing.T) {
 		}
 		want := make([]float64, n*k)
 		if !run(ones(), want, nil) {
-			t.Fatalf("k=%d: unguarded solve reported a trip", k)
+			t.Fatalf("%s: unguarded solve reported a trip", kern.name)
 		}
 		x := make([]float64, n*k)
 		g := exec.NewGuard()
 		if !run(ones(), x, g) {
-			t.Fatalf("k=%d: clean guarded solve tripped", k)
+			t.Fatalf("%s: clean guarded solve tripped", kern.name)
 		}
 		if got := g.Progress(); got != 4 {
-			t.Fatalf("k=%d: %d progress steps over %d columns, want 4", k, got, n)
+			t.Fatalf("%s: %d progress steps over %d columns, want 4", kern.name, got, n)
 		}
 		for i := range x {
 			if x[i] != want[i] {
-				t.Fatalf("k=%d: guarded x[%d]=%g, unguarded %g", k, i, x[i], want[i])
+				t.Fatalf("%s: guarded x[%d]=%g, unguarded %g", kern.name, i, x[i], want[i])
 			}
 		}
 
@@ -249,10 +271,10 @@ func TestSerialKernelsStepAndPollGuard(t *testing.T) {
 			x[i] = math.NaN()
 		}
 		if run(ones(), x, g) {
-			t.Fatalf("k=%d: solve under a tripped guard reported success", k)
+			t.Fatalf("%s: solve under a tripped guard reported success", kern.name)
 		}
 		if math.IsNaN(x[(serialGuardCols-1)*k]) || !math.IsNaN(x[serialGuardCols*k]) {
-			t.Fatalf("k=%d: tripped solve did not stop at the first chunk boundary", k)
+			t.Fatalf("%s: tripped solve did not stop at the first chunk boundary", kern.name)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func BenchmarkInnerLoop(b *testing.B) {
 
 	b.Run("gather-csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			SerialSolveCSR(l, rhs, x)
+			SerialSolveCSR(l, rhs, x, nil)
 		}
 		perNNZ(b, nnz)
 	})

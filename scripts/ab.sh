@@ -13,7 +13,10 @@
 # Odd pairs run the working tree first, even pairs the base, so a drift
 # of the machine over the pairs falls on both sides alike. Reports
 # and logs land in .bench_build/ab/<start time>/: base-<i>.json and
-# head-<i>.json.
+# head-<i>.json. After the comparison, `go run ./scripts/abstat` prints
+# each side's median [Q1, Q3] per workload and end-to-end metric and how
+# many pairs the working tree read better in; its failure is reported
+# but does not change the exit status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ $# -lt 1 ]; then
@@ -61,4 +64,7 @@ for i in $(seq 1 "$pairs"); do
 	a+="${a:+,}$out/base-$i.json"
 	b+="${b:+,}$out/head-$i.json"
 done
-bash benchmark/run.sh -compare "$a" "$b"
+status=0
+bash benchmark/run.sh -compare "$a" "$b" || status=$?
+go run ./scripts/abstat "$out" || echo "abstat failed; the comparison above stands" >&2
+exit "$status"
