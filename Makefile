@@ -56,10 +56,11 @@ lint-update:
 
 # Short deterministic-budget fuzzing pass over the two input parsers (the
 # Matrix Market reader and the lint harness's want/ignore comment parsers)
-# plus the differential kernel-equivalence fuzzer, which solves random
+# plus the differential fuzzers: kernel equivalence, which solves random
 # triangular systems with every optimized kernel against the serial
-# reference at both element types. Corpus finds land in testdata/fuzz and
-# should be committed.
+# reference at both element types, and the solve endpoint's codec, whose
+# decoder and encoder must agree with encoding/json on every input.
+# Corpus finds land in testdata/fuzz and should be committed.
 FUZZTIME ?= 10s
 
 fuzz-short:
@@ -67,6 +68,8 @@ fuzz-short:
 	$(GO) test -run - -fuzz FuzzParseWant -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run - -fuzz FuzzKernelEquivalence -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run - -fuzz FuzzPlanRoundTrip -fuzztime $(FUZZTIME) ./internal/block
+	$(GO) test -run - -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime $(FUZZTIME) ./internal/daemon
+	$(GO) test -run - -fuzz '^FuzzEncodeSolveResponse$$' -fuzztime $(FUZZTIME) ./internal/daemon
 
 # Fault-injection chaos suite: hooks compiled in under the faultinject tag
 # drive panics, in-degree corruption, solution poisoning and worker delays

@@ -397,6 +397,8 @@ func smokeDebugChecks(base string) error {
 		Records []struct {
 			ID          string `json:"id"`
 			Outcome     string `json:"outcome"`
+			DecodeNs    int64  `json:"decode_ns"`
+			AdmitNs     int64  `json:"admit_ns"`
 			QueueWaitNs int64  `json:"queue_wait_ns"`
 			CoalesceNs  int64  `json:"coalesce_ns"`
 			SolveNs     int64  `json:"solve_ns"`
@@ -412,7 +414,7 @@ func smokeDebugChecks(base string) error {
 		return errors.New("smoke: flight ring is empty after the burst")
 	}
 	for _, rec := range flight.Records {
-		if sum := rec.QueueWaitNs + rec.CoalesceNs + rec.SolveNs; sum > rec.TotalNs {
+		if sum := rec.DecodeNs + rec.AdmitNs + rec.QueueWaitNs + rec.CoalesceNs + rec.SolveNs; sum > rec.TotalNs {
 			return fmt.Errorf("smoke: request %s phases sum to %dns > total %dns", rec.ID, sum, rec.TotalNs)
 		}
 	}

@@ -355,6 +355,36 @@ func TestHTTPRequestIDAndPhaseHeaders(t *testing.T) {
 	}
 }
 
+// TestHTTPDecodePhase: a request that arrived as a body records its
+// decode as its own phase, and its phases sum to at most its total; a Go
+// API call decodes nothing.
+func TestHTTPDecodePhase(t *testing.T) {
+	l := gen.Layered(800, 20, 5, 0.1, 5350)
+	d := newTestDaemon(t, Config{Workers: 1}, l)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	resp, body := postJSON(t, srv.URL+"/solve/m", SolveRequest{B: gen.RandVec(l.Rows, 5351)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	rec := lastRecord(t, d, resp.Header.Get("X-Request-Id"))
+	if rec.Decode <= 0 {
+		t.Fatalf("HTTP request decode = %v, want > 0", rec.Decode)
+	}
+	if sum := rec.Decode + rec.Admit + rec.QueueWait + rec.Coalesce + rec.Solve; sum > rec.Total {
+		t.Fatalf("phases sum to %v > total %v", sum, rec.Total)
+	}
+
+	sp := trace.StartSpan("")
+	if _, err := d.SolveSpan(context.Background(), "m", gen.RandVec(l.Rows, 5352), sp); err != nil {
+		t.Fatal(err)
+	}
+	if rec := lastRecord(t, d, sp.ID); rec.Decode != 0 || rec.Admit <= 0 {
+		t.Fatalf("Go API call: decode %v, admit %v; want 0 and > 0", rec.Decode, rec.Admit)
+	}
+}
+
 // TestHTTPBoundsClientChosenText: a request id and an unknown matrix
 // name of 64 KiB each come back bounded in the response header and in
 // the flight record, so a client cannot grow what the ring keeps.
@@ -494,10 +524,10 @@ func TestHTTPDebugEndpoints(t *testing.T) {
 		}
 	}
 
-	phaseNames := map[string]bool{"admit": true, "queue-wait": true, "coalesce-hold": true, "solve": true, "respond": true}
+	phaseNames := map[string]bool{"decode": true, "admit": true, "queue-wait": true, "coalesce-hold": true, "solve": true, "respond": true}
 	rows := map[int64]bool{}
 	matrices := map[any]int{}
-	var requests, phases int
+	var requests, phases, decodes int
 	events := getChrome(t, srv.URL)
 	for _, ev := range events {
 		keys := strings.Join(slices.Sorted(maps.Keys(ev.Args)), ",")
@@ -518,12 +548,15 @@ func TestHTTPDebugEndpoints(t *testing.T) {
 			if !phaseNames[ev.Name] || keys != "id" {
 				t.Fatalf("phase event %q with args %s", ev.Name, keys)
 			}
+			if ev.Name == "decode" {
+				decodes++
+			}
 		default:
 			t.Fatalf("event %q of category %q with no step recorder attached", ev.Name, ev.Cat)
 		}
 	}
-	if requests != 5 || phases == 0 {
-		t.Fatalf("span tree has %d request events (want 5) and %d phase events (want > 0)", requests, phases)
+	if requests != 5 || phases == 0 || decodes != 5 {
+		t.Fatalf("span tree has %d request events (want 5), %d phase events (want > 0) and %d decode phases (want 5, one per body)", requests, phases, decodes)
 	}
 	if matrices["m"] != 3 || matrices["\ax"] != 1 || matrices["\ufffd"] != 1 {
 		t.Fatalf("request matrices %v, want m three times, \\ax and U+FFFD once", matrices)

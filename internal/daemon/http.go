@@ -14,15 +14,26 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
-// The HTTP surface: a thin JSON façade over Solve. Every daemon error
+// The HTTP surface: a thin JSON façade over Solve, whose request and
+// answer go through the codec in wire.go. Every daemon error
 // maps to a distinct status and machine-readable kind, so clients can
 // react mechanically — 429 + Retry-After means back off, 503 means the
 // process is going away, 504 means the deadline did its job.
 
-// maxSolveBody bounds a solve request body (16 MiB ≈ a 1M-row RHS as
-// JSON): the admission queue bounds memory per request, this bounds
-// memory per connection.
-const maxSolveBody = 16 << 20
+// maxSolveBody bounds a solve request body for a matrix of the given
+// rows: the larger of 16 MiB and bodyBytesPerRow a row. encoding/json
+// writes a float64 in at most 25 bytes (-0.0000012345678901234567), so
+// 32 holds each value with its comma and some whitespace, and any
+// right-hand side json.Marshal writes fits (a 1M-row one of normally
+// distributed values takes 19.6 MB). An unknown matrix (rows 0) gets
+// 16 MiB. The admission queue bounds memory per request; this bounds it
+// per connection.
+func maxSolveBody(rows int) int64 {
+	return max(16<<20, bodyBytesPerRow*int64(rows))
+}
+
+// bodyBytesPerRow is the body a solve request may take per matrix row.
+const bodyBytesPerRow = 32
 
 // SolveRequest is the body of POST /solve/{matrix}.
 type SolveRequest struct {
@@ -95,17 +106,21 @@ func IndexLines() []string {
 }
 
 func (d *Daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
-	// The span starts before body decode so admit time covers request
-	// parsing; an incoming X-Request-Id is honored so clients can
-	// correlate retries across services.
+	// The span starts before the body is read, so its decode phase
+	// covers request parsing; an incoming X-Request-Id is honored so
+	// clients can correlate retries across services.
 	sp := trace.StartSpan(r.Header.Get("X-Request-Id"))
 	w.Header().Set("X-Request-Id", sp.ID)
-	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, maxSolveBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	matrix := r.PathValue("matrix")
+	rows, _ := d.Rows(matrix) // 0 for an unknown matrix, which admission refuses
+	body := http.MaxBytesReader(w, r.Body, maxSolveBody(rows))
+	data, readErr := readSolveBody(body, r.ContentLength, rows)
+	req, err := decodeSolveRequest(data, readErr, rows)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decoding solve request: %w", err), sp.ID)
 		return
 	}
+	sp.MarkDecoded()
 	if int64(req.TimeoutMS) > maxTimeoutMS {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("timeout_ms %d exceeds %d", req.TimeoutMS, maxTimeoutMS), sp.ID)
 		return
@@ -116,13 +131,13 @@ func (d *Daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	x, err := d.SolveSpan(ctx, r.PathValue("matrix"), req.B, sp)
+	x, err := d.SolveSpan(ctx, matrix, req.B, sp)
 	setPhaseHeaders(w.Header(), sp.Record())
 	if err != nil {
 		writeSolveError(w, err, sp.ID)
 		return
 	}
-	writeJSON(w, http.StatusOK, SolveResponse{X: x})
+	writeSolveResponse(w, x, sp.ID)
 }
 
 // setPhaseHeaders exposes the finished span's phase attribution as

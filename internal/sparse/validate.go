@@ -97,7 +97,9 @@ func ValidateUpper[T Float](m *CSR[T]) error {
 
 // ScaledResidual returns the scaled infinity-norm residual
 // max_i |(M·x − b)_i| / (1 + |b_i|) — the acceptance metric used by the
-// guarded solve path, the examples and the command-line tools.
+// guarded solve path, the examples and the command-line tools. A row
+// whose residual is NaN (an x holding NaN, or Inf − Inf) counts as +Inf,
+// as in BackwardError, so no tolerance accepts it.
 func ScaledResidual[T Float](m *CSR[T], x, b []T) float64 {
 	worst := 0.0
 	for i := 0; i < m.Rows; i++ {
@@ -106,9 +108,11 @@ func ScaledResidual[T Float](m *CSR[T], x, b []T) float64 {
 			sum += m.Val[k] * x[m.ColIdx[k]]
 		}
 		bi := float64(b[i])
-		if r := math.Abs(float64(sum)-bi) / (1 + math.Abs(bi)); r > worst {
-			worst = r
+		r := math.Abs(float64(sum)-bi) / (1 + math.Abs(bi))
+		if math.IsNaN(r) {
+			r = math.Inf(1)
 		}
+		worst = max(worst, r)
 	}
 	return worst
 }

@@ -130,3 +130,28 @@ func TestScaledResidual(t *testing.T) {
 		t.Fatalf("residual %g want %g", r, want)
 	}
 }
+
+// TestScaledResidualNaNIsInf: a residual that is NaN, from an x holding
+// NaN or from Inf − Inf, reads +Inf, so no tolerance accepts the x; a
+// maximum kept with r > worst skips NaN and read 0 for an all-NaN x.
+func TestScaledResidualNaNIsInf(t *testing.T) {
+	m := lowerFixture()
+	b := []float64{1, 2, 3}
+	nan := math.NaN()
+	for _, x := range [][]float64{
+		{nan, nan, nan},
+		{0.5, nan, 1},
+		{math.Inf(1), math.Inf(-1), 0},
+	} {
+		if r := ScaledResidual(m, x, b); !math.IsInf(r, 1) {
+			t.Errorf("ScaledResidual(x=%v) = %v, want +Inf", x, r)
+		}
+	}
+	// L rows [1], [-2 1], [-2 1 1] with b = [1.7e308, 1.7e308, 0]: the
+	// exact x overflows, and forward substitution gives [1.7e308, +Inf,
+	// NaN].
+	l := FromDense(3, 3, []float64{1, 0, 0, -2, 1, 0, -2, 1, 1})
+	if r := ScaledResidual(l, []float64{1.7e308, math.Inf(1), nan}, []float64{1.7e308, 1.7e308, 0}); !math.IsInf(r, 1) {
+		t.Errorf("overflowed substitution: residual %v, want +Inf", r)
+	}
+}

@@ -57,7 +57,7 @@ func (r *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 			name string
 			dur  time.Duration
 		}{
-			{"admit", rec.Admit}, {"queue-wait", rec.QueueWait}, {"coalesce-hold", rec.Coalesce},
+			{"decode", rec.Decode}, {"admit", rec.Admit}, {"queue-wait", rec.QueueWait}, {"coalesce-hold", rec.Coalesce},
 			{"solve", rec.Solve}, {"respond", rec.Respond()},
 		} {
 			if ph.dur > 0 {
@@ -83,8 +83,8 @@ func (r *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 // oldest-first.
 func (r *FlightRecorder) WriteTable(w io.Writer) error {
 	recs := r.Records()
-	if _, err := fmt.Fprintf(w, "%6s %-17s %-10s %-8s %5s %8s %12s %12s %12s %12s %12s\n",
-		"seq", "id", "matrix", "outcome", "batch", "solve", "queue-wait", "coalesce", "solve-time", "total", "slack"); err != nil {
+	if _, err := fmt.Fprintf(w, "%6s %-17s %-10s %-8s %5s %8s %12s %12s %12s %12s %12s %12s %12s\n",
+		"seq", "id", "matrix", "outcome", "batch", "solve", "decode", "admit", "queue-wait", "coalesce", "solve-time", "total", "slack"); err != nil {
 		return err
 	}
 	for _, rec := range recs {
@@ -92,9 +92,9 @@ func (r *FlightRecorder) WriteTable(w io.Writer) error {
 		if rec.HasDeadline {
 			slack = rec.DeadlineSlack.Round(time.Microsecond).String()
 		}
-		if _, err := fmt.Fprintf(w, "%6d %-17s %-10s %-8s %5d %8d %12v %12v %12v %12v %12s\n",
+		if _, err := fmt.Fprintf(w, "%6d %-17s %-10s %-8s %5d %8d %12v %12v %12v %12v %12v %12v %12s\n",
 			rec.Seq, rec.ID, rec.Matrix, rec.Outcome, rec.Batch, rec.SolveID,
-			rec.QueueWait.Round(time.Microsecond), rec.Coalesce.Round(time.Microsecond),
+			rec.Decode.Round(time.Microsecond), rec.Admit.Round(time.Microsecond), rec.QueueWait.Round(time.Microsecond), rec.Coalesce.Round(time.Microsecond),
 			rec.Solve.Round(time.Microsecond), rec.Total.Round(time.Microsecond), slack); err != nil {
 			return err
 		}
@@ -112,6 +112,7 @@ type recordJSON struct {
 	Seq int64 `json:"seq"`
 	requestJSON
 	IngressUnixNs   int64  `json:"ingress_unix_ns"`
+	DecodeNs        int64  `json:"decode_ns"`
 	AdmitNs         int64  `json:"admit_ns"`
 	QueueWaitNs     int64  `json:"queue_wait_ns"`
 	CoalesceNs      int64  `json:"coalesce_ns"`
@@ -126,6 +127,7 @@ func recordToJSON(rec Record) recordJSON {
 		Seq:             rec.Seq,
 		requestJSON:     requestToJSON(rec),
 		IngressUnixNs:   rec.Ingress.UnixNano(),
+		DecodeNs:        rec.Decode.Nanoseconds(),
 		AdmitNs:         rec.Admit.Nanoseconds(),
 		QueueWaitNs:     rec.QueueWait.Nanoseconds(),
 		CoalesceNs:      rec.Coalesce.Nanoseconds(),

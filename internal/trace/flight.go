@@ -7,9 +7,12 @@ package trace
 //
 // The phase taxonomy follows the admission pipeline (DESIGN.md §6.12):
 //
-//	ingress ──admit──▶ enqueued ──queue-wait──▶ dequeued
+//	ingress ──decode──▶ decoded ──admit──▶ enqueued ──queue-wait──▶ dequeued
 //	        ──coalesce-hold──▶ solve start ──solve──▶ solve end
 //	        ──respond──▶ finished
+//
+// Only a request that arrived as a body has a decode phase (the HTTP
+// handler marks it); for a Go API call admit starts at ingress.
 //
 // A Span travels with the request exactly as its deadline does — held by
 // the queued request struct — and is marked by whichever goroutine owns
@@ -123,6 +126,7 @@ type Span struct {
 	Matrix string
 
 	ingress    time.Time
+	decoded    time.Time
 	enqueued   time.Time
 	dequeued   time.Time
 	solveStart time.Time
@@ -175,6 +179,13 @@ func (sp *Span) SetDeadline(d time.Time) {
 	sp.deadline = d
 	sp.hasDeadline = true
 }
+
+// MarkDecoded marks the end of the request body's decode, the start of
+// admission.
+//
+//sptrsv:hotpath
+//sptrsv:wallclock
+func (sp *Span) MarkDecoded() { sp.decoded = time.Now() }
 
 // MarkEnqueued marks admission into the bounded queue.
 //
@@ -239,8 +250,13 @@ func (sp *Span) Finish(o Outcome) Record {
 		Steps:   sp.steps,
 		Outcome: o,
 	}
+	admitted := sp.ingress
+	if !sp.decoded.IsZero() {
+		rec.Decode = sp.decoded.Sub(sp.ingress)
+		admitted = sp.decoded
+	}
 	if !sp.enqueued.IsZero() {
-		rec.Admit = sp.enqueued.Sub(sp.ingress)
+		rec.Admit = sp.enqueued.Sub(admitted)
 	}
 	if !sp.dequeued.IsZero() {
 		rec.QueueWait = sp.dequeued.Sub(sp.enqueued)
@@ -276,7 +292,11 @@ type Record struct {
 	Matrix string
 	// Ingress is the wall-clock instant the request entered the service.
 	Ingress time.Time
-	// Admit is ingress → enqueued (validation and the queue send).
+	// Decode is ingress → decoded: reading and decoding the request
+	// body (0 for a request that arrived through the Go API).
+	Decode time.Duration
+	// Admit is decoded (or ingress, without a decode) → enqueued:
+	// validation and the queue send.
 	Admit time.Duration
 	// QueueWait is enqueued → dequeued by a batch worker.
 	QueueWait time.Duration
@@ -305,7 +325,7 @@ type Record struct {
 // Respond is the trailing phase: finish time minus everything the
 // recorded phases account for (result copy-out and bookkeeping).
 func (r Record) Respond() time.Duration {
-	d := r.Total - r.Admit - r.QueueWait - r.Coalesce - r.Solve
+	d := r.Total - r.Decode - r.Admit - r.QueueWait - r.Coalesce - r.Solve
 	if d < 0 {
 		return 0
 	}

@@ -39,6 +39,29 @@ func TestSpanPhasesSumToTotal(t *testing.T) {
 	}
 }
 
+// TestSpanDecodePhase: a marked decode is its own phase, admission
+// starts where it ends, and the phases still sum to the total; without
+// a decode mark (a Go API call) Decode is 0 and admit starts at ingress.
+func TestSpanDecodePhase(t *testing.T) {
+	sp := StartSpan("")
+	time.Sleep(time.Millisecond)
+	sp.MarkDecoded()
+	sp.MarkEnqueued()
+	sp.MarkDequeued()
+	sp.MarkSolveStart()
+	sp.MarkSolveEnd(nil, 1, 1)
+	rec := sp.Finish(OutcomeOK)
+	if rec.Decode < time.Millisecond || rec.Admit >= rec.Decode {
+		t.Fatalf("decode %v, admit %v: want the millisecond in decode, not admit", rec.Decode, rec.Admit)
+	}
+	if sum := rec.Decode + rec.Admit + rec.QueueWait + rec.Coalesce + rec.Solve + rec.Respond(); sum != rec.Total {
+		t.Fatalf("phases sum %v != total %v", sum, rec.Total)
+	}
+	if _, rec := finishedSpan("", "m", OutcomeOK); rec.Decode != 0 {
+		t.Fatalf("an undecoded span has decode %v", rec.Decode)
+	}
+}
+
 func TestSpanIDs(t *testing.T) {
 	for in, honored := range map[string]bool{
 		"client-supplied-7": true, strings.Repeat("x", 128): true,
