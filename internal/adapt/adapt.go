@@ -5,7 +5,6 @@
 package adapt
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
@@ -50,77 +49,19 @@ func TriFeaturesOf[T sparse.Float](strict *sparse.CSC[T], info *levelset.Info) T
 	return NewTriFeatures(strict.Rows, strict.NNZ(), info.NLevels)
 }
 
-// The serial-leaf form rule. A serial leaf runs Algorithm 1 in one of two
-// forms: the CSC scatter (kernels.TriSerialSolve), which writes each
-// solved column's updates into the rows it reaches, or the CSR gather
-// (kernels.SerialSolveCSR), which reads each row's dependencies from the
-// finished part of x. When a leaf's entries reach far below the
-// diagonal, the scatter's writes land all over the right-hand side and
-// the gather wins; on short-reaching leaves, the grids and bands, the
-// scatter does. The constants are fitted on the BenchmarkLeafKernels
-// sweep and the benchmark's ten matrices on a 2-vCPU Xeon (EXPERIMENTS.md,
-// "Serial leaves pick their form"); the sweep reports the rule's feature
-// per case, so they can be re-fitted on another host.
-const (
-	// farReach: a strictly-lower entry reaches far when it lies more than
-	// this many rows below the diagonal, counted in plan order.
-	farReach = 1024
-	// gatherMinRows: a leaf of at most this many rows keeps the scatter,
-	// which won nearly every sweep cell of 1,024 and 3,072 rows.
-	gatherMinRows = 4096
-	// gatherMinFarPerRow: a larger leaf takes the gather from this many
-	// far-reaching entries per row.
-	gatherMinFarPerRow = 0.5
-)
-
 // LeafCounts counts, over rows [lo,hi) of a lower-triangular CSR pattern,
-// the entries whose column lies in [lo,row): strict, the strictly-lower
-// part of the diagonal block, and far, those of them that reach more than
-// farReach rows below the diagonal. pos, when non-nil, is the block's
-// level order as levelset.Info.Order returns it (local row k moves to
-// local position pos[k]), and the reach is measured after it; nil keeps
-// the rows where they are. The block is counted in place, without being
-// extracted.
-func LeafCounts(rowPtr, colIdx []int, lo, hi int, pos []int) (strict, far int) {
+// the entries whose column lies in [lo,row): the strictly-lower part of
+// the diagonal block. The block is counted in place, without being
+// extracted, and the count does not depend on the order of its rows.
+func LeafCounts(rowPtr, colIdx []int, lo, hi int) (strict int) {
 	for i := lo; i < hi; i++ {
-		cols := colIdx[rowPtr[i]:rowPtr[i+1]]
-		if pos == nil {
-			for _, j := range cols {
-				if j >= lo && j < i {
-					strict++
-					if i-j > farReach {
-						far++
-					}
-				}
-			}
-			continue
-		}
-		pi := pos[i-lo]
-		for _, j := range cols {
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
 			if j >= lo && j < i {
 				strict++
-				if pi-pos[j-lo] > farReach {
-					far++
-				}
 			}
 		}
 	}
-	return strict, far
-}
-
-// PrefersGather is the serial-leaf form rule: a serial leaf of rows rows,
-// far of whose strictly-lower entries reach far (LeafCounts), runs the
-// CSR gather when it has more than gatherMinRows rows and at least
-// gatherMinFarPerRow far-reaching entries per row, and the CSC scatter
-// otherwise.
-func PrefersGather(rows, far int) bool {
-	return rows > gatherMinRows && float64(far) >= gatherMinFarPerRow*float64(rows)
-}
-
-// FormRule names the form rule's constants, for keys of stored plans
-// whose serial leaves it chose.
-func FormRule() string {
-	return fmt.Sprintf("gather>%drows,far>%d,%g/row", gatherMinRows, farReach, gatherMinFarPerRow)
+	return strict
 }
 
 // SpMVFeatures are the selection features of a square/rectangular

@@ -311,106 +311,28 @@ func TestFitThresholdsSerialFloor(t *testing.T) {
 	}
 }
 
-// TestPrefersGatherOnBenchmarkLeaves runs the form rule on the serial
-// leaves of the benchmark's ten matrices (seed 4100, the shipped options
-// at three workers; rows and far-reaching strict entries as the walk
-// counts them) and on both sides of each cut. It picks the gather for
-// the three whole layered matrices and the two long-reaching power-law
-// leaves, which the leaf timings favour, and the scatter elsewhere.
-func TestPrefersGatherOnBenchmarkLeaves(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		rows, far int
-		want      bool
-	}{
-		{"layered-100k", 100_000, 473_060, true},
-		{"layered-10k", 10_000, 33_365, true},
-		{"serve-layered", 20_000, 83_562, true},
-		{"powerlaw [60000,80000)", 20_000, 17_303, true},
-		{"powerlaw [0,10000)", 10_000, 33_922, true},
-		{"powerlaw [10000,15000)", 5_000, 496, false},
-		{"powerlaw [15000,20000)", 5_000, 272, false},
-		{"powerlaw [35000,40000)", 5_000, 14, false},
-		{"banded", 12_000, 30, false},
-		{"chain", 6_000, 944, false},
-		{"grid5", 8_836, 0, false},
-		{"ilu0", 3_969, 0, false},
-		{"serve-grid", 14_400, 0, false},
-		{"at the row cut, all far", gatherMinRows, 4 * gatherMinRows, false},
-		{"above the row cut, half far", gatherMinRows + 1, (gatherMinRows + 2) / 2, true},
-		{"above the row cut, just under half", gatherMinRows + 1, gatherMinRows / 2, false},
-	} {
-		if got := PrefersGather(c.rows, c.far); got != c.want {
-			t.Errorf("%s: %d rows, %d far: gather=%v, want %v", c.name, c.rows, c.far, got, c.want)
-		}
-	}
-}
-
-// TestLeafCounts counts a hand-built pattern: in place, over a window
-// that drops the entries left of it, and after a level order that moves
-// a row next to its dependency.
+// TestLeafCounts counts a hand-built pattern: in place, and over a
+// window that drops the entries left of it.
 func TestLeafCounts(t *testing.T) {
 	n := 3000
 	b := sparse.NewBuilder[float64](n, n)
 	for i := 0; i < n; i++ {
 		b.Add(i, i, 1)
 	}
-	b.Add(2000, 0, 1)    // reach 2000: far
-	b.Add(2000, 1999, 1) // reach 1
-	b.Add(2999, 1500, 1) // reach 1499: far
+	b.Add(2000, 0, 1)
+	b.Add(2000, 1999, 1)
+	b.Add(2999, 1500, 1)
 	l := b.BuildCSR()
 	for _, c := range []struct {
-		name              string
-		lo, hi            int
-		pos               []int
-		wantStrict, wantF int
+		name       string
+		lo, hi     int
+		wantStrict int
 	}{
-		{"whole", 0, n, nil, 3, 2},
-		{"window", 1000, n, nil, 2, 1},
-		{"reordered", 0, n, moveRow(n, 2999, 1600), 3, 1},
+		{"whole", 0, n, 3},
+		{"window", 1000, n, 2},
 	} {
-		strict, far := LeafCounts(l.RowPtr, l.ColIdx, c.lo, c.hi, c.pos)
-		if strict != c.wantStrict || far != c.wantF {
-			t.Errorf("%s: strict=%d far=%d, want %d and %d", c.name, strict, far, c.wantStrict, c.wantF)
-		}
-	}
-}
-
-// moveRow is the permutation (newIdx[old] = new) that moves row from to
-// position to and shifts the rows between down by one.
-func moveRow(n, from, to int) []int {
-	pos := make([]int, n)
-	for i := range pos {
-		switch {
-		case i == from:
-			pos[i] = to
-		case i >= to && i < from:
-			pos[i] = i + 1
-		default:
-			pos[i] = i
-		}
-	}
-	return pos
-}
-
-// TestTuneTriTimesTheServedSerialForm: a tuning cell the form rule sends
-// to the gather times the gather as its serial kernel, and a cell below
-// the row cut the scatter.
-func TestTuneTriTimesTheServedSerialForm(t *testing.T) {
-	p := exec.NewPool(2)
-	for _, c := range []struct {
-		rows int
-		want bool
-	}{{1024, false}, {gatherMinRows + 1000, true}} {
-		cells := TuneTri(p, c.rows, []int{4}, []int{8}, 1, 81)
-		if len(cells) != 1 {
-			t.Fatalf("rows=%d: %d cells", c.rows, len(cells))
-		}
-		if got := cells[0].gather; got != c.want {
-			t.Errorf("rows=%d: serial timing in gather form %v, want %v", c.rows, got, c.want)
-		}
-		if _, timed := cells[0].GFlops[kernels.TriSerial]; !timed {
-			t.Errorf("rows=%d: no serial timing", c.rows)
+		if strict := LeafCounts(l.RowPtr, l.ColIdx, c.lo, c.hi); strict != c.wantStrict {
+			t.Errorf("%s: strict=%d, want %d", c.name, strict, c.wantStrict)
 		}
 	}
 }

@@ -16,14 +16,12 @@ import (
 // SpTRSV kernel, the serial one included on multi-level blocks. Best is
 // the fastest parallel kernel, the one the paper's cut points are fitted
 // on; the serial timing beside it fits the serial floor. It times the
-// serial form the solver would run on the block as one serial leaf:
-// the CSR gather when PrefersGather picks it (gather), the CSC scatter
-// otherwise.
+// serial form the solver runs on every serial leaf of its walk, the CSR
+// gather (kernels.SerialSolveCSR).
 type TriCell struct {
 	Features TriFeatures
 	GFlops   map[kernels.TriKernel]float64
 	Best     kernels.TriKernel
-	gather   bool
 }
 
 // SpMVCell is one cell of the Figure-5b sweep.
@@ -87,15 +85,8 @@ func TuneTri(p exec.Launcher, rows int, nnzRowAxis []int, levelsAxis []int, repe
 				})
 				cell.GFlops[kernels.TriCompletelyParallel] = gflops(flops, d)
 			} else {
-				_, far := LeafCounts(m.RowPtr, m.ColIdx, 0, n, nil)
-				cell.gather = PrefersGather(n, far)
 				d := bestTime(repeats, func() {
-					if cell.gather {
-						kernels.SerialSolveCSR(m, b, x, nil)
-						return
-					}
-					copy(w, b)
-					kernels.TriSerialSolve(strict, diag, w, x, nil)
+					kernels.SerialSolveCSR(m, b, x, nil)
 				})
 				cell.GFlops[kernels.TriSerial] = gflops(flops, d)
 

@@ -21,16 +21,13 @@ import (
 // (maxdepth reached), serial or one-level (with the floor on, Algorithm 7
 // sends the whole range to the serial or completely-parallel kernel), or
 // n/a for panel partitions. Each serial line also names the leaf's form,
-// form=gather (CSR gather) or form=scatter (CSC scatter), and the form
-// rule's feature, far/row: the strictly-lower entries per row that reach
-// far below the diagonal (adapt.PrefersGather), n/a where the rule did
-// not decide. The output is deterministic — two identical Preprocess
+// form=gather (CSR gather, every stop=serial leaf) or form=scatter (CSC
+// scatter). The output is deterministic — two identical Preprocess
 // calls explain identically — so tests and tooling may diff it.
 //
-// Solvers reloaded with LoadSolver explain flat, with stop=n/a and
-// far/row=n/a (the recursion depths, stop rules and counts are a
-// preprocessing artefact and are not serialised); a serial line still
-// names the stored form.
+// Solvers reloaded with LoadSolver explain flat, with stop=n/a (the
+// recursion depths and stop rules are a preprocessing artefact and are
+// not serialised); a serial line still names the stored form.
 func (s *Solver[T]) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: n=%d, %d triangular + %d square blocks\n",
@@ -51,7 +48,7 @@ func (s *Solver[T]) Explain() string {
 			tb := &s.tris[st.idx]
 			f := tb.feats
 			fmt.Fprintf(&b, "%4d  %stri  #%d [%d:%d)  rows=%d strict-nnz=%d nnz/row=%.2f levels=%d work/level=%d  kernel=%s%s stop=%s\n",
-				si, indent, st.idx, tb.lo, tb.hi, f.Rows, f.StrictNNZ, f.NNZPerRow, f.NLevels, f.WorkPerLevel(), tb.kernel, serialForm(tb, spec), spec.stop)
+				si, indent, st.idx, tb.lo, tb.hi, f.Rows, f.StrictNNZ, f.NNZPerRow, f.NLevels, f.WorkPerLevel(), tb.kernel, serialForm(tb), spec.stop)
 		} else {
 			sb := &s.sqs[st.idx]
 			f := sb.feats
@@ -65,21 +62,16 @@ func (s *Solver[T]) Explain() string {
 	return b.String()
 }
 
-// serialForm renders a serial leaf's form and the form rule's feature
-// for its Explain line, and nothing for other kernels.
-func serialForm[T sparse.Float](tb *triBlock[T], spec segSpec) string {
-	if tb.kernel != kernels.TriSerial {
+// serialForm renders a serial leaf's form for its Explain line, and
+// nothing for other kernels.
+func serialForm[T sparse.Float](tb *triBlock[T]) string {
+	switch {
+	case tb.kernel != kernels.TriSerial:
 		return ""
+	case tb.lower != nil:
+		return " form=gather"
 	}
-	form := "scatter"
-	if tb.lower != nil {
-		form = "gather"
-	}
-	far := "n/a"
-	if spec.stop == stopSerial {
-		far = strconv.FormatFloat(float64(spec.far)/float64(spec.feats.Rows), 'f', 2, 64)
-	}
-	return " form=" + form + " far/row=" + far
+	return " form=scatter"
 }
 
 // Explain renders the shared solver's plan (see Solver.Explain).

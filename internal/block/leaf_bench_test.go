@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
@@ -17,20 +16,21 @@ import (
 // sweep behind the serial floor, adapt.Thresholds.TriParallelMinWork
 // (EXPERIMENTS.md, "Why the block solver lost on deep"). Each case
 // reports its work/level, so the crossover where a parallel kernel first
-// beats serial can be re-measured on another host. The serial-csr case
-// solves the serial case's leaf as a CSR gather (kernels.SerialSolveCSR)
-// instead of the CSC scatter; it calls the kernel directly, so unlike the
-// others it skips Solve's copy of the right-hand side, as an in-place
-// gather leaf does. Blocks of 10,000 and 30,000 rows, whole serial leaves
-// above the leaf cap, run the serial and serial-csr cases only. Every
-// case also reports the serial-leaf form rule's feature, far/row (strict
-// entries per row reaching far below the diagonal, adapt.LeafCounts), and
-// gather, 1 when the rule picks the gather for the block, so the rule's
-// constants can be re-fitted on another host (EXPERIMENTS.md, "Serial
-// leaves pick their form"):
+// beats serial can be re-measured on another host. The serial case runs
+// the CSC scatter, the form of forced, calibrated and paper-tree plans;
+// the serial-csr case solves the same leaf as a CSR gather
+// (kernels.SerialSolveCSR), the form of every serial leaf the walk makes.
+// serial-csr calls the kernel directly, so unlike the others it skips
+// Solve's copy of the right-hand side, as an in-place gather leaf does.
+// Both serial forms also run at k = 16 right-hand sides: serial-k16
+// through SolveBatch and serial-csr-k16 through
+// kernels.SerialSolveCSRBatch. Blocks of 10,000 and 30,000 rows, whole
+// serial leaves above the leaf cap, run the serial forms only
+// (EXPERIMENTS.md, "Every serial leaf gathers"):
 //
 //	go test -run '^$' -bench LeafKernels -benchtime 200x -count 5 ./internal/block
 func BenchmarkLeafKernels(b *testing.B) {
+	const k16 = 16
 	for _, workers := range []int{2, 3} {
 		pool := exec.NewSpinPool(workers)
 		for _, rows := range []int{1024, 3072, 10_000, 30_000} {
@@ -43,18 +43,17 @@ func BenchmarkLeafKernels(b *testing.B) {
 					l := gen.Layered(rows, levels, deg, 0, int64(rows+deg+levels))
 					rhs := gen.RandVec(rows, 5)
 					x := make([]float64, rows)
-					_, far := adapt.LeafCounts(l.RowPtr, l.ColIdx, 0, rows, nil)
-					farRow := float64(far) / float64(rows)
-					gather := 0.0
-					if adapt.PrefersGather(rows, far) {
-						gather = 1
-					}
+					rhs16 := gen.RandVec(rows*k16, 5)
+					x16 := make([]float64, rows*k16)
 					name := fmt.Sprintf("workers=%d/rows=%d/nnz=%d/levels=%d/", workers, rows, deg, levels)
 					var work float64
-					report := func(b *testing.B) {
-						b.ReportMetric(work, "work/level")
-						b.ReportMetric(farRow, "far/row")
-						b.ReportMetric(gather, "gather")
+					run := func(kase string, solve func()) {
+						b.Run(name+kase, func(b *testing.B) {
+							b.ReportMetric(work, "work/level")
+							for i := 0; i < b.N; i++ {
+								solve()
+							}
+						})
 					}
 					for _, k := range tris {
 						// One un-split triangle: the whole system is the leaf.
@@ -63,19 +62,13 @@ func BenchmarkLeafKernels(b *testing.B) {
 							b.Fatal(err)
 						}
 						work = float64(s.tris[0].feats.WorkPerLevel())
-						b.Run(name+k.String(), func(b *testing.B) {
-							report(b)
-							for i := 0; i < b.N; i++ {
-								s.Solve(rhs, x)
-							}
-						})
-					}
-					b.Run(name+"serial-csr", func(b *testing.B) {
-						report(b)
-						for i := 0; i < b.N; i++ {
-							kernels.SerialSolveCSR(l, rhs, x, nil)
+						run(k.String(), func() { s.Solve(rhs, x) })
+						if k == kernels.TriSerial {
+							run("serial-k16", func() { s.SolveBatch(rhs16, x16, k16) })
 						}
-					})
+					}
+					run("serial-csr", func() { kernels.SerialSolveCSR(l, rhs, x, nil) })
+					run("serial-csr-k16", func() { kernels.SerialSolveCSRBatch(l, rhs16, x16, k16, nil) })
 				}
 			}
 		}

@@ -31,18 +31,10 @@ type segSpec struct {
 	// serialised.
 	depth int
 	stop  stopReason
-	// On a triangle the walk sent to the serial kernel (stopSerial):
-	// feats are the features it was decided on and far counts its
-	// strictly-lower entries that reach far in plan order
-	// (adapt.LeafCounts). Zero elsewhere; not serialised.
+	// feats, on a triangle the walk sent to the serial kernel
+	// (stopSerial), are the features it was decided on. Zero elsewhere;
+	// not serialised.
 	feats adapt.TriFeatures
-	far   int
-}
-
-// gather reports whether the spec is a serial leaf the form rule sends
-// to the CSR gather (adapt.PrefersGather).
-func (s segSpec) gather() bool {
-	return s.stop == stopSerial && adapt.PrefersGather(s.feats.Rows, s.far)
 }
 
 func (s segSpec) String() string {
@@ -87,21 +79,25 @@ func (r stopReason) String() string {
 	return "n/a"
 }
 
-// treeRule names the rule that shapes the recursion tree. The plan-cache
-// key carries it, so a plan cached under the earlier size-only rule is
-// not served in place of the selection-aware tree.
-const treeRule = "selection-aware"
+// treeRule names the rule that shapes the recursion tree, and leafForm
+// the form of the serial leaves the walk makes. The plan-cache key
+// carries both, so a plan cached under the earlier size-only rule, or
+// under the fitted rule that chose each serial leaf's form, is not served
+// in place of the selection-aware tree of gather leaves.
+const (
+	treeRule = "selection-aware"
+	leafForm = "gather"
+)
 
 // rangeNode is one diagonal range of the recursion tree. A leaf has
 // left == 0 (the root sits at index 0, so no child can); a split range's
 // halves are tree[left] and tree[left+1]. A serial leaf carries the
-// walk's counts (segSpec's feats and far).
+// features the walk decided it on (segSpec's feats).
 type rangeNode struct {
 	lo, hi, depth int
 	left          int
 	stop          stopReason
 	feats         adapt.TriFeatures
-	far           int
 }
 
 // walkTree is the one walk over the recursion tree, coarsest range first,
@@ -115,11 +111,7 @@ type rangeNode struct {
 // completely-parallel kernel; otherwise it splits in half. A range's
 // level count and strictly-lower count do not change under its own
 // level-order permutation, so a decision made before the reorder still
-// holds after it. The reach of an entry does change, so the pass that
-// counts the strictly-lower entries also counts the far-reaching ones at
-// their level-order positions, the plan order of a leaf, and a serial
-// leaf's form is chosen on that count (adapt.PrefersGather). All ranges
-// of one depth share one permutation pass.
+// holds after it. All ranges of one depth share one permutation pass.
 // Panel partitions do not recurse: their walk is the whole-matrix pass
 // alone (the ablation variant; the paper reorders the recursive
 // structure).
@@ -149,17 +141,12 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 			decide := aware && r.stop == stopNA
 			if o.Reorder || decide {
 				info := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, r.lo, r.hi)
-				var order []int
-				if o.Reorder {
-					order = info.Order()
-				}
 				if decide {
-					strict, far := adapt.LeafCounts(cur.RowPtr, cur.ColIdx, r.lo, r.hi, order)
-					f := adapt.NewTriFeatures(size, strict, info.NLevels)
+					f := adapt.NewTriFeatures(size, adapt.LeafCounts(cur.RowPtr, cur.ColIdx, r.lo, r.hi), info.NLevels)
 					switch o.Thresholds.SelectTri(f) {
 					case kernels.TriSerial:
 						r.stop = stopSerial
-						r.feats, r.far = f, far
+						r.feats = f
 					case kernels.TriCompletelyParallel:
 						r.stop = stopOneLevel
 					}
@@ -168,7 +155,7 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 					if passPerm == nil {
 						passPerm = identityPerm(n)
 					}
-					for k, p := range order {
+					for k, p := range info.Order() {
 						passPerm[r.lo+k] = r.lo + p
 						changed = changed || p != k
 					}
@@ -225,7 +212,7 @@ func planOf(n int, o Options, tree []rangeNode) []segSpec {
 			r := tree[i]
 			if r.left == 0 {
 				plan = append(plan, segSpec{kind: triSeg, rowLo: r.lo, rowHi: r.hi, colLo: r.lo, colHi: r.hi,
-					depth: r.depth, stop: r.stop, feats: r.feats, far: r.far})
+					depth: r.depth, stop: r.stop, feats: r.feats})
 				return
 			}
 			mid := tree[r.left].hi

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"math"
 
-	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
@@ -32,7 +31,7 @@ var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 // cacheKey derives the plan-cache key for (matrix structure, options).
 // Every option that changes the preprocessed plan participates, and so
 // do the solver-stream version, the rule that shapes the recursion tree
-// (treeRule) and the serial-leaf form rule (adapt.FormRule); values
+// (treeRule) and the form of its serial leaves (leafForm); values
 // deliberately do not (see the package comment above).
 func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 	var probe T
@@ -41,7 +40,7 @@ func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 		width = 8
 	}
 	fp := fmt.Sprintf("serial=%d|tree=%s|form=%s|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d",
-		serialVersion, treeRule, adapt.FormRule(), width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
+		serialVersion, treeRule, leafForm, width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
 		o.Reorder, o.Adaptive, o.Thresholds, o.ForceTri, o.ForceSpMV,
 		o.Calibrate, o.CalibrateRepeats, o.Pool.Workers())
 	return plancache.DeriveKey(plancache.StructureKey(l.Rows, l.RowPtr, l.ColIdx), fp)

@@ -23,6 +23,12 @@ func openCache(t *testing.T, dir string) *plancache.Cache {
 	return c
 }
 
+// cachedOptions are the default tree's options over a cache. The tests
+// that store and load a whole plan under them use grids: the walk
+// level-orders a grid, so its one serial leaf is a permuted gather leaf,
+// which the cache stores. A whole serial leaf the walk leaves in place,
+// such as a gen.Layered matrix's, is not stored
+// (TestPlanCacheSkipsInPlacePlans).
 func cachedOptions(pool exec.Launcher, c *plancache.Cache) Options {
 	return Options{
 		Pool: pool, Kind: Recursive, MinBlockRows: 100,
@@ -57,7 +63,7 @@ func solveAgainstOracle(t *testing.T, s *Solver[float64], l *sparse.CSR[float64]
 func TestPreprocessPlanCacheHit(t *testing.T) {
 	dir := t.TempDir()
 	pool := exec.NewPool(3)
-	l := gen.Layered(1200, 30, 5, 0.2, 811)
+	l := gen.GridLaplacian5(35, 35, 811)
 
 	before := mAnalyzes.Value()
 	c1 := openCache(t, dir)
@@ -95,7 +101,7 @@ func TestPreprocessPlanCacheHit(t *testing.T) {
 func TestPlanCacheValuesOnlyUpdateHits(t *testing.T) {
 	dir := t.TempDir()
 	pool := exec.NewPool(3)
-	l := gen.Layered(1200, 30, 5, 0.2, 821)
+	l := gen.GridLaplacian5(35, 35, 821)
 	c1 := openCache(t, dir)
 	if _, err := Preprocess(l, cachedOptions(pool, c1)); err != nil {
 		t.Fatal(err)
@@ -141,7 +147,7 @@ func TestPlanCacheValuesOnlyUpdateHits(t *testing.T) {
 func TestPlanCacheKeyDiscriminatesOptions(t *testing.T) {
 	dir := t.TempDir()
 	pool := exec.NewPool(3)
-	l := gen.Layered(900, 20, 4, 0.2, 831)
+	l := gen.GridLaplacian5(30, 30, 831)
 	c := openCache(t, dir)
 	for _, kind := range []Kind{Recursive, ColumnBlock, RowBlock} {
 		o := cachedOptions(pool, c)
@@ -193,7 +199,7 @@ func TestPlanCacheKeyDiscriminatesOptions(t *testing.T) {
 // one analysis may run, and every returned solver must be correct.
 func TestPlanCacheConcurrentPreprocessSingleFlight(t *testing.T) {
 	pool := exec.NewPool(3)
-	l := gen.Layered(1000, 25, 4, 0.2, 841)
+	l := gen.GridLaplacian5(32, 32, 841)
 	c := openCache(t, t.TempDir())
 
 	before := mAnalyzes.Value()

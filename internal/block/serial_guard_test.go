@@ -24,11 +24,13 @@ type serialLeaf struct {
 }
 
 // serialLeaves builds two 16k-row matrices as one serial leaf each. The
-// banded one, with 128 dependencies per row, is the plan of
-// PreprocessAuto's single-triangle candidate and runs the CSC scatter.
-// The layered one, with 128 dependencies per row reaching far back over
-// 1,024 levels, is a leaf the walk sends to serial whole and the form
-// rule to the CSR gather, on the caller's matrix in place. For each, k
+// banded one, with 128 dependencies per row, is forced to the serial
+// kernel as one un-split triangle and runs the CSC scatter, the form of
+// forced plans; the default path, which sends every serial leaf of its
+// walk to the gather, would not make one. The layered one, with 128
+// dependencies per row over 1,024 levels, is a leaf the walk sends to
+// serial whole, so it runs the CSR gather on the caller's matrix in
+// place. For each, k
 // doubles from 8 until d reaches 80 ms (or k reaches 128), so a stall
 // timeout of d/8 stays far above a preemption of the solving thread on
 // any host. Each row does 128·k multiply-adds against k copied values,
@@ -46,6 +48,7 @@ func serialLeaves(t *testing.T) []serialLeaf {
 	}{{"banded scatter", banded, false}, {"layered gather", layered, true}} {
 		o := Defaults(exec.Device{Name: "test", Workers: 2, BlockFactor: 1024})
 		if !c.gather {
+			o.Adaptive, o.ForceTri = false, kernels.TriSerial
 			o.MinBlockRows = c.l.Rows + 1
 		}
 		s, err := Preprocess(c.l, o)

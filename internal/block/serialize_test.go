@@ -119,8 +119,10 @@ func TestSerializeFloat32(t *testing.T) {
 
 func TestSerializeRejectsCorruption(t *testing.T) {
 	pool := exec.NewPool(2)
-	// Wide enough that the default tree splits it: two serial leaves
-	// with strict entries and one CSR square between them.
+	// Split in two by the size rule and forced to the serial kernel: two
+	// scatter leaves with strict entries and one CSR square between them.
+	// (The default tree runs such leaves as gathers, whose stream
+	// TestSerializeRejectsCorruptGatherLeaf corrupts.)
 	l := gen.Layered(4000, 4, 6, 0, 501)
 	// Each case corrupts either the bytes of a valid stream or, before
 	// WriteTo, the solver itself, so the stream's checksum still holds
@@ -174,7 +176,7 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+			s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 2000, Reorder: true, ForceTri: kernels.TriSerial})
 			if err != nil {
 				t.Fatal(err)
 			}

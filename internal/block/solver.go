@@ -127,10 +127,10 @@ type Solver[T sparse.Float] struct {
 // the serial floor on (the thresholds choose the kernels and
 // TriParallelMinWork > 0), the recursion stops at ranges Algorithm 7
 // sends to the serial or completely-parallel kernel, squares without
-// entries leave the plan, and each serial leaf whose entries reach far
-// below its diagonal runs as a CSR gather instead of the CSC scatter
-// (adapt.PrefersGather). When such a leaf is the whole, unpermuted
-// matrix, it is L itself and solves read b in place.
+// entries leave the plan, and each such serial leaf runs as a CSR gather
+// (kernels.SerialSolveCSR) instead of the CSC scatter. When such a leaf
+// is the whole, unpermuted matrix, it is L itself and solves read b in
+// place. Forced, calibrated and floor-0 plans keep the scatter.
 //
 // The solver keeps a reference to L: for residual verification and the
 // serial fallback, and as the gather leaf's storage. Callers must not
@@ -180,7 +180,7 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 		switch spec.kind {
 		case triSeg:
 			var tb triBlock[T]
-			if spec.gather() {
+			if spec.stop == stopSerial {
 				tb, err = buildGatherLeaf(cur, spec)
 			} else {
 				if cscAll == nil {

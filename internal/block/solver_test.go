@@ -276,7 +276,7 @@ func TestSquareNNZConsistency(t *testing.T) {
 	}
 	triNNZ := 0
 	for _, tb := range s.tris {
-		triNNZ += tb.strictCSC.NNZ() + len(tb.diag)
+		triNNZ += tb.nnz()
 	}
 	if triNNZ+s.SquareNNZ() != l.NNZ() {
 		t.Fatalf("nnz accounting: tri %d + sq %d != total %d", triNNZ, s.SquareNNZ(), l.NNZ())
@@ -316,7 +316,7 @@ func TestReorderMovesNNZIntoSquares(t *testing.T) {
 // permutation and the same leaves over the conformance corpus, as given
 // and scrambled, with the serial floor on and off, and every triangular
 // leaf holds the strict part and diagonal of its range of the permuted
-// matrix.
+// matrix, or, in gather form, the range itself.
 func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, m := range conformanceCorpus(false) {
@@ -358,7 +358,15 @@ func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 				}
 				for i := range s.tris {
 					tb := &s.tris[i]
-					strict, diag, err := sparse.SplitDiagCSC(sparse.SubCSR(cur, tb.lo, tb.hi, tb.lo, tb.hi).ToCSC())
+					sub := sparse.SubCSR(cur, tb.lo, tb.hi, tb.lo, tb.hi)
+					if tb.lower != nil {
+						if !reflect.DeepEqual(sub.RowPtr, tb.lower.RowPtr) || !reflect.DeepEqual(sub.ColIdx, tb.lower.ColIdx) ||
+							!reflect.DeepEqual(sub.Val, tb.lower.Val) {
+							t.Fatalf("%s %v: gather leaf %d [%d:%d) differs from its extracted range", m.name, o.Kind, i, tb.lo, tb.hi)
+						}
+						continue
+					}
+					strict, diag, err := sparse.SplitDiagCSC(sub.ToCSC())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -313,9 +313,9 @@ func TestExplainStopReasons(t *testing.T) {
 	}
 }
 
-// TestExplainNamesSerialForm: every serial line names the leaf's form
-// and the form rule's feature, far/row; a reloaded solver names the form
-// it stored, with the feature n/a.
+// TestExplainNamesSerialForm: every serial line names the leaf's form,
+// gather on every leaf the walk sends to serial; a reloaded solver names
+// the form it stored.
 func TestExplainNamesSerialForm(t *testing.T) {
 	pool := exec.NewPool(3)
 	defaults := Defaults(exec.Device{Name: "test", Workers: 3, BlockFactor: 1024})
@@ -333,10 +333,10 @@ func TestExplainNamesSerialForm(t *testing.T) {
 		serial  int    // serial lines
 		gathers int    // of them in gather form
 	}{
-		{"layered-10k at defaults", layered, defaults, false, "kernel=serial form=gather far/row=3.34 stop=serial", 1, 1},
-		{"grid5 at defaults", grid5, defaults, false, "kernel=serial form=scatter far/row=0.00 stop=serial", 1, 0},
+		{"layered-10k at defaults", layered, defaults, false, "kernel=serial form=gather stop=serial", 1, 1},
+		{"grid5 at defaults", grid5, defaults, false, "kernel=serial form=gather stop=serial", 1, 1},
 		{"layered-10k at floor 0", layered, paper, false, "", 0, 0},
-		{"reloaded", layered, defaults, true, "kernel=serial form=gather far/row=n/a stop=n/a", 1, 1},
+		{"reloaded", layered, defaults, true, "kernel=serial form=gather stop=n/a", 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Preprocess(tc.l, tc.o)

@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -168,22 +169,41 @@ func (w *workerState) solveBatch(batch []*request) {
 		// One solve id covers the whole coalesced batch: every member's
 		// span links to the same per-step trace records.
 		sid := w.ses.Stats().LastTraceID
-		// batched before batches: Stats loads batches first, so no
-		// snapshot shows more batches than right-hand sides.
-		p.batched.Add(int64(len(live)))
-		mBatchedRHS.Add(int64(len(live)))
-		p.batches.Add(1)
-		mBatches.Inc()
+		k := len(live)
+		// A batch solve runs no verification, so a member whose answer
+		// is not finite retries alone below, on the ladder that answers
+		// it as it would be answered alone.
+		var retry []*request
+		if k > 1 {
+			ok := live[:0]
+			for _, r := range live {
+				if finite(r.x) {
+					ok = append(ok, r)
+				} else {
+					retry = append(retry, r)
+				}
+			}
+			live = ok
+		}
+		if len(live) > 0 {
+			// batched before batches: Stats loads batches first, so no
+			// snapshot shows more batches than right-hand sides.
+			p.batched.Add(int64(len(live)))
+			mBatchedRHS.Add(int64(len(live)))
+			p.batches.Add(1)
+			mBatches.Inc()
+		}
 		for _, r := range live {
-			r.sp.MarkSolveEnd(p.solver.Trace(), sid, len(live))
+			r.sp.MarkSolveEnd(p.solver.Trace(), sid, k)
 			r.done <- nil
 		}
-		return
+		live = retry
 	}
 	// The batch failed as a whole — a recovered panic, a stall, or the
-	// batch deadline. Isolate: each member retries alone on the fully
-	// guarded single-RHS ladder under its own context, so one poisoned
-	// request cannot take its neighbours down with it.
+	// batch deadline — or a member's answer was not finite. Isolate: each
+	// such member retries alone on the fully guarded single-RHS ladder
+	// under its own context, so one poisoned request cannot take its
+	// neighbours down with it.
 	for _, r := range live {
 		sid, rerr := w.solveOne(r)
 		r.sp.MarkSolveEnd(p.solver.Trace(), sid, 1)
@@ -242,6 +262,16 @@ func (w *workerState) solveLive(live []*request) (err error) {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value of x is finite.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // solveOne is the degradation rung: one request alone on the guarded

@@ -19,6 +19,7 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/block"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
+	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
 // Tests of the solve endpoint's codec (wire.go): the scanner and the
@@ -358,14 +359,13 @@ func TestSolveNaNFailsVerification(t *testing.T) {
 	}
 }
 
-// TestHTTPRefusesNonFiniteAnswer: an answer JSON cannot carry is refused
-// with 500 internal before the status line goes out. A coalesced batch
-// is not verified, so two queued copies of the overflowing system reach
-// the encoder with NaN in x; encoding/json failed only after writing the
-// 200 status, and the client got an empty 200.
-func TestHTTPRefusesNonFiniteAnswer(t *testing.T) {
-	l, b := overflowingSystem()
-	d := newTestDaemon(t, Config{Workers: 1, MaxBatch: 4, Window: -1}, l)
+// postOverflowing posts the overflowing system three times to a daemon
+// with one worker and no coalescing window: the first request alone,
+// the other two queued behind it and coalesced into one batch. It
+// returns each answer's status code and error kind.
+func postOverflowing(t *testing.T, d *Daemon) map[string]int {
+	t.Helper()
+	_, b := overflowingSystem()
 	entered, release := blockWorkers(d, "m")
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
@@ -383,7 +383,7 @@ func TestHTTPRefusesNonFiniteAnswer(t *testing.T) {
 	<-entered // the first request is alone, on the verified single-RHS path
 	go post()
 	go post()
-	waitQueued(t, d, "m", 2) // these two coalesce into one unverified batch
+	waitQueued(t, d, "m", 2) // these two coalesce into one batch
 	close(release)
 	kinds := map[string]int{}
 	for i := 0; i < 3; i++ {
@@ -393,14 +393,52 @@ func TestHTTPRefusesNonFiniteAnswer(t *testing.T) {
 		}
 		kinds[errKind(t, a.body)]++
 	}
-	if kinds["residual"] != 1 || kinds["internal"] != 2 {
-		t.Fatalf("error kinds %v, want 1 residual (verified) and 2 internal (refused by the encoder)", kinds)
+	return kinds
+}
+
+// TestHTTPRefusesNonFiniteAnswer: an answer JSON cannot carry is refused
+// with 500 internal before the status line goes out. No such answer
+// reaches the encoder from a solve: a coalesced member whose answer is
+// not finite retries alone, so all three copies of the overflowing
+// system answer 500 residual, as the lone one does.
+func TestHTTPRefusesNonFiniteAnswer(t *testing.T) {
+	l, _ := overflowingSystem()
+	d := newTestDaemon(t, Config{Workers: 1, MaxBatch: 4, Window: -1}, l)
+	if kinds := postOverflowing(t, d); kinds["residual"] != 3 {
+		t.Fatalf("error kinds %v, want 3 residual", kinds)
 	}
 
 	w := httptest.NewRecorder()
 	writeSolveResponse(w, []float64{1, math.Inf(-1)}, "id")
 	if w.Code != http.StatusInternalServerError || errKind(t, w.Body.Bytes()) != "internal" {
 		t.Fatalf("writeSolveResponse(-Inf) = %d %s, want 500 internal", w.Code, w.Body.Bytes())
+	}
+}
+
+// TestCoalescedNonFiniteAnswerRetriesAlone: a batch solve verifies
+// nothing, so a coalesced member whose answer is not finite retries
+// alone on the verified ladder, and its span records what that retry
+// returned. Of three copies of the overflowing system, two coalesced,
+// each answers 500 residual, the flight ring holds three residual
+// records, and the SLO window counts three failures in three requests.
+func TestCoalescedNonFiniteAnswerRetriesAlone(t *testing.T) {
+	l, _ := overflowingSystem()
+	d := newTestDaemon(t, Config{Workers: 1, MaxBatch: 4, Window: -1}, l)
+	if kinds := postOverflowing(t, d); kinds["residual"] != 3 {
+		t.Fatalf("error kinds %v, want 3 residual", kinds)
+	}
+	residual := 0
+	for _, rec := range d.Flight().Records() {
+		if rec.Outcome == trace.OutcomeResidual {
+			residual++
+		}
+	}
+	if residual != 3 {
+		t.Fatalf("%d residual records in the flight ring, want 3: %+v", residual, d.Flight().Records())
+	}
+	st := d.SLOStatuses()
+	if len(st) != 1 || st[0].Requests != 3 || st[0].Failed != 3 {
+		t.Fatalf("SLO window %+v, want 3 failed of 3", st)
 	}
 }
 

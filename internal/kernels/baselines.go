@@ -61,14 +61,18 @@ func (s *SerialSolver[T]) Solve(b, x []T) {
 
 // SerialSolveCSR is the serial forward substitution on a solvable lower CSR
 // (diagonal last in each row): Algorithm 1 in gather form. It serves the
-// serial baseline, the guarded path's last-resort fallback and the block
-// solver's gather leaves. Row i reads b[i] before it writes x[i], and b is
-// never written, so b and x may be the same slice. After every
-// serialGuardCols rows it takes one guard progress step and polls g, as
-// TriSerialSolve does per column; it reports false once g tripped,
-// leaving x unspecified. A nil guard never trips. The gather loop runs in
-// the repo's BCE shape with a dual-accumulator 4-way unroll (DESIGN.md
-// §6.9); the reassociated sum stays within the documented ULP tolerance.
+// serial baseline, the guarded path's last-resort fallback and every
+// serial leaf the block solver's walk makes. Row i reads b[i] before it
+// writes x[i], and b is never written, so b and x may be the same slice.
+// After every serialGuardCols rows it takes one guard progress step and
+// polls g, as TriSerialSolve does per column; it reports false once g
+// tripped, leaving x unspecified. A nil guard never trips.
+//
+// The row loop is the rolled textbook one, one accumulator in entry
+// order, so it rounds exactly as Algorithm 1 does. Each row's sum feeds
+// x[i], which later rows read, so the solve is one long dependency chain;
+// a 4-way unroll over two accumulators measured slower than this loop on
+// the benchmark's leaves (DESIGN.md §6.9).
 //
 //sptrsv:hotpath
 func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) bool {
@@ -93,28 +97,10 @@ func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) b
 		}
 		lo, hi := rowPtr[i], rowPtr[i+1]-1 // diagonal is the last entry of a solvable row
 		sum := b[i]
-		if hi-lo < 4 { // short row: direct indexing, see internal/kernels/spmv.go
-			for k := lo; k < hi; k++ {
-				sum -= vals[k] * x[colIdx[k]]
-			}
-			x[i] = sum / vals[hi]
-			continue
+		for k := lo; k < hi; k++ {
+			sum -= vals[k] * x[colIdx[k]]
 		}
-		cols := colIdx[lo:hi]
-		vs := vals[lo:hi][:len(cols)]
-		s0, s1 := sum, T(0)
-		for len(cols) >= 4 && len(vs) >= 4 {
-			c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
-			s0 -= vs[0]*x[c0] + vs[2]*x[c2]
-			s1 += vs[1]*x[c1] + vs[3]*x[c3]
-			cols = cols[4:]
-			vs = vs[4:]
-		}
-		vs = vs[:len(cols)]
-		for k := range cols {
-			s0 -= vs[k] * x[cols[k]]
-		}
-		x[i] = (s0 - s1) / vals[hi]
+		x[i] = sum / vals[hi]
 	}
 	g.Step()
 	return !g.Tripped()

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,7 +13,8 @@ import (
 )
 
 // Differential fuzzing of the optimized kernels against TriSerialSolve
-// (DESIGN.md §6.9): the unrolled dual-accumulator gathers reassociate
+// (DESIGN.md §6.9): the unrolled gathers (cusparse-like's two
+// accumulators, the batch gather's groups of four) reassociate
 // each row's subtraction chain, so kernel results may differ from the
 // serial scatter reference by rounding — but only by rounding. The
 // tolerances are the documented reassociation bounds: splitting a
@@ -53,6 +55,26 @@ func buildRandLower[T sparse.Float](rng *rand.Rand, n int, density float64) *spa
 	return b.BuildCSR()
 }
 
+// ladderLens are the strictly-lower entry counts buildLadderLower cycles
+// through: each short-row form of SerialSolveCSRBatch (0–3 entries), one
+// group of four, and a group of four with a tail of three.
+var ladderLens = [...]int{0, 1, 2, 3, 4, 7}
+
+// buildLadderLower is a lower system whose row i has min(i,
+// ladderLens[i%6]) strictly-lower entries in random columns, with
+// buildRandLower's values, so every row form of the batch gather runs
+// whatever the fuzzer's density.
+func buildLadderLower[T sparse.Float](rng *rand.Rand, n int) *sparse.CSR[T] {
+	b := sparse.NewBuilder[T](n, n)
+	for i := 0; i < n; i++ {
+		for _, j := range rng.Perm(i)[:min(i, ladderLens[i%len(ladderLens)])] {
+			b.Add(i, j, T(0.5*rng.NormFloat64()/float64(1+i-j)))
+		}
+		b.Add(i, i, T(1+rng.Float64()))
+	}
+	return b.BuildCSR()
+}
+
 // checkKernelEquivalence solves one random system with every optimized
 // SpTRSV kernel, the CSR gathers included, and compares each result to
 // the TriSerialSolve reference; the guard-taking kernels run with a nil
@@ -76,13 +98,39 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	TriSerialSolve(strictCSC, diag, w, want, nil)
 
 	tol := fuzzTolerance[T](n)
-	check := func(name string, x []T) {
+	checkRef := func(name string, x, want []T) {
 		t.Helper()
 		for i := range want {
 			got, ref := float64(x[i]), float64(want[i])
 			if math.Abs(got-ref) > tol*(1+math.Abs(ref)) {
 				t.Fatalf("%T %s: seed=%d n=%d workers=%d x[%d]=%g want %g (tol %g)",
 					T(0), name, seed, n, workers, i, got, ref, tol)
+			}
+		}
+	}
+	check := func(name string, x []T) {
+		t.Helper()
+		checkRef(name, x, want)
+	}
+	// batchGather solves k copies of b with SerialSolveCSRBatch in place
+	// (b and x the same slice), at k = 2, 3 and 16, and checks every
+	// column against ref.
+	batchGather := func(m *sparse.CSR[T], ref []T, g *exec.Guard) {
+		t.Helper()
+		for _, k := range []int{2, 3, 16} {
+			xk := make([]T, n*k)
+			for i := range xk {
+				xk[i] = b[i/k]
+			}
+			if !SerialSolveCSRBatch(m, xk, xk, k, g) {
+				t.Fatalf("%T serial-csr-batch: seed=%d n=%d k=%d: untripped guard aborted the solve", T(0), seed, n, k)
+			}
+			col := make([]T, n)
+			for r := 0; r < k; r++ {
+				for i := range col {
+					col[i] = xk[i*k+r]
+				}
+				checkRef(fmt.Sprintf("serial-csr-batch k=%d", k), col, ref)
 			}
 		}
 	}
@@ -132,37 +180,31 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	}
 
 	// The gather forms on L as given, with a nil and a live guard: the
-	// single-RHS kernel, and the batch kernel over k copies of b solved
-	// in place (b and x the same slice). Both are serial, so the two
-	// guards must agree bit for bit.
-	const k = 3
-	var plain []T
+	// single-RHS kernel, and the batch kernel in place. The single-RHS
+	// gather subtracts each row's entries in column order, as the scatter
+	// reference does, so with either guard it agrees with the reference
+	// bit for bit.
 	for _, g := range []*exec.Guard{nil, exec.NewGuard()} {
 		x := make([]T, n)
 		if !SerialSolveCSR(l, b, x, g) {
 			t.Fatalf("%T serial-csr: seed=%d n=%d: untripped guard aborted the solve", T(0), seed, n)
 		}
-		check("serial-csr", x)
-		if plain == nil {
-			plain = x
-		} else if !slices.Equal(plain, x) {
-			t.Fatalf("%T serial-csr: seed=%d n=%d: guarded solve differs from unguarded", T(0), seed, n)
+		if !slices.Equal(x, want) {
+			t.Fatalf("%T serial-csr: seed=%d n=%d guarded=%v: differs from the scatter reference", T(0), seed, n, g != nil)
 		}
-		xk := make([]T, n*k)
-		for i := range xk {
-			xk[i] = b[i/k]
-		}
-		if !SerialSolveCSRBatch(l, xk, xk, k, g) {
-			t.Fatalf("%T serial-csr-batch: seed=%d n=%d: untripped guard aborted the solve", T(0), seed, n)
-		}
-		for r := 0; r < k; r++ {
-			col := make([]T, n)
-			for i := range col {
-				col[i] = xk[i*k+r]
-			}
-			check("serial-csr-batch", col)
-		}
+		batchGather(l, want, g)
 	}
+	// The batch gather again on a ladder of row lengths: rows of fewer
+	// than four strictly-lower entries take its one-pass forms, longer
+	// ones its groups of four.
+	ladder := buildLadderLower[T](rng, n)
+	lstrict, ldiag, err := sparse.SplitDiagCSC(ladder.ToCSC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lwant := make([]T, n)
+	TriSerialSolve(lstrict, ldiag, append([]T(nil), b...), lwant, nil)
+	batchGather(ladder, lwant, nil)
 
 	csr, err := NewSyncFreeCSRSolver(p, l)
 	if err != nil {

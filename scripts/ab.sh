@@ -14,9 +14,10 @@
 # of the machine over the pairs falls on both sides alike. Reports
 # and logs land in .bench_build/ab/<start time>/: base-<i>.json and
 # head-<i>.json. After the comparison, `go run ./scripts/abstat` prints
-# each side's median [Q1, Q3] per workload and end-to-end metric and how
-# many pairs the working tree read better in; its failure is reported
-# but does not change the exit status.
+# each side's median [Q1, Q3] per workload and end-to-end metric, the
+# head/base ratio of the medians with its 95% bootstrap interval over
+# the pairs, and how many pairs the working tree read better in; its
+# failure is reported but does not change the exit status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ $# -lt 1 ]; then

@@ -1,8 +1,11 @@
 // Command abstat summarises the interleaved A/B pairs scripts/ab.sh runs:
 // for every workload and end-to-end metric of BENCHMARK.json it prints
-// each side's median and quartiles over its runs, how many pairs the head
-// read better in, and whether the two medians lie further apart than the
-// base's Q1–Q3 spread. These are the numbers a claimed gain is judged on.
+// each side's median and quartiles over its runs, the head/base ratio of
+// the medians with its 95% percentile-bootstrap interval over the pairs,
+// how many pairs the head read better in, and whether the two medians lie
+// further apart than the base's Q1–Q3 spread. These are the numbers a
+// claimed gain is judged on. The bootstrap draws from a fixed seed, so
+// the same reports print the same intervals.
 // It reads the reports the script writes, base-<i>.json and head-<i>.json
 // in one directory, pairs them by i, and skips a metric a report lacks.
 // Run it from the repository root, where it reads BENCHMARK.json:
@@ -15,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -101,8 +105,8 @@ func run(w io.Writer, specPath, dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%d pairs; median [Q1, Q3] per side; better: pairs where head beats base; moved: |head - base| of the medians against the base's Q3 - Q1\n", len(base))
-	fmt.Fprintf(w, "%-6s %-16s %28s %28s %7s  %s\n", "", "metric", "base", "head", "better", "moved")
+	fmt.Fprintf(w, "%d pairs; median [Q1, Q3] per side; head/base: ratio of the medians [95%% bootstrap interval over the pairs]; better: pairs where head beats base; moved: |head - base| of the medians against the base's Q3 - Q1\n", len(base))
+	fmt.Fprintf(w, "%-6s %-16s %28s %28s %28s %7s  %s\n", "", "metric", "base", "head", "head/base", "better", "moved")
 	for _, wl := range sp.Workloads {
 		for _, m := range sp.EndToEnd {
 			bv, hv := values(base, wl.Name, m.Name), values(head, wl.Name, m.Name)
@@ -110,8 +114,8 @@ func run(w io.Writer, specPath, dir string) error {
 				continue
 			}
 			s := summarise(bv, hv, m.Better == "higher")
-			fmt.Fprintf(w, "%-6s %-16s %28s %28s %4d/%-2d  %s\n", wl.Name, m.Name,
-				fmtQuartiles(s.base), fmtQuartiles(s.head), s.better, len(bv), s.verdict())
+			fmt.Fprintf(w, "%-6s %-16s %28s %28s %28s %4d/%-2d  %s\n", wl.Name, m.Name,
+				fmtQuartiles(s.base), fmtQuartiles(s.head), fmtRatio(s), s.better, len(bv), s.verdict())
 		}
 	}
 	return nil
@@ -135,12 +139,14 @@ type quartiles struct{ q1, med, q3 float64 }
 // summary is one metric's comparison over paired runs.
 type summary struct {
 	base, head     quartiles
-	better         int // pairs where head beats base
+	lo, hi         float64 // bootstrap interval of head.med / base.med
+	better         int     // pairs where head beats base
 	higherIsBetter bool
 }
 
 func summarise(base, head []float64, higherIsBetter bool) summary {
 	s := summary{base: quartilesOf(base), head: quartilesOf(head), higherIsBetter: higherIsBetter}
+	s.lo, s.hi = ratioInterval(base, head)
 	for i := range base {
 		if (higherIsBetter && head[i] > base[i]) || (!higherIsBetter && head[i] < base[i]) {
 			s.better++
@@ -161,6 +167,36 @@ func (s summary) verdict() string {
 		return out + ", beyond spread, better"
 	}
 	return out + ", beyond spread, worse"
+}
+
+// The bootstrap behind ratioInterval: its resample count and its fixed
+// seed.
+const (
+	bootstrapResamples = 2000
+	bootstrapSeed      = 1
+)
+
+// ratioInterval is the 95% percentile-bootstrap interval of the head/base
+// ratio of the medians: it resamples the pairs with replacement, keeping
+// each pair's two runs together, and returns the 2.5th and 97.5th
+// percentiles of the resampled ratios. Every call draws from the same
+// seed.
+func ratioInterval(base, head []float64) (lo, hi float64) {
+	rng := rand.New(rand.NewSource(bootstrapSeed))
+	b, h := make([]float64, len(base)), make([]float64, len(head))
+	ratios := make([]float64, bootstrapResamples)
+	for i := range ratios {
+		for j := range b {
+			p := rng.Intn(len(base))
+			b[j], h[j] = base[p], head[p]
+		}
+		ratios[i] = quantile(h, 0.5) / quantile(b, 0.5)
+	}
+	return quantile(ratios, 0.025), quantile(ratios, 0.975)
+}
+
+func fmtRatio(s summary) string {
+	return fmt.Sprintf("%.4g [%.4g, %.4g]", s.head.med/s.base.med, s.lo, s.hi)
 }
 
 func fmtQuartiles(q quartiles) string {

@@ -50,8 +50,8 @@ func TestRunSummarisesPairs(t *testing.T) {
 	got := strings.Join(lines, "\n")
 	for _, want := range []string{
 		"3 pairs",
-		"wide rel_latency_p50 1.05 [1.025, 1.075] 0.95 [0.925, 1.075] 2/3 0.1 vs 0.05, beyond spread, better",
-		"wide rel_throughput 0.9524 [0.9307, 0.9762] 1.053 [0.943, 1.082] 2/3 0.1003 vs 0.04545, beyond spread, better",
+		"wide rel_latency_p50 1.05 [1.025, 1.075] 0.95 [0.925, 1.075] 0.9048 [0.8636, 1.143] 2/3 0.1 vs 0.05, beyond spread, better",
+		"wide rel_throughput 0.9524 [0.9307, 0.9762] 1.053 [0.943, 1.082] 1.105 [0.875, 1.158] 2/3 0.1003 vs 0.04545, beyond spread, better",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output lacks %q:\n%s", want, got)
@@ -59,6 +59,32 @@ func TestRunSummarisesPairs(t *testing.T) {
 	}
 	if strings.Contains(got, "setup_s") {
 		t.Errorf("setup_s is missing from base-3.json but was summarised:\n%s", got)
+	}
+}
+
+// TestRatioInterval: the bootstrap interval of the head/base median
+// ratio is a point when every pair has the same ratio, lies between the
+// smallest and largest pair ratios, holds the ratio of the medians on
+// noisy pairs, and repeats exactly, since the bootstrap's seed is fixed.
+func TestRatioInterval(t *testing.T) {
+	base := []float64{1.0, 1.2, 0.9, 1.1, 1.05}
+	double := make([]float64, len(base))
+	for i, v := range base {
+		double[i] = 2 * v
+	}
+	if lo, hi := ratioInterval(base, double); lo != 2 || hi != 2 {
+		t.Errorf("head = 2·base: interval [%g, %g], want [2, 2]", lo, hi)
+	}
+	head := []float64{0.95, 0.98, 0.97, 1.01, 0.90}
+	lo, hi := ratioInterval(base, head)
+	if med := quantile(head, 0.5) / quantile(base, 0.5); !(lo <= med && med <= hi) {
+		t.Errorf("interval [%g, %g] misses the ratio of the medians %g", lo, hi, med)
+	}
+	if lo < 0.90/1.2 || hi > 1.01/0.9 || lo >= hi {
+		t.Errorf("interval [%g, %g] outside [%g, %g] or empty", lo, hi, 0.90/1.2, 1.01/0.9)
+	}
+	if lo2, hi2 := ratioInterval(base, head); lo2 != lo || hi2 != hi {
+		t.Errorf("second call [%g, %g], first [%g, %g]: the bootstrap does not repeat", lo2, hi2, lo, hi)
 	}
 }
 
