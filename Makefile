@@ -141,10 +141,11 @@ startup:
 	$(GO) run ./cmd/sptrsvbench -startup -short -scale $(BENCH_SCALE) -repeats 3
 
 # Daemon smoke (part of `make ci`): an in-process one-worker sptrsvd
-# under a 2s concurrent burst must coalesce requests into multi-RHS
-# batches (factor > 1), answer every request without an error response,
-# nest kernel steps inside the solve phases of /debug/requests, then
-# drain cleanly. DESIGN.md §6.10, §6.12.
+# must answer a lone request without the coalescing hold (its coalesce
+# phase below the window), and under a 2s concurrent burst must coalesce
+# requests into multi-RHS batches (factor > 1), answer every request
+# without an error response, nest kernel steps inside the solve phases
+# of /debug/requests, then drain cleanly. DESIGN.md §6.10, §6.12.
 daemon-smoke:
 	$(GO) run ./cmd/sptrsvd -smoke
 

@@ -103,9 +103,9 @@ func (ses *Session[T]) SolveBatchContext(ctx context.Context, b, x []T, k int) e
 }
 
 // solveGuarded is the guarded wrapper around the plan executor: it arms a
-// fresh guard with the context watcher and the stall watchdog, runs the
-// plan under it, turns a trip into the caller-facing error, and for a
-// single right-hand side runs the verification ladder.
+// fresh guard with the context hook and the session's stall watchdog,
+// runs the plan under it, turns a trip into the caller-facing error, and
+// for a single right-hand side runs the verification ladder.
 func (ses *Session[T]) solveGuarded(ctx context.Context, op string, b, x []T, k int) error {
 	if err := ses.checkArgs(op, b, x, k); err != nil {
 		return err
@@ -117,51 +117,49 @@ func (ses *Session[T]) solveGuarded(ctx context.Context, op string, b, x []T, k 
 		return err
 	}
 	ses.grow(k)
-	s := ses.s
-	g, stopWatchers := s.startGuard(ctx)
-	// Stop the watchers before returning — and before a kernel panic
-	// unwinds further, so no watchdog outlives its solve.
-	defer stopWatchers()
+	g, unhook := ses.armGuard(ctx)
+	// Disarm before returning — and before a kernel panic unwinds
+	// further, so no watchdog tick outlives its solve.
+	defer ses.disarmGuard(unhook)
 	if !ses.run(b, x, k, g, 0) {
-		return s.guardCause(g)
+		return ses.s.guardCause(g)
 	}
-	if k == 1 && s.opts.VerifyResidual > 0 {
+	if k == 1 && ses.s.opts.VerifyResidual > 0 {
 		return ses.verifyAndRecover(b, x)
 	}
 	return nil
 }
 
-// startGuard arms the cancellation machinery of a guarded solve: a fresh
-// guard, a context watcher that trips it on cancellation,
-// and (when Options.StallTimeout is set) the stall watchdog. The returned
-// stop function tears both watchers down and must run before the solve
-// returns — including while a kernel panic unwinds — so no watchdog ever
-// outlives its solve.
-func (s *Solver[T]) startGuard(ctx context.Context) (*exec.Guard, func()) {
+// armGuard arms the cancellation machinery of a guarded solve without
+// starting a goroutine: a fresh guard, a context.AfterFunc hook that
+// trips it on cancellation (unhook removes it; nil when ctx cannot be
+// cancelled), and, when Options.StallTimeout is set, the session's stall
+// watchdog.
+func (ses *Session[T]) armGuard(ctx context.Context) (*exec.Guard, func() bool) {
 	g := exec.NewGuard()
-	stop := make(chan struct{})
-	var watchers sync.WaitGroup
+	var unhook func() bool
 	if ctx.Done() != nil {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			select {
-			case <-ctx.Done():
-				g.Trip(ctx.Err())
-			case <-stop:
-			}
-		}()
+		unhook = context.AfterFunc(ctx, func() { g.Trip(ctx.Err()) })
 	}
-	if s.opts.StallTimeout > 0 {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			watchdog(g, s.opts.StallTimeout, stop)
-		}()
+	if timeout := ses.s.opts.StallTimeout; timeout > 0 {
+		if ses.watchdog == nil {
+			ses.watchdog = &watchdog{}
+		}
+		ses.watchdog.arm(g, timeout)
 	}
-	return g, func() {
-		close(stop)
-		watchers.Wait()
+	return g, unhook
+}
+
+// disarmGuard removes the context hook and stops the watchdog. It must
+// run before the solve returns, including while a kernel panic unwinds.
+// A hook already running when it runs can still trip the guard, which by
+// then nothing reads.
+func (ses *Session[T]) disarmGuard(unhook func() bool) {
+	if unhook != nil {
+		unhook()
+	}
+	if ses.watchdog != nil {
+		ses.watchdog.disarm()
 	}
 }
 
@@ -180,47 +178,81 @@ func (s *Solver[T]) guardCause(g *exec.Guard) error {
 	return se
 }
 
-// watchdog trips the guard when the progress counter stops moving for
-// timeout. It polls at timeout/8 so a stall is detected within at most
-// 9/8·timeout of its onset.
-func watchdog(g *exec.Guard, timeout time.Duration, stop <-chan struct{}) {
+// watchdog is a session's stall detector: one timer that, while a
+// guarded solve is armed, fires every timeout/8 and trips the solve's
+// guard once its progress counter has not moved for timeout, so a stall
+// is detected within at most 9/8·timeout of its onset. Arming starts no
+// goroutine: the timer's callback runs only when a tick falls due, which
+// a solve shorter than one tick never sees. The timer is made on the
+// first arm and re-armed after that.
+type watchdog struct {
+	mu       sync.Mutex
+	t        *time.Timer
+	g        *exec.Guard // the armed solve's guard; nil while disarmed
+	timeout  time.Duration
+	tick     time.Duration
+	last     int64     // progress at the last tick that saw it move
+	lastMove time.Time // when that tick ran (or the solve was armed)
+}
+
+// arm starts watching g.
+func (w *watchdog) arm(g *exec.Guard, timeout time.Duration) {
 	tick := timeout / 8
 	if tick <= 0 {
 		tick = time.Millisecond
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	last := g.Progress()
-	lastMove := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if cur := g.Progress(); cur != last {
-				last = cur
-				lastMove = time.Now()
-				continue
-			}
-			if time.Since(lastMove) >= timeout {
-				g.Trip(errStalled)
-				return
-			}
-		}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.g, w.timeout, w.tick = g, timeout, tick
+	w.last, w.lastMove = g.Progress(), time.Now()
+	if w.t == nil {
+		w.t = time.AfterFunc(tick, w.fire)
+	} else {
+		w.t.Reset(tick)
 	}
 }
 
-// verifyAndRecover is the graceful-degradation ladder: check the scaled
+// disarm stops the timer. A tick already waiting for the lock finds no
+// guard and returns; one that ran before it has re-armed the timer, which
+// Stop then cancels. Either way no tick trips g after disarm returns.
+func (w *watchdog) disarm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.g = nil
+	w.t.Stop()
+}
+
+// fire is one tick: note movement and re-arm, or trip on a stall. A tick
+// left over from an earlier solve, run after the next one armed, measures
+// from that solve's arming, so it cannot trip it early.
+func (w *watchdog) fire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.g == nil {
+		return
+	}
+	if cur := w.g.Progress(); cur != w.last {
+		w.last, w.lastMove = cur, time.Now()
+	} else if time.Since(w.lastMove) >= w.timeout {
+		w.g.Trip(errStalled)
+		return
+	}
+	w.t.Reset(w.tick)
+}
+
+// verifyAndRecover is the graceful-degradation ladder: check the
 // residual, take one refinement step if allowed, fall back to the serial
-// reference, and only then give up with a ResidualError. The recovery
-// counters land in the session's stats.
+// reference, and only then give up with a ResidualError. Each check is
+// sparse.ResidualWithin, one pass over L that divides nothing;
+// ScaledResidual runs only to report the residual a ResidualError
+// carries. The recovery counters land in the session's stats.
 func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 	s := ses.s
 	if s.orig == nil {
 		return errors.New("block: VerifyResidual needs the original matrix, which a deserialised solver does not retain")
 	}
 	tol := s.opts.VerifyResidual
-	if sparse.ScaledResidual(s.orig, x, b) <= tol {
+	if sparse.ResidualWithin(s.orig, x, b, tol) {
 		return nil
 	}
 	if s.opts.Refine {
@@ -240,7 +272,7 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 		}
 		ses.stats.Refinements++
 		mRefinements.Inc()
-		if sparse.ScaledResidual(s.orig, x, b) <= tol {
+		if sparse.ResidualWithin(s.orig, x, b, tol) {
 			return nil
 		}
 	}
@@ -248,8 +280,8 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 	kernels.SerialSolveCSR(s.orig, b, x, nil)
 	ses.stats.Fallbacks++
 	mFallbacks.Inc()
-	if res := sparse.ScaledResidual(s.orig, x, b); res > tol {
-		return &ResidualError{Residual: res, Tol: tol}
+	if !sparse.ResidualWithin(s.orig, x, b, tol) {
+		return &ResidualError{Residual: sparse.ScaledResidual(s.orig, x, b), Tol: tol}
 	}
 	return nil
 }

@@ -53,7 +53,9 @@ const (
 	// stopNA: no recursion decided the leaf — a panel partition, or a
 	// solver reloaded from a saved plan.
 	stopNA stopReason = iota
-	// stopSize: at most MinBlockRows rows, or fewer than 2.
+	// stopSize: at most MinBlockRows rows, or fewer than 2. With the
+	// serial floor on, a range keeps it only when Algorithm 7 sends it to
+	// a dependent parallel kernel.
 	stopSize
 	// stopDepth: MaxDepth reached.
 	stopDepth
@@ -81,12 +83,14 @@ func (r stopReason) String() string {
 
 // treeRule names the rule that shapes the recursion tree, and leafForm
 // the form of the serial leaves the walk makes. The plan-cache key
-// carries both, so a plan cached under the earlier size-only rule, or
-// under the fitted rule that chose each serial leaf's form, is not served
-// in place of the selection-aware tree of gather leaves.
+// carries both, so a plan cached under the earlier size-only rule, under
+// the fitted rule that chose each serial leaf's form, or before the walk
+// decided the ranges the size rule stops (whose serial leaves ran the
+// scatter), is not served in place of the selection-aware tree of gather
+// leaves.
 const (
 	treeRule = "selection-aware"
-	leafForm = "gather"
+	leafForm = "gather-all"
 )
 
 // rangeNode is one diagonal range of the recursion tree. A leaf has
@@ -108,7 +112,10 @@ type rangeNode struct {
 // set, and decided: a leaf when the size rule says so (at most
 // MinBlockRows rows, fewer than 2, or MaxDepth reached) or, with the
 // serial floor on, when Algorithm 7 sends it to the serial or
-// completely-parallel kernel; otherwise it splits in half. A range's
+// completely-parallel kernel; otherwise it splits in half. With the floor
+// on, Algorithm 7's verdict names the stop of a range the size rule
+// stopped too (not of one MaxDepth stopped), so every range it sends to
+// serial is a stopSerial leaf. A range's
 // level count and strictly-lower count do not change under its own
 // level-order permutation, so a decision made before the reorder still
 // holds after it. All ranges of one depth share one permutation pass.
@@ -138,7 +145,10 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 			case o.MaxDepth > 0 && r.depth >= o.MaxDepth:
 				r.stop = stopDepth
 			}
-			decide := aware && r.stop == stopNA
+			// With the floor on, Algorithm 7 also decides the ranges the
+			// size rule stops, so each one it sends to serial is a
+			// stop=serial gather leaf like any other.
+			decide := aware && (r.stop == stopNA || r.stop == stopSize)
 			if o.Reorder || decide {
 				info := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, r.lo, r.hi)
 				if decide {

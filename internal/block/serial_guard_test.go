@@ -79,6 +79,28 @@ func serialLeaves(t *testing.T) []serialLeaf {
 	return leaves
 }
 
+// TestSizeStoppedSerialLeafGathers: with the serial floor on, Algorithm 7
+// also decides a range the size rule stops, so serialLeaves' banded
+// matrix under the default options with MinBlockRows above its rows (the
+// single triangle of PreprocessAuto's safety net) is one stop=serial
+// gather leaf solved in place, not the CSC scatter of a forced plan.
+func TestSizeStoppedSerialLeafGathers(t *testing.T) {
+	l := gen.Banded(16_000, 128, 1, 31)
+	o := Defaults(exec.Device{Name: "test", Workers: 2, BlockFactor: 1024})
+	o.MinBlockRows = l.Rows + 1
+	s, err := Preprocess(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumTriBlocks() != 1 || s.tris[0].kernel != kernels.TriSerial {
+		t.Fatalf("want one serial leaf, got %v", s.TriKernelCounts())
+	}
+	if s.tris[0].lower == nil || !s.inPlace || s.plan[0].stop != stopSerial {
+		t.Fatalf("gather form %v, in place %v, stop=%v; want a stop=serial gather leaf in place",
+			s.tris[0].lower != nil, s.inPlace, s.plan[0].stop)
+	}
+}
+
 // TestSerialLeafFeedsStallWatchdog: a serial leaf that runs 8× the stall
 // timeout is not a stall. Both serial forms step the progress counter
 // every few hundred columns or rows, so the watchdog sees it advance and

@@ -27,8 +27,11 @@ type Session[T sparse.Float] struct {
 	states []*kernels.SyncFreeState
 	// r and d are the verification ladder's residual and correction,
 	// allocated on the first refinement step.
-	r, d  []T
-	stats SolveStats
+	r, d []T
+	// watchdog is the stall watchdog of the session's guarded solves,
+	// made on the first one with Options.StallTimeout set.
+	watchdog *watchdog
+	stats    SolveStats
 }
 
 // newSession allocates a session's single-RHS scratch.

@@ -151,7 +151,9 @@ func TestChaosPanicIsolatedAndRecovered(t *testing.T) {
 func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 	faultinject.Reset()
 	dir := t.TempDir()
-	l := gen.Layered(800, 20, 4, 0.1, 1700)
+	// A reordered grid is a permuted serial leaf, a plan the cache stores
+	// (one solved in place, as gen.Layered's are, is not stored).
+	l := gen.GridLaplacian5(28, 28, 1700)
 	analyzes := metrics.Default.Counter("analyzes")
 
 	// Populate the directory with hooks disarmed.
@@ -160,7 +162,7 @@ func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := New(Config{Workers: 1, PlanCache: seedCache})
-	if err := d1.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
+	if err := d1.AddMatrix("m", l, block.Options{Workers: 2, Reorder: true}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -178,7 +180,7 @@ func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 	}
 	before := analyzes.Value()
 	d2 := New(Config{Workers: 1, PlanCache: cache})
-	if err := d2.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
+	if err := d2.AddMatrix("m", l, block.Options{Workers: 2, Reorder: true}); err != nil {
 		t.Fatalf("AddMatrix over a corrupt cache must degrade, not fail: %v", err)
 	}
 	if got := analyzes.Value() - before; got != 1 {

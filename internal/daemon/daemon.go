@@ -51,8 +51,13 @@ type Config struct {
 	// (default 32).
 	MaxBatch int
 	// Window is how long a worker holds a batch open for more arrivals
-	// after the first (default 200µs; negative = no wait, coalesce only
-	// what is already queued).
+	// after taking what is already queued (default 200µs; negative = no
+	// wait, coalesce only what is already queued). It holds only while a
+	// second request could still arrive: a batch of one request that
+	// came more than Window after the admission before it, while no
+	// other request for the matrix is being read, is solved at once. A
+	// sub-millisecond hold lasts about 1.1 ms in an idle process, where
+	// the timer fires late.
 	Window time.Duration
 	// Workers is the number of solve workers per matrix (default 2).
 	// Each owns a private session, so workers never contend on scratch.
@@ -168,6 +173,7 @@ func (d *Daemon) AddMatrix(name string, l *sparse.CSR[float64], opts block.Optio
 		window:   d.cfg.Window,
 		maxBatch: d.cfg.MaxBatch,
 		slo:      newSLOMonitor(name, d.cfg.SLO),
+		born:     time.Now(),
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -187,13 +193,18 @@ func (d *Daemon) AddMatrix(name string, l *sparse.CSR[float64], opts block.Optio
 
 // Rows reports the system size of a registered matrix.
 func (d *Daemon) Rows(matrix string) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := d.pipes[matrix]
+	p := d.pipe(matrix)
 	if p == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownMatrix, matrix)
 	}
 	return p.n, nil
+}
+
+// pipe returns a registered matrix's pipeline, or nil.
+func (d *Daemon) pipe(matrix string) *pipeline {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.pipes[matrix]
 }
 
 // Solve submits one right-hand side for the named matrix and blocks
@@ -260,7 +271,8 @@ func (d *Daemon) admit(ctx context.Context, matrix string, b []float64, sp *trac
 	if dl, ok := ctx.Deadline(); ok {
 		sp.SetDeadline(dl)
 	}
-	req := &request{ctx: ctx, b: b, x: make([]float64, p.n), enq: time.Now(), done: make(chan error, 1), sp: sp}
+	now := time.Now()
+	req := &request{ctx: ctx, b: b, x: make([]float64, p.n), enq: now, gap: p.admitGap(now), done: make(chan error, 1), sp: sp}
 	select {
 	case p.queue <- req:
 		sp.MarkEnqueued()

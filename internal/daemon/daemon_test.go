@@ -1,11 +1,17 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -136,6 +142,108 @@ func TestCoalesce(t *testing.T) {
 	}
 	if st.Coalesce <= 1 {
 		t.Fatalf("coalesce = %.2f, want > 1", st.Coalesce)
+	}
+}
+
+// TestLoneRequestIsNotHeld: a request that arrives alone, more than a
+// window after the one before it, is solved without holding its batch
+// open, so its coalesce phase stays far below the window. Three requests
+// 2·Window apart go through the HTTP handler; each reports its phase in
+// X-Phase-Coalesce-Ns.
+func TestLoneRequestIsNotHeld(t *testing.T) {
+	l := testMatrix()
+	const window = 50 * time.Millisecond
+	d := newTestDaemon(t, Config{Workers: 1, Window: window}, l)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			time.Sleep(2 * window)
+		}
+		resp, body := postJSON(t, srv.URL+"/solve/m", SolveRequest{B: gen.RandVec(l.Rows, int64(2100+i))})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, resp.StatusCode, body)
+		}
+		hold, err := strconv.ParseInt(resp.Header.Get("X-Phase-Coalesce-Ns"), 10, 64)
+		if err != nil {
+			t.Fatalf("request %d: X-Phase-Coalesce-Ns = %q: %v", i, resp.Header.Get("X-Phase-Coalesce-Ns"), err)
+		}
+		if time.Duration(hold) >= window {
+			t.Fatalf("request %d was held %v, a lone request after a %v gap; window %v", i, time.Duration(hold), 2*window, window)
+		}
+	}
+	if st := d.Stats()[0]; st.Batches != 3 || st.Batched != 3 {
+		t.Fatalf("%d batches of %d right-hand sides, want 3 of 3", st.Batches, st.Batched)
+	}
+}
+
+// TestHoldWhileRequestIsRead: a lone request that came after a quiet
+// spell is still held while another request for its matrix is being
+// read, and the two coalesce. Request A's body is half sent when request
+// B is admitted and dequeued; B's batch stays open until A's body
+// completes, and both answer from one batch of two.
+func TestHoldWhileRequestIsRead(t *testing.T) {
+	l := testMatrix()
+	d := newTestDaemon(t, Config{Workers: 1, MaxBatch: 2, Window: 5 * time.Second}, l)
+	p := d.pipes["m"]
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	bodyOf := func(seed int64) []byte {
+		data, err := json.Marshal(SolveRequest{B: gen.RandVec(l.Rows, seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	type answer struct {
+		resp *http.Response
+		err  error
+	}
+	post := func(body io.Reader, out chan<- answer) {
+		resp, err := http.Post(srv.URL+"/solve/m", "application/json", body)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		out <- answer{resp, err}
+	}
+	a, b := make(chan answer, 1), make(chan answer, 1)
+	bodyA := bodyOf(2200)
+	pr, pw := io.Pipe()
+	go post(pr, a)
+	if _, err := pw.Write(bodyA[:len(bodyA)/2]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "request A being read", func() bool { return p.reading.Load() == 1 })
+	go post(bytes.NewReader(bodyOf(2201)), b)
+	waitFor(t, "request B admitted and dequeued", func() bool { return p.lastAdmit.Load() != 0 && len(p.queue) == 0 })
+	if _, err := pw.Write(bodyA[len(bodyA)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	for _, r := range []struct {
+		name string
+		c    chan answer
+	}{{"B", b}, {"A", a}} {
+		ans := <-r.c
+		if ans.err != nil {
+			t.Fatalf("request %s: %v", r.name, ans.err)
+		}
+		if ans.resp.StatusCode != http.StatusOK || ans.resp.Header.Get("X-Batch") != "2" {
+			t.Fatalf("request %s: status %d, batch %q; want 200 from a batch of 2", r.name, ans.resp.StatusCode, ans.resp.Header.Get("X-Batch"))
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

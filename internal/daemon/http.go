@@ -112,10 +112,7 @@ func (d *Daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sp := trace.StartSpan(r.Header.Get("X-Request-Id"))
 	w.Header().Set("X-Request-Id", sp.ID)
 	matrix := r.PathValue("matrix")
-	rows, _ := d.Rows(matrix) // 0 for an unknown matrix, which admission refuses
-	body := http.MaxBytesReader(w, r.Body, maxSolveBody(rows))
-	data, readErr := readSolveBody(body, r.ContentLength, rows)
-	req, err := decodeSolveRequest(data, readErr, rows)
+	req, err := readSolve(w, r, d.pipe(matrix))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decoding solve request: %w", err), sp.ID)
 		return
@@ -138,6 +135,22 @@ func (d *Daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeSolveResponse(w, x, sp.ID)
+}
+
+// readSolve reads and decodes a solve request's body, bounded by the
+// rows of p, the matrix's pipeline (nil for an unknown matrix, which
+// admission refuses). While it runs, p counts the request as being read,
+// so its workers know a second request is on the way (pipeline.gather).
+func readSolve(w http.ResponseWriter, r *http.Request, p *pipeline) (SolveRequest, error) {
+	rows := 0
+	if p != nil {
+		rows = p.n
+		p.reading.Add(1)
+		defer p.reading.Add(-1)
+	}
+	body := http.MaxBytesReader(w, r.Body, maxSolveBody(rows))
+	data, readErr := readSolveBody(body, r.ContentLength, rows)
+	return decodeSolveRequest(data, readErr, rows)
 }
 
 // setPhaseHeaders exposes the finished span's phase attribution as

@@ -14,9 +14,11 @@ import (
 
 // The admission queue and its workers: one bounded channel per matrix,
 // Config.Workers goroutines draining it. A worker takes the head
-// request, holds the batch open for Config.Window to coalesce more
-// arrivals (up to Config.MaxBatch), drops members whose deadline expired
-// while queued, and runs the survivors as one guarded multi-RHS solve.
+// request and whatever else is queued, holds the batch open for
+// Config.Window to coalesce more arrivals (up to Config.MaxBatch) unless
+// the head came alone after a quiet spell with no other request on its
+// way, drops members whose deadline expired while queued, and runs the
+// survivors as one guarded multi-RHS solve.
 
 // request is one admitted right-hand side. done is buffered so workers
 // never block resolving a request whose submitter has not reached its
@@ -27,6 +29,9 @@ type request struct {
 	ctx  context.Context
 	b, x []float64
 	enq  time.Time
+	// gap is the time from the pipeline's previous admission to this one
+	// (pipeline.admitGap).
+	gap  time.Duration
 	done chan error
 	sp   *trace.Span
 }
@@ -53,6 +58,14 @@ type pipeline struct {
 	errors    atomic.Int64 // requests resolved with a solve error
 	lastNs    atomic.Int64 // duration of the most recent batch solve
 
+	// born is the pipeline's time origin, and lastAdmit the time of its
+	// latest admission after born, in nanoseconds (0 before the first).
+	born      time.Time
+	lastAdmit atomic.Int64
+	// reading counts the HTTP requests for the matrix whose body is being
+	// read and decoded: requests on their way to admission.
+	reading atomic.Int64
+
 	// beforeSolve, when non-nil, runs at the head of every batch solve.
 	// It is a test seam: blocking here holds a worker mid-flight so
 	// admission-queue behaviour (fill, shed, expiry) can be exercised
@@ -68,6 +81,18 @@ func (p *pipeline) retryAfter() time.Duration {
 		d = time.Millisecond
 	}
 	return d
+}
+
+// admitGap records an arrival at admission, at now, and returns the time
+// since the pipeline's previous one. Every arrival that reaches the queue
+// counts, shed ones too: under load they are the burst. The first reports
+// the longest duration, as after an unbounded quiet spell.
+func (p *pipeline) admitGap(now time.Time) time.Duration {
+	t := int64(now.Sub(p.born))
+	if prev := p.lastAdmit.Swap(t); prev != 0 {
+		return time.Duration(t - prev)
+	}
+	return math.MaxInt64
 }
 
 // worker owns one session over the pipeline's solver and loops until the
@@ -93,7 +118,15 @@ type workerState struct {
 }
 
 // gather coalesces: whatever is already queued is taken immediately,
-// then the batch is held open for the window. Returns at least first.
+// then the batch is held open for the window — unless no second request
+// could still arrive: the batch is first alone, first came more than a
+// window after the admission before it, and no other request for the
+// matrix is being read. Such a request has nothing to wait for, and a
+// sub-millisecond timer fires after about 1.1 ms in an idle process, so
+// the hold would cost more than the window it asks for. A burst's second
+// arrival comes within the window, and under saturation other callers'
+// requests are being decoded while the worker dequeues, so both hold as
+// before. Returns at least first.
 func (p *pipeline) gather(first *request) []*request {
 	batch := make([]*request, 1, p.maxBatch)
 	batch[0] = first
@@ -111,7 +144,7 @@ func (p *pipeline) gather(first *request) []*request {
 		}
 		break
 	}
-	if p.window <= 0 || len(batch) == p.maxBatch {
+	if p.window <= 0 || len(batch) == p.maxBatch || len(batch) == 1 && first.gap > p.window && p.reading.Load() == 0 {
 		return batch
 	}
 	t := time.NewTimer(p.window)

@@ -19,7 +19,10 @@ import (
 // correctly, since its plan came off disk.
 func TestWarmStartSkipsAnalysis(t *testing.T) {
 	dir := t.TempDir()
-	l := gen.Layered(1500, 30, 5, 0.1, 701)
+	// A reordered grid is a permuted serial leaf, a plan the cache
+	// stores. A matrix solved in place on the caller's storage (one
+	// unpermuted gather leaf, as gen.Layered's are) is not stored.
+	l := gen.GridLaplacian5(40, 40, 701)
 	analyzes := metrics.Default.Counter("analyzes")
 
 	boot := func(name string) (*Daemon, *plancache.Cache) {
@@ -29,7 +32,7 @@ func TestWarmStartSkipsAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := New(Config{Workers: 1, PlanCache: cache})
-		if err := d.AddMatrix(name, l, block.Options{Workers: 2}); err != nil {
+		if err := d.AddMatrix(name, l, block.Options{Workers: 2, Reorder: true}); err != nil {
 			t.Fatal(err)
 		}
 		return d, cache
@@ -83,11 +86,12 @@ func TestAddMatrixOptionCacheOverridesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New(Config{Workers: 1, PlanCache: shared})
-	l := gen.Layered(800, 20, 4, 0.1, 703)
-	if err := d.AddMatrix("own", l, block.Options{Workers: 2, PlanCache: own}); err != nil {
+	// Reordered, as in TestWarmStartSkipsAnalysis, so the plan is stored.
+	l := gen.GridLaplacian5(28, 28, 703)
+	if err := d.AddMatrix("own", l, block.Options{Workers: 2, Reorder: true, PlanCache: own}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddMatrix("shared", l, block.Options{Workers: 2}); err != nil {
+	if err := d.AddMatrix("shared", l, block.Options{Workers: 2, Reorder: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := own.Stats(); st.Stores != 1 {

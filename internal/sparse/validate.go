@@ -116,3 +116,42 @@ func ScaledResidual[T Float](m *CSR[T], x, b []T) float64 {
 	}
 	return worst
 }
+
+// ResidualWithin reports whether every row meets
+// |(M·x − b)_i| ≤ tol·(1 + |b_i|), the test ScaledResidual(m, x, b) ≤ tol
+// makes, in one pass that divides nothing and stops at the first row that
+// misses. A row whose residual is NaN misses. The guarded solve path
+// decides with it and calls ScaledResidual only to report a miss.
+//
+//sptrsv:hotpath
+func ResidualWithin[T Float](m *CSR[T], x, b []T, tol float64) bool {
+	n := m.Rows
+	if n == 0 {
+		return true
+	}
+	// Length hints: the row pointer and b reads carry no bounds checks,
+	// and each row's entries are read as two slices of one length, so
+	// only the x reads are checked.
+	rowPtr, colIdx, vals := m.RowPtr, m.ColIdx, m.Val
+	_ = rowPtr[n]
+	_ = b[n-1]
+	for i := 0; i < n; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols := colIdx[lo:hi]
+		vs := vals[lo:hi]
+		vs = vs[:len(cols)]
+		var sum T
+		for j, c := range cols {
+			sum += vs[j] * x[c]
+		}
+		bi := float64(b[i])
+		// r − bound ≤ 0 rather than r ≤ bound: the two agree on finite
+		// values, since a difference is 0 only between equal numbers, and
+		// an infinite b_i makes both infinite, the difference NaN and the
+		// row a miss, as ScaledResidual's Inf/Inf is.
+		if !(math.Abs(float64(sum)-bi)-tol*(1+math.Abs(bi)) <= 0) {
+			return false
+		}
+	}
+	return true
+}
