@@ -225,13 +225,13 @@ func TestInPlacePlanAliasing(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSkipsInPlacePlans: an in-place plan is analysed on every
-// Preprocess behind a plan cache and never stored, since its payload
-// would be a copy of L that costs more to load than the analysis, and it
-// solves on the caller's matrix each time. A gather plan that is not in
-// place is stored on the first call and loads, with its form, on the
-// next.
-func TestPlanCacheSkipsInPlacePlans(t *testing.T) {
+// TestPlanCacheStoresInPlacePlanAsDecision: behind a plan cache, an
+// in-place plan is stored as the walk's decision alone (a payload of a
+// few dozen bytes, no copy of L), and a restart over the same directory
+// loads it without an analysis, as the same leaf on the caller's matrix.
+// A gather plan that is not in place is stored as its solver stream and
+// loads, with its form, on the next call.
+func TestPlanCacheStoresInPlacePlanAsDecision(t *testing.T) {
 	for _, p := range gatherPlans()[:2] {
 		t.Run(p.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -239,6 +239,7 @@ func TestPlanCacheSkipsInPlacePlans(t *testing.T) {
 			for run := 0; run < 2; run++ {
 				c := openCache(t, dir) // the second run is a restart over the same directory
 				o.PlanCache = c
+				before := mAnalyzes.Value()
 				s, err := Preprocess(p.l, o)
 				if err != nil {
 					t.Fatal(err)
@@ -247,24 +248,24 @@ func TestPlanCacheSkipsInPlacePlans(t *testing.T) {
 				if p.inPlace && s.tris[0].lower != p.l {
 					t.Fatalf("run %d: in-place leaf is not the caller's matrix", run)
 				}
-				stores, hits := 0, 0
-				switch {
-				case p.inPlace:
-				case run == 0:
-					stores = 1
-				default:
-					hits = 1
+				stores, hits, analyses := int64(1), int64(0), int64(1)
+				if run == 1 {
+					stores, hits, analyses = 0, 1, 0
 				}
-				if st := c.Stats(); st.Stores != int64(stores) || st.Hits != int64(hits) {
-					t.Fatalf("run %d: %d stores and %d hits, want %d and %d", run, st.Stores, st.Hits, stores, hits)
+				st := c.Stats()
+				if st.Stores != stores || st.Hits != hits || mAnalyzes.Value()-before != analyses {
+					t.Fatalf("run %d: %d stores, %d hits, %d analyses; want %d, %d, %d",
+						run, st.Stores, st.Hits, mAnalyzes.Value()-before, stores, hits, analyses)
+				}
+				if p.inPlace && st.ResidentBytes > 64 {
+					t.Fatalf("run %d: in-place payload of %d bytes", run, st.ResidentBytes)
 				}
 			}
 		})
 	}
 
-	// Concurrent calls on one in-place plan share a flight that stores
-	// nothing: the callers that waited on it analyse for themselves, and
-	// every call succeeds.
+	// Concurrent calls on one in-place plan share one flight: one
+	// analysis, one store, and every call solves on the caller's matrix.
 	t.Run("concurrent in place", func(t *testing.T) {
 		p := gatherPlans()[0]
 		o := gatherDefaults(exec.NewPool(2))
@@ -293,9 +294,12 @@ func TestPlanCacheSkipsInPlacePlans(t *testing.T) {
 		}
 		for _, s := range solvers {
 			checkGatherPlan(t, p, s, p.l)
+			if s.tris[0].lower != p.l {
+				t.Fatal("in-place leaf is not the caller's matrix")
+			}
 		}
-		if st := c.Stats(); st.Stores != 0 {
-			t.Fatalf("%d stores of an in-place plan", st.Stores)
+		if st := c.Stats(); st.Stores != 1 {
+			t.Fatalf("%d stores of an in-place plan, want 1", st.Stores)
 		}
 	})
 }

@@ -240,19 +240,17 @@ func (w *watchdog) fire() {
 	w.t.Reset(w.tick)
 }
 
-// verifyAndRecover is the graceful-degradation ladder: check the
+// verifyAndRecover is the graceful-degradation ladder: check the scaled
 // residual, take one refinement step if allowed, fall back to the serial
-// reference, and only then give up with a ResidualError. Each check is
-// sparse.ResidualWithin, one pass over L that divides nothing;
-// ScaledResidual runs only to report the residual a ResidualError
-// carries. The recovery counters land in the session's stats.
+// reference, and only then give up with a ResidualError. The recovery
+// counters land in the session's stats.
 func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 	s := ses.s
 	if s.orig == nil {
 		return errors.New("block: VerifyResidual needs the original matrix, which a deserialised solver does not retain")
 	}
 	tol := s.opts.VerifyResidual
-	if sparse.ResidualWithin(s.orig, x, b, tol) {
+	if sparse.ScaledResidual(s.orig, x, b) <= tol {
 		return nil
 	}
 	if s.opts.Refine {
@@ -272,7 +270,7 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 		}
 		ses.stats.Refinements++
 		mRefinements.Inc()
-		if sparse.ResidualWithin(s.orig, x, b, tol) {
+		if sparse.ScaledResidual(s.orig, x, b) <= tol {
 			return nil
 		}
 	}
@@ -280,8 +278,8 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 	kernels.SerialSolveCSR(s.orig, b, x, nil)
 	ses.stats.Fallbacks++
 	mFallbacks.Inc()
-	if !sparse.ResidualWithin(s.orig, x, b, tol) {
-		return &ResidualError{Residual: sparse.ScaledResidual(s.orig, x, b), Tol: tol}
+	if res := sparse.ScaledResidual(s.orig, x, b); res > tol {
+		return &ResidualError{Residual: res, Tol: tol}
 	}
 	return nil
 }

@@ -57,7 +57,7 @@ const (
 	// serial floor on, a range keeps it only when Algorithm 7 sends it to
 	// a dependent parallel kernel.
 	stopSize
-	// stopDepth: MaxDepth reached.
+	// stopDepth: MaxDepth reached; with the serial floor on, as stopSize.
 	stopDepth
 	// stopSerial: with the serial floor on, Algorithm 7 sends the range
 	// to the serial kernel.
@@ -85,9 +85,9 @@ func (r stopReason) String() string {
 // the form of the serial leaves the walk makes. The plan-cache key
 // carries both, so a plan cached under the earlier size-only rule, under
 // the fitted rule that chose each serial leaf's form, or before the walk
-// decided the ranges the size rule stops (whose serial leaves ran the
-// scatter), is not served in place of the selection-aware tree of gather
-// leaves.
+// decided the ranges the size rule or MaxDepth stops (whose serial leaves
+// ran the scatter), is not served in place of the selection-aware tree of
+// gather leaves.
 const (
 	treeRule = "selection-aware"
 	leafForm = "gather-all"
@@ -113,12 +113,12 @@ type rangeNode struct {
 // MinBlockRows rows, fewer than 2, or MaxDepth reached) or, with the
 // serial floor on, when Algorithm 7 sends it to the serial or
 // completely-parallel kernel; otherwise it splits in half. With the floor
-// on, Algorithm 7's verdict names the stop of a range the size rule
-// stopped too (not of one MaxDepth stopped), so every range it sends to
-// serial is a stopSerial leaf. A range's
-// level count and strictly-lower count do not change under its own
-// level-order permutation, so a decision made before the reorder still
-// holds after it. All ranges of one depth share one permutation pass.
+// on, Algorithm 7's verdict names the stop of a range the size rule or
+// MaxDepth stopped too, so every range it sends to serial is a stopSerial
+// leaf. A range's level count and strictly-lower count do not change
+// under its own level-order permutation, so a decision made before the
+// reorder still holds after it. All ranges of one depth share one
+// permutation pass.
 // Panel partitions do not recurse: their walk is the whole-matrix pass
 // alone (the ablation variant; the paper reorders the recursive
 // structure).
@@ -145,10 +145,10 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 			case o.MaxDepth > 0 && r.depth >= o.MaxDepth:
 				r.stop = stopDepth
 			}
-			// With the floor on, Algorithm 7 also decides the ranges the
-			// size rule stops, so each one it sends to serial is a
-			// stop=serial gather leaf like any other.
-			decide := aware && (r.stop == stopNA || r.stop == stopSize)
+			// With the floor on, Algorithm 7 decides every range, those
+			// the size rule or MaxDepth stops too, so each one it sends to
+			// serial is a stop=serial gather leaf like any other.
+			decide := aware
 			if o.Reorder || decide {
 				info := levelset.FromLowerPattern(cur.RowPtr, cur.ColIdx, r.lo, r.hi)
 				if decide {

@@ -3,11 +3,11 @@ package block
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
@@ -70,12 +70,30 @@ func valueHash[T sparse.Float](vals []T) uint64 {
 	return uint64(ieee)<<32 | uint64(cast)
 }
 
+// inPlaceMagic opens the payload of an in-place plan, one gather leaf
+// over the caller's unpermuted matrix. Such a payload holds the walk's
+// decision alone, after a zero header: the magic, then the leaf's rows,
+// strictly-lower entries and levels. A hit rebuilds the leaf on the
+// caller's matrix, with the check a cold build makes, and skips the
+// level walk; the solver stream would carry a copy of L, which costs
+// more to load than that walk.
+const inPlaceMagic = "INPLACE"
+
 // encodePlanPayload serializes a preprocessed solver into a cache
 // payload: the value hash of the matrix it was built from, then the
-// versioned solver stream.
+// versioned solver stream; or, for an in-place plan, its decision.
 func encodePlanPayload[T sparse.Float](s *Solver[T], l *sparse.CSR[T]) ([]byte, error) {
 	var buf bytes.Buffer
 	var hdr [planPayloadHeader]byte
+	if s.inPlace {
+		buf.Write(hdr[:])
+		buf.WriteString(inPlaceMagic)
+		f := s.tris[0].feats
+		for _, v := range []int{f.Rows, f.StrictNNZ, f.NLevels} {
+			buf.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+		}
+		return buf.Bytes(), nil
+	}
 	binary.LittleEndian.PutUint64(hdr[:], valueHash(l.Val))
 	buf.Write(hdr[:])
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -84,12 +102,34 @@ func encodePlanPayload[T sparse.Float](s *Solver[T], l *sparse.CSR[T]) ([]byte, 
 	return buf.Bytes(), nil
 }
 
+// decodeInPlace rebuilds an in-place plan from its decision (see
+// inPlaceMagic) on l; ok is false when rest is not such a payload.
+func decodeInPlace[T sparse.Float](rest []byte, l *sparse.CSR[T], o Options) (s *Solver[T], ok bool, err error) {
+	if len(rest) != len(inPlaceMagic)+24 || string(rest[:len(inPlaceMagic)]) != inPlaceMagic {
+		return nil, false, nil
+	}
+	rest = rest[len(inPlaceMagic):]
+	rows := binary.LittleEndian.Uint64(rest)
+	strict := binary.LittleEndian.Uint64(rest[8:])
+	levels := binary.LittleEndian.Uint64(rest[16:])
+	if rows != uint64(l.Rows) || strict > uint64(l.NNZ()) || levels < 1 || levels > rows {
+		return nil, true, fmt.Errorf("%w: in-place plan of %d rows, %d strictly-lower entries, %d levels for a %d-row matrix",
+			ErrSerialize, rows, strict, levels, l.Rows)
+	}
+	f := adapt.NewTriFeatures(l.Rows, int(strict), int(levels))
+	s, err = assemble(l, o, l, nil, []rangeNode{{hi: l.Rows, stop: stopSerial, feats: f}})
+	return s, true, err
+}
+
 // decodePlanPayload rebuilds a solver from a cache payload, binding it
 // to the caller's matrix and options. A payload built from different
 // values (same structure) gets every value array refreshed from l.
 func decodePlanPayload[T sparse.Float](payload []byte, l *sparse.CSR[T], o Options) (*Solver[T], error) {
 	if len(payload) < planPayloadHeader {
 		return nil, fmt.Errorf("%w: %d-byte payload", ErrSerialize, len(payload))
+	}
+	if s, ok, err := decodeInPlace(payload[planPayloadHeader:], l, o); ok {
+		return s, err
 	}
 	stored := binary.LittleEndian.Uint64(payload)
 	s, err := readSolverBytes[T](payload[planPayloadHeader:], o.Pool)
@@ -115,16 +155,9 @@ func decodePlanPayload[T sparse.Float](payload []byte, l *sparse.CSR[T], o Optio
 	return s, nil
 }
 
-// errInPlace keeps an in-place plan out of the plan cache. Its analysis
-// is a level walk over L and nothing more, while its payload would be a
-// copy of L that every hit must read and check, so loading it costs
-// more than analysing again.
-var errInPlace = errors.New("block: in-place plan is not cached")
-
 // preprocessCached is Preprocess behind a plan cache: load on hit,
 // analyze-and-store on miss, with concurrent misses for the same key
-// single-flighted down to one analysis. In-place plans are analysed and
-// not stored (errInPlace).
+// single-flighted down to one analysis.
 func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], error) {
 	cache := o.PlanCache
 	key := cacheKey(l, o)
@@ -135,19 +168,8 @@ func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], 
 			return nil, err
 		}
 		built = s
-		if s.inPlace {
-			return nil, errInPlace
-		}
 		return encodePlanPayload(s, l)
 	})
-	if errors.Is(err, errInPlace) {
-		if built != nil {
-			return built, nil
-		}
-		// A concurrent caller analysed the same plan and did not store
-		// it: analyse here too.
-		return preprocessCold(l, o)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -162,14 +184,10 @@ func preprocessCached[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], 
 	}
 	// The cached payload did not decode (stale solver-stream version, a
 	// collision with a foreign payload, a refresh mismatch). Treat it as
-	// a miss: analyze cold and repair the entry, unless the plan is in
-	// place (errInPlace).
+	// a miss: analyze cold and repair the entry.
 	s, cerr := preprocessCold(l, o)
 	if cerr != nil {
 		return nil, cerr
-	}
-	if s.inPlace {
-		return s, nil
 	}
 	if p2, perr := encodePlanPayload(s, l); perr == nil {
 		if perr := cache.Put(key, p2); perr != nil {

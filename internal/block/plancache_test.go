@@ -26,9 +26,9 @@ func openCache(t *testing.T, dir string) *plancache.Cache {
 // cachedOptions are the default tree's options over a cache. The tests
 // that store and load a whole plan under them use grids: the walk
 // level-orders a grid, so its one serial leaf is a permuted gather leaf,
-// which the cache stores. A whole serial leaf the walk leaves in place,
-// such as a gen.Layered matrix's, is not stored
-// (TestPlanCacheSkipsInPlacePlans).
+// which the cache stores as its solver stream. A whole serial leaf the
+// walk leaves in place, such as a gen.Layered matrix's, is stored as the
+// walk's decision alone (TestPlanCacheStoresInPlacePlanAsDecision).
 func cachedOptions(pool exec.Launcher, c *plancache.Cache) Options {
 	return Options{
 		Pool: pool, Kind: Recursive, MinBlockRows: 100,

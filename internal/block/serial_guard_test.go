@@ -101,6 +101,61 @@ func TestSizeStoppedSerialLeafGathers(t *testing.T) {
 	}
 }
 
+// TestDepthStoppedSerialLeafGathers: with the serial floor on, Algorithm
+// 7 also decides a range MaxDepth stops. The matrix's first half is a
+// 40-row chain and 4,056 rows on its last row (200 entries of work a
+// level), its second half rows of 200 entries on the first half: the
+// root, about 20,000 entries of work a level, splits, and at MaxDepth 1
+// its left half is a stop=serial gather leaf, not the CSC scatter.
+func TestDepthStoppedSerialLeafGathers(t *testing.T) {
+	const n, chain, wide = 8192, 40, 200
+	l := &sparse.CSR[float64]{Rows: n, Cols: n, RowPtr: make([]int, 1, n+1)}
+	for i := range n {
+		var cols []int
+		switch {
+		case i == 0:
+		case i < chain:
+			cols = []int{i - 1}
+		case i < n/2:
+			cols = []int{chain - 1}
+		default:
+			for c := range wide {
+				cols = append(cols, chain+c)
+			}
+		}
+		for _, c := range cols {
+			l.ColIdx, l.Val = append(l.ColIdx, c), append(l.Val, -0.5/float64(len(cols)))
+		}
+		l.ColIdx, l.Val = append(l.ColIdx, i), append(l.Val, 1)
+		l.RowPtr = append(l.RowPtr, len(l.ColIdx))
+	}
+	o := Defaults(exec.Device{Name: "test", Workers: 2, BlockFactor: 1024})
+	o.MinBlockRows, o.MaxDepth = 64, 1
+	s, err := Preprocess(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := 0
+	for i, spec := range s.plan {
+		if spec.kind != triSeg {
+			continue
+		}
+		tb := &s.tris[s.steps[i].idx]
+		if tb.kernel != kernels.TriSerial {
+			continue
+		}
+		serial++
+		if tb.lower == nil || spec.stop != stopSerial || spec.depth != 1 {
+			t.Fatalf("serial leaf [%d,%d): gather form %v, stop=%v, depth %d; want a stop=serial gather leaf at depth 1",
+				tb.lo, tb.hi, tb.lower != nil, spec.stop, spec.depth)
+		}
+	}
+	if serial != 1 {
+		t.Fatalf("%d serial leaves, want 1: %v", serial, s.TriKernelCounts())
+	}
+	solveAgainstOracle(t, s, l, 35)
+}
+
 // TestSerialLeafFeedsStallWatchdog: a serial leaf that runs 8× the stall
 // timeout is not a stall. Both serial forms step the progress counter
 // every few hundred columns or rows, so the watchdog sees it advance and

@@ -157,13 +157,18 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 // cache is configured, and the miss path when one is.
 func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], error) {
 	mAnalyzes.Inc()
-	n := l.Rows
-	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l}
-
 	cur, perm, tree, err := walkTree(l, o)
 	if err != nil {
 		return nil, err
 	}
+	return assemble(l, o, cur, perm, tree)
+}
+
+// assemble builds the solver of a walked tree: cur is l in plan order and
+// perm the permutation that took it there (nil for none).
+func assemble[T sparse.Float](l *sparse.CSR[T], o Options, cur *sparse.CSR[T], perm []int, tree []rangeNode) (*Solver[T], error) {
+	n := l.Rows
+	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l}
 	plan := planOf(n, o, tree)
 	if err := planChecks(n, plan); err != nil {
 		return nil, err
@@ -180,6 +185,7 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 		switch spec.kind {
 		case triSeg:
 			var tb triBlock[T]
+			var err error
 			if spec.stop == stopSerial {
 				tb, err = buildGatherLeaf(cur, spec)
 			} else {

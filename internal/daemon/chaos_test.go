@@ -151,9 +151,7 @@ func TestChaosPanicIsolatedAndRecovered(t *testing.T) {
 func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 	faultinject.Reset()
 	dir := t.TempDir()
-	// A reordered grid is a permuted serial leaf, a plan the cache stores
-	// (one solved in place, as gen.Layered's are, is not stored).
-	l := gen.GridLaplacian5(28, 28, 1700)
+	l := gen.Layered(800, 20, 4, 0.1, 1700)
 	analyzes := metrics.Default.Counter("analyzes")
 
 	// Populate the directory with hooks disarmed.
@@ -162,7 +160,7 @@ func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := New(Config{Workers: 1, PlanCache: seedCache})
-	if err := d1.AddMatrix("m", l, block.Options{Workers: 2, Reorder: true}); err != nil {
+	if err := d1.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -180,7 +178,7 @@ func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 	}
 	before := analyzes.Value()
 	d2 := New(Config{Workers: 1, PlanCache: cache})
-	if err := d2.AddMatrix("m", l, block.Options{Workers: 2, Reorder: true}); err != nil {
+	if err := d2.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
 		t.Fatalf("AddMatrix over a corrupt cache must degrade, not fail: %v", err)
 	}
 	if got := analyzes.Value() - before; got != 1 {
@@ -197,6 +195,50 @@ func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
 	checkSolution(t, l, b, x)
 	if err := d2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosCorruptSolverStreamDegradesToAnalysis is
+// TestChaosCorruptPlanCacheDegradesToAnalysis for a plan the cache stores
+// as its solver stream (a reordered grid's permuted leaf) rather than as
+// an in-place plan's decision.
+func TestChaosCorruptSolverStreamDegradesToAnalysis(t *testing.T) {
+	faultinject.Reset()
+	dir := t.TempDir()
+	l := gen.GridLaplacian5(28, 28, 1702)
+	opts := block.Options{Workers: 2, Reorder: true}
+	analyzes := metrics.Default.Counter("analyzes")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, corrupt := range []bool{false, true} {
+		if corrupt {
+			faultinject.ArmCorruptBytes("plan-cache")
+			defer faultinject.Reset()
+		}
+		cache, err := plancache.Open(plancache.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := analyzes.Value()
+		d := New(Config{Workers: 1, PlanCache: cache})
+		if err := d.AddMatrix("m", l, opts); err != nil {
+			t.Fatalf("AddMatrix (corrupt %v): %v", corrupt, err)
+		}
+		if got := analyzes.Value() - before; got != 1 {
+			t.Fatalf("corrupt %v: %d analyses, want 1", corrupt, got)
+		}
+		if st := cache.Stats(); corrupt && st.VerifyFails == 0 {
+			t.Fatalf("corruption never surfaced as a typed verification miss: %+v", st)
+		}
+		b := gen.RandVec(l.Rows, 1703)
+		x, err := d.Solve(context.Background(), "m", b)
+		if err != nil {
+			t.Fatalf("solve (corrupt %v): %v", corrupt, err)
+		}
+		checkSolution(t, l, b, x)
+		if err := d.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

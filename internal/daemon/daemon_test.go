@@ -145,6 +145,39 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
+// TestOneWorkerGathersAtATime: while one worker holds a batch open, the
+// other stays off the queue, so a burst lands in one batch instead of
+// being split between two workers each holding a batch of its own (which
+// would wait out the one-second window twice over, at two per batch).
+func TestOneWorkerGathersAtATime(t *testing.T) {
+	l := testMatrix()
+	const burst = 4
+	d := newTestDaemon(t, Config{Workers: 2, MaxBatch: burst, MaxQueue: burst, Window: time.Second}, l)
+	// A first request, alone after no admission at all, is solved at
+	// once; the burst then arrives within the window, so it holds.
+	if _, err := d.Solve(context.Background(), "m", gen.RandVec(l.Rows, 2100)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < burst; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			b := gen.RandVec(l.Rows, int64(2101+c))
+			x, err := d.Solve(context.Background(), "m", b)
+			if err != nil {
+				t.Errorf("client %d: %v", c, err)
+				return
+			}
+			checkSolution(t, l, b, x)
+		}(c)
+	}
+	wg.Wait()
+	if st := d.Stats()[0]; st.Batches != 2 || st.Batched != burst+1 {
+		t.Fatalf("%d batches carried %d requests; want the lone one, then the burst of %d in one batch", st.Batches, st.Batched, burst)
+	}
+}
+
 // TestLoneRequestIsNotHeld: a request that arrives alone, more than a
 // window after the one before it, is solved without holding its batch
 // open, so its coalesce phase stays far below the window. Three requests

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 )
 
 // The admission queue and its workers: one bounded channel per matrix,
-// Config.Workers goroutines draining it. A worker takes the head
-// request and whatever else is queued, holds the batch open for
+// Config.Workers goroutines draining it. One worker at a time takes the
+// head request and whatever else is queued, holds the batch open for
 // Config.Window to coalesce more arrivals (up to Config.MaxBatch) unless
 // the head came alone after a quiet spell with no other request on its
 // way, drops members whose deadline expired while queued, and runs the
@@ -65,6 +66,8 @@ type pipeline struct {
 	// reading counts the HTTP requests for the matrix whose body is being
 	// read and decoded: requests on their way to admission.
 	reading atomic.Int64
+	// gathering is held by the one worker taking a batch (worker).
+	gathering sync.Mutex
 
 	// beforeSolve, when non-nil, runs at the head of every batch solve.
 	// It is a test seam: blocking here holds a worker mid-flight so
@@ -96,16 +99,33 @@ func (p *pipeline) admitGap(now time.Time) time.Duration {
 }
 
 // worker owns one session over the pipeline's solver and loops until the
-// queue is closed and drained — which is exactly Shutdown's contract:
-// range keeps delivering queued requests after close, so everything
+// queue is closed and drained — which is exactly Shutdown's contract: a
+// receive keeps delivering queued requests after close, so everything
 // admitted is still resolved before the worker exits.
+//
+// One worker gathers at a time: it takes the head request and coalesces
+// behind it (gather) under p.gathering, so while it holds a batch open
+// the arrivals join that batch instead of starting a second one on an
+// idle worker, and the other workers solve. The lock is held across the
+// receive and the hold on purpose: only the pipeline's workers take it,
+// never admission or Shutdown, so a holder blocked on the queue keeps
+// waiting only workers that would otherwise wait on the queue
+// themselves, and a worker still dequeues only when it is free to solve.
 func (d *Daemon) worker(p *pipeline) {
 	defer d.workerExit()
 	w := &workerState{p: p, ses: p.solver.NewSession()}
-	for first := range p.queue {
+	for {
+		p.gathering.Lock()
+		first, ok := <-p.queue
+		if !ok {
+			p.gathering.Unlock()
+			return
+		}
 		mQueueDepth.Add(-1)
 		first.sp.MarkDequeued()
-		w.solveBatch(p.gather(first))
+		batch := p.gather(first)
+		p.gathering.Unlock()
+		w.solveBatch(batch)
 	}
 }
 
@@ -123,10 +143,12 @@ type workerState struct {
 // window after the admission before it, and no other request for the
 // matrix is being read. Such a request has nothing to wait for, and a
 // sub-millisecond timer fires after about 1.1 ms in an idle process, so
-// the hold would cost more than the window it asks for. A burst's second
-// arrival comes within the window, and under saturation other callers'
-// requests are being decoded while the worker dequeues, so both hold as
-// before. Returns at least first.
+// the hold would cost more than the window it asks for. Both signals
+// are needed. A burst of Solve calls, which no handler reads, lands its
+// second arrival within the window; under HTTP saturation the callers'
+// own decoding spreads their arrivals beyond the window, but others are
+// being read while the worker dequeues. Either holds as before. Returns
+// at least first.
 func (p *pipeline) gather(first *request) []*request {
 	batch := make([]*request, 1, p.maxBatch)
 	batch[0] = first

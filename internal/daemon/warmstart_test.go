@@ -19,10 +19,7 @@ import (
 // correctly, since its plan came off disk.
 func TestWarmStartSkipsAnalysis(t *testing.T) {
 	dir := t.TempDir()
-	// A reordered grid is a permuted serial leaf, a plan the cache
-	// stores. A matrix solved in place on the caller's storage (one
-	// unpermuted gather leaf, as gen.Layered's are) is not stored.
-	l := gen.GridLaplacian5(40, 40, 701)
+	l := gen.Layered(1500, 30, 5, 0.1, 701)
 	analyzes := metrics.Default.Counter("analyzes")
 
 	boot := func(name string) (*Daemon, *plancache.Cache) {
@@ -32,7 +29,7 @@ func TestWarmStartSkipsAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := New(Config{Workers: 1, PlanCache: cache})
-		if err := d.AddMatrix(name, l, block.Options{Workers: 2, Reorder: true}); err != nil {
+		if err := d.AddMatrix(name, l, block.Options{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		return d, cache
@@ -73,6 +70,47 @@ func TestWarmStartSkipsAnalysis(t *testing.T) {
 	stop(d2)
 }
 
+// TestWarmStartLoadsSolverStream is TestWarmStartSkipsAnalysis for a
+// plan the cache stores as its solver stream: a reordered grid is one
+// permuted serial leaf, where gen.Layered's plan is one leaf in place,
+// stored as the walk's decision alone.
+func TestWarmStartLoadsSolverStream(t *testing.T) {
+	dir := t.TempDir()
+	l := gen.GridLaplacian5(40, 40, 704)
+	opts := block.Options{Workers: 2, Reorder: true}
+	analyzes := metrics.Default.Counter("analyzes")
+	for run, want := range []int64{1, 0} {
+		cache, err := plancache.Open(plancache.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := analyzes.Value()
+		d := New(Config{Workers: 1, PlanCache: cache})
+		if err := d.AddMatrix("m", l, opts); err != nil {
+			t.Fatal(err)
+		}
+		st := cache.Stats()
+		if got := analyzes.Value() - before; got != want || st.Stores+st.Hits != 1 {
+			t.Fatalf("run %d: %d analyses, %d stores, %d hits; want %d analyses and one store or hit", run, got, st.Stores, st.Hits, want)
+		}
+		if st.ResidentBytes < int64(l.NNZ()) {
+			t.Fatalf("run %d: a %d-byte payload is no solver stream of %d entries", run, st.ResidentBytes, l.NNZ())
+		}
+		b := gen.RandVec(l.Rows, 705)
+		x, err := d.Solve(context.Background(), "m", b)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		checkSolution(t, l, b, x)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = d.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAddMatrixOptionCacheOverridesConfig pins the precedence: an
 // AddMatrix that brings its own Options.PlanCache keeps it, the daemon
 // default only fills the gap.
@@ -86,12 +124,11 @@ func TestAddMatrixOptionCacheOverridesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New(Config{Workers: 1, PlanCache: shared})
-	// Reordered, as in TestWarmStartSkipsAnalysis, so the plan is stored.
-	l := gen.GridLaplacian5(28, 28, 703)
-	if err := d.AddMatrix("own", l, block.Options{Workers: 2, Reorder: true, PlanCache: own}); err != nil {
+	l := gen.Layered(800, 20, 4, 0.1, 703)
+	if err := d.AddMatrix("own", l, block.Options{Workers: 2, PlanCache: own}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddMatrix("shared", l, block.Options{Workers: 2, Reorder: true}); err != nil {
+	if err := d.AddMatrix("shared", l, block.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if st := own.Stats(); st.Stores != 1 {

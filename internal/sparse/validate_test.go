@@ -129,6 +129,9 @@ func TestScaledResidual(t *testing.T) {
 	if r := ScaledResidual(m, x, b); math.Abs(r-want) > 1e-15 {
 		t.Fatalf("residual %g want %g", r, want)
 	}
+	if r := ScaledResidual(&CSR[float64]{RowPtr: []int{0}}, nil, nil); r != 0 {
+		t.Fatalf("empty matrix: residual %g", r)
+	}
 }
 
 // TestScaledResidualNaNIsInf: a residual that is NaN, from an x holding
