@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke benchmark-module startup ab
+.PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke benchmark-module ab
 
 ci: vet build test race chaos daemon-smoke perfgate lint compilercheck fuzz-short benchmark-module
 
@@ -27,7 +27,7 @@ test:
 race:
 	$(GO) test -race . ./internal/exec ./internal/kernels ./internal/block \
 		./internal/core ./internal/metrics ./internal/bench ./internal/daemon \
-		./internal/plancache ./internal/trace
+		./internal/trace
 
 # Project-specific static analyzers (DESIGN.md §6.8): hot-path allocation
 # discipline, atomic-field access, spin-loop guards, wall-clock placement,
@@ -58,8 +58,10 @@ lint-update:
 # Matrix Market reader and the lint harness's want/ignore comment parsers)
 # plus the differential fuzzers: kernel equivalence, which solves random
 # triangular systems with every optimized kernel against the serial
-# reference at both element types, and the solve endpoint's codec, whose
-# decoder and encoder must agree with encoding/json on every input.
+# reference at both element types; the solver stream's round trip, which
+# must re-write a loaded plan byte for byte and solve as the analysed one;
+# and the solve endpoint's codec, whose decoder and encoder must agree
+# with encoding/json on every input.
 # Corpus finds land in testdata/fuzz and should be committed.
 FUZZTIME ?= 10s
 
@@ -83,14 +85,12 @@ chaos:
 # while untested new subsystems still fail the gate.
 COVER_FLOOR_BLOCK     ?= 80
 COVER_FLOOR_EXEC      ?= 60
-COVER_FLOOR_PLANCACHE ?= 80
 COVER_FLOOR_TRACE     ?= 85
 COVER_FLOOR_LINT      ?= 75
 
 cover:
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-block.out ./internal/block
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-exec.out ./internal/exec
-	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-plancache.out ./internal/plancache
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-trace.out ./internal/trace
 	$(GO) test -coverprofile=/tmp/blocksptrsv-cover-lint.out ./internal/lint
 	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-block.out | awk '$$1=="total:" \
@@ -99,9 +99,6 @@ cover:
 	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-exec.out | awk '$$1=="total:" \
 		{ pct=$$3; sub(/%/,"",pct); printf "internal/exec coverage: %s (floor $(COVER_FLOOR_EXEC)%%)\n", $$3; \
 		  if (pct+0 < $(COVER_FLOOR_EXEC)) exit 1 }'
-	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-plancache.out | awk '$$1=="total:" \
-		{ pct=$$3; sub(/%/,"",pct); printf "internal/plancache coverage: %s (floor $(COVER_FLOOR_PLANCACHE)%%)\n", $$3; \
-		  if (pct+0 < $(COVER_FLOOR_PLANCACHE)) exit 1 }'
 	@$(GO) tool cover -func=/tmp/blocksptrsv-cover-trace.out | awk '$$1=="total:" \
 		{ pct=$$3; sub(/%/,"",pct); printf "internal/trace coverage: %s (floor $(COVER_FLOOR_TRACE)%%)\n", $$3; \
 		  if (pct+0 < $(COVER_FLOOR_TRACE)) exit 1 }'
@@ -128,17 +125,9 @@ bench-json:
 	$(GO) run ./cmd/sptrsvbench -suite -scale $(BENCH_SCALE) -repeats 9 -warmup 2 \
 		-json $(BENCH_BASELINE)
 
-perfgate: startup
+perfgate:
 	$(GO) run ./cmd/sptrsvbench -suite -short -scale $(BENCH_SCALE) -repeats 3 -warmup 1 \
 		-baseline $(BENCH_BASELINE) -gate $(PERFGATE_PCT) -json /tmp/blocksptrsv-perfgate.json
-
-# Cold vs warm startup (DESIGN.md §6.11): cold Preprocess analysis vs a
-# warm plan-cache load over the short suite corpus. Informational — the
-# per-matrix warm-speedup target (5x) is reported, not enforced, because
-# the ratio is machine- and scale-dependent; pass
-# `-min-warm-speedup <x>` via cmd/sptrsvbench to make it a hard gate.
-startup:
-	$(GO) run ./cmd/sptrsvbench -startup -short -scale $(BENCH_SCALE) -repeats 3
 
 # Daemon smoke (part of `make ci`): an in-process one-worker sptrsvd
 # must answer a lone request without the coalescing hold (its coalesce

@@ -36,7 +36,6 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/metrics"
-	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
@@ -74,36 +73,6 @@ const (
 
 // Thresholds are the adaptive decision-tree cut points (§3.4).
 type Thresholds = adapt.Thresholds
-
-// PlanCache is a two-tier (in-process LRU + on-disk directory) cache of
-// serialized analyses, content-addressed by matrix structure: set
-// Options.PlanCache and a restarted process loads each plan instead of
-// re-analyzing. Values are excluded from the key, so numeric updates on
-// a fixed sparsity pattern hit and pay only an O(nnz) value refresh.
-// Construct with OpenPlanCache.
-type PlanCache = plancache.Cache
-
-// PlanCacheConfig sizes a PlanCache: the on-disk directory (empty =
-// in-process only) and the in-memory byte budget.
-type PlanCacheConfig = plancache.Config
-
-// PlanCacheStats snapshots a PlanCache's counters.
-type PlanCacheStats = plancache.Stats
-
-// Typed plan-cache verification failures. Both are misses — the entry
-// is rebuilt and repaired — the error only explains why a disk entry
-// was not trusted.
-var (
-	ErrPlanVersion  = plancache.ErrPlanVersion
-	ErrPlanChecksum = plancache.ErrPlanChecksum
-)
-
-// OpenPlanCache opens a plan cache, creating the on-disk directory when
-// one is configured. Safe for concurrent use; the directory may be
-// shared between processes.
-func OpenPlanCache(cfg PlanCacheConfig) (*PlanCache, error) {
-	return plancache.Open(cfg)
-}
 
 // Device is a named execution profile (worker count and block-size policy).
 type Device = exec.Device

@@ -56,53 +56,6 @@ func TestAnalyzeSolveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPublicPlanCache drives the plan cache through the public API: a
-// second Analyze over a fresh cache value on the same directory (a
-// restart) must load the stored plan and still solve correctly, and a
-// values-only update must hit.
-func TestPublicPlanCache(t *testing.T) {
-	dir := t.TempDir()
-	l := buildRandomLower(2000, 0.01, 3)
-	run := func(m *sptrsv.Matrix[float64]) *sptrsv.PlanCacheStats {
-		cache, err := sptrsv.OpenPlanCache(sptrsv.PlanCacheConfig{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := sptrsv.DefaultOptions(4)
-		opts.PlanCache = cache
-		s, err := sptrsv.Analyze(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, m.Rows)
-		for i := range b {
-			b[i] = float64(i%7) - 3
-		}
-		x := make([]float64, m.Rows)
-		s.Solve(b, x)
-		if r := publicResidual(m, x, b); r > 1e-9 {
-			t.Fatalf("residual %g", r)
-		}
-		st := cache.Stats()
-		return &st
-	}
-	if st := run(l); st.Stores != 1 {
-		t.Fatalf("cold run: %+v", *st)
-	}
-	if st := run(l); st.Hits != 1 || st.Stores != 0 {
-		t.Fatalf("warm run: %+v", *st)
-	}
-	// Same structure, new numbers: still a hit, solved with the new values.
-	l2 := &sptrsv.Matrix[float64]{Rows: l.Rows, Cols: l.Cols, RowPtr: l.RowPtr, ColIdx: l.ColIdx,
-		Val: make([]float64, len(l.Val))}
-	for i, v := range l.Val {
-		l2.Val[i] = 1.5 * v
-	}
-	if st := run(l2); st.Hits != 1 || st.Stores != 0 {
-		t.Fatalf("values-only update run: %+v", *st)
-	}
-}
-
 func TestAllPublicAlgorithmsAgree(t *testing.T) {
 	l := buildRandomLower(1000, 0.02, 2)
 	b := make([]float64, l.Rows)

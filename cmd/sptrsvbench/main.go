@@ -43,8 +43,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 
 		suite    = flag.Bool("suite", false, "run the canonical benchmark suite instead of paper experiments")
-		startup  = flag.Bool("startup", false, "run the cold-vs-warm plan-cache startup suite")
-		minWarm  = flag.Float64("min-warm-speedup", 0, "with -startup: exit non-zero when any matrix's warm speedup is below this factor (0 = report only)")
 		short    = flag.Bool("short", false, "with -suite: measure the trimmed corpus (one matrix per structural-class pair)")
 		jsonPath = flag.String("json", "", "with -suite: write the JSON report here (default BENCH_<gitsha>.json)")
 		baseline = flag.String("baseline", "", "with -suite: gate the run against this baseline report and exit non-zero on regression")
@@ -73,40 +71,6 @@ func main() {
 	}
 	devs[0].Style = style
 	devs[1].Style = style
-
-	if *startup {
-		cfg := bench.StartupConfig{Short: *short, Workers: devs[1].Workers, Style: style}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scale":
-				cfg.Scale = *scale
-			case "repeats":
-				cfg.Repeats = *repeats
-			}
-		})
-		rep, err := bench.RunStartup(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sptrsvbench: startup: %v\n", err)
-			os.Exit(1)
-		}
-		rep.WriteStartupTable(os.Stdout)
-		if *jsonPath != "" {
-			if err := writeReport(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "sptrsvbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("report written to %s\n", *jsonPath)
-		}
-		if slow := bench.StartupGate(rep, bench.WarmSpeedupTarget); len(slow) > 0 {
-			for _, s := range slow {
-				fmt.Printf("below target: %s\n", s)
-			}
-			if *minWarm > 0 && len(bench.StartupGate(rep, *minWarm)) > 0 {
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	if *suite {
 		cfg := bench.DefaultSuiteConfig()

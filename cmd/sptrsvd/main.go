@@ -52,7 +52,6 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/bench"
 	"github.com/sss-lab/blocksptrsv/internal/daemon"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
-	"github.com/sss-lab/blocksptrsv/internal/plancache"
 )
 
 type matrixSpec struct{ name, spec string }
@@ -76,7 +75,6 @@ func main() {
 		window       = flag.Duration("window", 200*time.Microsecond, "serve: how long a batch is held open for more arrivals; a lone request that came more than a window after the one before, with no other request for its matrix being read, is not held; a sub-millisecond hold lasts about 1.1ms in an idle process")
 		timeout      = flag.Duration("timeout", 5*time.Second, "serve: default per-request deadline when the client sends none")
 		drain        = flag.Duration("drain", 30*time.Second, "serve: shutdown drain budget")
-		cacheDir     = flag.String("cache-dir", "", "serve/smoke: plan-cache directory; a restart with the same matrices loads serialized analysis instead of redoing it")
 		flight       = flag.Int("flight", 0, "serve: flight-recorder ring size in requests (0 = default 256)")
 		traceSteps   = flag.Int("trace", 0, "serve: retain the last N solve steps in a step recorder: served at /trace, and nested in each request's solve phase at /debug/requests?format=chrome (0 = off)")
 
@@ -100,7 +98,7 @@ func main() {
 
 	switch {
 	case *smoke:
-		fatalIf(runSmoke(*conc, *dur, *cacheDir))
+		fatalIf(runSmoke(*conc, *dur))
 	case *loadgen:
 		if *name == "" {
 			fmt.Fprintln(os.Stderr, "sptrsvd: -loadgen needs -name <matrix>")
@@ -113,7 +111,7 @@ func main() {
 			os.Exit(2)
 		}
 		slo := daemon.SLOConfig{Latency: *sloLatency, Target: *sloTarget, ErrorBudget: *sloBudget, Window: *sloWindow}
-		fatalIf(runServe(specs, *listen, *cacheDir, *solveWorkers, *workers, *queue, *maxBatch, *flight, *traceSteps, *window, *timeout, *drain, slo))
+		fatalIf(runServe(specs, *listen, *solveWorkers, *workers, *queue, *maxBatch, *flight, *traceSteps, *window, *timeout, *drain, slo))
 	}
 }
 
@@ -158,11 +156,7 @@ func buildMatrix(spec string) (*sptrsv.Matrix[float64], error) {
 	}
 }
 
-func runServe(specs []matrixSpec, listen, cacheDir string, solveWorkers, workers, queue, maxBatch, flight, traceSteps int, window, timeout, drain time.Duration, slo daemon.SLOConfig) error {
-	cache, err := openPlanCache(cacheDir)
-	if err != nil {
-		return err
-	}
+func runServe(specs []matrixSpec, listen string, solveWorkers, workers, queue, maxBatch, flight, traceSteps int, window, timeout, drain time.Duration, slo daemon.SLOConfig) error {
 	// One step recorder shared by every matrix: /trace shows its kernel
 	// steps, and the chrome form of /debug/requests nests each request's
 	// steps inside its solve phase, on the same timeline.
@@ -176,7 +170,6 @@ func runServe(specs []matrixSpec, listen, cacheDir string, solveWorkers, workers
 		Window:         window,
 		Workers:        solveWorkers,
 		DefaultTimeout: timeout,
-		PlanCache:      cache,
 		FlightRecorder: flight,
 		SLO:            slo,
 		Obs:            sptrsv.ObsHandler(sptrsv.ObsOptions{Trace: steps, Index: daemon.IndexLines()}),
@@ -290,20 +283,15 @@ func printLoad(res *daemon.LoadResult, lr bench.LatencyResult) {
 // lone request without holding it for the coalescing window, coalesce a
 // concurrent burst (factor > 1) and answer every request without a
 // single error response, then drain cleanly.
-func runSmoke(conc int, dur time.Duration, cacheDir string) error {
-	cache, err := openPlanCache(cacheDir)
-	if err != nil {
-		return err
-	}
+func runSmoke(conc int, dur time.Duration) error {
 	l := gen.GridLaplacian5(100, 100, 1)
 	const window = 500 * time.Microsecond
 	d := daemon.New(daemon.Config{
-		Workers:   1, // one worker makes a concurrent burst queue, hence coalesce
-		MaxQueue:  1024,
-		MaxBatch:  32,
-		Window:    window,
-		Obs:       sptrsv.ObsHandler(sptrsv.ObsOptions{}),
-		PlanCache: cache,
+		Workers:  1, // one worker makes a concurrent burst queue, hence coalesce
+		MaxQueue: 1024,
+		MaxBatch: 32,
+		Window:   window,
+		Obs:      sptrsv.ObsHandler(sptrsv.ObsOptions{}),
 	})
 	opts := sptrsv.DefaultOptions(0)
 	opts.Trace = sptrsv.NewTraceRecorder(0)
@@ -458,19 +446,6 @@ func smokeDebugChecks(base string) error {
 	fmt.Printf("  flight ring: %d records (%d total), span tree: %d trace events, %d steps nested in solve phases\n",
 		len(flight.Records), flight.Total, len(trace.TraceEvents), nested)
 	return nil
-}
-
-// openPlanCache opens the on-disk plan cache when a directory was
-// given; an empty flag means no caching, which is the zero value here.
-func openPlanCache(dir string) (*plancache.Cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	c, err := plancache.Open(plancache.Config{Dir: dir})
-	if err != nil {
-		return nil, fmt.Errorf("plan cache %s: %w", dir, err)
-	}
-	return c, nil
 }
 
 func fatalIf(err error) {

@@ -38,7 +38,6 @@ var experiments = []struct {
 	{"launch", LaunchOverhead},
 	{"breakdown", Breakdown},
 	{"suite", Suite},
-	{"startup", Startup},
 }
 
 // ExperimentNames lists the runnable experiment ids in paper order.

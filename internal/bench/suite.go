@@ -41,7 +41,8 @@ import (
 // any incompatible change; DecodeReport refuses reports it cannot read.
 // History: v1 = throughput results only; v2 (additive) = optional
 // "latency" section with service percentiles; v3 (additive) = optional
-// "startup" section with cold-analysis vs warm-plan-load medians; v4
+// "startup" section with cold-analysis vs warm-plan-load medians, no
+// longer written or read since the plan cache was retired; v4
 // (additive) = per-phase percentiles (queue-wait, coalesce-hold, solve)
 // in latency entries, from the daemon's span-tracing headers. Every bump
 // has been additive, so v1 reports still decode.
@@ -107,9 +108,6 @@ type BenchReport struct {
 	// Latency holds service-latency percentiles (schema ≥ 2, suite
 	// LoadSuiteName); empty in throughput reports.
 	Latency []LatencyResult `json:"latency,omitempty"`
-	// Startup holds cold-vs-warm preprocessing medians (schema ≥ 3,
-	// suite StartupSuiteName); empty elsewhere.
-	Startup []StartupResult `json:"startup,omitempty"`
 }
 
 // SuiteConfig sizes a suite run. The zero value is not usable; start from
@@ -376,8 +374,8 @@ func DecodeReport(r io.Reader) (*BenchReport, error) {
 	if rep.Schema < oldestReadableSchema || rep.Schema > ReportSchemaVersion {
 		return nil, fmt.Errorf("bench report: schema %d, this build reads %d..%d", rep.Schema, oldestReadableSchema, ReportSchemaVersion)
 	}
-	if rep.Suite != reportSuiteName && rep.Suite != LoadSuiteName && rep.Suite != StartupSuiteName {
-		return nil, fmt.Errorf("bench report: suite %q, want %q, %q or %q", rep.Suite, reportSuiteName, LoadSuiteName, StartupSuiteName)
+	if rep.Suite != reportSuiteName && rep.Suite != LoadSuiteName {
+		return nil, fmt.Errorf("bench report: suite %q, want %q or %q", rep.Suite, reportSuiteName, LoadSuiteName)
 	}
 	return &rep, nil
 }

@@ -10,13 +10,12 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
-// FuzzPlanRoundTrip is the plan cache's serializer contract under fuzz:
-// for arbitrary generated systems, every partition strategy and both
-// element widths, serialize → deserialize → re-serialize must be
-// byte-identical (the cache stores first-generation bytes, so any drift
-// would mean a reloaded plan re-persists differently and the disk tier
-// churns forever), and the deserialized solver must solve equivalently
-// to the one that was analyzed.
+// FuzzPlanRoundTrip is the solver stream's contract under fuzz: for
+// arbitrary generated systems, every partition strategy and both element
+// widths, serialize → deserialize → re-serialize must be byte-identical
+// (`sptrsv -load-analysis a -save-analysis b` writes a loaded solver back
+// out, and b must be a byte for byte), and the deserialized solver must
+// solve equivalently to the one that was analyzed.
 func FuzzPlanRoundTrip(f *testing.F) {
 	f.Add(uint16(200), uint8(4), uint8(30), int64(1))
 	f.Add(uint16(700), uint8(12), uint8(5), int64(99))
@@ -54,7 +53,7 @@ func checkPlanRoundTrip[T sparse.Float](t *testing.T, pool exec.Launcher, l *spa
 	if _, err := s.WriteTo(&first); err != nil {
 		t.Fatalf("kind %v floor=%d: serialize: %v", kind, th.TriParallelMinWork, err)
 	}
-	back, err := readSolverBytes[T](first.Bytes(), pool)
+	back, err := ReadSolver[T](bytes.NewReader(first.Bytes()), pool)
 	if err != nil {
 		t.Fatalf("kind %v floor=%d: deserialize: %v", kind, th.TriParallelMinWork, err)
 	}

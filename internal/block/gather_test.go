@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
@@ -164,6 +163,7 @@ func TestSerializeRejectsCorruptGatherLeaf(t *testing.T) {
 			m.RowPtr = append(m.RowPtr, m.NNZ())
 		}},
 		{"gather form on a parallel kernel", func(tb *triBlock[float64]) { tb.kernel = kernels.TriLevelSet }},
+		{"more levels than rows", func(tb *triBlock[float64]) { tb.feats.NLevels = tb.hi - tb.lo + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Preprocess(l, gatherDefaults(pool))
@@ -223,85 +223,6 @@ func TestInPlacePlanAliasing(t *testing.T) {
 			t.Fatalf("k=%d: aliased solve differs from the unaliased one", k)
 		}
 	}
-}
-
-// TestPlanCacheStoresInPlacePlanAsDecision: behind a plan cache, an
-// in-place plan is stored as the walk's decision alone (a payload of a
-// few dozen bytes, no copy of L), and a restart over the same directory
-// loads it without an analysis, as the same leaf on the caller's matrix.
-// A gather plan that is not in place is stored as its solver stream and
-// loads, with its form, on the next call.
-func TestPlanCacheStoresInPlacePlanAsDecision(t *testing.T) {
-	for _, p := range gatherPlans()[:2] {
-		t.Run(p.name, func(t *testing.T) {
-			dir := t.TempDir()
-			o := gatherDefaults(exec.NewPool(2))
-			for run := 0; run < 2; run++ {
-				c := openCache(t, dir) // the second run is a restart over the same directory
-				o.PlanCache = c
-				before := mAnalyzes.Value()
-				s, err := Preprocess(p.l, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkGatherPlan(t, p, s, p.l)
-				if p.inPlace && s.tris[0].lower != p.l {
-					t.Fatalf("run %d: in-place leaf is not the caller's matrix", run)
-				}
-				stores, hits, analyses := int64(1), int64(0), int64(1)
-				if run == 1 {
-					stores, hits, analyses = 0, 1, 0
-				}
-				st := c.Stats()
-				if st.Stores != stores || st.Hits != hits || mAnalyzes.Value()-before != analyses {
-					t.Fatalf("run %d: %d stores, %d hits, %d analyses; want %d, %d, %d",
-						run, st.Stores, st.Hits, mAnalyzes.Value()-before, stores, hits, analyses)
-				}
-				if p.inPlace && st.ResidentBytes > 64 {
-					t.Fatalf("run %d: in-place payload of %d bytes", run, st.ResidentBytes)
-				}
-			}
-		})
-	}
-
-	// Concurrent calls on one in-place plan share one flight: one
-	// analysis, one store, and every call solves on the caller's matrix.
-	t.Run("concurrent in place", func(t *testing.T) {
-		p := gatherPlans()[0]
-		o := gatherDefaults(exec.NewPool(2))
-		c := openCache(t, t.TempDir())
-		o.PlanCache = c
-		solvers := make([]*Solver[float64], 8)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := range solvers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				s, err := Preprocess(p.l, o)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				solvers[i] = s
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		for _, s := range solvers {
-			checkGatherPlan(t, p, s, p.l)
-			if s.tris[0].lower != p.l {
-				t.Fatal("in-place leaf is not the caller's matrix")
-			}
-		}
-		if st := c.Stats(); st.Stores != 1 {
-			t.Fatalf("%d stores of an in-place plan, want 1", st.Stores)
-		}
-	})
 }
 
 // TestGatherLeafRefusesMalformedRows: Preprocess and RefreshValues check a

@@ -11,7 +11,6 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
-	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
@@ -136,16 +135,6 @@ type Options struct {
 	// the fastest kept. Guarantees the solver is never slower than the
 	// best single whole-matrix kernel.
 	Auto bool
-
-	// PlanCache, when non-nil, makes Preprocess content-addressed: the
-	// matrix structure plus a fingerprint of the plan-shaping options key
-	// a serialized plan in the cache, and a hit loads the stored analysis
-	// instead of recomputing it. Values are excluded from the key — a
-	// numeric update on a fixed sparsity pattern hits and has its value
-	// arrays refreshed from the caller's matrix. Misses analyze cold and
-	// populate the cache; corrupted or version-mismatched entries degrade
-	// to a cold analysis and are rewritten.
-	PlanCache *plancache.Cache
 }
 
 // Defaults returns the paper-recommended configuration for a device. The

@@ -81,18 +81,6 @@ func (r stopReason) String() string {
 	return "n/a"
 }
 
-// treeRule names the rule that shapes the recursion tree, and leafForm
-// the form of the serial leaves the walk makes. The plan-cache key
-// carries both, so a plan cached under the earlier size-only rule, under
-// the fitted rule that chose each serial leaf's form, or before the walk
-// decided the ranges the size rule or MaxDepth stops (whose serial leaves
-// ran the scatter), is not served in place of the selection-aware tree of
-// gather leaves.
-const (
-	treeRule = "selection-aware"
-	leafForm = "gather-all"
-)
-
 // rangeNode is one diagonal range of the recursion tree. A leaf has
 // left == 0 (the root sits at index 0, so no child can); a split range's
 // halves are tree[left] and tree[left+1]. A serial leaf carries the

@@ -156,6 +156,26 @@ func TestDepthStoppedSerialLeafGathers(t *testing.T) {
 	solveAgainstOracle(t, s, l, 35)
 }
 
+// solveAgainstOracle checks one solve of the preprocessed solver against
+// the serial reference on the matrix the caller says it represents.
+func solveAgainstOracle(t *testing.T, s *Solver[float64], l *sparse.CSR[float64], seed int64) {
+	t.Helper()
+	b := gen.RandVec(l.Rows, seed)
+	ref, err := kernels.NewSerialSolver(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, l.Rows)
+	ref.Solve(b, want)
+	got := make([]float64, l.Rows)
+	s.Solve(b, got)
+	for i := range want {
+		if !closeEnough(want[i], got[i]) {
+			t.Fatalf("row %d: got %g, oracle %g", i, got[i], want[i])
+		}
+	}
+}
+
 // TestSerialLeafFeedsStallWatchdog: a serial leaf that runs 8× the stall
 // timeout is not a stall. Both serial forms step the progress counter
 // every few hundred columns or rows, so the watchdog sees it advance and

@@ -122,15 +122,10 @@ func probeIs64[T sparse.Float](probe T) bool {
 	return T(1)/T(3) != T(float32(1)/float32(3))
 }
 
-// serialReader decodes the solver stream from either an io.Reader
-// (general case) or an in-memory buffer (the plan-cache hit path, where
-// the whole payload is already resident). Buffer mode is zero-copy: the
-// array decoders read the payload bytes in place instead of staging
-// them through a scratch chunk.
+// serialReader decodes the solver stream, folding every byte it reads
+// into a running CRC that the trailer is checked against.
 type serialReader struct {
-	r   *bufio.Reader // stream mode; nil in buffer mode
-	buf []byte        // buffer mode; nil in stream mode
-	off int
+	r   *bufio.Reader
 	crc uint32
 	err error
 }
@@ -140,64 +135,11 @@ func (sr *serialReader) read(p []byte) {
 	if sr.err != nil {
 		return
 	}
-	if sr.buf != nil {
-		if sr.off+len(p) > len(sr.buf) {
-			sr.err = io.ErrUnexpectedEOF
-			return
-		}
-		copy(p, sr.buf[sr.off:])
-		sr.off += len(p)
-		sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
-		return
-	}
 	if _, err := io.ReadFull(sr.r, p); err != nil {
 		sr.err = err
 		return
 	}
 	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
-}
-
-// view returns the next n bytes: a window into the payload in buffer
-// mode (no copy), a fill of scratch in stream mode. The bytes are folded
-// into the running CRC either way; the returned slice is only valid
-// until the next read or view.
-func (sr *serialReader) view(n int, scratch []byte) []byte {
-	if sr.err != nil {
-		return nil
-	}
-	if sr.buf != nil {
-		if sr.off+n > len(sr.buf) {
-			sr.err = io.ErrUnexpectedEOF
-			return nil
-		}
-		p := sr.buf[sr.off : sr.off+n]
-		sr.off += n
-		sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
-		return p
-	}
-	p := scratch[:n]
-	if _, err := io.ReadFull(sr.r, p); err != nil {
-		sr.err = err
-		return nil
-	}
-	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
-	return p
-}
-
-// trailer8 reads the 8-byte CRC trailer, which is outside the
-// checksummed region.
-func (sr *serialReader) trailer8() ([8]byte, error) {
-	var t [8]byte
-	if sr.buf != nil {
-		if sr.off+8 > len(sr.buf) {
-			return t, io.ErrUnexpectedEOF
-		}
-		copy(t[:], sr.buf[sr.off:])
-		sr.off += 8
-		return t, nil
-	}
-	_, err := io.ReadFull(sr.r, t[:])
-	return t, err
 }
 
 func (sr *serialReader) u64() uint64 {
@@ -227,10 +169,10 @@ func (sr *serialReader) length(max int) int {
 
 const maxSerialLen = 1 << 34 // generous sanity cap on array lengths
 
-// The array decoders below share one shape: chunked view()s with a
-// type-specialised inner loop (a per-element callback would cost a
-// dynamic call per element — measurably slower on multi-megabyte
-// streams).
+// The array decoders below share one shape: chunked reads into a
+// scratch buffer with a type-specialised inner loop (a per-element
+// callback would cost a dynamic call per element — measurably slower on
+// multi-megabyte streams).
 
 func (sr *serialReader) ints() []int {
 	n := sr.length(maxSerialLen)
@@ -241,7 +183,8 @@ func (sr *serialReader) ints() []int {
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
-		p := sr.view(cnt*8, scratch[:])
+		p := scratch[:cnt*8]
+		sr.read(p)
 		if sr.err != nil {
 			return v
 		}
@@ -262,7 +205,8 @@ func (sr *serialReader) bools() []bool {
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
-		p := sr.view(cnt*8, scratch[:])
+		p := scratch[:cnt*8]
+		sr.read(p)
 		if sr.err != nil {
 			return v
 		}
@@ -285,7 +229,8 @@ func readFloats[T sparse.Float](sr *serialReader) []T {
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
-		p := sr.view(cnt*8, scratch[:])
+		p := scratch[:cnt*8]
+		sr.read(p)
 		if sr.err != nil {
 			return v
 		}
@@ -418,8 +363,9 @@ func (s *Solver[T]) WriteTo(w io.Writer) (int64, error) {
 		// checksummed region itself.
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(cw.crc))
-		_, sw.err = cw.w.Write(buf[:])
-		cw.n += 8
+		var k int
+		k, sw.err = cw.w.Write(buf[:])
+		cw.n += int64(k)
 	}
 	return cw.n, sw.err
 }
@@ -442,16 +388,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // spin pool (exec.NewImplicitLauncher). The element type must match the
 // one written.
 func ReadSolver[T sparse.Float](r io.Reader, pool exec.Launcher) (*Solver[T], error) {
-	return readSolver[T](&serialReader{r: bufio.NewReader(r)}, pool)
-}
-
-// readSolverBytes is ReadSolver over an in-memory stream: the zero-copy
-// buffer-mode decode the plan cache's hit path uses.
-func readSolverBytes[T sparse.Float](data []byte, pool exec.Launcher) (*Solver[T], error) {
-	return readSolver[T](&serialReader{buf: data}, pool)
-}
-
-func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T], error) {
+	sr := &serialReader{r: bufio.NewReader(r)}
 	if pool == nil {
 		pool = exec.NewImplicitLauncher(exec.LaunchSpin, 0)
 	}
@@ -559,13 +496,13 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 	if sr.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSerialize, sr.err)
 	}
-	// Verify the CRC trailer before trusting anything.
-	payloadCRC := sr.crc
-	trailer, err := sr.trailer8()
-	if err != nil {
+	// Verify the CRC trailer, which is outside the checksummed region,
+	// before trusting anything.
+	var trailer [8]byte
+	if _, err := io.ReadFull(sr.r, trailer[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum: %v", ErrSerialize, err)
 	}
-	if got := uint32(binary.LittleEndian.Uint64(trailer[:])); got != payloadCRC {
+	if got := uint32(binary.LittleEndian.Uint64(trailer[:])); got != sr.crc {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSerialize)
 	}
 	if err := s.validateLoaded(); err != nil {

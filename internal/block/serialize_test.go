@@ -3,8 +3,10 @@ package block
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,12 +126,19 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 	// (The default tree runs such leaves as gathers, whose stream
 	// TestSerializeRejectsCorruptGatherLeaf corrupts.)
 	l := gen.Layered(4000, 4, 6, 0, 501)
+	// The header is the magic and eight u64 fields (version, element
+	// width, n, kind, reorder, the two traffic counts and the square
+	// nnz); the permutation's length prefix follows it.
+	permLen := len(serialMagic) + 8*8
 	// Each case corrupts either the bytes of a valid stream or, before
 	// WriteTo, the solver itself, so the stream's checksum still holds
 	// and only validation can catch the contradiction.
+	// A case that names a want also checks the error's text, so it
+	// proves the load stopped at the check it was written for.
 	cases := map[string]struct {
 		mutate  func(t *testing.T, s *Solver[float64])
 		corrupt func([]byte) []byte
+		want    string
 	}{
 		"truncated":    {corrupt: func(b []byte) []byte { return b[:len(b)/2] }},
 		"bad magic":    {corrupt: func(b []byte) []byte { c := clone(b); c[0] = 'X'; return c }},
@@ -138,6 +147,97 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 		"version 2":    {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 2; return c }},
 		"empty":        {corrupt: func(b []byte) []byte { return nil }},
 		"flipped byte": {corrupt: func(b []byte) []byte { c := clone(b); c[40] ^= 0xFF; return c }},
+		"absurd length field": {want: "length 1099511627776 out of range", corrupt: func(b []byte) []byte {
+			c := clone(b)
+			binary.LittleEndian.PutUint64(c[permLen:], 1<<40)
+			return c
+		}},
+		"negative length field": {want: "length -1 out of range", corrupt: func(b []byte) []byte {
+			c := clone(b)
+			binary.LittleEndian.PutUint64(c[permLen:], ^uint64(0))
+			return c
+		}},
+		"truncated before the checksum": {want: "missing checksum", corrupt: func(b []byte) []byte { return b[:len(b)-8] }},
+		"truncated inside the checksum": {want: "missing checksum", corrupt: func(b []byte) []byte { return b[:len(b)-3] }},
+		"zeroed checksum": {want: "checksum mismatch", corrupt: func(b []byte) []byte {
+			c := clone(b)
+			clear(c[len(c)-8:])
+			return c
+		}},
+		"negative size": {want: "negative size", mutate: func(t *testing.T, s *Solver[float64]) { s.n = -1 }},
+		"permutation with a repeated row": {want: "not a permutation", mutate: func(t *testing.T, s *Solver[float64]) {
+			s.perm = make([]int, s.n) // every position names row 0
+		}},
+		"tri step out of range": {want: "tri step out of range", mutate: func(t *testing.T, s *Solver[float64]) {
+			stepOf(t, s, triSeg).idx = len(s.tris)
+		}},
+		"square step out of range": {want: "square step out of range", mutate: func(t *testing.T, s *Solver[float64]) {
+			stepOf(t, s, sqSeg).idx = -1
+		}},
+		"unknown step kind": {want: "unknown step kind", mutate: func(t *testing.T, s *Solver[float64]) { s.steps[0].kind = 99 }},
+		"triangle CSC with broken column pointers": {want: "tri block 0: " + sparse.ErrShape.Error(), mutate: func(t *testing.T, s *Solver[float64]) {
+			c := s.tris[0].strictCSC
+			c.ColPtr[c.Cols]++
+		}},
+		"triangle CSC outside window": {want: "tri block 0: CSC is", mutate: func(t *testing.T, s *Solver[float64]) {
+			c := s.tris[0].strictCSC
+			c.Rows, c.Cols = c.Rows+1, c.Cols+1
+			c.ColPtr = append(c.ColPtr, c.NNZ())
+		}},
+		"diagonal short of the window": {want: "tri block 0: diagonal has", mutate: func(t *testing.T, s *Solver[float64]) {
+			tb := &s.tris[0]
+			tb.diag = tb.diag[:len(tb.diag)-1]
+		}},
+		"no level pointers": {want: "tri block 0: level sets: pointers do not run", mutate: func(t *testing.T, s *Solver[float64]) {
+			s.tris[0].info.LevelPtr = nil
+		}},
+		"level pointers fall": {want: "tri block 0: level sets: pointers fall", mutate: func(t *testing.T, s *Solver[float64]) {
+			tb := &s.tris[0]
+			n := tb.hi - tb.lo
+			tb.info.LevelPtr = []int{0, n, 0, n}
+		}},
+		"completely parallel block with strict entries": {want: "tri block 0: completely-parallel block has", mutate: func(t *testing.T, s *Solver[float64]) {
+			s.tris[0].kernel = kernels.TriCompletelyParallel
+		}},
+		"cusparse block without its CSR or schedule": {want: "tri block 0: cusparse-like block missing structures", mutate: func(t *testing.T, s *Solver[float64]) {
+			s.tris[0].kernel = kernels.TriCuSparseLike
+		}},
+		"cusparse CSR with broken row pointers": {want: "tri block 0: " + sparse.ErrShape.Error(), mutate: func(t *testing.T, s *Solver[float64]) {
+			r := cuSparseTri(s).strictCSR
+			r.RowPtr[r.Rows]++
+		}},
+		"cusparse CSR outside window": {want: "tri block 0: CSR is", mutate: func(t *testing.T, s *Solver[float64]) {
+			r := cuSparseTri(s).strictCSR
+			r.Rows, r.Cols = r.Rows+1, r.Cols+1
+			r.RowPtr = append(r.RowPtr, r.NNZ())
+		}},
+		"cusparse CSR entry on its diagonal": {want: "tri block 0: CSR row", mutate: func(t *testing.T, s *Solver[float64]) {
+			r := cuSparseTri(s).strictCSR
+			i := 0
+			for r.RowPtr[i] == r.RowPtr[i+1] {
+				i++
+			}
+			r.ColIdx[r.RowPtr[i+1]-1] = i
+		}},
+		"cusparse schedule with a chunk too many": {want: "tri block 0: schedule has", mutate: func(t *testing.T, s *Solver[float64]) {
+			tb := cuSparseTri(s)
+			chunkPtr, serial, items := tb.sched.Data()
+			tb.sched = kernels.NewMergedScheduleFromData(chunkPtr, append(slices.Clone(serial), false), items)
+		}},
+		"unknown triangle kernel": {want: "tri block 0: unknown kernel", mutate: func(t *testing.T, s *Solver[float64]) { s.tris[0].kernel = 99 }},
+		"csr kernel without csr":  {want: "square block 0: scalar-csr block stores no CSR", mutate: func(t *testing.T, s *Solver[float64]) { csrSquare(t, s).csr = nil }},
+		"unknown square kernel":   {want: "square block 0: unknown kernel", mutate: func(t *testing.T, s *Solver[float64]) { csrSquare(t, s).kernel = 99 }},
+		"square CSR with broken row pointers": {want: "square block 0: " + sparse.ErrShape.Error(), mutate: func(t *testing.T, s *Solver[float64]) {
+			m := csrSquare(t, s).csr
+			m.RowPtr[m.Rows]++
+		}},
+		"square DCSR with broken row pointers": {want: "square block 0: " + sparse.ErrShape.Error(), mutate: func(t *testing.T, s *Solver[float64]) {
+			d := dcsrSquare(t, s).dcsr
+			d.RowPtr[len(d.RowPtr)-1]++
+		}},
+		"square DCSR outside window": {want: "square block 0: DCSR is", mutate: func(t *testing.T, s *Solver[float64]) {
+			dcsrSquare(t, s).dcsr.Rows++
+		}},
 		"dcsr kernel without dcsr": {mutate: func(t *testing.T, s *Solver[float64]) {
 			sb := csrSquare(t, s)
 			sb.kernel = kernels.SpMVScalarDCSR
@@ -162,10 +262,8 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 			c.RowIdx[c.ColPtr[j]] = j
 		}},
 		"cusparse schedule short of the block": {mutate: func(t *testing.T, s *Solver[float64]) {
-			tb := &s.tris[0]
-			tb.kernel = kernels.TriCuSparseLike
-			tb.strictCSR = tb.strictCSC.ToCSR()
-			chunkPtr, serial, items := kernels.NewMergedSchedule(tb.info, 0, 2).Data()
+			tb := cuSparseTri(s)
+			chunkPtr, serial, items := tb.sched.Data()
 			tb.sched = kernels.NewMergedScheduleFromData(chunkPtr, serial, items[:len(items)-1])
 		}},
 		"level item out of range": {mutate: func(t *testing.T, s *Solver[float64]) {
@@ -191,10 +289,85 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 			if tc.corrupt != nil {
 				data = tc.corrupt(data)
 			}
-			if _, err := ReadSolver[float64](bytes.NewReader(data), pool); !errors.Is(err, ErrSerialize) {
+			_, err = ReadSolver[float64](bytes.NewReader(data), pool)
+			if !errors.Is(err, ErrSerialize) {
 				t.Fatalf("corrupted stream: got %v, want ErrSerialize", err)
 			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("corrupted stream: got %v, want an error naming %q", err, tc.want)
+			}
 		})
+	}
+}
+
+// TestSerializeRejectsEveryTruncation: no proper prefix of a stream
+// loads. A cut inside a length prefix, an index, value or schedule
+// array, or the checksum fails with ErrSerialize instead of yielding a
+// short solver.
+func TestSerializeRejectsEveryTruncation(t *testing.T) {
+	pool := exec.NewPool(2)
+	l := gen.Layered(64, 4, 3, 0, 505)
+	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 32, Reorder: true, ForceTri: kernels.TriCuSparseLike})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.TriKernelCounts()[kernels.TriCuSparseLike] == 0 {
+		t.Fatalf("plan runs %v, want a cusparse-like schedule in the stream", s.TriKernelCounts())
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// A stride of 7 bytes, prime to the 8-byte fields, cuts each field
+	// at every offset somewhere along the stream.
+	for cut := 0; cut < len(data); cut += 7 {
+		if _, err := ReadSolver[float64](bytes.NewReader(data[:cut]), pool); !errors.Is(err, ErrSerialize) {
+			t.Fatalf("stream cut at byte %d of %d: got %v, want ErrSerialize", cut, len(data), err)
+		}
+	}
+	if _, err := ReadSolver[float64](bytes.NewReader(data), pool); err != nil {
+		t.Fatalf("the whole stream: %v", err)
+	}
+}
+
+// errWriterFull is what fullWriter returns once its limit is reached.
+var errWriterFull = errors.New("writer full")
+
+// fullWriter takes limit bytes and then fails, as a full disk does.
+type fullWriter struct{ n, limit int }
+
+func (w *fullWriter) Write(p []byte) (int, error) {
+	k := min(len(p), w.limit-w.n)
+	w.n += k
+	if k < len(p) {
+		return k, errWriterFull
+	}
+	return k, nil
+}
+
+// TestWriteToReportsWriterError: a writer that fails part-way, as a full
+// disk does under -save-analysis, makes WriteTo return its error and
+// count only the bytes the writer took, wherever in the stream it fails.
+func TestWriteToReportsWriterError(t *testing.T) {
+	pool := exec.NewPool(2)
+	s, err := Preprocess(gen.Layered(4000, 4, 6, 0, 501), Options{Pool: pool, Kind: Recursive, MinBlockRows: 2000, Reorder: true, ForceTri: kernels.TriSerial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	if _, err := s.WriteTo(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 100, full.Len() / 2, full.Len() - 4} {
+		w := &fullWriter{limit: limit}
+		n, err := s.WriteTo(w)
+		if !errors.Is(err, errWriterFull) {
+			t.Fatalf("writer full after %d of %d bytes: got %v, want its error", limit, full.Len(), err)
+		}
+		if n != int64(w.n) {
+			t.Fatalf("writer full after %d of %d bytes: WriteTo counted %d bytes, the writer took %d", limit, full.Len(), n, w.n)
+		}
 	}
 }
 
@@ -207,6 +380,39 @@ func csrSquare(t *testing.T, s *Solver[float64]) *sqBlock[float64] {
 		}
 	}
 	t.Fatal("no CSR square block")
+	return nil
+}
+
+// dcsrSquare moves the solver's first CSR square to DCSR storage under a
+// DCSR kernel and returns it.
+func dcsrSquare(t *testing.T, s *Solver[float64]) *sqBlock[float64] {
+	t.Helper()
+	sb := csrSquare(t, s)
+	sb.kernel = kernels.SpMVScalarDCSR
+	sb.dcsr, sb.csr = sb.csr.ToDCSR(), nil
+	return sb
+}
+
+// cuSparseTri turns the solver's first triangle into a coherent
+// cusparse-like block, with the CSR copy and merged schedule that kernel
+// reads, and returns it.
+func cuSparseTri(s *Solver[float64]) *triBlock[float64] {
+	tb := &s.tris[0]
+	tb.kernel = kernels.TriCuSparseLike
+	tb.strictCSR = tb.strictCSC.ToCSR()
+	tb.sched = kernels.NewMergedSchedule(tb.info, 0, 2)
+	return tb
+}
+
+// stepOf returns the solver's first plan step of the given kind.
+func stepOf(t *testing.T, s *Solver[float64], kind segKind) *planStep {
+	t.Helper()
+	for i := range s.steps {
+		if s.steps[i].kind == kind {
+			return &s.steps[i]
+		}
+	}
+	t.Fatalf("no step of kind %d", kind)
 	return nil
 }
 

@@ -146,34 +146,17 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 	if err := sparse.CheckLowerSolvable(l); err != nil {
 		return nil, err
 	}
-	if o.PlanCache != nil {
-		return preprocessCached(l, o)
-	}
-	return preprocessCold(l, o)
-}
-
-// preprocessCold runs the full analysis pipeline on already-validated,
-// already-normalised inputs. It is the body of Preprocess when no plan
-// cache is configured, and the miss path when one is.
-func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], error) {
 	mAnalyzes.Inc()
 	cur, perm, tree, err := walkTree(l, o)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(l, o, cur, perm, tree)
-}
-
-// assemble builds the solver of a walked tree: cur is l in plan order and
-// perm the permutation that took it there (nil for none).
-func assemble[T sparse.Float](l *sparse.CSR[T], o Options, cur *sparse.CSR[T], perm []int, tree []rangeNode) (*Solver[T], error) {
 	n := l.Rows
-	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l}
+	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l, perm: perm}
 	plan := planOf(n, o, tree)
 	if err := planChecks(n, plan); err != nil {
 		return nil, err
 	}
-	s.perm = perm
 
 	// The CSC is built only if some triangle needs it: a plan of gather
 	// leaves reads the plan-order CSR alone.
@@ -185,7 +168,6 @@ func assemble[T sparse.Float](l *sparse.CSR[T], o Options, cur *sparse.CSR[T], p
 		switch spec.kind {
 		case triSeg:
 			var tb triBlock[T]
-			var err error
 			if spec.stop == stopSerial {
 				tb, err = buildGatherLeaf(cur, spec)
 			} else {
@@ -225,6 +207,78 @@ func assemble[T sparse.Float](l *sparse.CSR[T], o Options, cur *sparse.CSR[T], p
 		s.SetTrace(o.Trace)
 	}
 	return s, nil
+}
+
+// RefreshValues re-derives every numeric array of the plan (block
+// values, diagonals, alternate-format copies, gather leaves) from the
+// caller's matrix, keeping all symbolic structure — permutation,
+// partition, level sets, schedules, kernel choices and serial forms —
+// intact: new numbers on the same sparsity pattern, such as a refactored
+// ILU preconditioner, cost an O(nnz) copy and no analysis. It works on a
+// loaded solver too. The matrix must have exactly the structure the plan
+// was built from; a mismatch returns an error wrapping ErrSerialize and
+// the solver is left unusable. Like Preprocess, the solver keeps a
+// reference to l: an in-place plan solves on l itself.
+func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
+	if l.Rows != s.n || l.Cols != s.n {
+		return fmt.Errorf("%w: refresh with %dx%d matrix, plan is %dx%d", ErrSerialize, l.Rows, l.Cols, s.n, s.n)
+	}
+	cur := l
+	if s.perm != nil {
+		var err error
+		cur, err = sparse.PermuteSym(l, s.perm)
+		if err != nil {
+			return fmt.Errorf("%w: refresh: %v", ErrSerialize, err)
+		}
+	}
+	var cscAll *sparse.CSC[T]
+	for i := range s.tris {
+		tb := &s.tris[i]
+		if tb.lower != nil {
+			nnz := tb.lower.NNZ()
+			tb.lower = gatherCSR(cur, tb.lo, tb.hi)
+			if err := tb.validate(); err != nil {
+				return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)
+			}
+			if tb.lower.NNZ() != nnz {
+				return fmt.Errorf("%w: refresh tri block %d: structure mismatch", ErrSerialize, i)
+			}
+			continue
+		}
+		if cscAll == nil {
+			cscAll = cur.ToCSC()
+		}
+		strict, diag, err := sparse.SplitDiagBlock(cscAll, tb.lo, tb.hi)
+		if err != nil {
+			return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)
+		}
+		if strict.NNZ() != tb.strictCSC.NNZ() || len(diag) != len(tb.diag) {
+			return fmt.Errorf("%w: refresh tri block %d: structure mismatch", ErrSerialize, i)
+		}
+		tb.strictCSC = strict
+		tb.diag = diag
+		if tb.strictCSR != nil {
+			tb.strictCSR = strict.ToCSR()
+		}
+	}
+	for i := range s.sqs {
+		sb := &s.sqs[i]
+		csr := sparse.SubCSR(cur, sb.spec.rowLo, sb.spec.rowHi, sb.spec.colLo, sb.spec.colHi)
+		switch {
+		case sb.csr != nil:
+			if csr.NNZ() != sb.csr.NNZ() {
+				return fmt.Errorf("%w: refresh square block %d: structure mismatch", ErrSerialize, i)
+			}
+			sb.csr = csr
+		case sb.dcsr != nil:
+			if csr.NNZ() != sb.dcsr.NNZ() {
+				return fmt.Errorf("%w: refresh square block %d: structure mismatch", ErrSerialize, i)
+			}
+			sb.dcsr = csr.ToDCSR()
+		}
+	}
+	s.orig = l
+	return nil
 }
 
 // SetTrace attaches (or, with nil, detaches) a step recorder after

@@ -688,3 +688,85 @@ func TestDescribe(t *testing.T) {
 		t.Fatalf("diag Describe:\n%s", sd.Describe())
 	}
 }
+
+// TestRefreshValuesEveryBlockForm: RefreshValues re-derives every form a
+// block can store: the CSC triangle of each forced kernel (with the
+// cusparse-like kernel's CSR copy and the sync-free in-degrees) and the
+// CSR and DCSR squares, on the paper's tree of a recursive and a column
+// partition. After new values on the same pattern, the solver, a session
+// made before the refresh and one made after all solve as a fresh
+// Preprocess of the new matrix does, within closeEnough: the parallel
+// kernels may round in a different order from one solve to the next.
+func TestRefreshValuesEveryBlockForm(t *testing.T) {
+	pool := exec.NewPool(3)
+	l := gen.GridLaplacian5(40, 40, 871)
+	l2 := l.Clone()
+	for i := 0; i < l2.Rows; i++ {
+		for k := l2.RowPtr[i]; k < l2.RowPtr[i+1]-1; k++ {
+			l2.Val[k] *= 0.5
+		}
+		l2.Val[l2.RowPtr[i+1]-1] *= 2
+	}
+	b := gen.RandVec(l.Rows, 872)
+	for _, kind := range []Kind{Recursive, ColumnBlock} {
+		for _, tk := range []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial} {
+			for _, sk := range []kernels.SpMVKernel{kernels.SpMVScalarCSR, kernels.SpMVVectorDCSR} {
+				t.Run(kind.String()+"/"+tk.String()+"/"+sk.String(), func(t *testing.T) {
+					o := Options{Pool: pool, Kind: kind, NSeg: 4, MinBlockRows: 100, Reorder: true,
+						Thresholds: paperThresholds(), ForceTri: tk, ForceSpMV: sk}
+					s, err := Preprocess(l, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.TriKernelCounts()[tk] == 0 || s.SpMVKernelCounts()[sk] == 0 {
+						t.Fatalf("plan runs %v and %v, want %v and %v", s.TriKernelCounts(), s.SpMVKernelCounts(), tk, sk)
+					}
+					for i := range s.tris {
+						if s.tris[i].lower != nil {
+							t.Fatalf("triangle %d stores the gather form", i)
+						}
+					}
+					before := s.NewSession()
+					if err := s.RefreshValues(l2); err != nil {
+						t.Fatal(err)
+					}
+					after := s.NewSession()
+					fresh, err := Preprocess(l2, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := make([]float64, l.Rows)
+					fresh.Solve(b, want)
+					for _, c := range []struct {
+						name  string
+						solve func(b, x []float64)
+					}{{"solver", s.Solve}, {"session made before", before.Solve}, {"session made after", after.Solve}} {
+						got := make([]float64, l.Rows)
+						c.solve(b, got)
+						for i := range want {
+							if !closeEnough(got[i], want[i]) {
+								t.Fatalf("%s: x[%d] = %g, a fresh Preprocess solves %g", c.name, i, got[i], want[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRefreshValuesRejectsStructureMismatch: RefreshValues is the only
+// door through which an analysed plan meets new numbers, so it must slam
+// shut on a matrix with different structure instead of producing a
+// silently wrong solver.
+func TestRefreshValuesRejectsStructureMismatch(t *testing.T) {
+	pool := exec.NewPool(2)
+	l := gen.Layered(600, 15, 4, 0.2, 861)
+	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RefreshValues(gen.SerialChain(500, 0.1, 862)); err == nil {
+		t.Fatal("wrong-size matrix accepted")
+	}
+}

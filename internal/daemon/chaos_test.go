@@ -14,8 +14,6 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/block"
 	"github.com/sss-lab/blocksptrsv/internal/faultinject"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
-	"github.com/sss-lab/blocksptrsv/internal/metrics"
-	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
 
@@ -139,107 +137,6 @@ func TestChaosPanicIsolatedAndRecovered(t *testing.T) {
 		t.Fatalf("post-chaos solve: %v", err)
 	}
 	checkSolution(t, l, b, x)
-}
-
-// TestChaosCorruptPlanCacheDegradesToAnalysis arms the torn-cache-entry
-// hook so every plan read off disk comes back with a flipped byte, then
-// warm-starts a daemon against a populated cache directory. The required
-// degradation is re-analysis: the corrupt entry must surface as a typed
-// verification miss inside the cache, the daemon must fall back to a
-// fresh analysis (counted), and the solve must still be correct — a
-// poisoned cache can cost time, never answers.
-func TestChaosCorruptPlanCacheDegradesToAnalysis(t *testing.T) {
-	faultinject.Reset()
-	dir := t.TempDir()
-	l := gen.Layered(800, 20, 4, 0.1, 1700)
-	analyzes := metrics.Default.Counter("analyzes")
-
-	// Populate the directory with hooks disarmed.
-	seedCache, err := plancache.Open(plancache.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := New(Config{Workers: 1, PlanCache: seedCache})
-	if err := d1.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := d1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart with every disk read corrupted mid-flight.
-	faultinject.ArmCorruptBytes("plan-cache")
-	defer faultinject.Reset()
-	cache, err := plancache.Open(plancache.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := analyzes.Value()
-	d2 := New(Config{Workers: 1, PlanCache: cache})
-	if err := d2.AddMatrix("m", l, block.Options{Workers: 2}); err != nil {
-		t.Fatalf("AddMatrix over a corrupt cache must degrade, not fail: %v", err)
-	}
-	if got := analyzes.Value() - before; got != 1 {
-		t.Fatalf("corrupt warm start ran %d analyses, want 1 (full re-analysis)", got)
-	}
-	if st := cache.Stats(); st.VerifyFails == 0 {
-		t.Fatalf("corruption never surfaced as a typed verification miss: %+v", st)
-	}
-	b := gen.RandVec(l.Rows, 1701)
-	x, err := d2.Solve(context.Background(), "m", b)
-	if err != nil {
-		t.Fatalf("solve after degraded start: %v", err)
-	}
-	checkSolution(t, l, b, x)
-	if err := d2.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestChaosCorruptSolverStreamDegradesToAnalysis is
-// TestChaosCorruptPlanCacheDegradesToAnalysis for a plan the cache stores
-// as its solver stream (a reordered grid's permuted leaf) rather than as
-// an in-place plan's decision.
-func TestChaosCorruptSolverStreamDegradesToAnalysis(t *testing.T) {
-	faultinject.Reset()
-	dir := t.TempDir()
-	l := gen.GridLaplacian5(28, 28, 1702)
-	opts := block.Options{Workers: 2, Reorder: true}
-	analyzes := metrics.Default.Counter("analyzes")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, corrupt := range []bool{false, true} {
-		if corrupt {
-			faultinject.ArmCorruptBytes("plan-cache")
-			defer faultinject.Reset()
-		}
-		cache, err := plancache.Open(plancache.Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := analyzes.Value()
-		d := New(Config{Workers: 1, PlanCache: cache})
-		if err := d.AddMatrix("m", l, opts); err != nil {
-			t.Fatalf("AddMatrix (corrupt %v): %v", corrupt, err)
-		}
-		if got := analyzes.Value() - before; got != 1 {
-			t.Fatalf("corrupt %v: %d analyses, want 1", corrupt, got)
-		}
-		if st := cache.Stats(); corrupt && st.VerifyFails == 0 {
-			t.Fatalf("corruption never surfaced as a typed verification miss: %+v", st)
-		}
-		b := gen.RandVec(l.Rows, 1703)
-		x, err := d.Solve(context.Background(), "m", b)
-		if err != nil {
-			t.Fatalf("solve (corrupt %v): %v", corrupt, err)
-		}
-		checkSolution(t, l, b, x)
-		if err := d.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestChaosFaultSnapshotCapturesRequestID arms a kernel panic and proves

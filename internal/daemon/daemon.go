@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
-	"github.com/sss-lab/blocksptrsv/internal/plancache"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 	"github.com/sss-lab/blocksptrsv/internal/trace"
 )
@@ -69,12 +68,6 @@ type Config struct {
 	// path the daemon does not claim itself — typically an ObsHandler,
 	// giving the service /metrics, /debug/pprof and friends.
 	Obs http.Handler
-	// PlanCache, when non-nil, is applied to every AddMatrix that does
-	// not bring its own: a restarted daemon pointed at the same cache
-	// directory loads each matrix's serialized analysis instead of
-	// redoing it, so registration drops from the full preprocessing cost
-	// to a plan decode.
-	PlanCache *plancache.Cache
 	// FlightRecorder sizes the always-on flight ring of recent request
 	// records (default 256). The recorder cannot be disabled — recording
 	// is a zero-allocation struct copy — only sized.
@@ -156,9 +149,6 @@ func (d *Daemon) AddMatrix(name string, l *sparse.CSR[float64], opts block.Optio
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = 30 * time.Second
-	}
-	if opts.PlanCache == nil {
-		opts.PlanCache = d.cfg.PlanCache
 	}
 	s, err := block.Preprocess(l, opts)
 	if err != nil {

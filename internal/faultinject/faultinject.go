@@ -19,9 +19,6 @@
 //	"daemon-solve" — Slow before every daemon batch solve, throttling the
 //	                 service so its admission queue fills and overload
 //	                 shedding can be exercised
-//	"plan-cache"   — CorruptBytes applied to every plan-cache entry read
-//	                 from disk, so the checksum layer's typed-miss +
-//	                 re-analysis degradation can be exercised
 //
 // The chaos suite (go test -tags faultinject ./internal/faultinject) arms
 // each hook and asserts the matching degradation path fires.

@@ -22,10 +22,3 @@ func CorruptInDegree(site string) (row int, delta int32, ok bool) { return 0, 0,
 
 // Poison returns an armed (row, value) poisoning for the site.
 func Poison(site string) (row int, v float64, ok bool) { return 0, 0, false }
-
-// ArmCorruptBytes is compiled out in normal builds. No-op.
-func ArmCorruptBytes(site string) {}
-
-// CorruptBytes flips a byte of p in place when the site is armed,
-// reporting whether it did. No-op.
-func CorruptBytes(site string, p []byte) bool { return false }

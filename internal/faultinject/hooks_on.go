@@ -18,8 +18,6 @@ var (
 	slows    = map[string]time.Duration{} // site -> duration, every call
 	corrupts = map[string]corruptSpec{}   // site -> row+delta
 	poisons  = map[string]poisonSpec{}    // site -> row+value
-
-	corruptBytes = map[string]bool{} // site -> flip a byte of every buffer
 )
 
 type delaySpec struct {
@@ -46,7 +44,6 @@ func Reset() {
 	slows = map[string]time.Duration{}
 	corrupts = map[string]corruptSpec{}
 	poisons = map[string]poisonSpec{}
-	corruptBytes = map[string]bool{}
 }
 
 // ArmPanic makes PanicAt(site, k) panic.
@@ -132,26 +129,4 @@ func Poison(site string) (row int, v float64, ok bool) {
 	defer mu.Unlock()
 	spec, ok := poisons[site]
 	return spec.row, spec.v, ok
-}
-
-// ArmCorruptBytes makes every CorruptBytes(site, p) call flip a byte.
-func ArmCorruptBytes(site string) {
-	mu.Lock()
-	defer mu.Unlock()
-	corruptBytes[site] = true
-}
-
-// CorruptBytes flips one byte of p in place when the site is armed,
-// reporting whether it did — the torn-cache-entry hook: a verification
-// layer downstream must turn the flip into a typed miss, never a wrong
-// result.
-func CorruptBytes(site string, p []byte) bool {
-	mu.Lock()
-	armed := corruptBytes[site]
-	mu.Unlock()
-	if !armed || len(p) == 0 {
-		return false
-	}
-	p[len(p)/2] ^= 0x40
-	return true
 }

@@ -8,9 +8,9 @@ import (
 
 // GoLifecycle enforces the daemon's drain-on-shutdown guarantee as a
 // checked invariant (DESIGN.md §6.10/§6.13): every `go` statement in the
-// concurrency-bearing packages (internal/daemon, internal/exec,
-// internal/plancache) must be tied to a tracked lifecycle so no goroutine
-// can outlive the structure that launched it. A launch is tracked when
+// concurrency-bearing packages (internal/daemon, internal/exec) must be
+// tied to a tracked lifecycle so no goroutine can outlive the structure
+// that launched it. A launch is tracked when
 //
 //   - a sync.WaitGroup Add call lexically dominates it in the same
 //     function (the launcher registered the goroutine before starting it),
@@ -27,13 +27,13 @@ import (
 // declarations, so `go d.worker(p)` is analyzed through worker's body.
 var GoLifecycle = &Analyzer{
 	Name: "golifecycle",
-	Doc:  "require every go statement in the daemon/exec/plancache packages to have a tracked lifecycle",
+	Doc:  "require every go statement in the daemon/exec packages to have a tracked lifecycle",
 	Run:  runGoLifecycle,
 }
 
 // goLifecyclePkgs are the package-path fragments in scope: the packages
 // whose goroutines the daemon's drain guarantee depends on.
-var goLifecyclePkgs = []string{"internal/daemon", "internal/exec", "internal/plancache"}
+var goLifecyclePkgs = []string{"internal/daemon", "internal/exec"}
 
 func inGoLifecycleScope(path string) bool {
 	for _, frag := range goLifecyclePkgs {

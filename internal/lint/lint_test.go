@@ -49,7 +49,7 @@ func TestGoLifecycleGolden(t *testing.T) {
 }
 
 // TestGoLifecycleOutOfScope pins the package scoping: the same goroutine
-// shapes produce nothing outside daemon/exec/plancache import paths.
+// shapes produce nothing outside daemon/exec import paths.
 func TestGoLifecycleOutOfScope(t *testing.T) {
 	pkgDir := filepath.Join("testdata", "golifecycle")
 	names, err := goFileNames(pkgDir)
