@@ -248,9 +248,11 @@ func DefaultOptions(workers int) Options {
 //
 // The solver keeps a reference to L, for residual verification and the
 // serial fallback, and, when the plan is one serial leaf in gather form
-// over the unpermuted matrix, as that leaf's storage. Callers must not
-// modify L while the solver is in use; new values on the same pattern go
-// through Solver.RefreshValues.
+// over the unpermuted matrix, as that leaf's storage. A whole serial leaf
+// under a level order keeps a copy of L's rows in that order instead.
+// Callers must not modify L while the solver is in use; new values on the
+// same pattern go through Solver.RefreshValues. Options.Auto has no
+// effect here.
 func Analyze[T Float](l *Matrix[T], opts Options) (*Solver[T], error) {
 	return block.Preprocess(l, opts)
 }

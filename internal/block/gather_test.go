@@ -3,6 +3,7 @@ package block
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -17,17 +18,18 @@ import (
 type gatherPlan struct {
 	name    string
 	l       *sparse.CSR[float64]
-	inPlace bool // one gather leaf over the unpermuted matrix
+	inPlace bool // one gather leaf in the caller's numbering
 	whole   bool // one gather leaf over the whole matrix
 }
 
 // gatherPlans covers the three shapes a gather leaf takes: the whole
-// matrix in place (batch's layered-10k), the whole matrix under a
-// permutation, and sub-leaves beside other leaves and squares.
+// unpermuted matrix (batch's layered-10k), the whole matrix under a level
+// order, whose leaf is L's rows in that order and solves in place too,
+// and sub-leaves of a permuted matrix beside other leaves and squares.
 func gatherPlans() []gatherPlan {
 	return []gatherPlan{
 		{"whole in place", gen.Layered(10_000, 512, 6, 0, 4104), true, true},
-		{"whole permuted", gen.PowerLaw(12_000, 4, 0.01, 1), false, true},
+		{"whole permuted", gen.PowerLaw(12_000, 4, 0.01, 1), true, true},
 		{"sub-leaves", gen.PowerLaw(40_000, 4, 0.01, 1), false, false},
 	}
 }
@@ -69,9 +71,9 @@ func checkGatherPlan(t *testing.T, p gatherPlan, s *Solver[float64], l *sparse.C
 
 // TestGatherLeavesRoundTrip: a plan with gather leaves keeps its forms
 // through RefreshValues, which re-derives them from new values (and
-// solves an in-place plan on the new matrix itself), and through
-// WriteTo/ReadSolver, which stores them byte-stably and solves as the
-// analysed plan does.
+// solves an unpermuted in-place plan on the new matrix itself), and
+// through WriteTo/ReadSolver, which stores them byte-stably and solves as
+// the analysed plan does.
 func TestGatherLeavesRoundTrip(t *testing.T) {
 	pool := exec.NewPool(3)
 	for _, p := range gatherPlans() {
@@ -81,8 +83,8 @@ func TestGatherLeavesRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGatherPlan(t, p, s, p.l)
-			if p.inPlace && s.tris[0].lower != p.l {
-				t.Fatal("in-place leaf is not the caller's matrix")
+			if p.inPlace && s.perm == nil && s.tris[0].lower != p.l {
+				t.Fatal("unpermuted in-place leaf is not the caller's matrix")
 			}
 
 			l2 := p.l.Clone()
@@ -99,8 +101,8 @@ func TestGatherLeavesRoundTrip(t *testing.T) {
 			if !slices.Equal(gatherForms(s), forms) {
 				t.Fatal("RefreshValues changed the serial forms")
 			}
-			if p.inPlace && s.tris[0].lower != l2 {
-				t.Fatal("refreshed in-place leaf is not the new matrix")
+			if p.inPlace && s.perm == nil && s.tris[0].lower != l2 {
+				t.Fatal("refreshed unpermuted in-place leaf is not the new matrix")
 			}
 			checkGatherPlan(t, p, s, l2)
 
@@ -277,6 +279,87 @@ func TestGatherLeafRefusesMalformedRows(t *testing.T) {
 			replaced.ColIdx[at] = tc.col
 			if err := s.RefreshValues(replaced); !errors.Is(err, ErrSerialize) {
 				t.Fatalf("RefreshValues: got %v, want ErrSerialize", err)
+			}
+		})
+	}
+}
+
+// wholeLeafPlans are the benchmark's matrices (seed 4100) whose shipped
+// plan is one whole gather leaf, with whether the root's level order
+// moves rows: deep's banded, chain and grid5, batch's grid5, ilu0 and
+// layered-10k, and serve's grid and layered.
+func wholeLeafPlans(t testing.TB) []struct {
+	name    string
+	l       *sparse.CSR[float64]
+	ordered bool
+} {
+	ilu0, _, err := gen.ILU0(gen.SPDGridMatrix(63, 63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name    string
+		l       *sparse.CSR[float64]
+		ordered bool
+	}{
+		{"deep banded", gen.Banded(12_000, 32, 0.25, 4101), true},
+		{"deep chain", gen.SerialChain(6_000, 0.3, 4107), false},
+		{"grid5", gen.GridLaplacian5(94, 94, 4102), true},
+		{"batch ilu0", ilu0, true},
+		{"batch layered-10k", gen.Layered(10_000, 512, 6, 0, 4104), false},
+		{"serve grid", gen.GridLaplacian5(120, 120, 4109), true},
+		{"serve layered", gen.Layered(20_000, 40, 6, 0.1, 4110), false},
+	}
+}
+
+// TestWholeLeafMatchesSerialSolve: a plan that is one whole gather leaf
+// solves on the caller's vectors, with no scratch, and answers bit for
+// bit as kernels.SerialSolveCSR on L at k = 1 and as SerialSolveCSRBatch
+// on L at k = 16, whether or not the root's level order moves rows. A
+// level-ordered leaf sums each row's entries in L's order, so reordering
+// the rows changes no rounding; a leaf over the permuted matrix, with
+// its columns relabelled and re-sorted, would.
+func TestWholeLeafMatchesSerialSolve(t *testing.T) {
+	pool := exec.NewPool(3)
+	for _, m := range wholeLeafPlans(t) {
+		t.Run(m.name, func(t *testing.T) {
+			s, err := Preprocess(m.l, gatherDefaults(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.tris) != 1 || s.tris[0].lower == nil || !s.inPlace {
+				t.Fatalf("%d triangles, in place %v; want one in-place gather leaf", len(s.tris), s.inPlace)
+			}
+			if ordered := s.tris[0].ord != nil; ordered != m.ordered || (s.perm != nil) != m.ordered {
+				t.Fatalf("level-ordered %v, permuted %v; want %v", ordered, s.perm != nil, m.ordered)
+			}
+			ses := s.NewSession()
+			if ses.w != nil || ses.xp != nil {
+				t.Fatal("an in-place plan's session holds scratch")
+			}
+			n := m.l.Rows
+			for _, k := range []int{1, 16} {
+				b := gen.RandVec(n*k, 64)
+				want, got := make([]float64, n*k), make([]float64, n*k)
+				if k == 1 {
+					kernels.SerialSolveCSR(m.l, b, want, nil)
+					ses.Solve(b, got)
+				} else {
+					kernels.SerialSolveCSRBatch(m.l, b, want, k, nil)
+					ses.SolveBatch(b, got, k)
+				}
+				if ses.w != nil || ses.xp != nil {
+					t.Fatalf("k=%d: the solve grew scratch", k)
+				}
+				diff := 0
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						diff++
+					}
+				}
+				if diff != 0 {
+					t.Fatalf("k=%d: %d of %d values differ from the serial gather on L", k, diff, len(want))
+				}
 			}
 		})
 	}

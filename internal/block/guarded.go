@@ -193,6 +193,18 @@ type watchdog struct {
 	tick     time.Duration
 	last     int64     // progress at the last tick that saw it move
 	lastMove time.Time // when that tick ran (or the solve was armed)
+	// clock, when set, is read under mu in place of the wall clock, and
+	// no timer runs: whoever set it fires the ticks. Tests use it to step
+	// the watchdog without wall-clock timing.
+	clock func() time.Time
+}
+
+// now reads the watchdog's clock.
+func (w *watchdog) now() time.Time {
+	if w.clock != nil {
+		return w.clock()
+	}
+	return time.Now()
 }
 
 // arm starts watching g.
@@ -203,11 +215,13 @@ func (w *watchdog) arm(g *exec.Guard, timeout time.Duration) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.g, w.timeout, w.tick = g, timeout, tick
-	w.last, w.lastMove = g.Progress(), time.Now()
-	if w.t == nil {
+	w.g, w.timeout, w.tick, w.last = g, timeout, tick, g.Progress()
+	w.lastMove = w.now()
+	switch {
+	case w.clock != nil:
+	case w.t == nil:
 		w.t = time.AfterFunc(tick, w.fire)
-	} else {
+	default:
 		w.t.Reset(tick)
 	}
 }
@@ -219,7 +233,9 @@ func (w *watchdog) disarm() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.g = nil
-	w.t.Stop()
+	if w.t != nil {
+		w.t.Stop()
+	}
 }
 
 // fire is one tick: note movement and re-arm, or trip on a stall. A tick
@@ -231,13 +247,16 @@ func (w *watchdog) fire() {
 	if w.g == nil {
 		return
 	}
+	now := w.now()
 	if cur := w.g.Progress(); cur != w.last {
-		w.last, w.lastMove = cur, time.Now()
-	} else if time.Since(w.lastMove) >= w.timeout {
+		w.last, w.lastMove = cur, now
+	} else if now.Sub(w.lastMove) >= w.timeout {
 		w.g.Trip(errStalled)
 		return
 	}
-	w.t.Reset(w.tick)
+	if w.t != nil {
+		w.t.Reset(w.tick)
+	}
 }
 
 // verifyAndRecover is the graceful-degradation ladder: check the scaled

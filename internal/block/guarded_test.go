@@ -47,11 +47,20 @@ func TestSolveContextAllocs(t *testing.T) {
 const guardedSolveAllocs = 4
 
 // TestWatchdogAcrossSolves: every guarded solve of a session re-arms the
-// session's one watchdog timer, whose ticks run on the timer's goroutine
-// while the solving goroutine arms and disarms it. With ticks shorter
-// than a solve, so that some fire mid-solve and some race the disarm, no
-// tick trips a solve that makes progress, and each answer is the plain
-// solve's bit for bit.
+// session's one watchdog, whose ticks run on another goroutine while the
+// solving goroutine arms and disarms it. The test owns the watchdog's
+// clock and fires its ticks, so no wall-clock timing decides the outcome:
+//
+//   - a ticker goroutine fires ticks throughout the solves; before a tick
+//     that will see the solve's progress move, the clock jumps a whole
+//     StallTimeout, so only the progress check keeps that tick from
+//     tripping;
+//   - between solves the clock jumps ten timeouts, so a tick that fires
+//     after the next solve arms, before it moves, still measures from
+//     that arming, as a tick left over from the previous solve does;
+//   - each answer is the plain solve's bit for bit;
+//   - finally, with no progress, a tick a whole timeout after arming
+//     trips the guard, so the ticks above did run on the test's clock.
 func TestWatchdogAcrossSolves(t *testing.T) {
 	l := gen.Layered(20_000, 40, 6, 0.1, 4110)
 	o := Defaults(exec.DefaultDevices()[1])
@@ -65,16 +74,65 @@ func TestWatchdogAcrossSolves(t *testing.T) {
 	want := make([]float64, len(b))
 	s.SolveBatch(b, want, k)
 	ses := s.NewSession()
+	w := &watchdog{}
+	var now time.Time // the watchdog's clock; read and moved only under w.mu
+	jumps := 0        // ticks that saw progress after a whole timeout
+	w.clock = func() time.Time {
+		if w.g != nil && w.g.Progress() != w.last {
+			now = now.Add(o.StallTimeout)
+			jumps++
+		}
+		return now
+	}
+	ses.watchdog = w
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		ticks := 0
+		for {
+			select {
+			case <-stop:
+				done <- ticks
+				return
+			default:
+			}
+			w.fire()
+			ticks++
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
 	x := make([]float64, len(b))
 	for i := 0; i < 50; i++ {
-		if err := ses.SolveBatchContext(context.Background(), b, x, k); err != nil {
+		w.mu.Lock()
+		now = now.Add(10 * o.StallTimeout)
+		w.mu.Unlock()
+		err := ses.SolveBatchContext(context.Background(), b, x, k)
+		if err != nil {
+			close(stop)
+			<-done
 			t.Fatalf("solve %d: %v", i, err)
 		}
 		for j := range x {
 			if x[j] != want[j] {
+				close(stop)
+				<-done
 				t.Fatalf("solve %d: x[%d] = %v, want %v", i, j, x[j], want[j])
 			}
 		}
+	}
+	close(stop)
+	ticks := <-done
+	t.Logf("%d ticks over 50 solves, %d of them mid-solve after a whole timeout", ticks, jumps)
+
+	g := exec.NewGuard()
+	w.arm(g, o.StallTimeout)
+	w.mu.Lock()
+	now = now.Add(o.StallTimeout)
+	w.mu.Unlock()
+	w.fire()
+	w.disarm()
+	if !g.Tripped() || g.Cause() != errStalled {
+		t.Fatalf("a tick a whole timeout after arming, with no progress, left the guard tripped=%v cause=%v", g.Tripped(), g.Cause())
 	}
 }
 

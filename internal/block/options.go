@@ -130,10 +130,13 @@ type Options struct {
 	Calibrate bool
 	// CalibrateRepeats is the best-of-N repeat count; <=0 means 2.
 	CalibrateRepeats int
-	// Auto routes construction through PreprocessAuto: a few candidate
+	// Auto is read only by the algorithm registry's constructor
+	// (internal/core's New, behind the bench harness's -calibrate), which
+	// then routes construction through PreprocessAuto: a few candidate
 	// configurations (as-given, no-reorder, single-triangle) are timed and
-	// the fastest kept. Guarantees the solver is never slower than the
-	// best single whole-matrix kernel.
+	// the fastest kept, so that solver is never slower than the best
+	// single whole-matrix kernel. Preprocess ignores it, and so does the
+	// public Analyze.
 	Auto bool
 }
 

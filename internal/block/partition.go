@@ -106,7 +106,10 @@ type rangeNode struct {
 // leaf. A range's level count and strictly-lower count do not change
 // under its own level-order permutation, so a decision made before the
 // reorder still holds after it. All ranges of one depth share one
-// permutation pass.
+// permutation pass. When the root alone is a stop=serial leaf, the walk
+// returns l unpermuted with the root's level order: that leaf is built
+// from l's rows in that order (buildOrderedLeaf), so nothing reads a
+// permuted matrix.
 // Panel partitions do not recurse: their walk is the whole-matrix pass
 // alone (the ablation variant; the paper reorders the recursive
 // structure).
@@ -171,6 +174,9 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 		if !changed {
 			continue
 		}
+		if wholeSerialLeaf(tree) {
+			return l, passPerm, tree, nil
+		}
 		var err error
 		if cur, err = sparse.PermuteSym(cur, passPerm); err != nil {
 			return nil, nil, nil, fmt.Errorf("block: reorder pass failed: %w", err)
@@ -182,6 +188,12 @@ func walkTree[T sparse.Float](l *sparse.CSR[T], o Options) (*sparse.CSR[T], []in
 		}
 	}
 	return cur, perm, tree, nil
+}
+
+// wholeSerialLeaf reports whether the walked tree is the root alone and
+// Algorithm 7 sent it to the serial kernel.
+func wholeSerialLeaf(tree []rangeNode) bool {
+	return len(tree) == 1 && tree[0].stop == stopSerial
 }
 
 func identityPerm(n int) []int {

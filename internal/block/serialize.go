@@ -24,34 +24,53 @@ import (
 //
 // The format is a little-endian stream: magic, version, element width,
 // then length-prefixed arrays. It is independent of word size and
-// validated on load. Version 3 stores each triangle's serial form: a
+// validated on load. Version 3 stored each triangle's serial form: a
 // gather leaf is its lower CSR and level count, any other triangle its
-// split CSC, level sets and kernel structures. Older streams are refused.
+// split CSC, level sets and kernel structures. Version 4 stores the one
+// gather leaf of a permuted plan, the level-ordered whole leaf, as L in
+// the caller's numbering, where version 3 stored the permuted matrix;
+// the loader copies its rows into level order as Preprocess does. Every
+// other plan is stored as in version 3. Older streams are refused.
 
 const (
 	serialMagic   = "BSPTRSV"
-	serialVersion = 3
+	serialVersion = 4
 )
 
 // ErrSerialize reports a malformed or incompatible solver stream.
 var ErrSerialize = errors.New("block: invalid solver stream")
 
+// serialWriter encodes the solver stream. Every field and array chunk is
+// staged in buf, the writer's one buffer.
 type serialWriter struct {
 	w   *bufio.Writer
 	err error
+	buf []byte // serialChunk elements
+}
+
+func newSerialWriter(w io.Writer) *serialWriter {
+	return &serialWriter{w: bufio.NewWriter(w), buf: make([]byte, serialChunk*8)}
 }
 
 func (sw *serialWriter) u64(v uint64) {
 	if sw.err != nil {
 		return
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, sw.err = sw.w.Write(buf[:])
+	p := sw.buf[:8]
+	binary.LittleEndian.PutUint64(p, v)
+	_, sw.err = sw.w.Write(p)
 }
 
-func (sw *serialWriter) i(v int)  { sw.u64(uint64(int64(v))) }
-func (sw *serialWriter) b(v bool) { sw.u64(map[bool]uint64{false: 0, true: 1}[v]) }
+func (sw *serialWriter) i(v int) { sw.u64(uint64(int64(v))) }
+
+func (sw *serialWriter) b(v bool) {
+	var x uint64
+	if v {
+		x = 1
+	}
+	sw.u64(x)
+}
+
 func (sw *serialWriter) bytes(p []byte) {
 	if sw.err != nil {
 		return
@@ -59,26 +78,26 @@ func (sw *serialWriter) bytes(p []byte) {
 	_, sw.err = sw.w.Write(p)
 }
 
-// chunk is the scratch size of the bulk array codecs: arrays are staged
-// through a buffer this large so the element loops run over memory and
-// the writer/reader/CRC see few large calls instead of one call per
-// element. The byte stream is identical to the per-element encoding.
+// serialChunk is the element count of the codecs' buffers: arrays are
+// staged through a buffer this large so the element loops run over
+// memory and the writer/reader/CRC see few large calls instead of one
+// call per element. The byte stream is identical to the per-element
+// encoding.
 const serialChunk = 4096
 
 func (sw *serialWriter) bulk(n int, put func(buf []byte, i int)) {
 	if sw.err != nil {
 		return
 	}
-	var buf [serialChunk * 8]byte
 	for base := 0; base < n; base += serialChunk {
 		cnt := n - base
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
 		for i := 0; i < cnt; i++ {
-			put(buf[i*8:], base+i)
+			put(sw.buf[i*8:], base+i)
 		}
-		if _, sw.err = sw.w.Write(buf[:cnt*8]); sw.err != nil {
+		if _, sw.err = sw.w.Write(sw.buf[:cnt*8]); sw.err != nil {
 			return
 		}
 	}
@@ -123,11 +142,17 @@ func probeIs64[T sparse.Float](probe T) bool {
 }
 
 // serialReader decodes the solver stream, folding every byte it reads
-// into a running CRC that the trailer is checked against.
+// into a running CRC that the trailer is checked against. Every field and
+// array chunk is read through buf, the reader's one buffer.
 type serialReader struct {
 	r   *bufio.Reader
 	crc uint32
 	err error
+	buf []byte // serialChunk elements
+}
+
+func newSerialReader(r io.Reader) *serialReader {
+	return &serialReader{r: bufio.NewReader(r), buf: make([]byte, serialChunk*8)}
 }
 
 // read consumes exactly len(p) bytes, folding them into the running CRC.
@@ -143,12 +168,12 @@ func (sr *serialReader) read(p []byte) {
 }
 
 func (sr *serialReader) u64() uint64 {
-	var buf [8]byte
-	sr.read(buf[:])
+	p := sr.buf[:8]
+	sr.read(p)
 	if sr.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return binary.LittleEndian.Uint64(p)
 }
 
 func (sr *serialReader) i() int  { return int(int64(sr.u64())) }
@@ -169,21 +194,20 @@ func (sr *serialReader) length(max int) int {
 
 const maxSerialLen = 1 << 34 // generous sanity cap on array lengths
 
-// The array decoders below share one shape: chunked reads into a
-// scratch buffer with a type-specialised inner loop (a per-element
+// The array decoders below share one shape: chunked reads into the
+// reader's buffer with a type-specialised inner loop (a per-element
 // callback would cost a dynamic call per element — measurably slower on
 // multi-megabyte streams).
 
 func (sr *serialReader) ints() []int {
 	n := sr.length(maxSerialLen)
 	v := make([]int, n)
-	var scratch [serialChunk * 8]byte
 	for base := 0; base < n; {
 		cnt := n - base
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
-		p := scratch[:cnt*8]
+		p := sr.buf[:cnt*8]
 		sr.read(p)
 		if sr.err != nil {
 			return v
@@ -199,13 +223,12 @@ func (sr *serialReader) ints() []int {
 func (sr *serialReader) bools() []bool {
 	n := sr.length(maxSerialLen)
 	v := make([]bool, n)
-	var scratch [serialChunk * 8]byte
 	for base := 0; base < n; {
 		cnt := n - base
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
-		p := scratch[:cnt*8]
+		p := sr.buf[:cnt*8]
 		sr.read(p)
 		if sr.err != nil {
 			return v
@@ -223,13 +246,12 @@ func readFloats[T sparse.Float](sr *serialReader) []T {
 	v := make([]T, n)
 	var probe T
 	is64 := probeIs64(probe)
-	var scratch [serialChunk * 8]byte
 	for base := 0; base < n; {
 		cnt := n - base
 		if cnt > serialChunk {
 			cnt = serialChunk
 		}
-		p := scratch[:cnt*8]
+		p := sr.buf[:cnt*8]
 		sr.read(p)
 		if sr.err != nil {
 			return v
@@ -280,7 +302,7 @@ func readCSR[T sparse.Float](sr *serialReader) *sparse.CSR[T] {
 // written and the first error encountered.
 func (s *Solver[T]) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	sw := &serialWriter{w: bufio.NewWriter(cw)}
+	sw := newSerialWriter(cw)
 	sw.bytes([]byte(serialMagic))
 	sw.u64(serialVersion)
 	var probe T
@@ -311,7 +333,11 @@ func (s *Solver[T]) WriteTo(w io.Writer) (int64, error) {
 		sw.u64(uint64(tb.kernel))
 		sw.b(tb.lower != nil)
 		if tb.lower != nil {
-			writeCSR(sw, tb.lower)
+			if tb.ord != nil {
+				writeCSR(sw, tb.inOrder)
+			} else {
+				writeCSR(sw, tb.lower)
+			}
 			sw.i(tb.feats.NLevels)
 			continue
 		}
@@ -388,11 +414,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // spin pool (exec.NewImplicitLauncher). The element type must match the
 // one written.
 func ReadSolver[T sparse.Float](r io.Reader, pool exec.Launcher) (*Solver[T], error) {
-	sr := &serialReader{r: bufio.NewReader(r)}
+	sr := newSerialReader(r)
 	if pool == nil {
 		pool = exec.NewImplicitLauncher(exec.LaunchSpin, 0)
 	}
-	magic := make([]byte, len(serialMagic))
+	magic := sr.buf[:len(serialMagic)]
 	sr.read(magic)
 	if sr.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSerialize, sr.err)
@@ -586,6 +612,19 @@ func (s *Solver[T]) validateLoaded() error {
 	}
 	if err := planChecks(s.n, plan); err != nil {
 		return fmt.Errorf("%w: %v", ErrSerialize, err)
+	}
+	if s.perm != nil && len(s.tris) == 1 && s.tris[0].lower != nil {
+		// A permuted plan whose one triangle, the whole matrix by
+		// planChecks, is a gather leaf holds the level-ordered whole
+		// leaf, stored as L: copy its rows into level order under the
+		// check Preprocess runs.
+		tb := &s.tris[0]
+		ord := sparse.InvertPerm(s.perm)
+		lower, err := orderedRows(tb.lower, ord, s.perm)
+		if err != nil {
+			return fmt.Errorf("%w: tri block 0: gather CSR: %v", ErrSerialize, err)
+		}
+		tb.lower, tb.ord, tb.inOrder = lower, ord, tb.lower
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
@@ -54,4 +55,100 @@ func BenchmarkLoadSolver(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestReadSolverAllocs pins what ReadSolver allocates beyond the arrays
+// it decodes from the stream and those it makes itself (loadedArrays).
+// On powerlaw's plan that is the reader's one buffer and a few kilobytes
+// of headers: a buffer per array, or an allocation per scalar field, as
+// the reader made before, exceeds it.
+func TestReadSolverAllocs(t *testing.T) {
+	dev := exec.DefaultDevices()[1]
+	pool := dev.Pool()
+	defer exec.CloseLauncher(pool)
+	o := Defaults(dev)
+	o.Pool = pool
+	s, err := Preprocess(gen.PowerLaw(80_000, 4, 0.01, 4105), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if _, err := s.WriteTo(&stream); err != nil {
+		t.Fatal(err)
+	}
+	const loads = 3
+	var back *Solver[float64]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range loads {
+		if back, err = ReadSolver[float64](bytes.NewReader(stream.Bytes()), pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perLoad := int64(after.TotalAlloc-before.TotalAlloc) / loads
+	decoded, made := loadedArrays(back)
+	t.Logf("stream %d bytes; a load allocates %d bytes in %d objects: %d decoded, %d made",
+		stream.Len(), perLoad, (after.Mallocs-before.Mallocs)/loads, decoded, made)
+	const headers = 48 << 10 // the solver, its blocks' headers, the bufio.Reader
+	if beyond := perLoad - decoded - made; beyond > serialChunk*8+headers {
+		t.Fatalf("a load allocates %d bytes beyond its arrays, more than one %d-byte reader buffer and %d bytes of headers",
+			beyond, serialChunk*8, headers)
+	}
+}
+
+// loadedArrays sums the heap bytes of the arrays a load allocates: those
+// ReadSolver decodes from the stream, and those it makes itself, which
+// the stream does not carry (the session's scratch, the level sets' row
+// maps, the sync-free counters, and the one bool a row with which the
+// load-time checks test each permutation). The heap serves an array of
+// more than 32 KiB in whole 8 KiB pages, so each is counted rounded up
+// to its pages.
+func loadedArrays(s *Solver[float64]) (decoded, made int64) {
+	heap := func(bytes int) int64 {
+		if bytes > 32<<10 {
+			bytes = (bytes + 8191) &^ 8191
+		}
+		return int64(bytes)
+	}
+	ints := func(v []int) int64 { return heap(8 * len(v)) }
+	floats := func(v []float64) int64 { return heap(8 * len(v)) }
+	csr := func(m *sparse.CSR[float64]) int64 {
+		if m == nil {
+			return 0
+		}
+		return ints(m.RowPtr) + ints(m.ColIdx) + floats(m.Val)
+	}
+	decoded = ints(s.perm)
+	made = floats(s.own.w) + floats(s.own.xp)
+	if s.perm != nil {
+		made += heap(len(s.perm))
+	}
+	for i := range s.tris {
+		tb := &s.tris[i]
+		decoded += floats(tb.diag) + csr(tb.lower) + csr(tb.strictCSR)
+		if c := tb.strictCSC; c != nil {
+			decoded += ints(c.ColPtr) + ints(c.RowIdx) + floats(c.Val)
+		}
+		if tb.info != nil {
+			decoded += ints(tb.info.LevelPtr) + ints(tb.info.LevelItem)
+			made += ints(tb.info.Level) + heap(len(tb.info.LevelItem))
+		}
+		if tb.sched != nil {
+			cp, serial, items := tb.sched.Data()
+			decoded += ints(cp) + heap(len(serial)) + ints(items)
+			made += heap(len(items))
+		}
+		if tb.state != nil {
+			made += heap(4*len(tb.state.BaseCounts())) + heap(64*len(tb.state.BaseCounts()))
+		}
+	}
+	for i := range s.sqs {
+		sb := &s.sqs[i]
+		decoded += csr(sb.csr)
+		if d := sb.dcsr; d != nil {
+			decoded += ints(d.RowIdx) + ints(d.RowPtr) + ints(d.ColIdx) + floats(d.Val)
+		}
+	}
+	return decoded, made
 }

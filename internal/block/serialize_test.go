@@ -130,6 +130,9 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 	// width, n, kind, reorder, the two traffic counts and the square
 	// nnz); the permutation's length prefix follows it.
 	permLen := len(serialMagic) + 8*8
+	// A case marked leaf corrupts the shipped plan of a 5-point grid
+	// instead: one level-ordered whole gather leaf.
+	grid := gen.GridLaplacian5(40, 40, 506)
 	// Each case corrupts either the bytes of a valid stream or, before
 	// WriteTo, the solver itself, so the stream's checksum still holds
 	// and only validation can catch the contradiction.
@@ -139,12 +142,14 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 		mutate  func(t *testing.T, s *Solver[float64])
 		corrupt func([]byte) []byte
 		want    string
+		leaf    bool
 	}{
 		"truncated":    {corrupt: func(b []byte) []byte { return b[:len(b)/2] }},
 		"bad magic":    {corrupt: func(b []byte) []byte { c := clone(b); c[0] = 'X'; return c }},
 		"bad version":  {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 99; return c }},
 		"version 1":    {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 1; return c }},
 		"version 2":    {corrupt: func(b []byte) []byte { c := clone(b); c[7] = 2; return c }},
+		"version 3":    {want: "unsupported version 3", corrupt: func(b []byte) []byte { c := clone(b); c[7] = 3; return c }},
 		"empty":        {corrupt: func(b []byte) []byte { return nil }},
 		"flipped byte": {corrupt: func(b []byte) []byte { c := clone(b); c[40] ^= 0xFF; return c }},
 		"absurd length field": {want: "length 1099511627776 out of range", corrupt: func(b []byte) []byte {
@@ -167,6 +172,9 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 		"negative size": {want: "negative size", mutate: func(t *testing.T, s *Solver[float64]) { s.n = -1 }},
 		"permutation with a repeated row": {want: "not a permutation", mutate: func(t *testing.T, s *Solver[float64]) {
 			s.perm = make([]int, s.n) // every position names row 0
+		}},
+		"permuted plan without triangles": {leaf: true, want: "plan covers diagonal to 0", mutate: func(t *testing.T, s *Solver[float64]) {
+			s.tris, s.steps = nil, nil
 		}},
 		"tri step out of range": {want: "tri step out of range", mutate: func(t *testing.T, s *Solver[float64]) {
 			stepOf(t, s, triSeg).idx = len(s.tris)
@@ -266,6 +274,36 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 			chunkPtr, serial, items := tb.sched.Data()
 			tb.sched = kernels.NewMergedScheduleFromData(chunkPtr, serial, items[:len(items)-1])
 		}},
+		"leaf entry reading a row not placed before it": {leaf: true, want: "which is not placed before it", mutate: func(t *testing.T, s *Solver[float64]) {
+			// The stream stores the leaf as L. Move one strict entry of a
+			// copy of L to a column between its neighbours whose row the
+			// level order places after this one.
+			tb := &s.tris[0]
+			m := tb.inOrder.Clone()
+			tb.inOrder = m
+			for i := 0; i < m.Rows; i++ {
+				cols := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]
+				for e := 0; e+1 < len(cols); e++ {
+					lo := 0
+					if e > 0 {
+						lo = cols[e-1] + 1
+					}
+					for c := lo; c < cols[e+1]; c++ {
+						if s.perm[c] > s.perm[i] {
+							cols[e] = c
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no entry can read a later row")
+		}},
+		"leaf row not ending in its own diagonal": {leaf: true, want: "row 0 has entry in column 1", mutate: func(t *testing.T, s *Solver[float64]) {
+			tb := &s.tris[0]
+			m := tb.inOrder.Clone()
+			tb.inOrder = m
+			m.ColIdx[m.RowPtr[1]-1]++ // row 0's diagonal moves to column 1: still sorted and in range
+		}},
 		"level item out of range": {mutate: func(t *testing.T, s *Solver[float64]) {
 			tb := &s.tris[0]
 			tb.kernel = kernels.TriLevelSet
@@ -275,8 +313,14 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 2000, Reorder: true, ForceTri: kernels.TriSerial})
+			if tc.leaf {
+				s, err = Preprocess(grid, gatherDefaults(pool))
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.leaf && (len(s.tris) != 1 || s.tris[0].ord == nil) {
+				t.Fatal("want one level-ordered whole leaf")
 			}
 			if tc.mutate != nil {
 				tc.mutate(t, s)

@@ -39,16 +39,16 @@ func (s *Solver[T]) newSession() *Session[T] {
 	ses := &Session[T]{s: s}
 	if !s.inPlace {
 		ses.w = make([]T, s.n)
-	}
-	if s.perm != nil {
-		ses.xp = make([]T, s.n)
+		if s.perm != nil {
+			ses.xp = make([]T, s.n)
+		}
 	}
 	return ses
 }
 
 // NewSession returns a fresh concurrent solving context. Sessions are
-// cheap relative to preprocessing: two n-vectors plus one int32 counter
-// array per sync-free block.
+// cheap relative to preprocessing: at most two n-vectors, none for an
+// in-place plan, plus one int32 counter array per sync-free block.
 func (s *Solver[T]) NewSession() *Session[T] {
 	ses := s.newSession()
 	ses.states = make([]*kernels.SyncFreeState, len(s.tris))

@@ -52,13 +52,17 @@ type SolveStats struct {
 // triBlock is a preprocessed triangular diagonal block: strictly-lower
 // storage plus separate diagonal (§3.3), with the auxiliary structures of
 // its selected kernel. A serial leaf in gather form stores instead its
-// lower CSR with the diagonal last in each row, and nothing else.
+// lower CSR with the diagonal last in each row, and nothing else. A
+// level-ordered whole leaf (ord non-nil) stores L's rows in level order,
+// with L's column indices, as lower, and L itself as inOrder.
 type triBlock[T sparse.Float] struct {
 	lo, hi    int
 	diag      []T
 	strictCSC *sparse.CSC[T]
 	strictCSR *sparse.CSR[T]          // cusparse-like only
 	lower     *sparse.CSR[T]          // serial gather form only; diag, strictCSC and info are nil
+	ord       []int                   // level-ordered whole leaf only: L's row of each row of lower
+	inOrder   *sparse.CSR[T]          // level-ordered whole leaf only: L, which batch solves read
 	info      *levelset.Info          // level-set only
 	sched     *kernels.MergedSchedule // cusparse-like only
 	state     *kernels.SyncFreeState  // sync-free only
@@ -99,7 +103,7 @@ type Solver[T sparse.Float] struct {
 	pool    exec.Launcher
 	perm    []int          // newIdx[original] = permuted position; nil without reorder
 	orig    *sparse.CSR[T] // caller's matrix, for residual checks and fallback; nil when deserialised
-	inPlace bool           // the plan is one gather leaf, not permuted: solves read b directly
+	inPlace bool           // the plan is one gather leaf on the caller's numbering: solves read b directly
 	tris    []triBlock[T]
 	sqs     []sqBlock[T]
 	steps   []planStep
@@ -129,13 +133,17 @@ type Solver[T sparse.Float] struct {
 // sends to the serial or completely-parallel kernel, squares without
 // entries leave the plan, and each such serial leaf runs as a CSR gather
 // (kernels.SerialSolveCSR) instead of the CSC scatter. When such a leaf
-// is the whole, unpermuted matrix, it is L itself and solves read b in
-// place. Forced, calibrated and floor-0 plans keep the scatter.
+// is the whole matrix, solves run on the caller's b and x with no copy,
+// and the matrix is not permuted: unpermuted, the leaf is L itself;
+// under a level order, single-RHS solves walk a copy of L's rows in that
+// order, with L's column indices (kernels.SerialSolveCSROrdered), and
+// batch solves walk L. Forced, calibrated and floor-0 plans keep the
+// scatter.
 //
 // The solver keeps a reference to L: for residual verification and the
-// serial fallback, and as the gather leaf's storage. Callers must not
-// modify L while the solver is in use; new values on the same pattern
-// go through RefreshValues.
+// serial fallback, and, when the plan is one whole gather leaf, as that
+// leaf's storage. Callers must not modify L while the solver is in use;
+// new values on the same pattern go through RefreshValues.
 func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], error) {
 	o := opts.normalised()
 	if o.Validate {
@@ -151,6 +159,8 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 	if err != nil {
 		return nil, err
 	}
+	// A whole serial leaf under a level order: walkTree left l unpermuted.
+	ordered := perm != nil && wholeSerialLeaf(tree)
 	n := l.Rows
 	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l, perm: perm}
 	plan := planOf(n, o, tree)
@@ -168,9 +178,12 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 		switch spec.kind {
 		case triSeg:
 			var tb triBlock[T]
-			if spec.stop == stopSerial {
+			switch {
+			case ordered:
+				tb, err = buildOrderedLeaf(l, perm, spec)
+			case spec.stop == stopSerial:
 				tb, err = buildGatherLeaf(cur, spec)
-			} else {
+			default:
 				if cscAll == nil {
 					cscAll = cur.ToCSC()
 				}
@@ -218,13 +231,14 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 // loaded solver too. The matrix must have exactly the structure the plan
 // was built from; a mismatch returns an error wrapping ErrSerialize and
 // the solver is left unusable. Like Preprocess, the solver keeps a
-// reference to l: an in-place plan solves on l itself.
+// reference to l: a whole gather leaf solves on l itself, and a
+// level-ordered one also copies l's rows through its order.
 func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
 	if l.Rows != s.n || l.Cols != s.n {
 		return fmt.Errorf("%w: refresh with %dx%d matrix, plan is %dx%d", ErrSerialize, l.Rows, l.Cols, s.n, s.n)
 	}
 	cur := l
-	if s.perm != nil {
+	if s.perm != nil && !s.inPlace {
 		var err error
 		cur, err = sparse.PermuteSym(l, s.perm)
 		if err != nil {
@@ -236,8 +250,18 @@ func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
 		tb := &s.tris[i]
 		if tb.lower != nil {
 			nnz := tb.lower.NNZ()
-			tb.lower = gatherCSR(cur, tb.lo, tb.hi)
-			if err := tb.validate(); err != nil {
+			var err error
+			if tb.ord != nil {
+				// orderedRows checks each row as it copies it.
+				var m *sparse.CSR[T]
+				if m, err = orderedRows(l, tb.ord, s.perm); err == nil {
+					tb.lower, tb.inOrder = m, l
+				}
+			} else {
+				tb.lower = gatherCSR(cur, tb.lo, tb.hi)
+				err = tb.validate()
+			}
+			if err != nil {
 				return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)
 			}
 			if tb.lower.NNZ() != nnz {
@@ -379,12 +403,73 @@ func gatherCSR[T sparse.Float](cur *sparse.CSR[T], lo, hi int) *sparse.CSR[T] {
 	return sparse.SubCSR(cur, lo, hi, lo, hi)
 }
 
-// onlyGatherLeaf reports whether the plan is one gather leaf over the
-// unpermuted matrix. Its CSR is then the caller's matrix (or, reloaded,
-// a copy of it), and run solves on the caller's b with no copy into the
-// scratch.
+// buildOrderedLeaf builds the level-ordered whole leaf: the walk stopped
+// at the root with Algorithm 7's serial verdict, and the root's level
+// order perm moves rows. The leaf keeps L's rows in that order, checked
+// as they are copied (orderedRows), for single-RHS solves, which gain
+// from the order's independent rows, and L itself for batch solves,
+// whose k values a row are independent already and which read b and x
+// in order. Both solve on the caller's vectors.
+func buildOrderedLeaf[T sparse.Float](l *sparse.CSR[T], perm []int, spec segSpec) (triBlock[T], error) {
+	ord := sparse.InvertPerm(perm)
+	lower, err := orderedRows(l, ord, perm)
+	if err != nil {
+		return triBlock[T]{}, fmt.Errorf("block: triangular block %v: %w", spec, err)
+	}
+	return triBlock[T]{lo: spec.rowLo, hi: spec.rowHi, lower: lower, ord: ord, inOrder: l,
+		kernel: kernels.TriSerial, feats: spec.feats}, nil
+}
+
+// orderedRows copies the rows of l in the order ord, keeping l's column
+// indices and entry order, and checks each row as it copies it
+// (checkOrderedRow). pos is ord's inverse: pos[i] is where row i lands.
+func orderedRows[T sparse.Float](l *sparse.CSR[T], ord, pos []int) (*sparse.CSR[T], error) {
+	n := len(ord)
+	nnz := l.NNZ()
+	m := &sparse.CSR[T]{Rows: n, Cols: n, RowPtr: make([]int, n+1),
+		ColIdx: make([]int, 0, nnz), Val: make([]T, 0, nnz)}
+	for q, i := range ord {
+		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
+		if err := checkOrderedRow(l.ColIdx[lo:hi], l.Val[lo:hi], q, i, pos); err != nil {
+			return nil, err
+		}
+		m.ColIdx = append(m.ColIdx, l.ColIdx[lo:hi]...)
+		m.Val = append(m.Val, l.Val[lo:hi]...)
+		m.RowPtr[q+1] = len(m.ColIdx)
+	}
+	return m, nil
+}
+
+// checkOrderedRow checks row q of a level-ordered whole leaf, which is
+// row i of L: it ends in its own nonzero diagonal, its other columns rise
+// to the left of it, and each of them reads a row placed before q, so
+// the ordered gather reads only solved values. pos places each row.
+func checkOrderedRow[T sparse.Float](cols []int, vals []T, q, i int, pos []int) error {
+	last := len(cols) - 1
+	if last < 0 || cols[last] != i || vals[last] == 0 {
+		return fmt.Errorf("%w: row %d does not end in its own nonzero diagonal", sparse.ErrSingular, i)
+	}
+	prev := -1
+	for _, c := range cols[:last] {
+		if c <= prev || c >= i {
+			return fmt.Errorf("%w: row %d: columns do not rise to the diagonal at column %d", sparse.ErrShape, i, c)
+		}
+		if pos[c] >= q {
+			return fmt.Errorf("%w: row %d reads row %d, which is not placed before it", sparse.ErrShape, i, c)
+		}
+		prev = c
+	}
+	return nil
+}
+
+// onlyGatherLeaf reports whether the plan is one gather leaf in the
+// caller's numbering: unpermuted, its CSR is the caller's matrix (or,
+// reloaded, a copy of it); under a level order, it also keeps the
+// ordered copy of L's rows. Either way run solves on the caller's b and
+// x with no copy into the scratch.
 func (s *Solver[T]) onlyGatherLeaf() bool {
-	return s.perm == nil && len(s.steps) == 1 && len(s.tris) == 1 && s.tris[0].lower != nil
+	return len(s.steps) == 1 && len(s.tris) == 1 && s.tris[0].lower != nil &&
+		(s.perm == nil || s.tris[0].ord != nil)
 }
 
 func buildSqBlock[T sparse.Float](cur *sparse.CSR[T], spec segSpec, o Options) sqBlock[T] {
@@ -537,11 +622,11 @@ func (s *Solver[T]) Solve(b, x []T) { s.own.Solve(b, x) }
 // SolveBatchContext. It permutes b into the session's scratch, walks the
 // plan's blocks in execution order over k row-major right-hand sides —
 // the single-RHS kernels at k == 1, the batch kernels above — and
-// unpermutes into x. An in-place plan, one gather leaf over the
-// unpermuted matrix, reads b directly: the gather never writes its
-// right-hand side, and it reads b[i] before it writes x[i], so b and x
-// may still alias. Callers check the argument lengths and size the
-// scratch for k.
+// unpermutes into x. An in-place plan, one gather leaf in the caller's
+// numbering, reads b and writes x directly, with no permute or unpermute
+// pass: the gather never writes its right-hand side, and it reads b[i]
+// before it writes x[i], so b and x may still alias. Callers check the
+// argument lengths and size the scratch for k.
 //
 // A nil guard is the plain solve. A live guard is polled before every
 // step and inside the kernels; run reports false once it trips, leaving x
@@ -642,7 +727,7 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 			xp[row*k] = T(v)
 		}
 	}
-	if s.perm != nil {
+	if s.perm != nil && !s.inPlace {
 		if k == 1 {
 			sparse.UnpermuteVecInto(x, xp, s.perm)
 		} else {
@@ -707,6 +792,10 @@ func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.Sy
 		return kernels.TriCuSparseLikeSolveBatch(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k, g)
 	case kernels.TriSerial:
 		switch {
+		case tb.ord != nil && k == 1:
+			return kernels.SerialSolveCSROrdered(tb.lower, tb.ord, w, x, g)
+		case tb.ord != nil:
+			return kernels.SerialSolveCSRBatch(tb.inOrder, w, x, k, g)
 		case tb.lower != nil && k == 1:
 			return kernels.SerialSolveCSR(tb.lower, w, x, g)
 		case tb.lower != nil:

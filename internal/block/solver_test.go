@@ -316,7 +316,8 @@ func TestReorderMovesNNZIntoSquares(t *testing.T) {
 // permutation and the same leaves over the conformance corpus, as given
 // and scrambled, with the serial floor on and off, and every triangular
 // leaf holds the strict part and diagonal of its range of the permuted
-// matrix, or, in gather form, the range itself.
+// matrix, or, in gather form, the range itself; a level-ordered whole
+// leaf holds L's rows in the extracted order, with L's columns, and L.
 func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, m := range conformanceCorpus(false) {
@@ -358,6 +359,21 @@ func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 				}
 				for i := range s.tris {
 					tb := &s.tris[i]
+					if tb.ord != nil {
+						ord := sparse.InvertPerm(want)
+						rows := &sparse.CSR[float64]{RowPtr: []int{0}}
+						for _, r := range ord {
+							lo, hi := l.RowPtr[r], l.RowPtr[r+1]
+							rows.ColIdx = append(rows.ColIdx, l.ColIdx[lo:hi]...)
+							rows.Val = append(rows.Val, l.Val[lo:hi]...)
+							rows.RowPtr = append(rows.RowPtr, len(rows.ColIdx))
+						}
+						if tb.inOrder != l || !reflect.DeepEqual(tb.ord, ord) || !reflect.DeepEqual(rows.RowPtr, tb.lower.RowPtr) ||
+							!reflect.DeepEqual(rows.ColIdx, tb.lower.ColIdx) || !reflect.DeepEqual(rows.Val, tb.lower.Val) {
+							t.Fatalf("%s %v: level-ordered leaf differs from L's rows in the extracted order", m.name, o.Kind)
+						}
+						continue
+					}
 					sub := sparse.SubCSR(cur, tb.lo, tb.hi, tb.lo, tb.hi)
 					if tb.lower != nil {
 						if !reflect.DeepEqual(sub.RowPtr, tb.lower.RowPtr) || !reflect.DeepEqual(sub.ColIdx, tb.lower.ColIdx) ||

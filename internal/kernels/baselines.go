@@ -106,6 +106,53 @@ func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) b
 	return !g.Tripped()
 }
 
+// SerialSolveCSROrdered is SerialSolveCSR on the caller's vectors over a
+// level-ordered copy of L's rows: row q of l is row ord[q] of L, with L's
+// column indices and entry order, and it solves x[ord[q]] from b[ord[q]].
+// Every entry of a row but its diagonal, which is last, must read a row
+// placed before it, as a level order guarantees. Each row then sums
+// exactly what SerialSolveCSR sums in the same order, so the two agree
+// bit for bit. Row ord[q] reads its b before it writes its x, and no other
+// row reads that b, so b and x may be the same slice. The guard is
+// stepped and polled as in SerialSolveCSR.
+//
+// It is a loop of its own rather than a branch inside SerialSolveCSR: in
+// a prototype, a per-row test of ord read 1.3–1.6× the separate loop on
+// layered leaves (DESIGN.md §6.9). It has no batch twin: at k values a
+// row, the rows carry their own independent work, and SerialSolveCSRBatch
+// on L in the caller's order, which streams b and x, measured faster
+// than the level order at k = 16 (EXPERIMENTS.md).
+//
+//sptrsv:hotpath
+func SerialSolveCSROrdered[T sparse.Float](l *sparse.CSR[T], ord []int, b, x []T, g *exec.Guard) bool {
+	n := l.Rows
+	if n == 0 {
+		return true
+	}
+	rowPtr, colIdx, vals := l.RowPtr, l.ColIdx, l.Val
+	_ = rowPtr[n]
+	ord = ord[:n]
+	next := serialGuardCols
+	for q := 0; q < n; q++ {
+		if q == next {
+			g.Step()
+			if g.Tripped() {
+				return false
+			}
+			next += serialGuardCols
+		}
+		i := ord[q]
+		lo, hi := rowPtr[q], rowPtr[q+1]-1 // diagonal is the last entry of the row
+		sum := b[i]
+		for k := lo; k < hi; k++ {
+			sum -= vals[k] * x[colIdx[k]]
+		}
+		x[i] = sum / vals[hi]
+	}
+	g.Step()
+	return !g.Tripped()
+}
+
 // LevelSetSolver is the plain level-set baseline (Algorithm 2): one
 // parallel launch and one barrier per level.
 type LevelSetSolver[T sparse.Float] struct {

@@ -46,6 +46,7 @@ var bceForceInstantiations = [...]any{
 	scaleInto[float64], scaleInto[float32],
 
 	SerialSolveCSR[float64], SerialSolveCSR[float32],
+	SerialSolveCSROrdered[float64], SerialSolveCSROrdered[float32],
 	(*SerialSolver[float64]).Solve, (*SerialSolver[float32]).Solve,
 	(*LevelSetSolver[float64]).Solve, (*LevelSetSolver[float32]).Solve,
 	(*SyncFreeSolver[float64]).Solve, (*SyncFreeSolver[float32]).Solve,

@@ -78,7 +78,8 @@ func buildLadderLower[T sparse.Float](rng *rand.Rand, n int) *sparse.CSR[T] {
 // checkKernelEquivalence solves one random system with every optimized
 // SpTRSV kernel, the CSR gathers included, and compares each result to
 // the TriSerialSolve reference; the guard-taking kernels run with a nil
-// and with a live guard.
+// and with a live guard. The ordered gather is held to the in-order one
+// bit for bit (checkOrderedGathers).
 func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers int, density float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -206,6 +207,11 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	TriSerialSolve(lstrict, ldiag, append([]T(nil), b...), lwant, nil)
 	batchGather(ladder, lwant, nil)
 
+	// The ordered gather, on both systems, over a random order of their
+	// rows that respects every dependency.
+	checkOrderedGathers(t, rng, l, b)
+	checkOrderedGathers(t, rng, ladder, b)
+
 	csr, err := NewSyncFreeCSRSolver(p, l)
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +219,68 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	x := make([]T, n)
 	csr.Solve(b, x)
 	check("sync-free-csr", x)
+}
+
+// randomTopoOrder is a random order of l's rows in which every row comes
+// after each row it reads: Kahn's algorithm, taking a random ready row
+// each step.
+func randomTopoOrder[T sparse.Float](rng *rand.Rand, l *sparse.CSR[T]) []int {
+	n := l.Rows
+	indeg := make([]int, n)
+	readers := make([][]int, n)
+	for i := 0; i < n; i++ {
+		for k := l.RowPtr[i]; k < l.RowPtr[i+1]-1; k++ {
+			indeg[i]++
+			readers[l.ColIdx[k]] = append(readers[l.ColIdx[k]], i)
+		}
+	}
+	var ready, ord []int
+	for i := range indeg {
+		if indeg[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+	for len(ready) > 0 {
+		j := rng.Intn(len(ready))
+		i := ready[j]
+		ready[j] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		ord = append(ord, i)
+		for _, r := range readers[i] {
+			if indeg[r]--; indeg[r] == 0 {
+				ready = append(ready, r)
+			}
+		}
+	}
+	return ord
+}
+
+// checkOrderedGathers holds SerialSolveCSROrdered, over l's rows in a
+// random dependency order, to SerialSolveCSR on l bit for bit, with a
+// nil and a live guard, with b and x apart and the same slice.
+func checkOrderedGathers[T sparse.Float](t *testing.T, rng *rand.Rand, l *sparse.CSR[T], b []T) {
+	t.Helper()
+	n := l.Rows
+	ord := randomTopoOrder(rng, l)
+	rows := &sparse.CSR[T]{Rows: n, Cols: n, RowPtr: []int{0}}
+	for _, i := range ord {
+		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
+		rows.ColIdx = append(rows.ColIdx, l.ColIdx[lo:hi]...)
+		rows.Val = append(rows.Val, l.Val[lo:hi]...)
+		rows.RowPtr = append(rows.RowPtr, len(rows.ColIdx))
+	}
+	want := make([]T, n)
+	SerialSolveCSR(l, b, want, nil)
+	for _, g := range []*exec.Guard{nil, exec.NewGuard()} {
+		got, aliased := make([]T, n), slices.Clone(b)
+		if !SerialSolveCSROrdered(rows, ord, b, got, g) || !SerialSolveCSROrdered(rows, ord, aliased, aliased, g) {
+			t.Fatalf("%T serial-csr-ordered n=%d: untripped guard aborted the solve", T(0), n)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(aliased, want) {
+			t.Fatalf("%T serial-csr-ordered n=%d guarded=%v: differs from the in-order gather (apart %v, aliased %v)",
+				T(0), n, g != nil, slices.Equal(got, want), slices.Equal(aliased, want))
+		}
+	}
 }
 
 // FuzzKernelEquivalence fuzzes the optimized kernels against the serial
