@@ -2,16 +2,17 @@
 # (including a gofmt cleanliness check), full build, full test suite, the
 # race detector on the packages that exercise the lock-free machinery or
 # hammer shared metrics, the tagged fault-injection chaos suite, the
-# in-process daemon smoke, the perf regression gate, the project static
-# analyzers (cmd/sptrsvlint), the compiler gates, a short fuzzing pass
-# over the input parsers, and the vet and short tests of the benchmark
-# module, which `./...` does not reach.
+# coverage floors of the solver core, the execution substrate, the trace
+# and the lint packages, the in-process daemon smoke, the perf regression
+# gate, the project static analyzers (cmd/sptrsvlint), the compiler gates,
+# a short fuzzing pass over the input parsers, and the vet and short tests
+# of the benchmark module, which `./...` does not reach.
 
 GO ?= go
 
 .PHONY: ci vet build test race chaos cover bench-launch bench-json perfgate lint compilercheck lint-update fuzz-short daemon-smoke benchmark-module ab
 
-ci: vet build test race chaos daemon-smoke perfgate lint compilercheck fuzz-short benchmark-module
+ci: vet build test race chaos cover daemon-smoke perfgate lint compilercheck fuzz-short benchmark-module
 
 vet:
 	$(GO) vet ./...

@@ -251,8 +251,7 @@ func DefaultOptions(workers int) Options {
 // over the unpermuted matrix, as that leaf's storage. A whole serial leaf
 // under a level order keeps a copy of L's rows in that order instead.
 // Callers must not modify L while the solver is in use; new values on the
-// same pattern go through Solver.RefreshValues. Options.Auto has no
-// effect here.
+// same pattern go through Solver.RefreshValues.
 func Analyze[T Float](l *Matrix[T], opts Options) (*Solver[T], error) {
 	return block.Preprocess(l, opts)
 }

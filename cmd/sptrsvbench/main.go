@@ -35,7 +35,6 @@ func main() {
 		repeats    = flag.Int("repeats", 5, "timed solves per measurement (paper uses 200)")
 		warmup     = flag.Int("warmup", 1, "warmup solves before timing")
 		fit        = flag.Bool("fit", true, "fit kernel-selection thresholds on this machine first")
-		calibrate  = flag.Bool("calibrate", true, "per-block empirical kernel selection for the block solver")
 		csvDir     = flag.String("csvdir", "", "directory for machine-readable figure data (.csv); empty disables")
 		workersS   = flag.Int("workers-small", 0, "worker count of the small device (0 = 2/3 of GOMAXPROCS)")
 		workersL   = flag.Int("workers-large", 0, "worker count of the large device (0 = GOMAXPROCS)")
@@ -125,7 +124,6 @@ func main() {
 		Warmup:        *warmup,
 		Devices:       []exec.Device{devs[0], devs[1]},
 		FitThresholds: *fit,
-		Calibrate:     *calibrate,
 		CSVDir:        *csvDir,
 	}
 

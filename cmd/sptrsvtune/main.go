@@ -48,7 +48,6 @@ func main() {
 	row("SpMVScalarMaxNNZRow", def.SpMVScalarMaxNNZRow, fitted.SpMVScalarMaxNNZRow)
 	row("SpMVScalarDCSRMin", def.SpMVScalarDCSRMin, fitted.SpMVScalarDCSRMin)
 	row("SpMVVectorDCSRMin", def.SpMVVectorDCSRMin, fitted.SpMVVectorDCSRMin)
-	row("LaunchCost", def.LaunchCost, fitted.LaunchCost)
 
 	if *out != "" {
 		data, err := json.MarshalIndent(fitted, "", "  ")

@@ -5,8 +5,6 @@
 package adapt
 
 import (
-	"time"
-
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
@@ -109,15 +107,6 @@ type Thresholds struct {
 	SpMVScalarMaxNNZRow float64 // scalar kernels at or below, vector above
 	SpMVScalarDCSRMin   float64 // scalar: DCSR above this empty ratio
 	SpMVVectorDCSRMin   float64 // vector: DCSR above this empty ratio
-
-	// LaunchCost is the measured per-launch latency of the launcher the
-	// fit ran on (zero when unmeasured, as in the paper defaults). The
-	// cut points above implicitly encode a launch cost — the whole
-	// level-merging business exists to amortise it — so recording the
-	// measured value alongside them lets consumers (per-block
-	// calibration, the bench harness) price launch-bound schedules in
-	// absolute terms instead of assuming the GPU's.
-	LaunchCost time.Duration
 }
 
 // DefaultThresholds returns the paper's published cut points and a serial

@@ -204,9 +204,7 @@ func QuickFit(p exec.Launcher, rows, repeats int, seed int64) Thresholds {
 		[]int{1, 2, 4, 8, 16, 32, 64},
 		[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9},
 		repeats, seed+1)
-	th := FitThresholds(tri, spmv)
-	th.LaunchCost = exec.MeasureLaunchCost(p, 64)
-	return th
+	return FitThresholds(tri, spmv)
 }
 
 // FitThresholds derives machine-specific decision-tree cut points from

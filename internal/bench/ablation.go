@@ -12,7 +12,7 @@ import (
 )
 
 // Ablation measures the design choices DESIGN.md calls out: level-set
-// reordering, adaptive/calibrated kernel selection vs pinned kernels,
+// reordering, adaptive kernel selection vs pinned kernels,
 // DCSR vs CSR squares, vector vs scalar SpMV, recursion depth, and the
 // batched multi-rhs path vs looped single solves.
 func Ablation(w io.Writer, p Params) error {
@@ -37,7 +37,6 @@ func Ablation(w io.Writer, p Params) error {
 			o := block.Defaults(dev)
 			o.Pool = pool
 			o.Reorder = reorder
-			o.Calibrate = p.Calibrate
 			s, err := block.Preprocess(l, o)
 			if err != nil {
 				return err
@@ -49,19 +48,19 @@ func Ablation(w io.Writer, p Params) error {
 	}
 	t.write(w)
 
-	// 2. Kernel selection: adaptive+calibrated vs each pinned kernel.
+	// 2. Kernel selection: the shipped adaptive plan (Algorithm 7 with
+	// the serial floor) vs each pinned kernel.
 	fmt.Fprintf(w, "\n(b) per-block kernel selection vs pinned kernels\n\n")
 	l := gen.Representative6(p.Scale)[2].Build() // kkt_power-like
 	t = newTable("tri kernel policy", "solve ms")
 	{
 		o := block.Defaults(dev)
 		o.Pool = pool
-		o.Calibrate = true
 		s, err := block.Preprocess(l, o)
 		if err != nil {
 			return err
 		}
-		t.add("calibrated (this work)", ms(timeSolve(s, l)))
+		t.add("adaptive (this work)", ms(timeSolve(s, l)))
 	}
 	for _, tk := range []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial} {
 		o := block.Defaults(dev)
@@ -126,7 +125,6 @@ func Ablation(w io.Writer, p Params) error {
 		for depth := 0; depth <= 4; depth++ {
 			o := block.Defaults(dev)
 			o.Pool = pool
-			o.Calibrate = p.Calibrate
 			o.Thresholds = paperTree()
 			o.MinBlockRows = 1
 			o.MaxDepth = depth
@@ -151,7 +149,6 @@ func Ablation(w io.Writer, p Params) error {
 		lm := e.Build()
 		o := block.Defaults(dev)
 		o.Pool = pool
-		o.Calibrate = p.Calibrate
 		s, err := block.Preprocess(lm, o)
 		if err != nil {
 			return err

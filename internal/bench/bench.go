@@ -35,11 +35,6 @@ type Params struct {
 	// before running the comparisons (the paper's own methodology: its
 	// thresholds come from a 373k-sample sweep on the benchmark GPU).
 	FitThresholds bool
-	// Calibrate turns on per-block empirical kernel selection for the
-	// block solver (block.Options.Calibrate) — the strongest form of the
-	// paper's adaptive approach on a substrate whose crossover points
-	// differ from the GPUs the published thresholds came from.
-	Calibrate bool
 	// CSVDir, when non-empty, receives machine-readable .csv files with
 	// the data behind each figure (fig4, fig6, fig7).
 	CSVDir string
@@ -54,7 +49,6 @@ func DefaultParams() Params {
 		Warmup:        1,
 		Devices:       []exec.Device{d[0], d[1]},
 		FitThresholds: true,
-		Calibrate:     true,
 	}
 }
 
@@ -126,6 +120,17 @@ func gflopsOf(nnz int, d time.Duration) float64 {
 		return 0
 	}
 	return 2 * float64(nnz) / d.Seconds() / 1e9
+}
+
+// deviceThresholds are the thresholds the corpus experiments run on dev:
+// the defaults, or with FitThresholds a fit on a pool of dev's own.
+func deviceThresholds(dev exec.Device, p Params) adapt.Thresholds {
+	if !p.FitThresholds {
+		return adapt.DefaultThresholds()
+	}
+	pool := dev.Pool()
+	defer exec.CloseLauncher(pool)
+	return fitThresholdsFor(pool, p)
 }
 
 // fitThresholdsFor runs a reduced Figure-5 sweep on the device and fits

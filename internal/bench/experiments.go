@@ -317,13 +317,7 @@ func comparedAlgorithms() []string {
 func runCorpus(dev exec.Device, entries []gen.Entry, p Params, th adapt.Thresholds) ([]map[string]Measurement, error) {
 	pool := dev.Pool()
 	defer exec.CloseLauncher(pool)
-	cfg := core.Config{Device: dev, Pool: pool}
-	bo := block.Defaults(dev)
-	bo.Pool = pool
-	bo.Thresholds = th
-	bo.Calibrate = p.Calibrate
-	bo.Auto = p.Calibrate
-	cfg.Block = &bo
+	cfg := corpusConfig(dev, pool, th)
 	var out []map[string]Measurement
 	for _, e := range entries {
 		l := e.Build()
@@ -340,19 +334,23 @@ func runCorpus(dev exec.Device, entries []gen.Entry, p Params, th adapt.Threshol
 	return out, nil
 }
 
+// corpusConfig is the registry configuration of runCorpus: the block
+// algorithm runs the options DefaultOptions ships (block.Defaults) on the
+// run's pool, with the run's thresholds.
+func corpusConfig(dev exec.Device, pool exec.Launcher, th adapt.Thresholds) core.Config {
+	bo := block.Defaults(dev)
+	bo.Pool = pool
+	bo.Thresholds = th
+	return core.Config{Device: dev, Pool: pool, Block: &bo}
+}
+
 // Figure6 reproduces Figure 6: per-matrix GFlops of the three methods on
 // each device, plus the speedup summary of §4.2.
 func Figure6(w io.Writer, p Params) error {
 	entries := gen.Corpus(p.Scale)
 	csvRows := [][]string{{"device", "matrix", "group", "n", "nnz", "algorithm", "prep_ms", "solve_ms", "gflops"}}
 	for _, dev := range p.Devices {
-		th := adapt.DefaultThresholds()
-		if p.FitThresholds {
-			fitPool := dev.Pool()
-			th = fitThresholdsFor(fitPool, p)
-			exec.CloseLauncher(fitPool)
-		}
-		res, err := runCorpus(dev, entries, p, th)
+		res, err := runCorpus(dev, entries, p, deviceThresholds(dev, p))
 		if err != nil {
 			return err
 		}
@@ -472,14 +470,8 @@ func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
 // speedups, on the larger device.
 func Table4(w io.Writer, p Params) error {
 	dev := p.Devices[len(p.Devices)-1]
-	th := adapt.DefaultThresholds()
-	if p.FitThresholds {
-		fitPool := dev.Pool()
-		th = fitThresholdsFor(fitPool, p)
-		exec.CloseLauncher(fitPool)
-	}
 	entries := gen.Representative6(p.Scale)
-	res, err := runCorpus(dev, entries, p, th)
+	res, err := runCorpus(dev, entries, p, deviceThresholds(dev, p))
 	if err != nil {
 		return err
 	}
@@ -504,14 +496,8 @@ func Table4(w io.Writer, p Params) error {
 // amortised totals for 100/500/1000 iterations, averaged over the corpus.
 func Table5(w io.Writer, p Params) error {
 	dev := p.Devices[len(p.Devices)-1]
-	th := adapt.DefaultThresholds()
-	if p.FitThresholds {
-		fitPool := dev.Pool()
-		th = fitThresholdsFor(fitPool, p)
-		exec.CloseLauncher(fitPool)
-	}
 	entries := gen.Corpus(p.Scale)
-	res, err := runCorpus(dev, entries, p, th)
+	res, err := runCorpus(dev, entries, p, deviceThresholds(dev, p))
 	if err != nil {
 		return err
 	}
@@ -527,31 +513,6 @@ func Table5(w io.Writer, p Params) error {
 		prep /= float64(len(res))
 		solve /= float64(len(res))
 		t.add(name, f2(prep), f2(solve),
-			f2(prep+100*solve), f2(prep+500*solve), f2(prep+1000*solve))
-	}
-	// A fourth row isolates the paper's preprocessing (threshold-driven,
-	// no auto-variant search, no per-block calibration) from the extra
-	// self-tuning this implementation adds on top.
-	{
-		pool := dev.Pool()
-		defer exec.CloseLauncher(pool)
-		cfg := core.Config{Device: dev, Pool: pool}
-		bo := block.Defaults(dev)
-		bo.Pool = pool
-		bo.Thresholds = th
-		cfg.Block = &bo
-		var prep, solve float64
-		for _, e := range entries {
-			m, err := measure(core.BlockRecursive, dev, pool, e.Build(), e, cfg, p)
-			if err != nil {
-				return err
-			}
-			prep += m.Preprocess.Seconds() * 1e3
-			solve += m.Solve.Seconds() * 1e3
-		}
-		prep /= float64(len(entries))
-		solve /= float64(len(entries))
-		t.add("block (plain prep)", f2(prep), f2(solve),
 			f2(prep+100*solve), f2(prep+500*solve), f2(prep+1000*solve))
 	}
 	t.write(w)

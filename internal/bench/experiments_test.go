@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
+	"github.com/sss-lab/blocksptrsv/internal/block"
+	"github.com/sss-lab/blocksptrsv/internal/core"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
+	"github.com/sss-lab/blocksptrsv/internal/gen"
 )
 
 // fullParams exercises every code path of the heavy experiments at the
-// smallest usable scale: two (tiny) devices, fitted thresholds,
-// calibration and CSV output.
+// smallest usable scale: two (tiny) devices and CSV output.
 func fullParams(t *testing.T) Params {
 	t.Helper()
 	return Params{
@@ -22,7 +24,6 @@ func fullParams(t *testing.T) Params {
 		Warmup:        0,
 		Devices:       []exec.Device{{Name: "covS", Workers: 2, BlockFactor: 64}, {Name: "covL", Workers: 3, BlockFactor: 64}},
 		FitThresholds: false,
-		Calibrate:     true,
 		CSVDir:        t.TempDir(),
 	}
 }
@@ -54,7 +55,7 @@ func TestFigure7WithCSV(t *testing.T) {
 	}
 }
 
-func TestFigure6WithCSVAndCalibration(t *testing.T) {
+func TestFigure6WithCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
@@ -75,6 +76,37 @@ func TestFigure6WithCSVAndCalibration(t *testing.T) {
 	// 3 algorithms per corpus matrix plus the header.
 	if lines < 30 {
 		t.Fatalf("fig6.csv has %d lines", lines)
+	}
+}
+
+// TestCorpusBlockIsShippedPlan: the block column of the corpus
+// experiments (Figure 6, Tables 4 and 5), built as runCorpus builds it
+// from DefaultParams without the threshold fit, explains byte for byte
+// as block.Preprocess under block.Defaults on the same pool. So no figure
+// measures an option that DefaultOptions does not set.
+func TestCorpusBlockIsShippedPlan(t *testing.T) {
+	p := DefaultParams()
+	p.FitThresholds = false
+	for _, dev := range p.Devices {
+		pool := dev.Pool()
+		defer exec.CloseLauncher(pool)
+		cfg := corpusConfig(dev, pool, deviceThresholds(dev, p))
+		o := block.Defaults(dev)
+		o.Pool = pool
+		for _, e := range gen.Representative6(p.Scale) {
+			l := e.Build()
+			got, err := core.New(core.BlockRecursive, l, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := block.Preprocess(l, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := got.(*block.Solver[float64]).Explain(), want.Explain(); g != w {
+				t.Errorf("%s on %s: the corpus runs\n%s\nthe shipped plan is\n%s", e.Name, dev.Name, g, w)
+			}
+		}
 	}
 }
 

@@ -293,8 +293,7 @@ func sampleSolver(s core.Solver[float64], b, x []float64, warmup, repeats int) [
 // RunSuite measures the fixed-seed suite corpus with the three compared
 // algorithms and returns the machine-readable report. Determinism is
 // favoured over peak numbers: default thresholds (the paper's cut points
-// under the serial floor, no per-machine fitting), no per-block
-// calibration, a single device.
+// under the serial floor, no per-machine fitting) and a single device.
 func RunSuite(cfg SuiteConfig) (*BenchReport, error) {
 	cfg = cfg.withDefaults()
 	dev := xexec.DefaultDevices()[1]

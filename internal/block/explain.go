@@ -78,8 +78,8 @@ func serialForm[T sparse.Float](tb *triBlock[T]) string {
 func (ses *Session[T]) Explain() string { return ses.s.Explain() }
 
 // treeFloor is the serial floor the decision tree compared each
-// triangular block with, or "n/a" when kernels were forced, timed by the
-// calibrator, or read from a saved plan (which stores no thresholds).
+// triangular block with, or "n/a" when kernels were forced or read from a
+// saved plan (which stores no thresholds).
 func treeFloor(o Options) string {
 	if !o.treeSelects() || o.Thresholds == (adapt.Thresholds{}) {
 		return "n/a"

@@ -17,7 +17,7 @@ import (
 // (EXPERIMENTS.md, "Why the block solver lost on deep"). Each case
 // reports its work/level, so the crossover where a parallel kernel first
 // beats serial can be re-measured on another host. The serial case runs
-// the CSC scatter, the form of forced, calibrated and paper-tree plans;
+// the CSC scatter, the form of forced and paper-tree plans;
 // the serial-csr case solves the same leaf as a CSR gather
 // (kernels.SerialSolveCSR), the form of every serial leaf the walk makes.
 // serial-csr calls the kernel directly, so unlike the others it skips

@@ -122,22 +122,6 @@ type Options struct {
 	// component and its remaining dependency count. Zero disables the
 	// watchdog. Plain Solve and SolveBatch are never watched.
 	StallTimeout time.Duration
-
-	// Calibrate replaces threshold-based kernel selection with per-block
-	// measurements after preprocessing: every applicable kernel is timed
-	// on every block and the fastest wins (see Solver.CalibrateKernels).
-	// Costs CalibrateRepeats × kernels solves per block at preprocessing.
-	Calibrate bool
-	// CalibrateRepeats is the best-of-N repeat count; <=0 means 2.
-	CalibrateRepeats int
-	// Auto is read only by the algorithm registry's constructor
-	// (internal/core's New, behind the bench harness's -calibrate), which
-	// then routes construction through PreprocessAuto: a few candidate
-	// configurations (as-given, no-reorder, single-triangle) are timed and
-	// the fastest kept, so that solver is never slower than the best
-	// single whole-matrix kernel. Preprocess ignores it, and so does the
-	// public Analyze.
-	Auto bool
 }
 
 // Defaults returns the paper-recommended configuration for a device. The
@@ -156,9 +140,9 @@ func Defaults(dev exec.Device) Options {
 }
 
 // treeSelects reports whether Algorithm 7's thresholds choose the
-// triangular kernels: adaptive (or TriAuto) and not calibrated.
+// triangular kernels: adaptive, or TriAuto forced.
 func (o Options) treeSelects() bool {
-	return (o.Adaptive || o.ForceTri == kernels.TriAuto) && !o.Calibrate
+	return o.Adaptive || o.ForceTri == kernels.TriAuto
 }
 
 // floorOn reports whether the serial floor is on: the thresholds choose

@@ -329,8 +329,8 @@ func sizeOnlyPerm(t *testing.T, l *sparse.CSR[float64], o Options) []int {
 	return total
 }
 
-// TestFloorZeroKeepsPaperTree: without the serial floor (floor 0, forced
-// kernels, calibration) the recursive partition is the paper's size-only
+// TestFloorZeroKeepsPaperTree: without the serial floor (floor 0 or
+// forced kernels) the recursive partition is the paper's size-only
 // tree bit for bit over the conformance corpus: the same specs in the
 // same order, empty squares included, the same permutation and, where
 // the thresholds choose them, the same kernels.
@@ -342,11 +342,10 @@ func TestFloorZeroKeepsPaperTree(t *testing.T) {
 			{Kind: Recursive, MinBlockRows: 50, Adaptive: true, Thresholds: paperThresholds()},
 			{Kind: Recursive, MinBlockRows: 1, MaxDepth: 3, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
 			{Kind: Recursive, MinBlockRows: 16, Reorder: true, ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVVectorCSR},
-			{Kind: Recursive, MinBlockRows: 32, Reorder: true, Adaptive: true, Calibrate: true, CalibrateRepeats: 1},
 		} {
 			o.Pool = pool
-			name := fmt.Sprintf("%s minrows=%d maxdepth=%d reorder=%v force=%v calibrate=%v",
-				m.name, o.MinBlockRows, o.MaxDepth, o.Reorder, o.ForceTri, o.Calibrate)
+			name := fmt.Sprintf("%s minrows=%d maxdepth=%d reorder=%v force=%v",
+				m.name, o.MinBlockRows, o.MaxDepth, o.Reorder, o.ForceTri)
 			s, err := Preprocess(m.l, o)
 			if err != nil {
 				t.Fatal(err)
@@ -374,9 +373,6 @@ func TestFloorZeroKeepsPaperTree(t *testing.T) {
 			}
 			if !reflect.DeepEqual(s.Perm(), wantPerm) {
 				t.Fatalf("%s: permutation differs from the size-only reorder", name)
-			}
-			if o.Calibrate {
-				continue // the calibrator times the kernels
 			}
 			for i := range s.tris {
 				tb := &s.tris[i]

@@ -81,9 +81,9 @@ func serialLeaves(t *testing.T) []serialLeaf {
 
 // TestSizeStoppedSerialLeafGathers: with the serial floor on, Algorithm 7
 // also decides a range the size rule stops, so serialLeaves' banded
-// matrix under the default options with MinBlockRows above its rows (the
-// single triangle of PreprocessAuto's safety net) is one stop=serial
-// gather leaf solved in place, not the CSC scatter of a forced plan.
+// matrix under the default options with MinBlockRows above its rows (a
+// single triangle) is one stop=serial gather leaf solved in place, not
+// the CSC scatter of a forced plan.
 func TestSizeStoppedSerialLeafGathers(t *testing.T) {
 	l := gen.Banded(16_000, 128, 1, 31)
 	o := Defaults(exec.Device{Name: "test", Workers: 2, BlockFactor: 1024})

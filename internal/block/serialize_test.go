@@ -22,13 +22,10 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 	for name, l := range testMatrices() {
 		// The paper's tree stores the parallel kernels' state; the default
 		// floor stores serial leaves.
-		for _, cfg := range []struct {
-			cal bool
-			th  adapt.Thresholds
-		}{{false, paperThresholds()}, {false, adapt.DefaultThresholds()}, {true, adapt.DefaultThresholds()}} {
+		for _, th := range []adapt.Thresholds{paperThresholds(), adapt.DefaultThresholds()} {
 			s, err := Preprocess(l, Options{
 				Pool: pool, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true, Thresholds: cfg.th, Calibrate: cfg.cal,
+				Reorder: true, Adaptive: true, Thresholds: th,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +57,7 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 			back.Solve(b, x2)
 			for i := range x1 {
 				if !closeEnough(x1[i], x2[i]) {
-					t.Fatalf("%s cal=%v floor=%d: loaded solver differs at %d: %g vs %g", name, cfg.cal, cfg.th.TriParallelMinWork, i, x1[i], x2[i])
+					t.Fatalf("%s floor=%d: loaded solver differs at %d: %g vs %g", name, th.TriParallelMinWork, i, x1[i], x2[i])
 				}
 			}
 			// Batch path survives the round trip too; compare against the
@@ -74,7 +71,7 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 			back.SolveBatch(packed, out2, k)
 			for i := range out1 {
 				if !closeEnough(out1[i], out2[i]) {
-					t.Fatalf("%s cal=%v floor=%d: batch after load differs at %d", name, cfg.cal, cfg.th.TriParallelMinWork, i)
+					t.Fatalf("%s floor=%d: batch after load differs at %d", name, th.TriParallelMinWork, i)
 				}
 			}
 		}

@@ -137,8 +137,7 @@ type Solver[T sparse.Float] struct {
 // and the matrix is not permuted: unpermuted, the leaf is L itself;
 // under a level order, single-RHS solves walk a copy of L's rows in that
 // order, with L's column indices (kernels.SerialSolveCSROrdered), and
-// batch solves walk L. Forced, calibrated and floor-0 plans keep the
-// scatter.
+// batch solves walk L. Forced and floor-0 plans keep the scatter.
 //
 // The solver keeps a reference to L: for residual verification and the
 // serial fallback, and, when the plan is one whole gather leaf, as that
@@ -209,13 +208,6 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 	}
 	s.inPlace = s.onlyGatherLeaf()
 	s.own = s.newSession()
-	if o.Calibrate {
-		reps := o.CalibrateRepeats
-		if reps <= 0 {
-			reps = 2
-		}
-		s.CalibrateKernels(reps)
-	}
 	if o.Trace != nil {
 		s.SetTrace(o.Trace)
 	}
@@ -324,11 +316,11 @@ func (s *Solver[T]) SetTrace(r *trace.StepRecorder) {
 		if m.Tri {
 			tb := &s.tris[st.idx]
 			kind, m.Rows, m.Cols = "tri", int32(tb.hi-tb.lo), int32(tb.hi-tb.lo)
-			m.NNZ, m.Levels = int32(tb.nnz()), int32(tb.feats.NLevels)
+			m.NNZ, m.Levels, m.Kernel = int32(tb.nnz()), int32(tb.feats.NLevels), uint8(tb.kernel)
 		} else {
 			sb := &s.sqs[st.idx]
 			m.Rows, m.Cols = int32(sb.spec.rowHi-sb.spec.rowLo), int32(sb.spec.colHi-sb.spec.colLo)
-			m.NNZ = int32(sb.feats.NNZ)
+			m.NNZ, m.Kernel = int32(sb.feats.NNZ), uint8(sb.kernel)
 		}
 		s.meta[si] = m
 		s.labels[si] = pprof.WithLabels(context.Background(), pprof.Labels(
@@ -360,7 +352,7 @@ func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Option
 		// caller forced; the kernels are semantically identical here and
 		// this one never loses.
 		tb.kernel = kernels.TriCompletelyParallel
-	case o.Adaptive || o.ForceTri == kernels.TriAuto:
+	case o.treeSelects():
 		tb.kernel = o.Thresholds.SelectTri(tb.feats)
 	case o.ForceTri == kernels.TriCompletelyParallel:
 		return triBlock[T]{}, fmt.Errorf("block: cannot force completely-parallel kernel on block %v with %d levels", spec, tb.feats.NLevels)
@@ -677,7 +669,6 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 		if s.labels != nil {
 			pprof.SetGoroutineLabels(s.labels[si])
 		}
-		var kernel uint8
 		if st.kind == triSeg {
 			if faultinject.Enabled {
 				faultinject.PanicAt("tri-block", st.idx)
@@ -687,7 +678,6 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 				break
 			}
 			mTriCalls[tb.kernel].Inc()
-			kernel = uint8(tb.kernel)
 		} else {
 			sb := &s.sqs[st.idx]
 			xs, ws := xp[sb.spec.colLo*k:sb.spec.colHi*k], w[sb.spec.rowLo*k:sb.spec.rowHi*k]
@@ -698,7 +688,6 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 			}
 			g.Step()
 			mSpMVCalls[sb.kernel].Inc()
-			kernel = uint8(sb.kernel)
 		}
 		if timed {
 			d := time.Since(t0)
@@ -712,7 +701,7 @@ func (ses *Session[T]) run(b, x []T, k int, g *exec.Guard, sid int64) bool {
 				}
 			}
 			if rec != nil {
-				trace.RecordStep(rec, sid, si, s.meta[si], kernel, t0, d)
+				trace.RecordStep(rec, sid, si, s.meta[si], t0, d)
 			}
 		}
 	}

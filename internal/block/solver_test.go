@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
@@ -784,5 +785,236 @@ func TestRefreshValuesRejectsStructureMismatch(t *testing.T) {
 	}
 	if err := s.RefreshValues(gen.SerialChain(500, 0.1, 862)); err == nil {
 		t.Fatal("wrong-size matrix accepted")
+	}
+}
+
+// TestOptionSpaceFuzz sweeps random option combinations through the whole
+// pipeline: whatever the configuration, Preprocess either returns an error
+// or a solver whose solution matches the oracle. About a third of the
+// cases select with the paper's tree (floor 0), so the size-only tree
+// with adaptive kernels keeps random coverage next to the default floor.
+func TestOptionSpaceFuzz(t *testing.T) {
+	pool := exec.NewPool(3)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 50 + rng.Intn(800)
+		var l = gen.Layered(n, 1+rng.Intn(60), 1+rng.Intn(6), rng.Float64()*0.5, seed)
+		o := Options{
+			Pool:         pool,
+			Kind:         Kind(rng.Intn(3)),
+			NSeg:         rng.Intn(10),
+			MinBlockRows: rng.Intn(300),
+			MaxDepth:     rng.Intn(8),
+			Reorder:      rng.Intn(2) == 0,
+			Adaptive:     rng.Intn(2) == 0,
+		}
+		if rng.Intn(3) == 0 {
+			o.Thresholds = paperThresholds()
+		}
+		if !o.Adaptive {
+			// Pick a runnable forced pair (completely-parallel cannot be
+			// forced onto blocks with dependencies).
+			tris := []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial}
+			spmvs := []kernels.SpMVKernel{kernels.SpMVScalarCSR, kernels.SpMVVectorCSR, kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR, kernels.SpMVSerial}
+			o.ForceTri = tris[rng.Intn(len(tris))]
+			o.ForceSpMV = spmvs[rng.Intn(len(spmvs))]
+		}
+		s, err := Preprocess(l, o)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		b := gen.RandVec(n, seed+1)
+		x := make([]float64, n)
+		s.Solve(b, x)
+		return residual(l, x, b) < 1e-8
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(902))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdaptiveKernelsAreConcrete: the decision tree resolves every block
+// to a kernel that runs, under the default floor and under the paper's
+// tree, and the plan solves.
+func TestAdaptiveKernelsAreConcrete(t *testing.T) {
+	for _, name := range []string{"layered", "powerlaw", "chain", "diag"} {
+		l := testMatrices()[name]
+		b := gen.RandVec(l.Rows, 50)
+		for _, th := range []adapt.Thresholds{adapt.DefaultThresholds(), paperThresholds()} {
+			s, err := Preprocess(l, Options{
+				Workers: 3, Kind: Recursive, MinBlockRows: 150, Reorder: true,
+				Adaptive: true, Thresholds: th,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, l.Rows)
+			s.Solve(b, x)
+			if r := residual(l, x, b); r > 1e-9 {
+				t.Fatalf("%s floor=%d: residual %g", name, th.TriParallelMinWork, r)
+			}
+			for k := range s.TriKernelCounts() {
+				switch k {
+				case kernels.TriCompletelyParallel, kernels.TriLevelSet,
+					kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial:
+				default:
+					t.Fatalf("%s floor=%d: the tree chose %v", name, th.TriParallelMinWork, k)
+				}
+			}
+			for k := range s.SpMVKernelCounts() {
+				switch k {
+				case kernels.SpMVScalarCSR, kernels.SpMVVectorCSR,
+					kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR, kernels.SpMVSerial:
+				default:
+					t.Fatalf("%s floor=%d: the tree chose spmv %v", name, th.TriParallelMinWork, k)
+				}
+			}
+		}
+	}
+}
+
+// TestBlocksKeepOnlyTheirKernelsStructures: Preprocess builds what each
+// block's kernel reads and nothing else: the sync-free counters for
+// sync-free blocks, the strict CSR and merged schedule for cuSPARSE-like
+// ones, either the scatter's strict CSC or a serial leaf's gather CSR,
+// and one format per square block.
+// The cases reach every kernel: the default floor's gather leaf, the
+// paper's tree (level-set and sync-free with CSR and DCSR squares) and
+// two forced pairs.
+func TestBlocksKeepOnlyTheirKernelsStructures(t *testing.T) {
+	layered := gen.Layered(2000, 40, 5, 0.2, 51)
+	chain := testMatrices()["chain"]
+	base := Options{Workers: 2, Kind: Recursive, MinBlockRows: 300, Reorder: true, Adaptive: true}
+	paper := base
+	paper.Thresholds = paperThresholds()
+	forced := func(tri kernels.TriKernel, spmv kernels.SpMVKernel) Options {
+		o := base
+		o.Adaptive, o.ForceTri, o.ForceSpMV = false, tri, spmv
+		return o
+	}
+	for _, c := range []struct {
+		name string
+		l    *sparse.CSR[float64]
+		o    Options
+	}{
+		{"layered default", layered, base},
+		{"layered paper", layered, paper},
+		{"chain paper", chain, paper},
+		{"layered cusparse/vector-dcsr", layered, forced(kernels.TriCuSparseLike, kernels.SpMVVectorDCSR)},
+		{"layered sync-free/vector-csr", layered, forced(kernels.TriSyncFree, kernels.SpMVVectorCSR)},
+	} {
+		s, err := Preprocess(c.l, c.o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range s.tris {
+			tb := &s.tris[i]
+			if (tb.kernel == kernels.TriSyncFree) != (tb.state != nil) {
+				t.Fatalf("%s tri %d (%v): sync-free state %v", c.name, i, tb.kernel, tb.state != nil)
+			}
+			cusparse := tb.kernel == kernels.TriCuSparseLike
+			if cusparse != (tb.strictCSR != nil) || cusparse != (tb.sched != nil) {
+				t.Fatalf("%s tri %d (%v): cusparse structures kept by the wrong kernel", c.name, i, tb.kernel)
+			}
+			if (tb.strictCSC == nil) == (tb.lower == nil) {
+				t.Fatalf("%s tri %d: keeps both or neither of the strict CSC and the gather CSR", c.name, i)
+			}
+			if tb.lower != nil && tb.kernel != kernels.TriSerial {
+				t.Fatalf("%s tri %d: gather CSR under %v", c.name, i, tb.kernel)
+			}
+		}
+		for i := range s.sqs {
+			sb := &s.sqs[i]
+			switch sb.kernel {
+			case kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR:
+				if sb.csr != nil || sb.dcsr == nil {
+					t.Fatalf("%s square %d: DCSR kernel kept CSR or lost DCSR", c.name, i)
+				}
+			default:
+				if sb.dcsr != nil || sb.csr == nil {
+					t.Fatalf("%s square %d: CSR kernel kept DCSR or lost CSR", c.name, i)
+				}
+			}
+		}
+		b := gen.RandVec(c.l.Rows, 52)
+		x := make([]float64, c.l.Rows)
+		s.Solve(b, x)
+		if r := residual(c.l, x, b); r > 1e-9 {
+			t.Fatalf("%s: residual %g", c.name, r)
+		}
+	}
+}
+
+// TestDiagonalPlanIsCompletelyParallel: under the shipped thresholds, the
+// serial floor included, every block of a diagonal matrix runs the
+// completely-parallel kernel.
+func TestDiagonalPlanIsCompletelyParallel(t *testing.T) {
+	l := gen.DiagonalOnly(1000, 1)
+	s, err := Preprocess(l, Options{
+		Workers: 2, Kind: Recursive, MinBlockRows: 100, Adaptive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := s.TriKernelCounts()
+	if len(counts) != 1 || counts[kernels.TriCompletelyParallel] == 0 {
+		t.Fatalf("diagonal kernel counts: %v", counts)
+	}
+}
+
+// TestPlanVariantsSolve: on one shared three-worker pool, every test
+// matrix solves under the recursive plan with level-set reordering, the
+// same partition without it, and a single un-split triangle.
+func TestPlanVariantsSolve(t *testing.T) {
+	pool := exec.NewPool(3)
+	for name, l := range testMatrices() {
+		reorder := Options{
+			Pool: pool, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true,
+		}
+		plain := reorder
+		plain.Reorder = false
+		unsplit := plain
+		unsplit.MinBlockRows = l.Rows + 1
+		b := gen.RandVec(l.Rows, 900)
+		for variant, o := range map[string]Options{"reorder": reorder, "no-reorder": plain, "unsplit": unsplit} {
+			s, err := Preprocess(l, o)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, variant, err)
+			}
+			if variant == "unsplit" && s.NumTriBlocks() != 1 {
+				t.Fatalf("%s unsplit: %d triangular blocks", name, s.NumTriBlocks())
+			}
+			x := make([]float64, l.Rows)
+			s.Solve(b, x)
+			if r := residual(l, x, b); r > 1e-9 {
+				t.Fatalf("%s %s: residual %g", name, variant, r)
+			}
+		}
+	}
+}
+
+// TestUnsplitDiagonalIsOneTriangle: a diagonal matrix whose block floor
+// exceeds its size is one triangle, its level order is the identity and
+// so recorded as no permutation, and it solves.
+func TestUnsplitDiagonalIsOneTriangle(t *testing.T) {
+	l := gen.DiagonalOnly(500, 1)
+	s, err := Preprocess(l, Options{
+		Workers: 2, Kind: Recursive, MinBlockRows: 1 << 30, Reorder: true, Adaptive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumTriBlocks() != 1 {
+		t.Fatalf("expected single triangle, got %d", s.NumTriBlocks())
+	}
+	if s.Perm() != nil {
+		t.Fatal("identity level order recorded as a permutation")
+	}
+	b := gen.RandVec(500, 901)
+	x := make([]float64, 500)
+	s.Solve(b, x)
+	if r := residual(l, x, b); r > 1e-12 {
+		t.Fatalf("residual %g", r)
 	}
 }

@@ -148,6 +148,16 @@ func TestTraceRecordsGeometry(t *testing.T) {
 		if step.Kind == "tri" && (step.Cols != step.Rows || step.Levels < 1) {
 			t.Fatalf("malformed tri step: %+v", step)
 		}
+		// SetTrace copies each block's kernel into the step's meta.
+		var want string
+		if step.Kind == "tri" {
+			want = s.tris[step.Block].kernel.String()
+		} else {
+			want = s.sqs[step.Block].kernel.String()
+		}
+		if step.Kernel != want {
+			t.Fatalf("step %d records kernel %s, its block runs %s", step.Step, step.Kernel, want)
+		}
 		if step.Solve != 1 {
 			t.Fatalf("step of solve %d, want 1", step.Solve)
 		}
@@ -228,15 +238,11 @@ func TestExplainStable(t *testing.T) {
 		t.Fatal("Session.Explain differs from Solver.Explain")
 	}
 	// The floor is shown only where the decision tree chose the kernels:
-	// not for forced or calibrated kernels, nor for a reloaded plan.
+	// not for forced kernels, nor for a reloaded plan.
 	others := map[string]*Solver[float64]{}
-	for name, o := range map[string]Options{
-		"forced":     {Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, ForceTri: kernels.TriSyncFree},
-		"calibrated": {Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true, Calibrate: true, CalibrateRepeats: 1},
-	} {
-		if others[name], err = Preprocess(l, o); err != nil {
-			t.Fatal(err)
-		}
+	forced := Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, ForceTri: kernels.TriSyncFree}
+	if others["forced"], err = Preprocess(l, forced); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if _, err := s1.WriteTo(&buf); err != nil {

@@ -43,25 +43,25 @@ type Step struct {
 	Duration time.Duration
 }
 
-// StepMeta is the static half of a step record: block geometry, which a
-// solver computes once per plan step when a recorder is attached, so the
-// hot path copies instead of recomputing. The kernel is passed at record
-// time instead: per-block calibration may change it after preprocessing.
+// StepMeta is the static half of a step record: block geometry and
+// kernel, which a solver computes once per plan step when a recorder is
+// attached, so the hot path copies instead of recomputing.
 type StepMeta struct {
 	Block, Rows, Cols, NNZ, Levels int32
 	// Tri is true for a triangular solve, false for an SpMV update.
 	Tri bool
+	// Kernel is a kernels.TriKernel or kernels.SpMVKernel, per Tri.
+	Kernel uint8
 }
 
 // stepRec is the compact in-ring form of a step; Step values are
 // materialised only on export, keeping RecordStep copy-only.
 type stepRec struct {
 	StepMeta
-	solve  int64
-	start  int64 // ns since origin
-	dur    int64 // ns
-	step   int32
-	kernel uint8 // a kernels.TriKernel or kernels.SpMVKernel, per Tri
+	solve int64
+	start int64 // ns since origin
+	dur   int64 // ns
+	step  int32
 }
 
 // StepRecorder is a bounded, concurrency-safe ring of solve steps. One
@@ -91,17 +91,16 @@ func NewStepRecorder(capacity int) *StepRecorder {
 func BeginSolve(r *StepRecorder) int64 { return r.solves.Add(1) }
 
 // RecordStep appends one step of solve to r: plan step index step, its
-// geometry m, the kernel that ran it, and its start and wall time.
+// geometry and kernel m, and its start and wall time.
 //
 //sptrsv:hotpath
-func RecordStep(r *StepRecorder, solve int64, step int, m StepMeta, kernel uint8, start time.Time, dur time.Duration) {
+func RecordStep(r *StepRecorder, solve int64, step int, m StepMeta, start time.Time, dur time.Duration) {
 	r.add(stepRec{
 		StepMeta: m,
 		solve:    solve,
 		start:    start.Sub(origin).Nanoseconds(),
 		dur:      dur.Nanoseconds(),
 		step:     int32(step),
-		kernel:   kernel,
 	})
 }
 
@@ -119,10 +118,10 @@ func (rec stepRec) export() Step {
 	}
 	if rec.Tri {
 		st.Kind = "tri"
-		st.Kernel = kernels.TriKernel(rec.kernel).String()
+		st.Kernel = kernels.TriKernel(rec.Kernel).String()
 	} else {
 		st.Kind = "spmv"
-		st.Kernel = kernels.SpMVKernel(rec.kernel).String()
+		st.Kernel = kernels.SpMVKernel(rec.Kernel).String()
 	}
 	return st
 }

@@ -14,10 +14,10 @@ import (
 // and a vector-CSR square update — starting at start.
 func recordSolve(r *StepRecorder, start time.Time) int64 {
 	sid := BeginSolve(r)
-	RecordStep(r, sid, 0, StepMeta{Tri: true, Block: 0, Rows: 64, Cols: 64, NNZ: 200, Levels: 5},
-		uint8(kernels.TriLevelSet), start, 3*time.Microsecond)
-	RecordStep(r, sid, 1, StepMeta{Block: 0, Rows: 64, Cols: 64, NNZ: 90},
-		uint8(kernels.SpMVVectorCSR), start.Add(3*time.Microsecond), time.Microsecond)
+	RecordStep(r, sid, 0, StepMeta{Tri: true, Block: 0, Rows: 64, Cols: 64, NNZ: 200, Levels: 5,
+		Kernel: uint8(kernels.TriLevelSet)}, start, 3*time.Microsecond)
+	RecordStep(r, sid, 1, StepMeta{Block: 0, Rows: 64, Cols: 64, NNZ: 90,
+		Kernel: uint8(kernels.SpMVVectorCSR)}, start.Add(3*time.Microsecond), time.Microsecond)
 	return sid
 }
 

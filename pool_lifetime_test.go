@@ -74,9 +74,7 @@ func TestDroppedSolversReleasePools(t *testing.T) {
 	start := settledGoroutines(-1)
 
 	for i := 0; i < 4; i++ {
-		opts := sptrsv.DefaultOptions(workers)
-		opts.Auto = i%2 == 1 // PreprocessAuto's losing candidates own pools too
-		s, err := sptrsv.Analyze(l, opts)
+		s, err := sptrsv.Analyze(l, sptrsv.DefaultOptions(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
