@@ -65,7 +65,7 @@ func BenchmarkTable1Table2Traffic(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			var s *block.Solver[float64]
 			for i := 0; i < b.N; i++ {
-				o := block.Options{Workers: 2, Kind: kind, Adaptive: true, MinBlockRows: 1}
+				o := block.Options{Workers: 2, Kind: kind, MinBlockRows: 1}
 				if kind == block.Recursive {
 					o.MaxDepth = 4
 				} else {
@@ -101,7 +101,7 @@ func BenchmarkFig4SpMVPhase(b *testing.B) {
 				name := fmt.Sprintf("%s/%s/parts=%d", entry.name, kind, 1<<x)
 				b.Run(name, func(b *testing.B) {
 					o := block.Options{
-						Pool: benchDevice().Pool(), Kind: kind, Adaptive: true,
+						Pool: benchDevice().Pool(), Kind: kind,
 						Reorder: kind == block.Recursive, MinBlockRows: 1, Instrument: true,
 					}
 					if kind == block.Recursive {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	sptrsv "github.com/sss-lab/blocksptrsv"
+	"github.com/sss-lab/blocksptrsv/internal/kernels"
 )
 
 // buildRandomLower assembles a well-conditioned lower-triangular system
@@ -197,7 +198,8 @@ func TestDefaultOptionsWorkerOverride(t *testing.T) {
 	if o.Workers != 3 {
 		t.Fatalf("workers: %d", o.Workers)
 	}
-	if o.Kind != sptrsv.Recursive || !o.Reorder || !o.Adaptive {
+	forced := o.ForceTri != kernels.TriAuto || o.ForceSpMV != kernels.SpMVAuto
+	if o.Kind != sptrsv.Recursive || !o.Reorder || forced {
 		t.Fatalf("defaults not paper defaults: %+v", o)
 	}
 }

@@ -36,7 +36,6 @@ func guardOptions(opts *sptrsv.Options, tol float64) {
 	}
 	opts.Validate = true
 	opts.VerifyResidual = tol
-	opts.Refine = true
 }
 
 func main() {

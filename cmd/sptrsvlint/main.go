@@ -144,9 +144,9 @@ func runCompiler(dir string, update bool, pkgs []string, stdout, stderr io.Write
 		res      lint.GateResult
 		fail, ok string
 	}{
-		{"bce", lint.CheckBCE(funcs, bceAllow), "hot-path function(s) over budget (see DESIGN.md §6.9)",
+		{"bce", lint.CheckBCE(funcs, bceAllow), "over-budget hot-path function(s) or allowlist entries for gone ones (see DESIGN.md §6.9)",
 			fmt.Sprintf("%d hot-path function(s) within budget", len(funcs))},
-		{"inl", lint.CheckInl(funcs, inlAllow), "hot-path function(s) not inlining (see DESIGN.md §6.13)",
+		{"inl", lint.CheckInl(funcs, inlAllow), "non-inlining hot-path function(s) or allowlist entries for gone ones (see DESIGN.md §6.13)",
 			fmt.Sprintf("%d/%d hot-path function(s) inline (rest allowlisted)", inlined, len(funcs))},
 		{"escape", lint.CheckEscapes(funcs), "unsanctioned heap escape(s) in hot-path functions (see DESIGN.md §6.13)",
 			fmt.Sprintf("no unsanctioned hot-path escapes (%d sanctioned, %d suppressed)", sanctioned, suppressed)},

@@ -73,7 +73,6 @@ func TestUpperSolveContextVerified(t *testing.T) {
 	u := buildRandomUpper(800, 0.01, 73)
 	opts := validatedOptions(3)
 	opts.VerifyResidual = 1e-9
-	opts.Refine = true
 	s, err := sptrsv.AnalyzeUpper(u, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,6 @@ func TestLUSolverSolveContextAndLengthChecks(t *testing.T) {
 	}
 	opts := validatedOptions(2)
 	opts.VerifyResidual = 1e-8
-	opts.Refine = true
 	s, err := sptrsv.NewLUSolver(l, u, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,6 @@ func Ablation(w io.Writer, p Params) error {
 	for _, tk := range []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial} {
 		o := block.Defaults(dev)
 		o.Pool = pool
-		o.Adaptive = false
 		o.ForceTri = tk
 		o.ForceSpMV = kernels.SpMVScalarCSR
 		s, err := block.Preprocess(l, o)
@@ -84,7 +83,6 @@ func Ablation(w io.Writer, p Params) error {
 	for _, sk := range []kernels.SpMVKernel{kernels.SpMVScalarCSR, kernels.SpMVScalarDCSR} {
 		o := block.Defaults(dev)
 		o.Pool = pool
-		o.Adaptive = false
 		o.ForceTri = kernels.TriSyncFree
 		o.ForceSpMV = sk
 		s, err := block.Preprocess(lpl, o)

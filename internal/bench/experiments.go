@@ -95,7 +95,7 @@ func trafficTable(w io.Writer, p Params, title string,
 	v := newTable("method", "parts", "measured", "formula", "match")
 	for _, kind := range []block.Kind{block.ColumnBlock, block.RowBlock, block.Recursive} {
 		for _, x := range []int{1, 2, 3, 4} {
-			o := block.Options{Workers: 1, Kind: kind, Adaptive: true, MinBlockRows: 1, Thresholds: paperTree()}
+			o := block.Options{Workers: 1, Kind: kind, MinBlockRows: 1, Thresholds: paperTree()}
 			if kind == block.Recursive {
 				o.MaxDepth = x
 			} else {
@@ -175,7 +175,7 @@ func Figure4(w io.Writer, p Params) error {
 			row := []string{fmt.Sprint(parts)}
 			for _, kind := range []block.Kind{block.ColumnBlock, block.RowBlock, block.Recursive} {
 				o := block.Options{
-					Pool: pool, Kind: kind, Adaptive: true, Reorder: kind == block.Recursive,
+					Pool: pool, Kind: kind, Reorder: kind == block.Recursive,
 					MinBlockRows: 1, Instrument: true, Thresholds: paperTree(),
 				}
 				if kind == block.Recursive {

@@ -22,7 +22,7 @@ func TestSolveBatchContextMatchesSolveBatch(t *testing.T) {
 		for _, k := range []int{1, 3, 6} {
 			s, err := Preprocess(l, Options{
 				Workers: 1, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true, Thresholds: paperThresholds(),
+				Reorder: true, Thresholds: paperThresholds(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -50,7 +50,7 @@ func TestSolveBatchContextMatchesSolveBatch(t *testing.T) {
 
 func TestSolveBatchContextArgErrors(t *testing.T) {
 	l := gen.Layered(300, 10, 4, 0, 211)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSolveBatchContextArgErrors(t *testing.T) {
 
 func TestSolveBatchContextCancelled(t *testing.T) {
 	l := gen.Layered(2000, 40, 8, 0.1, 212)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 200, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSolveBatchContextCancelled(t *testing.T) {
 // the verification ladder).
 func TestSolveBatchContextK1Delegates(t *testing.T) {
 	l := gen.SerialChain(200, 0.2, 213)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 40, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSolveBatchContextK1Delegates(t *testing.T) {
 // correctly — the daemon's worker pool depends on it.
 func TestSessionSolveBatchContextConcurrent(t *testing.T) {
 	l := gen.Layered(1200, 30, 6, 0.15, 215)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 150, Reorder: true, Adaptive: true,
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 150, Reorder: true,
 		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestSolveBatchMatchesRepeatedSolve(t *testing.T) {
 		for _, k := range []int{1, 2, 5, 8} {
 			s, err := Preprocess(l, Options{
 				Workers: 3, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true, Thresholds: paperThresholds(),
+				Reorder: true, Thresholds: paperThresholds(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -58,7 +58,7 @@ func TestSolveBatchForcedKernels(t *testing.T) {
 		for _, sk := range []kernels.SpMVKernel{kernels.SpMVScalarCSR, kernels.SpMVVectorCSR, kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR, kernels.SpMVSerial} {
 			s, err := Preprocess(l, Options{
 				Workers: 4, Kind: Recursive, MinBlockRows: 120,
-				Reorder: true, Adaptive: false, ForceTri: tk, ForceSpMV: sk,
+				Reorder: true, ForceTri: tk, ForceSpMV: sk,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestSolveBatchForcedKernels(t *testing.T) {
 
 func TestSolveBatchAliasing(t *testing.T) {
 	l := gen.Layered(400, 10, 4, 0, 203)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSolveBatchAliasing(t *testing.T) {
 
 func TestSolveBatchPanicsOnBadArgs(t *testing.T) {
 	l := gen.DiagonalOnly(8, 1)
-	s, err := Preprocess(l, Options{Workers: 1, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestInterleaveDeinterleaveRoundTrip(t *testing.T) {
 
 func TestSolveBatchK1DelegatesToSolve(t *testing.T) {
 	l := gen.SerialChain(100, 0.2, 205)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 20, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

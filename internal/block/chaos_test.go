@@ -25,7 +25,7 @@ import (
 
 // 1. Defective input → typed error at analyze time.
 func TestChaosValidateRejectsDefectiveInput(t *testing.T) {
-	opts := Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true, Validate: true}
+	opts := Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Validate: true}
 
 	l := gen.Layered(200, 10, 3, 0, 901)
 	if _, err := Preprocess(l, opts); err != nil {
@@ -86,7 +86,7 @@ func TestChaosPanicPropagatesAndPoolSurvives(t *testing.T) {
 	pool := &panicPool{Launcher: inner}
 	l := gen.Layered(400, 20, 3, 0, 902)
 	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: false, ForceTri: kernels.TriLevelSet})
+		Reorder: true, ForceTri: kernels.TriLevelSet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestChaosPanicPropagatesAndPoolSurvives(t *testing.T) {
 	if err := s.SolveContext(context.Background(), b, x); err != nil {
 		t.Fatalf("follow-up solve after panic: %v", err)
 	}
-	if st := s.Stats(); st.Fallbacks != 0 {
-		t.Fatalf("clean follow-up needed %d fallbacks", st.Fallbacks)
+	if st := s.Stats(); st.Refinements != 0 || st.Fallbacks != 0 {
+		t.Fatalf("clean follow-up recorded refinements=%d fallbacks=%d", st.Refinements, st.Fallbacks)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestChaosWatchdogAbortsCorruptedInDegree(t *testing.T) {
 			n := 600
 			l := gen.Layered(n, 30, 3, 0, 904)
 			s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: n,
-				Reorder: false, Adaptive: false, ForceTri: kernels.TriSyncFree,
+				Reorder: false, ForceTri: kernels.TriSyncFree,
 				StallTimeout: 100 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
@@ -216,7 +216,7 @@ func TestChaosContextCancelsStalledSolve(t *testing.T) {
 			n := 400
 			l := gen.Layered(n, 20, 3, 0, 906)
 			s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: n,
-				Reorder: false, Adaptive: false, ForceTri: kernels.TriSyncFree})
+				Reorder: false, ForceTri: kernels.TriSyncFree})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestChaosResidualFallbackRecovers(t *testing.T) {
 	n := 500
 	l := gen.Layered(n, 25, 3, 0, 908)
 	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, Thresholds: paperThresholds(), VerifyResidual: 1e-8, Refine: true})
+		Reorder: true, Thresholds: paperThresholds(), VerifyResidual: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +284,42 @@ func TestChaosResidualFallbackRecovers(t *testing.T) {
 	}
 }
 
+// 4b. Mildly wrong numerics → residual check fails, the one refinement
+// step recovers the solution, and the serial fallback never runs.
+func TestChaosResidualRefinementRecovers(t *testing.T) {
+	n := 500
+	l := gen.Layered(n, 25, 3, 0, 912)
+	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 64,
+		Reorder: true, Thresholds: paperThresholds(), VerifyResidual: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := gen.RandVec(n, 913)
+	x := make([]float64, n)
+
+	// A relative error of 1e-6 in one pivot fails the check; refinement
+	// with the same perturbed plan contracts the error by that factor.
+	s.tris[0].diag[0] *= 1 + 1e-6
+
+	if err := s.SolveContext(context.Background(), b, x); err != nil {
+		t.Fatalf("refinement should have recovered, got %v", err)
+	}
+	st := s.Stats()
+	if st.Refinements != 1 || st.Fallbacks != 0 {
+		t.Fatalf("recovery counters: refinements=%d fallbacks=%d, want 1 and 0", st.Refinements, st.Fallbacks)
+	}
+	if res := sparse.ScaledResidual(l, x, b); res > 1e-10 {
+		t.Fatalf("refined residual %g", res)
+	}
+}
+
 // Sessions get the same guarantees with private scratch: concurrent
 // verified guarded solves over one analysis.
 func TestChaosSessionsSolveContextConcurrently(t *testing.T) {
 	n := 400
 	l := gen.Layered(n, 20, 4, 0, 910)
 	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, Thresholds: paperThresholds(), VerifyResidual: 1e-9, Refine: true})
+		Reorder: true, Thresholds: paperThresholds(), VerifyResidual: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +369,7 @@ func BenchmarkGuardedOverhead(b *testing.B) {
 	rhs := gen.RandVec(n, 914)
 	x := make([]float64, n)
 	build := func(opts Options) *Solver[float64] {
-		opts.Workers, opts.Kind, opts.Reorder, opts.Adaptive = 0, Recursive, true, true
+		opts.Workers, opts.Kind, opts.Reorder = 0, Recursive, true
 		s, err := Preprocess(l, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -365,7 +394,7 @@ func BenchmarkGuardedOverhead(b *testing.B) {
 		}
 	})
 	b.Run("context-full", func(b *testing.B) {
-		s := build(Options{Validate: true, VerifyResidual: 1e-8, Refine: true, StallTimeout: 10 * time.Second})
+		s := build(Options{Validate: true, VerifyResidual: 1e-8, StallTimeout: 10 * time.Second})
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -379,7 +408,7 @@ func BenchmarkGuardedOverhead(b *testing.B) {
 // Length mismatches on the guarded path are errors, not panics.
 func TestChaosSolveContextLengthMismatch(t *testing.T) {
 	l := gen.Layered(100, 5, 3, 0, 912)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}

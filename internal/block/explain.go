@@ -16,14 +16,16 @@ import (
 // the traffic/kernel summaries. Each triangular line's work/level is
 // what the options line's serial-floor, TriParallelMinWork of
 // adapt.Thresholds, was compared with; serial-floor=n/a when no decision
-// tree chose the kernels. Each triangular line's stop names the rule that
-// ended the recursion there: size (at most minblockrows rows), depth
-// (maxdepth reached), serial or one-level (with the floor on, Algorithm 7
-// sends the whole range to the serial or completely-parallel kernel), or
-// n/a for panel partitions. Each serial line also names the leaf's form,
-// form=gather (CSR gather, every stop=serial leaf) or form=scatter (CSC
-// scatter). The output is deterministic — two identical Preprocess
-// calls explain identically — so tests and tooling may diff it.
+// tree chose the kernels; adaptive=true when neither kernel is forced
+// (ForceTri and ForceSpMV at their Auto zero values). Each triangular
+// line's stop names the rule that ended the recursion there: size (at
+// most minblockrows rows), depth (maxdepth reached), serial or one-level
+// (with the floor on, Algorithm 7 sends the whole range to the serial or
+// completely-parallel kernel), or n/a for panel partitions. Each serial
+// line also names the leaf's form, form=gather (CSR gather, every
+// stop=serial leaf) or form=scatter (CSC scatter). The output is
+// deterministic — two identical Preprocess calls explain identically —
+// so tests and tooling may diff it.
 //
 // Solvers reloaded with LoadSolver explain flat, with stop=n/a (the
 // recursion depths and stop rules are a preprocessing artefact and are
@@ -34,7 +36,8 @@ func (s *Solver[T]) Explain() string {
 		s.Name(), s.n, len(s.tris), len(s.sqs))
 	fmt.Fprintf(&b, "options: partition=%s workers=%d minblockrows=%d maxdepth=%d nseg=%d reorder=%v adaptive=%v serial-floor=%s\n",
 		s.opts.Kind, s.pool.Workers(), s.opts.MinBlockRows, s.opts.MaxDepth, s.opts.NSeg,
-		s.opts.Reorder, s.opts.Adaptive, treeFloor(s.opts))
+		s.opts.Reorder, s.opts.ForceTri == kernels.TriAuto && s.opts.ForceSpMV == kernels.SpMVAuto,
+		treeFloor(s.opts))
 	fmt.Fprintf(&b, "reordered=%v traffic: %d b-updates, %d x-loads (dense-equivalent)\n",
 		s.perm != nil, s.traffic.BUpdates, s.traffic.XLoads)
 	b.WriteString("execution plan:\n")

@@ -44,7 +44,7 @@ func checkPlanRoundTrip[T sparse.Float](t *testing.T, pool exec.Launcher, l *spa
 	t.Helper()
 	s, err := Preprocess(l, Options{
 		Pool: pool, Kind: kind, NSeg: 4, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, Thresholds: th,
+		Reorder: true, Thresholds: th,
 	})
 	if err != nil {
 		t.Fatalf("kind %v floor=%d: preprocess: %v", kind, th.TriParallelMinWork, err)

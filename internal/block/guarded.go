@@ -66,9 +66,9 @@ var errStalled = errors.New("block: watchdog: progress counter stalled")
 //     progress counter stops moving and returns a *StallError with the
 //     stalled component.
 //   - Options.VerifyResidual > 0 checks the solution and degrades
-//     gracefully: one refinement step (Options.Refine), then the serial
-//     reference; a *ResidualError is returned only if even the fallback
-//     misses the tolerance.
+//     gracefully: one refinement step, then the serial reference; a
+//     *ResidualError is returned only if even the fallback misses the
+//     tolerance.
 //
 // A panicking kernel body still panics out of SolveContext (after the
 // pool has restored itself — the pool stays usable); panics are
@@ -260,9 +260,9 @@ func (w *watchdog) fire() {
 }
 
 // verifyAndRecover is the graceful-degradation ladder: check the scaled
-// residual, take one refinement step if allowed, fall back to the serial
-// reference, and only then give up with a ResidualError. The recovery
-// counters land in the session's stats.
+// residual, take one refinement step, fall back to the serial reference,
+// and only then give up with a ResidualError. The recovery counters land
+// in the session's stats.
 func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 	s := ses.s
 	if s.orig == nil {
@@ -272,26 +272,24 @@ func (ses *Session[T]) verifyAndRecover(b, x []T) error {
 	if sparse.ScaledResidual(s.orig, x, b) <= tol {
 		return nil
 	}
-	if s.opts.Refine {
-		// One iterative-refinement step: r = b − L·x, solve L·δ = r,
-		// x += δ. The parallel path may have produced garbage (it just
-		// failed verification), but the correction reuses it anyway —
-		// when the failure was mild rounding, one step recovers it.
-		if len(ses.r) < s.n {
-			ses.r, ses.d = make([]T, s.n), make([]T, s.n)
-		}
-		s.residualInto(ses.r, b, x)
-		// The correction is part of this guarded call: its steps record
-		// under the attempt's solve id, so one call traces as one solve.
-		ses.run(ses.r, ses.d, 1, nil, ses.stats.LastTraceID)
-		for i := range x {
-			x[i] += ses.d[i]
-		}
-		ses.stats.Refinements++
-		mRefinements.Inc()
-		if sparse.ScaledResidual(s.orig, x, b) <= tol {
-			return nil
-		}
+	// One iterative-refinement step: r = b − L·x, solve L·δ = r, x += δ.
+	// The parallel path may have produced garbage (it just failed
+	// verification), but the correction reuses it anyway — when the
+	// failure was mild rounding, one step recovers it.
+	if len(ses.r) < s.n {
+		ses.r, ses.d = make([]T, s.n), make([]T, s.n)
+	}
+	s.residualInto(ses.r, b, x)
+	// The correction is part of this guarded call: its steps record under
+	// the attempt's solve id, so one call traces as one solve.
+	ses.run(ses.r, ses.d, 1, nil, ses.stats.LastTraceID)
+	for i := range x {
+		x[i] += ses.d[i]
+	}
+	ses.stats.Refinements++
+	mRefinements.Inc()
+	if sparse.ScaledResidual(s.orig, x, b) <= tol {
+		return nil
 	}
 	// Last rung: the serial reference on the untouched original matrix.
 	kernels.SerialSolveCSR(s.orig, b, x, nil)

@@ -22,7 +22,6 @@ func TestSolveContextAllocs(t *testing.T) {
 	o := Defaults(exec.DefaultDevices()[1])
 	o.StallTimeout = 30 * time.Second
 	o.VerifyResidual = 1e-8
-	o.Refine = true
 	s, err := Preprocess(l, o)
 	if err != nil {
 		t.Fatal(err)

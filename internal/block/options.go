@@ -76,14 +76,12 @@ type Options struct {
 	// Reorder applies the improved structure's level-set reordering (§3.3)
 	// to every triangular range in the partition tree.
 	Reorder bool
-	// Adaptive selects per-block kernels by the decision tree (§3.4).
-	// When false, ForceTri/ForceSpMV are used for every block.
-	Adaptive bool
 	// Thresholds override the decision-tree cut points; the zero value
 	// selects adapt.DefaultThresholds.
 	Thresholds adapt.Thresholds
-	// ForceTri / ForceSpMV pin the kernels when Adaptive is false.
-	// kernels.TriAuto / kernels.SpMVAuto fall back to adaptive selection.
+	// ForceTri / ForceSpMV pin the kernel of every triangular / square
+	// block. The zero values, kernels.TriAuto / kernels.SpMVAuto, select
+	// each block's kernel by the decision tree (§3.4).
 	ForceTri  kernels.TriKernel
 	ForceSpMV kernels.SpMVKernel
 
@@ -108,14 +106,10 @@ type Options struct {
 	// VerifyResidual, when > 0, makes SolveContext check the solution's
 	// scaled infinity-norm residual max_i |(L·x-b)_i|/(1+|b_i|) against
 	// this tolerance. On failure the solve degrades gracefully: one
-	// iterative-refinement step if Refine is set, then the serial
-	// reference fallback; if even that misses the tolerance, a
+	// iterative-refinement step (solve L·δ = b−L·x, add δ), then the
+	// serial reference fallback; if even that misses the tolerance, a
 	// ResidualError is returned. Plain Solve never verifies.
 	VerifyResidual float64
-	// Refine enables the single iterative-refinement step of the
-	// verification ladder (solve L·δ = b−L·x, add δ) before falling back
-	// to the serial reference. Only consulted when VerifyResidual > 0.
-	Refine bool
 	// StallTimeout arms the watchdog of SolveContext and
 	// SolveBatchContext: a solve whose progress counter stops moving for
 	// this long is aborted with a StallError carrying the stalled
@@ -134,15 +128,14 @@ func Defaults(dev exec.Device) Options {
 		Kind:         Recursive,
 		MinBlockRows: dev.MinBlockRows(),
 		Reorder:      true,
-		Adaptive:     true,
 		Thresholds:   adapt.DefaultThresholds(),
 	}
 }
 
 // treeSelects reports whether Algorithm 7's thresholds choose the
-// triangular kernels: adaptive, or TriAuto forced.
+// triangular kernels, which they do unless ForceTri pins one.
 func (o Options) treeSelects() bool {
-	return o.Adaptive || o.ForceTri == kernels.TriAuto
+	return o.ForceTri == kernels.TriAuto
 }
 
 // floorOn reports whether the serial floor is on: the thresholds choose

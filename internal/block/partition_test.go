@@ -26,7 +26,6 @@ func TestBuildPlanInvariantsQuick(t *testing.T) {
 			MinBlockRows: 1 + rng.Intn(64),
 			MaxDepth:     rng.Intn(6),
 			Reorder:      rng.Intn(2) == 0,
-			Adaptive:     true,
 		}
 		if rng.Intn(2) == 0 {
 			// Floor on; the zero thresholds leave the size-only tree.
@@ -203,7 +202,7 @@ func TestTrafficMatchesPaperFormulas(t *testing.T) {
 	for x := 1; x <= 4; x++ {
 		parts := 1 << x
 		for _, kind := range []Kind{Recursive, ColumnBlock, RowBlock} {
-			o := Options{Workers: 1, Kind: kind, Adaptive: true, MinBlockRows: 1, Thresholds: paperThresholds()}
+			o := Options{Workers: 1, Kind: kind, MinBlockRows: 1, Thresholds: paperThresholds()}
 			if kind == Recursive {
 				o.MaxDepth = x
 			} else {
@@ -338,9 +337,9 @@ func TestFloorZeroKeepsPaperTree(t *testing.T) {
 	pool := exec.NewPool(2)
 	for _, m := range conformanceCorpus(false) {
 		for _, o := range []Options{
-			{Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
-			{Kind: Recursive, MinBlockRows: 50, Adaptive: true, Thresholds: paperThresholds()},
-			{Kind: Recursive, MinBlockRows: 1, MaxDepth: 3, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
+			{Kind: Recursive, MinBlockRows: 16, Reorder: true, Thresholds: paperThresholds()},
+			{Kind: Recursive, MinBlockRows: 50, Thresholds: paperThresholds()},
+			{Kind: Recursive, MinBlockRows: 1, MaxDepth: 3, Reorder: true, Thresholds: paperThresholds()},
 			{Kind: Recursive, MinBlockRows: 16, Reorder: true, ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVVectorCSR},
 		} {
 			o.Pool = pool
@@ -380,7 +379,7 @@ func TestFloorZeroKeepsPaperTree(t *testing.T) {
 				switch {
 				case tb.feats.NLevels <= 1:
 					want = kernels.TriCompletelyParallel
-				case o.Adaptive:
+				case o.ForceTri == kernels.TriAuto:
 					want = paperThresholds().SelectTri(tb.feats)
 				}
 				if tb.kernel != want {

@@ -15,7 +15,7 @@ func TestHugeValuesOverflowGracefully(t *testing.T) {
 	for i := range b {
 		b[i] = math.MaxFloat64 / 2
 	}
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 32, Reorder: true, Adaptive: true,
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 32, Reorder: true,
 		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestHugeValuesOverflowGracefully(t *testing.T) {
 
 func TestDenormalAndZeroRHS(t *testing.T) {
 	l := gen.Layered(300, 15, 3, 0, 405)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 50, Reorder: true, Adaptive: true,
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 50, Reorder: true,
 		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestDenormalAndZeroRHS(t *testing.T) {
 
 func TestBatchWithNaN(t *testing.T) {
 	l := gen.Layered(300, 10, 3, 0, 406)
-	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 50, Reorder: true, Adaptive: true,
+	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 50, Reorder: true,
 		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)

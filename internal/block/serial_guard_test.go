@@ -48,7 +48,7 @@ func serialLeaves(t *testing.T) []serialLeaf {
 	}{{"banded scatter", banded, false}, {"layered gather", layered, true}} {
 		o := Defaults(exec.Device{Name: "test", Workers: 2, BlockFactor: 1024})
 		if !c.gather {
-			o.Adaptive, o.ForceTri = false, kernels.TriSerial
+			o.ForceTri = kernels.TriSerial
 			o.MinBlockRows = c.l.Rows + 1
 		}
 		s, err := Preprocess(c.l, o)

@@ -25,7 +25,7 @@ func TestSerializeRoundTripAllConfigurations(t *testing.T) {
 		for _, th := range []adapt.Thresholds{paperThresholds(), adapt.DefaultThresholds()} {
 			s, err := Preprocess(l, Options{
 				Pool: pool, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: true, Thresholds: th,
+				Reorder: true, Thresholds: th,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSerializeFloat32(t *testing.T) {
 	pool := exec.NewPool(1)
 	l64 := gen.Layered(800, 20, 4, 0.1, 500)
 	l := sparse.ConvertValues[float32](l64)
-	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +465,7 @@ func TestSerializeRebuildsSyncFreeInDegrees(t *testing.T) {
 	pool := exec.NewPool(2)
 	n := 500
 	l := gen.Layered(n, 20, 3, 0, 502)
-	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: n,
-		Adaptive: false, ForceTri: kernels.TriSyncFree})
+	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: n, ForceTri: kernels.TriSyncFree})
 	if err != nil {
 		t.Fatal(err)
 	}

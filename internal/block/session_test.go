@@ -15,7 +15,7 @@ func TestSessionsSolveConcurrently(t *testing.T) {
 	l := gen.Layered(3000, 60, 5, 0.2, 600)
 	s, err := Preprocess(l, Options{
 		Workers: 2, Kind: Recursive, MinBlockRows: 400, Reorder: true,
-		Adaptive: false, ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVScalarCSR,
+		ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVScalarCSR,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSessionsSolveConcurrently(t *testing.T) {
 
 func TestSessionMatchesSolver(t *testing.T) {
 	l := gen.Layered(1200, 25, 4, 0.1, 601)
-	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true,
+	s, err := Preprocess(l, Options{Workers: 3, Kind: Recursive, MinBlockRows: 200, Reorder: true,
 		Thresholds: paperThresholds()})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSessionsBatchConcurrently(t *testing.T) {
 	l := gen.Layered(1500, 30, 4, 0.2, 603)
 	s, err := Preprocess(l, Options{
 		Workers: 2, Kind: Recursive, MinBlockRows: 250, Reorder: true,
-		Adaptive: false, ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVScalarCSR,
+		ForceTri: kernels.TriSyncFree, ForceSpMV: kernels.SpMVScalarCSR,
 	})
 	if err != nil {
 		t.Fatal(err)

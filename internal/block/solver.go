@@ -467,7 +467,7 @@ func (s *Solver[T]) onlyGatherLeaf() bool {
 func buildSqBlock[T sparse.Float](cur *sparse.CSR[T], spec segSpec, o Options) sqBlock[T] {
 	csr := sparse.SubCSR(cur, spec.rowLo, spec.rowHi, spec.colLo, spec.colHi)
 	sb := sqBlock[T]{spec: spec, csr: csr, feats: adapt.SpMVFeaturesOf(csr)}
-	if o.Adaptive || o.ForceSpMV == kernels.SpMVAuto {
+	if o.ForceSpMV == kernels.SpMVAuto {
 		sb.kernel = o.Thresholds.SelectSpMV(sb.feats)
 	} else {
 		sb.kernel = o.ForceSpMV

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -79,7 +80,6 @@ func TestAllKindsMatchSerialOracle(t *testing.T) {
 						NSeg:         1 + rng.Intn(7),
 						MinBlockRows: 1 + rng.Intn(200),
 						Reorder:      reorder,
-						Adaptive:     true,
 					}
 					// The paper's tree runs the parallel kernels; the
 					// default floor runs most leaves serially.
@@ -122,7 +122,7 @@ func TestForcedKernelsMatchOracle(t *testing.T) {
 		for _, sk := range []kernels.SpMVKernel{kernels.SpMVScalarCSR, kernels.SpMVVectorCSR, kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR, kernels.SpMVSerial} {
 			s, err := Preprocess(l, Options{
 				Pool: pool, Kind: Recursive, MinBlockRows: 150,
-				Reorder: true, Adaptive: false, ForceTri: tk, ForceSpMV: sk,
+				Reorder: true, ForceTri: tk, ForceSpMV: sk,
 			})
 			if err != nil {
 				t.Fatalf("force %v/%v: %v", tk, sk, err)
@@ -136,11 +136,56 @@ func TestForcedKernelsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestForcedKernelPinsEveryBlock: a kernel forced on top of Defaults,
+// which select by the decision tree, runs in every block of its kind. A
+// forced triangular kernel also turns the serial floor off. The SpMV
+// cases select the triangular kernels with the paper's tree, whose
+// plans keep square blocks on a matrix this small.
+func TestForcedKernelPinsEveryBlock(t *testing.T) {
+	pool := exec.NewPool(3)
+	l := gen.Layered(1200, 30, 5, 0.2, 12)
+	b := gen.RandVec(l.Rows, 13)
+	base := Defaults(exec.Device{Name: "test", Workers: 3, BlockFactor: 1024})
+	base.Pool, base.MinBlockRows = pool, 150
+	solve := func(t *testing.T, o Options) *Solver[float64] {
+		t.Helper()
+		s, err := Preprocess(l, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, l.Rows)
+		s.Solve(b, x)
+		if r := residual(l, x, b); r > 1e-9 {
+			t.Fatalf("residual=%g", r)
+		}
+		return s
+	}
+	for _, tk := range []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial} {
+		t.Run("tri-"+tk.String(), func(t *testing.T) {
+			o := base
+			o.ForceTri = tk
+			s := solve(t, o)
+			if n := s.NumTriBlocks(); n < 2 || !maps.Equal(s.TriKernelCounts(), map[kernels.TriKernel]int{tk: n}) {
+				t.Fatalf("tri kernel counts %v over %d blocks, want all %v", s.TriKernelCounts(), n, tk)
+			}
+		})
+	}
+	for _, sk := range []kernels.SpMVKernel{kernels.SpMVScalarCSR, kernels.SpMVVectorCSR, kernels.SpMVScalarDCSR, kernels.SpMVVectorDCSR, kernels.SpMVSerial} {
+		t.Run("spmv-"+sk.String(), func(t *testing.T) {
+			o := base
+			o.Thresholds, o.ForceSpMV = paperThresholds(), sk
+			s := solve(t, o)
+			if n := s.NumSquareBlocks(); n < 1 || !maps.Equal(s.SpMVKernelCounts(), map[kernels.SpMVKernel]int{sk: n}) {
+				t.Fatalf("spmv kernel counts %v over %d blocks, want all %v", s.SpMVKernelCounts(), n, sk)
+			}
+		})
+	}
+}
+
 func TestForceCompletelyParallelRejectedOnDependentBlock(t *testing.T) {
 	l := gen.SerialChain(100, 0, 1)
 	_, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 10,
-		Adaptive: false, ForceTri: kernels.TriCompletelyParallel,
+		Workers: 2, Kind: Recursive, MinBlockRows: 10, ForceTri: kernels.TriCompletelyParallel,
 	})
 	if err == nil {
 		t.Fatal("forcing completely-parallel on a chain must fail")
@@ -153,7 +198,7 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 
 	// Pure diagonal: every triangular block must select completely-parallel.
 	s, err := Preprocess(gen.DiagonalOnly(5000, 1), Options{
-		Pool: pool, Kind: Recursive, MinBlockRows: 500, Reorder: true, Adaptive: true,
+		Pool: pool, Kind: Recursive, MinBlockRows: 500, Reorder: true,
 		Thresholds: paper,
 	})
 	if err != nil {
@@ -168,7 +213,7 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	// kernel (nlevels > 20000 branch of Algorithm 7).
 	deep := gen.SerialChain(25000, 0, 2)
 	s, err = Preprocess(deep, Options{
-		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false, Adaptive: true,
+		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false,
 		Thresholds: paper,
 	})
 	if err != nil {
@@ -183,7 +228,7 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	// levels and short rows.
 	shallow := gen.Layered(4000, 8, 3, 0, 3)
 	s, err = Preprocess(shallow, Options{
-		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false, Adaptive: true,
+		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false,
 		Thresholds: paper,
 	})
 	if err != nil {
@@ -224,7 +269,7 @@ func TestRecursionRespectsMinBlockRowsAndMaxDepth(t *testing.T) {
 	l := gen.Banded(n, 4, 0.5, 20)
 	// The paper's tree splits by size alone.
 	s, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: false, Adaptive: true,
+		Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: false,
 		Thresholds: paperThresholds(),
 	})
 	if err != nil {
@@ -237,7 +282,7 @@ func TestRecursionRespectsMinBlockRowsAndMaxDepth(t *testing.T) {
 	}
 	// MaxDepth=3 -> exactly 8 leaves, 7 squares for a power-of-two size.
 	s, err = Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 1, MaxDepth: 3, Adaptive: true,
+		Workers: 2, Kind: Recursive, MinBlockRows: 1, MaxDepth: 3,
 		Thresholds: paperThresholds(),
 	})
 	if err != nil {
@@ -252,7 +297,7 @@ func TestRecursionRespectsMinBlockRowsAndMaxDepth(t *testing.T) {
 	for name, l := range testMatrices() {
 		for _, work := range []int{24, 4096} {
 			s, err := Preprocess(l, Options{
-				Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true,
+				Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: true,
 				Thresholds: floorAt(work),
 			})
 			if err != nil {
@@ -270,7 +315,7 @@ func TestRecursionRespectsMinBlockRowsAndMaxDepth(t *testing.T) {
 func TestSquareNNZConsistency(t *testing.T) {
 	l := gen.Layered(2000, 50, 6, 0.2, 21)
 	s, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true,
+		Workers: 2, Kind: Recursive, MinBlockRows: 100, Reorder: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +341,7 @@ func TestReorderMovesNNZIntoSquares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{Workers: 2, Kind: Recursive, MinBlockRows: 200, Adaptive: true}
+	base := Options{Workers: 2, Kind: Recursive, MinBlockRows: 200}
 	plain, err := Preprocess(ls, base)
 	if err != nil {
 		t.Fatal(err)
@@ -328,11 +373,11 @@ func TestReorderMatchesExtractedLevelOrder(t *testing.T) {
 		}
 		for _, l := range []*sparse.CSR[float64]{m.l, scrambled} {
 			for _, o := range []Options{
-				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true},
-				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true, Thresholds: paperThresholds()},
-				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Adaptive: true, Thresholds: floorAt(24)},
-				{Workers: 2, Kind: Recursive, MinBlockRows: 100, MaxDepth: 2, Reorder: true, Adaptive: true},
-				{Workers: 2, Kind: ColumnBlock, NSeg: 3, MinBlockRows: 100, Reorder: true, Adaptive: true},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Thresholds: paperThresholds()},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 16, Reorder: true, Thresholds: floorAt(24)},
+				{Workers: 2, Kind: Recursive, MinBlockRows: 100, MaxDepth: 2, Reorder: true},
+				{Workers: 2, Kind: ColumnBlock, NSeg: 3, MinBlockRows: 100, Reorder: true},
 			} {
 				s, err := Preprocess(l, o)
 				if err != nil {
@@ -416,7 +461,7 @@ func extractedReorder(t *testing.T, l *sparse.CSR[float64], o Options) ([]int, [
 	if th == (adapt.Thresholds{}) {
 		th = adapt.DefaultThresholds()
 	}
-	aware := o.Kind == Recursive && o.Adaptive && th.TriParallelMinWork > 0
+	aware := o.Kind == Recursive && o.ForceTri == kernels.TriAuto && th.TriParallelMinWork > 0
 	n := l.Rows
 	cur := l
 	var total []int
@@ -514,8 +559,7 @@ func topoShuffle(l *sparse.CSR[float64], rng *rand.Rand) []int {
 func TestInstrumentation(t *testing.T) {
 	l := gen.Layered(1500, 20, 5, 0, 24)
 	s, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 200, Reorder: true,
-		Adaptive: true, Instrument: true,
+		Workers: 2, Kind: Recursive, MinBlockRows: 200, Reorder: true, Instrument: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +586,7 @@ func TestInstrumentation(t *testing.T) {
 
 func TestSolveMulti(t *testing.T) {
 	l := gen.Layered(800, 10, 4, 0, 26)
-	s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: 100, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +613,7 @@ func TestSolveMulti(t *testing.T) {
 
 func TestSolvePanicsOnBadLengths(t *testing.T) {
 	l := gen.DiagonalOnly(10, 1)
-	s, err := Preprocess(l, Options{Workers: 1, Kind: Recursive, MinBlockRows: 4, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 1, Kind: Recursive, MinBlockRows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,21 +627,21 @@ func TestSolvePanicsOnBadLengths(t *testing.T) {
 
 func TestPreprocessRejectsBadInput(t *testing.T) {
 	bad := sparse.FromDense(2, 2, []float64{1, 1, 1, 1})
-	if _, err := Preprocess(bad, Options{Workers: 1, Adaptive: true}); err == nil {
+	if _, err := Preprocess(bad, Options{Workers: 1}); err == nil {
 		t.Fatal("accepted non-triangular input")
 	}
 	// Singular diagonal.
 	b := sparse.NewBuilder[float64](2, 2)
 	b.Add(0, 0, 1)
 	b.Add(1, 0, 1)
-	if _, err := Preprocess(b.BuildCSR(), Options{Workers: 1, Adaptive: true}); err == nil {
+	if _, err := Preprocess(b.BuildCSR(), Options{Workers: 1}); err == nil {
 		t.Fatal("accepted singular input")
 	}
 }
 
 func TestSolveInPlaceAliasing(t *testing.T) {
 	l := gen.Layered(500, 10, 4, 0, 27)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +656,7 @@ func TestSolveInPlaceAliasing(t *testing.T) {
 func TestFloat32Solver(t *testing.T) {
 	l64 := gen.Layered(900, 15, 4, 0, 29)
 	l := sparse.ConvertValues[float32](l64)
-	s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: 128, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 4, Kind: Recursive, MinBlockRows: 128, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +681,7 @@ func TestFloat32Solver(t *testing.T) {
 
 func TestNamesAndMetadata(t *testing.T) {
 	l := gen.DiagonalOnly(32, 1)
-	s, err := Preprocess(l, Options{Workers: 1, Kind: Recursive, MinBlockRows: 8, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 1, Kind: Recursive, MinBlockRows: 8, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +691,7 @@ func TestNamesAndMetadata(t *testing.T) {
 	if got := s.Name(); got != "block-recursive" {
 		t.Fatalf("Name: %q", got)
 	}
-	s2, _ := Preprocess(l, Options{Workers: 1, Kind: RowBlock, NSeg: 2, Adaptive: true})
+	s2, _ := Preprocess(l, Options{Workers: 1, Kind: RowBlock, NSeg: 2})
 	if got := s2.Name(); !strings.Contains(got, "row") || !strings.Contains(got, "noreorder") {
 		t.Fatalf("Name: %q", got)
 	}
@@ -673,7 +717,7 @@ func TestNamesAndMetadata(t *testing.T) {
 
 func TestEmptySystem(t *testing.T) {
 	l := &sparse.CSR[float64]{Rows: 0, Cols: 0, RowPtr: []int{0}}
-	s, err := Preprocess(l, Options{Workers: 1, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +726,7 @@ func TestEmptySystem(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	l := gen.Layered(2000, 30, 5, 0.1, 777)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 300, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 300, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +741,7 @@ func TestDescribe(t *testing.T) {
 		t.Fatal("Describe not deterministic")
 	}
 	// A diagonal system reports a single kernel class and no squares.
-	sd, err := Preprocess(gen.DiagonalOnly(100, 1), Options{Workers: 1, Adaptive: true})
+	sd, err := Preprocess(gen.DiagonalOnly(100, 1), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +823,7 @@ func TestRefreshValuesEveryBlockForm(t *testing.T) {
 func TestRefreshValuesRejectsStructureMismatch(t *testing.T) {
 	pool := exec.NewPool(2)
 	l := gen.Layered(600, 15, 4, 0.2, 861)
-	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true})
+	s, err := Preprocess(l, Options{Pool: pool, Kind: Recursive, MinBlockRows: 100, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -806,12 +850,12 @@ func TestOptionSpaceFuzz(t *testing.T) {
 			MinBlockRows: rng.Intn(300),
 			MaxDepth:     rng.Intn(8),
 			Reorder:      rng.Intn(2) == 0,
-			Adaptive:     rng.Intn(2) == 0,
 		}
+		forced := rng.Intn(2) != 0
 		if rng.Intn(3) == 0 {
 			o.Thresholds = paperThresholds()
 		}
-		if !o.Adaptive {
+		if forced {
 			// Pick a runnable forced pair (completely-parallel cannot be
 			// forced onto blocks with dependencies).
 			tris := []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial}
@@ -843,8 +887,7 @@ func TestAdaptiveKernelsAreConcrete(t *testing.T) {
 		b := gen.RandVec(l.Rows, 50)
 		for _, th := range []adapt.Thresholds{adapt.DefaultThresholds(), paperThresholds()} {
 			s, err := Preprocess(l, Options{
-				Workers: 3, Kind: Recursive, MinBlockRows: 150, Reorder: true,
-				Adaptive: true, Thresholds: th,
+				Workers: 3, Kind: Recursive, MinBlockRows: 150, Reorder: true, Thresholds: th,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -885,12 +928,12 @@ func TestAdaptiveKernelsAreConcrete(t *testing.T) {
 func TestBlocksKeepOnlyTheirKernelsStructures(t *testing.T) {
 	layered := gen.Layered(2000, 40, 5, 0.2, 51)
 	chain := testMatrices()["chain"]
-	base := Options{Workers: 2, Kind: Recursive, MinBlockRows: 300, Reorder: true, Adaptive: true}
+	base := Options{Workers: 2, Kind: Recursive, MinBlockRows: 300, Reorder: true}
 	paper := base
 	paper.Thresholds = paperThresholds()
 	forced := func(tri kernels.TriKernel, spmv kernels.SpMVKernel) Options {
 		o := base
-		o.Adaptive, o.ForceTri, o.ForceSpMV = false, tri, spmv
+		o.ForceTri, o.ForceSpMV = tri, spmv
 		return o
 	}
 	for _, c := range []struct {
@@ -952,7 +995,7 @@ func TestBlocksKeepOnlyTheirKernelsStructures(t *testing.T) {
 func TestDiagonalPlanIsCompletelyParallel(t *testing.T) {
 	l := gen.DiagonalOnly(1000, 1)
 	s, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 100, Adaptive: true,
+		Workers: 2, Kind: Recursive, MinBlockRows: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -970,7 +1013,7 @@ func TestPlanVariantsSolve(t *testing.T) {
 	pool := exec.NewPool(3)
 	for name, l := range testMatrices() {
 		reorder := Options{
-			Pool: pool, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true,
+			Pool: pool, Kind: Recursive, MinBlockRows: 200, Reorder: true,
 		}
 		plain := reorder
 		plain.Reorder = false
@@ -1000,7 +1043,7 @@ func TestPlanVariantsSolve(t *testing.T) {
 func TestUnsplitDiagonalIsOneTriangle(t *testing.T) {
 	l := gen.DiagonalOnly(500, 1)
 	s, err := Preprocess(l, Options{
-		Workers: 2, Kind: Recursive, MinBlockRows: 1 << 30, Reorder: true, Adaptive: true,
+		Workers: 2, Kind: Recursive, MinBlockRows: 1 << 30, Reorder: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		defer exec.CloseLauncher(pool)
 		s, err := Preprocess(l, Options{
 			Pool: pool, Kind: Recursive, MinBlockRows: 1024,
-			Reorder: true, Adaptive: true, Trace: rec,
+			Reorder: true, Trace: rec,
 		})
 		if err != nil {
 			b.Fatal(err)

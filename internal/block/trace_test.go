@@ -28,7 +28,7 @@ func traceTestSolver(t *testing.T, rec *trace.StepRecorder) (*Solver[float64], [
 	l := gen.Layered(800, 20, 4, 0, 99)
 	s, err := Preprocess(l, Options{
 		Workers: 1, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, Thresholds: paperThresholds(),
+		Reorder: true, Thresholds: paperThresholds(),
 		Instrument: true, Trace: rec,
 	})
 	if err != nil {
@@ -211,7 +211,7 @@ func TestSetTraceDetach(t *testing.T) {
 
 func TestExplainStable(t *testing.T) {
 	l := gen.Layered(800, 20, 4, 0, 99)
-	opts := Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, Adaptive: true}
+	opts := Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true}
 	s1, err := Preprocess(l, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestExplainStable(t *testing.T) {
 	if e1 != e2 {
 		t.Fatalf("Explain not deterministic:\n%s\nvs\n%s", e1, e2)
 	}
-	for _, want := range []string{"execution plan:", "tri kernels:", "spmv kernels:", "kernel=", "work/level=", "serial-floor=4096"} {
+	for _, want := range []string{"execution plan:", "tri kernels:", "spmv kernels:", "kernel=", "work/level=", "adaptive=true serial-floor=4096"} {
 		if !strings.Contains(e1, want) {
 			t.Fatalf("Explain missing %q:\n%s", want, e1)
 		}
@@ -237,11 +237,23 @@ func TestExplainStable(t *testing.T) {
 	if ses := s1.NewSession(); ses.Explain() != e1 {
 		t.Fatal("Session.Explain differs from Solver.Explain")
 	}
-	// The floor is shown only where the decision tree chose the kernels:
-	// not for forced kernels, nor for a reloaded plan.
+	// The floor is shown only where the decision tree chose the
+	// triangular kernels: not for a forced one, nor for a reloaded plan.
+	// adaptive= reads false exactly when a kernel is forced; a reloaded
+	// plan keeps no options, so it reads true.
+	want := map[string]string{
+		"forced-tri":  "adaptive=false serial-floor=n/a",
+		"forced-spmv": "adaptive=false serial-floor=4096",
+		"loaded":      "adaptive=true serial-floor=n/a",
+	}
 	others := map[string]*Solver[float64]{}
-	forced := Options{Workers: 2, Kind: Recursive, MinBlockRows: 64, Reorder: true, ForceTri: kernels.TriSyncFree}
-	if others["forced"], err = Preprocess(l, forced); err != nil {
+	forcedTri, forcedSpMV := opts, opts
+	forcedTri.ForceTri = kernels.TriSyncFree
+	forcedSpMV.ForceSpMV = kernels.SpMVScalarCSR
+	if others["forced-tri"], err = Preprocess(l, forcedTri); err != nil {
+		t.Fatal(err)
+	}
+	if others["forced-spmv"], err = Preprocess(l, forcedSpMV); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -252,8 +264,8 @@ func TestExplainStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, s := range others {
-		if e := s.Explain(); !strings.Contains(e, "serial-floor=n/a") {
-			t.Errorf("%s: want serial-floor=n/a:\n%s", name, e)
+		if e := s.Explain(); !strings.Contains(e, want[name]) {
+			t.Errorf("%s: want %q:\n%s", name, want[name], e)
 		}
 	}
 }
@@ -536,7 +548,7 @@ func TestTraceRefinementSharesSolveID(t *testing.T) {
 	l := gen.Layered(800, 20, 4, 0, 99)
 	s, err := Preprocess(l, Options{
 		Workers: 1, Kind: Recursive, MinBlockRows: 64, Reorder: true, Trace: rec,
-		VerifyResidual: 1e-300, Refine: true, // unattainable: every rung runs
+		VerifyResidual: 1e-300, // unattainable: every rung runs
 	})
 	if err != nil {
 		t.Fatal(err)

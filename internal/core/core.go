@@ -27,9 +27,7 @@ const (
 	Serial         = "serial"
 	LevelSet       = "level-set"
 	SyncFree       = "sync-free"
-	SyncFreeCSR    = "sync-free-csr"
 	CuSparseLike   = "cusparse-like"
-	Jacobi         = "jacobi-iterative"
 	BlockRecursive = "block-recursive"
 	BlockColumn    = "block-column"
 	BlockRow       = "block-row"
@@ -37,7 +35,7 @@ const (
 
 // AlgorithmNames lists every registered algorithm in a stable order.
 func AlgorithmNames() []string {
-	return []string{Serial, LevelSet, SyncFree, SyncFreeCSR, CuSparseLike, Jacobi, BlockColumn, BlockRow, BlockRecursive}
+	return []string{Serial, LevelSet, SyncFree, CuSparseLike, BlockColumn, BlockRow, BlockRecursive}
 }
 
 // Config carries the knobs an algorithm constructor may consume. The zero
@@ -88,10 +86,8 @@ func (c Config) blockOptions(kind block.Kind) block.Options {
 // triangular system L.
 func New[T sparse.Float](name string, l *sparse.CSR[T], cfg Config) (Solver[T], error) {
 	switch name {
-	case Serial, LevelSet, SyncFree, SyncFreeCSR, CuSparseLike:
+	case Serial, LevelSet, SyncFree, CuSparseLike:
 		return kernels.NewBaseline(name, cfg.pool(), l)
-	case Jacobi:
-		return kernels.NewJacobiSolver(cfg.pool(), l)
 	case BlockRecursive:
 		return block.Preprocess(l, cfg.blockOptions(block.Recursive))
 	case BlockColumn:

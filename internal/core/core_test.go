@@ -40,15 +40,19 @@ func TestRegistryAllAlgorithmsSolve(t *testing.T) {
 
 func TestRegistryUnknown(t *testing.T) {
 	l := gen.DiagonalOnly(10, 1)
-	if _, err := New[float64]("bogus", l, Config{}); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	// The retired jacobi-iterative and sync-free-csr are unknown, not
+	// aliases of a kept solver.
+	for _, name := range []string{"bogus", "jacobi-iterative", "sync-free-csr"} {
+		if _, err := New[float64](name, l, Config{}); err == nil {
+			t.Fatalf("unknown algorithm %q accepted", name)
+		}
 	}
 }
 
 func TestConfigOverrides(t *testing.T) {
 	l := gen.Layered(800, 10, 4, 0, 3)
 	pool := exec.NewPool(2)
-	bo := block.Options{Reorder: false, Adaptive: true, MinBlockRows: 100, Instrument: true}
+	bo := block.Options{Reorder: false, MinBlockRows: 100, Instrument: true}
 	s, err := New(BlockColumn, l, Config{Pool: pool, NSeg: 4, Block: &bo})
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,6 @@ func New(cfg Config) *Daemon {
 func (d *Daemon) AddMatrix(name string, l *sparse.CSR[float64], opts block.Options) error {
 	if opts.VerifyResidual <= 0 {
 		opts.VerifyResidual = 1e-8
-		opts.Refine = true
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = 30 * time.Second

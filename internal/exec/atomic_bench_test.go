@@ -18,16 +18,6 @@ func BenchmarkSpinResolvedFastPath(b *testing.B) {
 		}
 	})
 
-	flags := make([]PaddedInt32, 1024)
-	for i := range flags {
-		flags[i].V.Store(1)
-	}
-	b.Run("until-nonzero", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			SpinUntilNonZero(&flags[i&1023].V)
-		}
-	})
-
 	g := NewGuard()
 	b.Run("until-zero-guarded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -9,5 +9,4 @@ var bceForceInstantiations = [...]any{
 	AtomicAddFloat[float64], AtomicAddFloat[float32],
 	AtomicLoadFloat[float64], AtomicLoadFloat[float32],
 	AtomicStoreFloat[float64], AtomicStoreFloat[float32],
-	AtomicMaxFloat[float64], AtomicMaxFloat[float32],
 }

@@ -40,7 +40,7 @@ func buildSolver(t *testing.T, opts block.Options) (*block.Solver[float64], []fl
 func TestInjectedBlockPanicPropagates(t *testing.T) {
 	defer faultinject.Reset()
 	s, b, ref := buildSolver(t, block.Options{Workers: 4, Kind: block.Recursive,
-		MinBlockRows: 64, Reorder: true, Adaptive: true})
+		MinBlockRows: 64, Reorder: true})
 	x := make([]float64, len(b))
 
 	faultinject.ArmPanic("tri-block", 0)
@@ -64,7 +64,7 @@ func TestInjectedBlockPanicPropagates(t *testing.T) {
 func TestInjectedInDegreeCorruptionTripsWatchdog(t *testing.T) {
 	defer faultinject.Reset()
 	s, b, _ := buildSolver(t, block.Options{Workers: 4, Kind: block.Recursive,
-		MinBlockRows: 1 << 20, Reorder: false, Adaptive: false,
+		MinBlockRows: 1 << 20, Reorder: false,
 		ForceTri: kernels.TriSyncFree, StallTimeout: 100 * time.Millisecond})
 	x := make([]float64, len(b))
 
@@ -86,8 +86,7 @@ func TestInjectedInDegreeCorruptionTripsWatchdog(t *testing.T) {
 func TestInjectedPoisonTriggersFallback(t *testing.T) {
 	defer faultinject.Reset()
 	s, b, ref := buildSolver(t, block.Options{Workers: 4, Kind: block.Recursive,
-		MinBlockRows: 64, Reorder: true, Adaptive: true,
-		VerifyResidual: 1e-8, Refine: true})
+		MinBlockRows: 64, Reorder: true, VerifyResidual: 1e-8})
 	x := make([]float64, len(b))
 
 	faultinject.ArmPoison("solution", 3, 1e30)
@@ -107,7 +106,7 @@ func TestInjectedPoisonTriggersFallback(t *testing.T) {
 func TestInjectedDelayIsBenign(t *testing.T) {
 	defer faultinject.Reset()
 	s, b, ref := buildSolver(t, block.Options{Workers: 4, Kind: block.Recursive,
-		MinBlockRows: 1 << 20, Reorder: false, Adaptive: false,
+		MinBlockRows: 1 << 20, Reorder: false,
 		ForceTri: kernels.TriSyncFree, StallTimeout: 2 * time.Second})
 	x := make([]float64, len(b))
 

@@ -285,8 +285,6 @@ func NewBaseline[T sparse.Float](name string, p exec.Launcher, l *sparse.CSR[T])
 		return NewLevelSetSolver(p, l)
 	case "sync-free":
 		return NewSyncFreeSolver(p, l)
-	case "sync-free-csr":
-		return NewSyncFreeCSRSolver(p, l)
 	case "cusparse-like":
 		return NewCuSparseLikeSolver(p, l)
 	}

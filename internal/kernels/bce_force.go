@@ -20,7 +20,6 @@ var bceForceInstantiations = [...]any{
 	TriLevelSetSolve[float64], TriLevelSetSolve[float32],
 	TriSyncFreeSolve[float64], TriSyncFreeSolve[float32],
 	TriCuSparseLikeSolve[float64], TriCuSparseLikeSolve[float32],
-	(*SyncFreeCSRSolver[float64]).Solve, (*SyncFreeCSRSolver[float32]).Solve,
 	NewSyncFreeState[float64], NewSyncFreeState[float32],
 
 	SpMVSerialSub[float64], SpMVSerialSub[float32],

@@ -145,35 +145,3 @@ func BenchmarkBatchVsLoopedKernels(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkJacobiVsSubstitution(b *testing.B) {
-	pool := exec.NewPool(0)
-	l := benchTriMatrix(32)
-	rhs := gen.RandVec(l.Rows, 7)
-	x := make([]float64, l.Rows)
-	jac, err := NewJacobiSolver(pool, l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ser, err := NewSerialSolver(l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("jacobi-exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			jac.Solve(rhs, x)
-		}
-	})
-	b.Run("jacobi-tol1e-8", func(b *testing.B) {
-		jac.Tol = 1e-8
-		defer func() { jac.Tol = 0 }()
-		for i := 0; i < b.N; i++ {
-			jac.Solve(rhs, x)
-		}
-	})
-	b.Run("serial-substitution", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ser.Solve(rhs, x)
-		}
-	})
-}

@@ -211,14 +211,6 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	// rows that respects every dependency.
 	checkOrderedGathers(t, rng, l, b)
 	checkOrderedGathers(t, rng, ladder, b)
-
-	csr, err := NewSyncFreeCSRSolver(p, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]T, n)
-	csr.Solve(b, x)
-	check("sync-free-csr", x)
 }
 
 // randomTopoOrder is a random order of l's rows in which every row comes

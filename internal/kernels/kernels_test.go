@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,7 +87,7 @@ func TestSerialSolverGolden(t *testing.T) {
 
 func TestAllBaselinesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	names := []string{"serial", "level-set", "sync-free", "sync-free-csr", "cusparse-like"}
+	names := []string{"serial", "level-set", "sync-free", "cusparse-like"}
 	for _, workers := range []int{1, 2, 8} {
 		p := exec.NewPool(workers)
 		for trial := 0; trial < 8; trial++ {
@@ -322,12 +323,43 @@ func TestBaselineUnknownAndInvalid(t *testing.T) {
 	if _, err := NewBaseline[float64]("nope", p, l); err == nil {
 		t.Fatal("unknown baseline accepted")
 	}
-	// Non-triangular input must be rejected by every constructor.
-	bad := sparse.FromDense(2, 2, []float64{1, 1, 1, 1})
-	for _, name := range []string{"serial", "level-set", "sync-free", "sync-free-csr", "cusparse-like"} {
-		if _, err := NewBaseline[float64](name, p, bad); err == nil {
-			t.Fatalf("%s accepted non-triangular matrix", name)
+	// Every constructor rejects a non-triangular matrix, and a zero
+	// pivot with sparse.ErrSingular.
+	zeroPivot := chainLower(4)
+	zeroPivot.Val[zeroPivot.RowPtr[3]-1] = 0 // row 2's diagonal, the last entry of its row
+	for _, bad := range []struct {
+		what string
+		m    *sparse.CSR[float64]
+		want error // nil: any error
+	}{
+		{"non-triangular", sparse.FromDense(2, 2, []float64{1, 1, 1, 1}), nil},
+		{"zero-pivot", zeroPivot, sparse.ErrSingular},
+	} {
+		for _, name := range []string{"serial", "level-set", "sync-free", "cusparse-like"} {
+			_, err := NewBaseline[float64](name, p, bad.m)
+			if err == nil || bad.want != nil && !errors.Is(err, bad.want) {
+				t.Fatalf("%s on a %s matrix: got %v, want %v", name, bad.what, err, bad.want)
+			}
 		}
+	}
+}
+
+// TestBaselinesEmptySystem: every baseline builds a 0×0 system and
+// solves it, twice, with nil vectors.
+func TestBaselinesEmptySystem(t *testing.T) {
+	p := exec.NewPool(2)
+	for _, name := range []string{"serial", "level-set", "sync-free", "cusparse-like"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewBaseline[float64](name, p, chainLower(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Solve(nil, nil)
+			s.Solve(nil, nil)
+			if s.Rows() != 0 || s.Name() != name {
+				t.Fatalf("metadata: rows=%d name=%q", s.Rows(), s.Name())
+			}
+		})
 	}
 }
 

@@ -602,11 +602,13 @@ func loadAllow[T any](path string, parse func(io.Reader) ([]T, error)) ([]T, err
 
 // GateResult is one gate's verdict over the audit.
 type GateResult struct {
-	// Violations fail the gate.
+	// Violations fail the gate, among them an allowlist entry naming a
+	// function the audit no longer reports: a deleted or renamed function
+	// must take its entry with it.
 	Violations []string
 	// Stale entries are informational: allowlist entries looser than the
-	// audit, or naming functions it no longer reports — cues to tighten or
-	// regenerate with `sptrsvlint -compiler -update`.
+	// audit or with a drifted reason — cues to tighten or regenerate with
+	// `sptrsvlint -compiler -update`.
 	Stale []string
 }
 
@@ -639,7 +641,7 @@ func CheckBCE(funcs []HotFunc, allow []BCEAllow) GateResult {
 	}
 	for _, a := range allow {
 		if key := a.File + ":" + a.Func; hasKey(budget, key) {
-			res.Stale = append(res.Stale,
+			res.Violations = append(res.Violations,
 				fmt.Sprintf("%s: allowlisted but not a hot-path function in the audit — remove", key))
 		}
 	}
@@ -754,7 +756,7 @@ func CheckInl(funcs []HotFunc, allow []InlAllow) GateResult {
 	}
 	for _, a := range allow {
 		if key := a.File + ":" + a.Func; hasKey(byKey, key) {
-			res.Stale = append(res.Stale,
+			res.Violations = append(res.Violations,
 				fmt.Sprintf("%s: allowlisted but no longer a hot-path function in the audit — remove", key))
 		}
 	}

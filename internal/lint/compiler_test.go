@@ -304,13 +304,15 @@ func TestCheckBCE(t *testing.T) {
 		{File: "c.go", Func: "Gone", Max: 2},
 	}
 	res := CheckBCE(funcs, allow)
-	// New is unlisted -> violation; Clean has nothing to budget.
-	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "b.go:New") {
-		t.Errorf("violations = %v, want one for b.go:New", res.Violations)
+	// New is unlisted and Gone names no audited function -> violations;
+	// Clean has nothing to budget.
+	if v := strings.Join(res.Violations, "\n"); len(res.Violations) != 2 ||
+		!strings.Contains(v, "b.go:New") || !strings.Contains(v, "c.go:Gone") {
+		t.Errorf("violations = %v, want one for b.go:New and one for c.go:Gone", res.Violations)
 	}
-	// Tight under budget and Gone unused -> two stale notes.
-	if len(res.Stale) != 2 {
-		t.Errorf("stale = %v, want 2 notes", res.Stale)
+	// Tight under budget -> one stale note.
+	if len(res.Stale) != 1 || !strings.Contains(res.Stale[0], "b.go:Tight") {
+		t.Errorf("stale = %v, want one note for b.go:Tight", res.Stale)
 	}
 
 	// Exceeding the budget is a violation.
@@ -403,18 +405,21 @@ func TestCheckInl(t *testing.T) {
 		{File: "a.go", Func: "Gone", Reason: "unhandled op DEFER"},
 	}
 	res := CheckInl(funcs, allow)
-	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "New") ||
-		!strings.Contains(res.Violations[0], "call to recover") {
-		t.Errorf("violations = %v, want exactly the unlisted New with its verbatim reason", res.Violations)
+	if len(res.Violations) != 2 || !strings.Contains(res.Violations[0], "New") ||
+		!strings.Contains(res.Violations[0], "call to recover") ||
+		!strings.Contains(res.Violations[1], "a.go:Gone") {
+		t.Errorf("violations = %v, want the unlisted New with its verbatim reason, then the entry for the gone Gone", res.Violations)
 	}
 	stale := strings.Join(res.Stale, "\n")
-	for _, needle := range []string{"Drifted", "Recovered", "Gone"} {
+	for _, needle := range []string{"Drifted", "Recovered"} {
 		if !strings.Contains(stale, needle) {
 			t.Errorf("stale notes missing %s:\n%s", needle, stale)
 		}
 	}
-	if strings.Contains(stale, "Listed") {
-		t.Errorf("exact allowlist match flagged stale:\n%s", stale)
+	for _, needle := range []string{"Listed", "Gone"} {
+		if strings.Contains(stale, needle) {
+			t.Errorf("%s flagged stale:\n%s", needle, stale)
+		}
 	}
 }
 
