@@ -136,15 +136,18 @@ func ResetMetrics() { metrics.Default.Reset() }
 // Analyze time when Options.Validate is set; StallError and ResidualError
 // come out of SolveContext.
 var (
-	// ErrSingular matches any zero-or-missing-diagonal failure:
-	// errors.Is(err, ErrSingular) is true for ErrZeroDiagonal too.
+	// ErrSingular matches any missing, zero or out-of-range diagonal
+	// (sparse.UsableDiagonal): errors.Is(err, ErrSingular) is true for
+	// ErrZeroDiagonal too.
 	ErrSingular = sparse.ErrSingular
 	// ErrNotTriangular reports an entry on the wrong side of the diagonal.
 	ErrNotTriangular = sparse.ErrNotTriangular
 )
 
-// ErrZeroDiagonal pinpoints the row whose diagonal is missing or exactly
-// zero. It satisfies errors.Is(err, ErrSingular).
+// ErrZeroDiagonal pinpoints the row whose diagonal is missing, zero, or
+// outside the range where it and its reciprocal are both normal numbers
+// (|d| in [2⁻¹⁰²², 2¹⁰²²] for float64, [2⁻¹²⁶, 2¹²⁶] for float32). It
+// satisfies errors.Is(err, ErrSingular).
 type ErrZeroDiagonal = sparse.ErrZeroDiagonal
 
 // ErrNonFinite pinpoints a stored NaN or Inf value by (row, column).
@@ -244,7 +247,9 @@ func DefaultOptions(workers int) Options {
 
 // Analyze preprocesses the lower-triangular system L for repeated solves
 // (the paper's recursive block preprocessing, §3.3). L must be square,
-// lower triangular, with a full nonzero diagonal — see LowerTriangle.
+// lower triangular, with a full diagonal whose entries and their
+// reciprocals are normal numbers (sparse.UsableDiagonal) — see
+// LowerTriangle.
 //
 // The solver keeps a reference to L, for residual verification and the
 // serial fallback, and, when the plan is one serial leaf in gather form

@@ -79,7 +79,7 @@ func describeDefect(err error) error {
 	}
 	var zd sparse.ErrZeroDiagonal
 	if errors.As(err, &zd) {
-		return fmt.Errorf("zero or missing diagonal at row %d", zd.Row)
+		return fmt.Errorf("missing, zero or out-of-range diagonal at row %d", zd.Row)
 	}
 	return err
 }

@@ -43,15 +43,23 @@ func benchmarkInputs() []benchmarkInput {
 
 // backwardBound is the componentwise backward error a solve of l under
 // plan depth d may show: 2·(w + d + 2)·u, where w is l's longest row
-// (stored entries, diagonal included) and u = 2⁻⁵³. Substitution in any
+// (stored entries, diagonal included) and u is the unit roundoff of l's
+// element type, 2⁻⁵³ for float64 and 2⁻²⁴ for float32. Every kernel
+// solves a row as x_i = (b_i − Σ v·x_c)·(1/d_i). Substitution in any
 // summation order keeps the error of a row of w entries under γ_w ≈ w·u
 // (Higham, ch. 8); evaluating the residual in float64 adds up to
-// γ_(w+1); hence the factor 2. The d + 2 terms cover the division and
-// the subtraction of one partial sum per square a row crosses on its way
-// down the recursion. Neither n nor the conditioning enters.
-func backwardBound(l *sparse.CSR[float64], depth int) float64 {
+// γ_(w+1) for float64 and less for float32; hence the factor 2. The
+// d + 2 terms cover the two roundings of the diagonal step, the
+// reciprocal and its product, and the subtraction of one partial sum per
+// square a row crosses on its way down the recursion. Neither n nor the
+// conditioning enters.
+func backwardBound[T sparse.Float](l *sparse.CSR[T], depth int) float64 {
+	u := 0x1p-53
+	if _, single := any(T(0)).(float32); single {
+		u = 0x1p-24
+	}
 	w := l.RowStats().MaxLen
-	return 2 * float64(w+depth+2) * 0x1p-53
+	return 2 * float64(w+depth+2) * u
 }
 
 // TestBackwardErrorAtBenchmarkScale checks the numerical contract at the

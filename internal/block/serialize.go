@@ -577,13 +577,16 @@ func (s *Solver[T]) validateLoaded() error {
 	if s.n < 0 {
 		return fmt.Errorf("%w: negative size", ErrSerialize)
 	}
+	// One set of marks checks the permutation and every level set and
+	// schedule, none of which covers more than n rows.
+	marks := sparse.NewPermMarks(s.n)
 	if s.perm != nil {
-		if err := sparse.CheckPerm(s.n, s.perm); err != nil {
+		if err := marks.Check(s.n, s.perm); err != nil {
 			return fmt.Errorf("%w: %v", ErrSerialize, err)
 		}
 	}
 	for i := range s.tris {
-		if err := s.tris[i].validate(); err != nil {
+		if err := s.tris[i].validate(marks); err != nil {
 			return fmt.Errorf("%w: tri block %d: %v", ErrSerialize, i, err)
 		}
 	}
@@ -632,9 +635,11 @@ func (s *Solver[T]) validateLoaded() error {
 // validate checks a loaded triangular block: a strictly lower CSC and a
 // diagonal of its window's size, level sets over its rows, and the
 // structures its kernel reads; or, in gather form, a serial leaf's lower
-// CSR of its window's size with sorted rows, each ending in a nonzero
-// diagonal.
-func (tb *triBlock[T]) validate() error {
+// CSR of its window's size with sorted rows. Either way every diagonal
+// entry is one sparse.UsableDiagonal accepts, as analysis requires.
+// marks check the level sets and the schedule; a gather leaf has neither,
+// and its callers may pass nil.
+func (tb *triBlock[T]) validate(marks *sparse.PermMarks) error {
 	n := tb.hi - tb.lo
 	if m := tb.lower; m != nil {
 		if tb.kernel != kernels.TriSerial {
@@ -669,7 +674,12 @@ func (tb *triBlock[T]) validate() error {
 	if len(tb.diag) != n {
 		return fmt.Errorf("diagonal has %d entries, window has %d rows", len(tb.diag), n)
 	}
-	if err := checkLevels(tb.info.LevelPtr, tb.info.LevelItem, n); err != nil {
+	for j, d := range tb.diag {
+		if !sparse.UsableDiagonal(d) {
+			return fmt.Errorf("%w: row %d diagonal %g", sparse.ErrSingular, j, d)
+		}
+	}
+	if err := checkLevels(tb.info.LevelPtr, tb.info.LevelItem, n, marks); err != nil {
 		return fmt.Errorf("level sets: %v", err)
 	}
 	switch tb.kernel {
@@ -698,7 +708,7 @@ func (tb *triBlock[T]) validate() error {
 		if len(serial)+1 != len(chunkPtr) {
 			return fmt.Errorf("schedule has %d chunk pointers for %d chunks", len(chunkPtr), len(serial))
 		}
-		if err := checkLevels(chunkPtr, items, n); err != nil {
+		if err := checkLevels(chunkPtr, items, n, marks); err != nil {
 			return fmt.Errorf("schedule: %v", err)
 		}
 	default:
@@ -708,8 +718,8 @@ func (tb *triBlock[T]) validate() error {
 }
 
 // checkLevels checks a level-ordered row list: ptr rises from 0 to n and
-// items is a permutation of the block's n rows.
-func checkLevels(ptr, items []int, n int) error {
+// items is a permutation of the block's n rows, tested with marks.
+func checkLevels(ptr, items []int, n int, marks *sparse.PermMarks) error {
 	if len(ptr) == 0 || ptr[0] != 0 || ptr[len(ptr)-1] != n {
 		return fmt.Errorf("pointers do not run from 0 to %d", n)
 	}
@@ -718,7 +728,7 @@ func checkLevels(ptr, items []int, n int) error {
 			return fmt.Errorf("pointers fall at %d", l)
 		}
 	}
-	return sparse.CheckPerm(n, items)
+	return marks.Check(n, items)
 }
 
 // validate checks a loaded square block: it stores the format its kernel

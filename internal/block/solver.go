@@ -251,7 +251,7 @@ func (s *Solver[T]) RefreshValues(l *sparse.CSR[T]) error {
 				}
 			} else {
 				tb.lower = gatherCSR(cur, tb.lo, tb.hi)
-				err = tb.validate()
+				err = tb.validate(nil)
 			}
 			if err != nil {
 				return fmt.Errorf("%w: refresh tri block %d: %v", ErrSerialize, i, err)
@@ -372,14 +372,14 @@ func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Option
 
 // buildGatherLeaf builds a serial leaf in gather form and checks it as
 // the loader does (triBlock.validate): sorted rows, lower triangular,
-// each row ending in a nonzero diagonal. Preprocess checks only the last
+// each row ending in a diagonal sparse.UsableDiagonal accepts. Preprocess checks only the last
 // entry of each row, and the gather reads every other entry as solved,
 // so an entry above the diagonal must be refused here, as SplitDiagBlock
 // refuses it on the scatter's path.
 func buildGatherLeaf[T sparse.Float](cur *sparse.CSR[T], spec segSpec) (triBlock[T], error) {
 	tb := triBlock[T]{lo: spec.rowLo, hi: spec.rowHi, lower: gatherCSR(cur, spec.rowLo, spec.rowHi),
 		kernel: kernels.TriSerial, feats: spec.feats}
-	if err := tb.validate(); err != nil {
+	if err := tb.validate(nil); err != nil {
 		return triBlock[T]{}, fmt.Errorf("block: triangular block %v: %w", spec, err)
 	}
 	return tb, nil
@@ -433,13 +433,14 @@ func orderedRows[T sparse.Float](l *sparse.CSR[T], ord, pos []int) (*sparse.CSR[
 }
 
 // checkOrderedRow checks row q of a level-ordered whole leaf, which is
-// row i of L: it ends in its own nonzero diagonal, its other columns rise
-// to the left of it, and each of them reads a row placed before q, so
-// the ordered gather reads only solved values. pos places each row.
+// row i of L: it ends in its own diagonal, one sparse.UsableDiagonal
+// accepts, its other columns rise to the left of it, and each of them
+// reads a row placed before q, so the ordered gather reads only solved
+// values. pos places each row.
 func checkOrderedRow[T sparse.Float](cols []int, vals []T, q, i int, pos []int) error {
 	last := len(cols) - 1
-	if last < 0 || cols[last] != i || vals[last] == 0 {
-		return fmt.Errorf("%w: row %d does not end in its own nonzero diagonal", sparse.ErrSingular, i)
+	if last < 0 || cols[last] != i || !sparse.UsableDiagonal(vals[last]) {
+		return fmt.Errorf("%w: row %d does not end in its own usable diagonal", sparse.ErrSingular, i)
 	}
 	prev := -1
 	for _, c := range cols[:last] {

@@ -69,10 +69,17 @@ func (s *SerialSolver[T]) Solve(b, x []T) {
 // tripped, leaving x unspecified. A nil guard never trips.
 //
 // The row loop is the rolled textbook one, one accumulator in entry
-// order, so it rounds exactly as Algorithm 1 does. Each row's sum feeds
-// x[i], which later rows read, so the solve is one long dependency chain;
-// a 4-way unroll over two accumulators measured slower than this loop on
-// the benchmark's leaves (DESIGN.md §6.9).
+// order, and it applies the diagonal by the package's one rule,
+// x_i = (b_i − Σ v·x_c)·(1/d_i): the reciprocal depends on L alone, so
+// it stays off the chain through x, which a divide after the sum put on
+// every row. That is one rounding more than Algorithm 1's divide, and
+// substitution stays componentwise backward stable (Higham, ch. 8).
+// sparse.CheckLowerSolvable admits only diagonals whose reciprocal is a
+// normal number, |d| in [2⁻¹⁰²², 2¹⁰²²] for float64 and [2⁻¹²⁶, 2¹²⁶]
+// for float32. Each row's sum feeds x[i], which later rows read, so the
+// solve is one long dependency chain; a 4-way unroll over two
+// accumulators measured slower than this loop on the benchmark's leaves
+// (DESIGN.md §6.9).
 //
 //sptrsv:hotpath
 func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) bool {
@@ -96,11 +103,12 @@ func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) b
 			next += serialGuardCols
 		}
 		lo, hi := rowPtr[i], rowPtr[i+1]-1 // diagonal is the last entry of a solvable row
+		inv := 1 / vals[hi]
 		sum := b[i]
 		for k := lo; k < hi; k++ {
 			sum -= vals[k] * x[colIdx[k]]
 		}
-		x[i] = sum / vals[hi]
+		x[i] = sum * inv
 	}
 	g.Step()
 	return !g.Tripped()
@@ -111,8 +119,9 @@ func SerialSolveCSR[T sparse.Float](l *sparse.CSR[T], b, x []T, g *exec.Guard) b
 // column indices and entry order, and it solves x[ord[q]] from b[ord[q]].
 // Every entry of a row but its diagonal, which is last, must read a row
 // placed before it, as a level order guarantees. Each row then sums
-// exactly what SerialSolveCSR sums in the same order, so the two agree
-// bit for bit. Row ord[q] reads its b before it writes its x, and no other
+// exactly what SerialSolveCSR sums in the same order and multiplies by
+// the same reciprocal, x_i = (b_i − Σ v·x_c)·(1/d_i), so the two agree
+// bit for bit, under the same solvability range. Row ord[q] reads its b before it writes its x, and no other
 // row reads that b, so b and x may be the same slice. The guard is
 // stepped and polled as in SerialSolveCSR.
 //
@@ -143,11 +152,12 @@ func SerialSolveCSROrdered[T sparse.Float](l *sparse.CSR[T], ord []int, b, x []T
 		}
 		i := ord[q]
 		lo, hi := rowPtr[q], rowPtr[q+1]-1 // diagonal is the last entry of the row
+		inv := 1 / vals[hi]
 		sum := b[i]
 		for k := lo; k < hi; k++ {
 			sum -= vals[k] * x[colIdx[k]]
 		}
-		x[i] = sum / vals[hi]
+		x[i] = sum * inv
 	}
 	g.Step()
 	return !g.Tripped()

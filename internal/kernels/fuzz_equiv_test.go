@@ -61,13 +61,14 @@ func buildRandLower[T sparse.Float](rng *rand.Rand, n int, density float64) *spa
 var ladderLens = [...]int{0, 1, 2, 3, 4, 7}
 
 // buildLadderLower is a lower system whose row i has min(i,
-// ladderLens[i%6]) strictly-lower entries in random columns, with
-// buildRandLower's values, so every row form of the batch gather runs
-// whatever the fuzzer's density.
-func buildLadderLower[T sparse.Float](rng *rand.Rand, n int) *sparse.CSR[T] {
+// lens[i%len(lens)]) strictly-lower entries in random columns, with
+// buildRandLower's values. Over ladderLens every row form of the batch
+// gather runs whatever the fuzzer's density; over its first four, only
+// the one-pass forms do.
+func buildLadderLower[T sparse.Float](rng *rand.Rand, n int, lens []int) *sparse.CSR[T] {
 	b := sparse.NewBuilder[T](n, n)
 	for i := 0; i < n; i++ {
-		for _, j := range rng.Perm(i)[:min(i, ladderLens[i%len(ladderLens)])] {
+		for _, j := range rng.Perm(i)[:min(i, lens[i%len(lens)])] {
 			b.Add(i, j, T(0.5*rng.NormFloat64()/float64(1+i-j)))
 		}
 		b.Add(i, i, T(1+rng.Float64()))
@@ -198,7 +199,7 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	// The batch gather again on a ladder of row lengths: rows of fewer
 	// than four strictly-lower entries take its one-pass forms, longer
 	// ones its groups of four.
-	ladder := buildLadderLower[T](rng, n)
+	ladder := buildLadderLower[T](rng, n, ladderLens[:])
 	lstrict, ldiag, err := sparse.SplitDiagCSC(ladder.ToCSC())
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +212,53 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	// rows that respects every dependency.
 	checkOrderedGathers(t, rng, l, b)
 	checkOrderedGathers(t, rng, ladder, b)
+
+	// Each single-RHS kernel against its batch twin where neither
+	// reassociates: the scatters, the diagonal-only kernels, and the
+	// gathers on rows of fewer than four strictly-lower entries, which
+	// the batch gather computes in one pass in entry order.
+	short := buildLadderLower[T](rng, n, ladderLens[:4])
+	checkBatchTwin(t, "serial", b,
+		func(b, x []T) { TriSerialSolve(strictCSC, diag, slices.Clone(b), x, nil) },
+		func(b, x []T, k int) { TriSerialSolveBatch(strictCSC, diag, slices.Clone(b), x, k, nil) })
+	checkBatchTwin(t, "completely-parallel", b,
+		func(b, x []T) { TriDiagOnlySolve(p, diag, b, x) },
+		func(b, x []T, k int) { TriDiagOnlySolveBatch(p, diag, b, x, k) })
+	checkBatchTwin(t, "serial-csr", b,
+		func(b, x []T) { SerialSolveCSR(short, b, x, nil) },
+		func(b, x []T, k int) { SerialSolveCSRBatch(short, b, x, k, nil) })
+}
+
+// checkBatchTwin solves k right-hand sides at once with batch, at k = 2,
+// 3 and 16, column r of them b with r added to every entry, and holds
+// each column to single's answer for that column bit for bit: both
+// kernels subtract in the same order and apply the diagonal as one
+// reciprocal. Neither kernel may write its b.
+func checkBatchTwin[T sparse.Float](t *testing.T, name string, b []T, single func(b, x []T), batch func(b, x []T, k int)) {
+	t.Helper()
+	n := len(b)
+	bc, want, got := make([]T, n), make([]T, n), make([]T, n)
+	for _, k := range []int{2, 3, 16} {
+		bk, xk := make([]T, n*k), make([]T, n*k)
+		for i := range bk {
+			bk[i] = b[i/k] + T(i%k)
+		}
+		batch(bk, xk, k)
+		for r := 0; r < k; r++ {
+			for i := range bc {
+				bc[i], got[i] = bk[i*k+r], xk[i*k+r]
+			}
+			single(bc, want)
+			if !slices.Equal(got, want) {
+				i := 0
+				for got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("%T %s batch k=%d n=%d: column %d x[%d]=%g differs from the single-RHS kernel's %g",
+					T(0), name, k, n, r, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // randomTopoOrder is a random order of l's rows in which every row comes

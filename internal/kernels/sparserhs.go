@@ -106,12 +106,13 @@ func (s *SparseRHSSolver[T]) Solve(bIdx []int, bVal []T) (xIdx []int, xVal []T) 
 	for _, i := range reach {
 		sum := s.xdense[i]
 		hi := l.RowPtr[i+1] - 1
+		inv := 1 / l.Val[hi]
 		for k := l.RowPtr[i]; k < hi; k++ {
 			if v := s.xdense[l.ColIdx[k]]; v != 0 {
 				sum -= l.Val[k] * v
 			}
 		}
-		s.xdense[i] = sum / l.Val[hi]
+		s.xdense[i] = sum * inv
 	}
 	xVal = make([]T, len(reach))
 	for t, i := range reach {

@@ -99,9 +99,15 @@ func (k SpMVKernel) String() string {
 const serialGuardCols = 256
 
 // TriSerialSolve solves the triangular block serially: x[i] =
-// w[i]/diag[i], scattering -val·x[i] into w for the remaining rows. On
-// return x holds the solution; w is consumed (its tail holds fully-updated
-// partial sums). This is Algorithm 1 restated for the split storage.
+// w[i]·(1/diag[i]), scattering -val·x[i] into w for the remaining rows.
+// On return x holds the solution; w is consumed (its tail holds
+// fully-updated partial sums). This is Algorithm 1 restated for the split
+// storage, with the diagonal applied by the rule of every kernel here,
+// x_i = (b_i − Σ v·x_c)·(1/d_i): the reciprocal depends on the diagonal
+// alone, so it stays off the chain through w. Diagonals come from
+// sparse.SplitDiagCSC or SplitDiagBlock, which admit only those whose
+// reciprocal is a normal number (|d| in [2⁻¹⁰²², 2¹⁰²²] for float64,
+// [2⁻¹²⁶, 2¹²⁶] for float32).
 // After every serialGuardCols columns it takes one guard progress step
 // and polls g; it reports false once g tripped, leaving x unspecified.
 //
@@ -131,7 +137,7 @@ func TriSerialSolve[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T, g
 			}
 			next += serialGuardCols
 		}
-		xj := w[j] / diag[j]
+		xj := w[j] * (1 / diag[j])
 		x[j] = xj
 		lo, hi := colPtr[j], colPtr[j+1]
 		if hi-lo < 4 { // short column: direct indexing, see internal/kernels/spmv.go
@@ -169,20 +175,20 @@ func TriSerialSolve[T sparse.Float](strict *sparse.CSC[T], diag []T, w, x []T, g
 //sptrsv:hotpath
 func TriDiagOnlySolve[T sparse.Float](p exec.Launcher, diag []T, w, x []T) {
 	p.ParallelFor(len(diag), 0, func(lo, hi int) {
-		// Re-slice the chunk windows so the divide loop runs with no
+		// Re-slice the chunk windows so the diagonal loop runs with no
 		// per-element bounds checks (DESIGN.md §6.9).
 		d := diag[lo:hi]
 		wv := w[lo:hi][:len(d)]
 		xv := x[lo:hi][:len(d)]
 		for i := range d {
-			xv[i] = wv[i] / d[i]
+			xv[i] = wv[i] * (1 / d[i])
 		}
 	})
 }
 
 // TriLevelSetSolve runs the level-set kernel: one launch (and thus one
-// barrier) per level. Components of the current level divide by the
-// diagonal and scatter updates into w with atomic adds; all their targets
+// barrier) per level. Components of the current level multiply by the
+// diagonal's reciprocal and scatter updates into w with atomic adds; all their targets
 // are in strictly later levels, so reads of w within the level race with
 // nothing.
 //
@@ -204,7 +210,7 @@ func TriLevelSetSolve[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], di
 			its := items[a:b]
 			for t := range its {
 				j := its[t]
-				xj := w[j] / diag[j]
+				xj := w[j] * (1 / diag[j])
 				x[j] = xj
 				klo, khi := colPtr[j], colPtr[j+1]
 				rows := rowIdx[klo:khi]
@@ -308,7 +314,7 @@ func TriSyncFreeSolve[T sparse.Float](p exec.Launcher, state *SyncFreeState, str
 				g.ReportStall(j, indeg[j].V.Load())
 				return
 			}
-			xj := w[j] / diag[j]
+			xj := w[j] * (1 / diag[j])
 			x[j] = xj
 			klo, khi := colPtr[j], colPtr[j+1]
 			rows := rowIdx[klo:khi]
@@ -424,12 +430,13 @@ func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule
 	//lint:ignore escapecheck one row closure per solve, shared by every chunk launch below
 	row := func(i int) {
 		lo, hi := rowPtr[i], rowPtr[i+1]
+		inv := 1 / diag[i]
 		sum := w[i]
 		if hi-lo < 4 { // short row: direct indexing, see internal/kernels/spmv.go
 			for k := lo; k < hi; k++ {
 				sum -= vals[k] * x[colIdx[k]]
 			}
-			x[i] = sum / diag[i]
+			x[i] = sum * inv
 			return
 		}
 		cols := colIdx[lo:hi]
@@ -446,7 +453,7 @@ func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule
 		for k := range cols {
 			s0 -= vs[k] * x[cols[k]]
 		}
-		x[i] = (s0 - s1) / diag[i]
+		x[i] = (s0 - s1) * inv
 	}
 	// Hoisting the schedule's slices keeps serial[c] provably in bounds
 	// across the guard's atomic load.

@@ -7,15 +7,48 @@ import (
 
 // CheckPerm verifies that perm is a permutation of 0..n-1.
 func CheckPerm(n int, perm []int) error {
+	return NewPermMarks(n).Check(n, perm)
+}
+
+// PermMarks is the one bit per element with which Check tests a
+// permutation, kept so that a caller checking several of them, as the
+// plan loader checks a plan's permutation and every level set and
+// schedule, allocates its marks once.
+type PermMarks struct {
+	bits []uint64
+}
+
+// NewPermMarks returns marks that check permutations of up to n elements
+// without growing.
+func NewPermMarks(n int) *PermMarks {
+	return &PermMarks{bits: make([]uint64, (n+63)/64)}
+}
+
+// Check verifies that perm is a permutation of 0..n-1, as CheckPerm
+// does, growing the marks if n needs more bits. A nil *PermMarks checks
+// with fresh marks.
+func (m *PermMarks) Check(n int, perm []int) error {
 	if len(perm) != n {
 		return fmt.Errorf("%w: permutation length %d want %d", ErrShape, len(perm), n)
 	}
-	seen := make([]bool, n)
+	if m == nil {
+		m = NewPermMarks(n)
+	}
+	words := (n + 63) / 64
+	if len(m.bits) < words {
+		m.bits = make([]uint64, words)
+	}
+	seen := m.bits[:words]
+	clear(seen)
 	for _, p := range perm {
-		if p < 0 || p >= n || seen[p] {
+		if p < 0 || p >= n {
 			return fmt.Errorf("%w: not a permutation of 0..%d", ErrShape, n-1)
 		}
-		seen[p] = true
+		w, bit := p>>6, uint64(1)<<(p&63)
+		if seen[w]&bit != 0 {
+			return fmt.Errorf("%w: not a permutation of 0..%d", ErrShape, n-1)
+		}
+		seen[w] |= bit
 	}
 	return nil
 }

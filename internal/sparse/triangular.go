@@ -4,11 +4,31 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
-// ErrSingular reports a triangular matrix with a missing or zero diagonal
-// entry, which makes the solve undefined.
-var ErrSingular = errors.New("sparse: singular triangular matrix (zero or missing diagonal)")
+// ErrSingular reports a triangular matrix with a missing diagonal entry,
+// or one that UsableDiagonal refuses, which makes the solve undefined.
+var ErrSingular = errors.New("sparse: singular triangular matrix (missing, zero or out-of-range diagonal)")
+
+// UsableDiagonal reports whether d can be the diagonal entry of a row of
+// a triangular solve. Every kernel applies the diagonal as its
+// reciprocal, x_i = (b_i − Σ v·x_c)·(1/d_i), so d and 1/d must both be
+// normal numbers of T: |d| in [2⁻¹⁰²², 2¹⁰²²] for float64 and
+// [2⁻¹²⁶, 2¹²⁶] for float32. Zero, subnormal, NaN and infinite values
+// fail, and so do values whose reciprocal would overflow or fall below
+// the normal range. It compares and does not divide, so a check of
+// every row at analysis costs no divide.
+func UsableDiagonal[T Float](d T) bool {
+	a := float64(d)
+	if a < 0 {
+		a = -a
+	}
+	if unsafe.Sizeof(d) == 4 {
+		return 0x1p-126 <= a && a <= 0x1p126
+	}
+	return 0x1p-1022 <= a && a <= 0x1p1022
+}
 
 // ErrNotTriangular reports a matrix that was expected to be triangular.
 var ErrNotTriangular = errors.New("sparse: matrix is not triangular")
@@ -125,7 +145,10 @@ func (m *CSR[T]) IsUpperTriangular() bool {
 }
 
 // CheckLowerSolvable verifies that the matrix is square, lower triangular
-// and has a full nonzero diagonal, i.e. that Lx=b is well defined.
+// and has a full diagonal that UsableDiagonal accepts, i.e. that Lx=b is
+// well defined and every kernel's reciprocal of the diagonal is a normal
+// number. It checks the last entry of each row only; off-diagonal values
+// are left to Validate.
 func CheckLowerSolvable[T Float](m *CSR[T]) error {
 	if m.Rows != m.Cols {
 		return fmt.Errorf("%w: %dx%d not square", ErrShape, m.Rows, m.Cols)
@@ -138,8 +161,11 @@ func CheckLowerSolvable[T Float](m *CSR[T]) error {
 		if m.ColIdx[hi-1] > i {
 			return fmt.Errorf("%w: row %d has entry in column %d", ErrNotTriangular, i, m.ColIdx[hi-1])
 		}
-		if m.ColIdx[hi-1] != i || m.Val[hi-1] == 0 {
-			return fmt.Errorf("%w: row %d", ErrSingular, i)
+		if m.ColIdx[hi-1] != i {
+			return fmt.Errorf("%w: row %d has no diagonal", ErrSingular, i)
+		}
+		if d := m.Val[hi-1]; !UsableDiagonal(d) {
+			return fmt.Errorf("%w: row %d diagonal %g", ErrSingular, i, d)
 		}
 	}
 	return nil
@@ -187,7 +213,8 @@ func subCompressed[T Float](ptr, idx []int, val []T, m0, m1, n0, n1 int) ([]int,
 // strictly-lower part and a dense diagonal vector, the storage convention
 // the paper uses for triangular sub-blocks ("the diagonal is saved
 // separately"). It returns ErrSingular if any diagonal entry is missing or
-// zero, and ErrNotTriangular for an entry above the diagonal.
+// UsableDiagonal refuses it, and ErrNotTriangular for an entry above the
+// diagonal.
 func SplitDiagCSC[T Float](m *CSC[T]) (strict *CSC[T], diag []T, err error) {
 	if m.Rows != m.Cols {
 		return nil, nil, fmt.Errorf("%w: %dx%d not square", ErrShape, m.Rows, m.Cols)
@@ -215,7 +242,7 @@ func SplitDiagBlock[T Float](m *CSC[T], lo, hi int) (strict *CSC[T], diag []T, e
 		switch {
 		case a < b && seg[a] < j:
 			return nil, nil, fmt.Errorf("%w: column %d has entry above diagonal", ErrNotTriangular, j-lo)
-		case a == b || seg[a] != j || m.Val[p0+a] == 0:
+		case a == b || seg[a] != j || !UsableDiagonal(m.Val[p0+a]):
 			return nil, nil, fmt.Errorf("%w: column %d", ErrSingular, j-lo)
 		}
 		diag[j-lo] = m.Val[p0+a]

@@ -2,7 +2,9 @@ package sparse
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -345,5 +347,77 @@ func TestPermuteSymLevelOrderKeepsTriangular(t *testing.T) {
 	}
 	if !pm.IsLowerTriangular() {
 		t.Fatal("topological permutation broke triangularity")
+	}
+}
+
+// TestUsableDiagonal pins the solvable range at both element types: a
+// diagonal d is usable exactly when d and 1/d are both normal numbers,
+// |d| in [2⁻¹⁰²², 2¹⁰²²] for float64 and [2⁻¹²⁶, 2¹²⁶] for float32,
+// closed at both ends, of either sign.
+func TestUsableDiagonal(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { checkUsableDiagonal[float64](t, 1022) })
+	t.Run("float32", func(t *testing.T) { checkUsableDiagonal[float32](t, 126) })
+}
+
+func checkUsableDiagonal[T Float](t *testing.T, e int) {
+	lo, hi := T(math.Ldexp(1, -e)), T(math.Ldexp(1, e))
+	// The next values of T outside each end of the range.
+	below := T(math.Nextafter32(float32(lo), 0))
+	above := T(math.Nextafter32(float32(hi), float32(math.Inf(1))))
+	if e == 1022 {
+		below = T(math.Nextafter(float64(lo), 0))
+		above = T(math.Nextafter(float64(hi), math.Inf(1)))
+	}
+	for _, d := range []T{lo, hi, 1, 0.5, 3} {
+		if !UsableDiagonal(d) || !UsableDiagonal(-d) {
+			t.Errorf("%T %g refused", d, float64(d))
+		}
+		// The defining property: the reciprocal is normal too.
+		if r := 1 / d; !(float64(r) >= float64(lo) && float64(r) <= float64(hi)) {
+			t.Errorf("%T 1/%g = %g is not in the normal range", d, float64(d), float64(r))
+		}
+	}
+	inf := T(math.Inf(1))
+	for _, d := range []T{0, below, above, inf, T(math.NaN()), T(math.Ldexp(1, -e-10))} {
+		if UsableDiagonal(d) || UsableDiagonal(-d) {
+			t.Errorf("%T %g accepted", d, float64(d))
+		}
+	}
+}
+
+// TestDiagonalChecksShareTheRange: every check of a triangular system's
+// diagonal refuses one outside UsableDiagonal's range and names its row,
+// at both element types.
+func TestDiagonalChecksShareTheRange(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { checkDiagonalChecks[float64](t, []float64{1e-310, 1e308}) })
+	t.Run("float32", func(t *testing.T) { checkDiagonalChecks[float32](t, []float64{1e-39, 1e38}) })
+}
+
+func checkDiagonalChecks[T Float](t *testing.T, bad []float64) {
+	for _, v := range bad {
+		// Row 2 of a 3×3 lower system carries the diagonal v.
+		l := NewBuilder[T](3, 3)
+		l.Add(0, 0, 2)
+		l.Add(1, 0, 1)
+		l.Add(1, 1, 2)
+		l.Add(2, 1, 1)
+		l.Add(2, 2, T(v))
+		m := l.BuildCSR()
+		if err := CheckLowerSolvable(m); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("%T CheckLowerSolvable of diagonal %g: got %v, want ErrSingular naming row 2", T(0), v, err)
+		}
+		var zd ErrZeroDiagonal
+		if err := ValidateLower(m); !errors.As(err, &zd) || zd.Row != 2 {
+			t.Errorf("%T ValidateLower of diagonal %g: got %v, want ErrZeroDiagonal{2}", T(0), v, err)
+		}
+		if _, _, err := SplitDiagCSC(m.ToCSC()); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "column 2") {
+			t.Errorf("%T SplitDiagCSC of diagonal %g: got %v, want ErrSingular naming column 2", T(0), v, err)
+		}
+		if _, _, err := SplitDiagBlock(m.ToCSC(), 1, 3); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "column 1") {
+			t.Errorf("%T SplitDiagBlock of diagonal %g: got %v, want ErrSingular naming local column 1", T(0), v, err)
+		}
+		if err := ValidateUpper(m.Transpose()); !errors.As(err, &zd) || zd.Row != 2 {
+			t.Errorf("%T ValidateUpper of diagonal %g: got %v, want ErrZeroDiagonal{2}", T(0), v, err)
+		}
 	}
 }

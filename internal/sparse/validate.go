@@ -5,15 +5,17 @@ import (
 	"math"
 )
 
-// ErrZeroDiagonal reports a missing or exactly-zero diagonal entry, the
-// defect that turns a triangular solve into silent Inf/NaN contamination.
-// It satisfies errors.Is(err, ErrSingular).
+// ErrZeroDiagonal reports a missing diagonal entry or one that
+// UsableDiagonal refuses (zero, or too small or too large for its
+// reciprocal to be a normal number), the defect that turns a triangular
+// solve into silent Inf/NaN contamination. It satisfies
+// errors.Is(err, ErrSingular).
 type ErrZeroDiagonal struct {
 	Row int
 }
 
 func (e ErrZeroDiagonal) Error() string {
-	return fmt.Sprintf("sparse: zero or missing diagonal at row %d", e.Row)
+	return fmt.Sprintf("sparse: missing, zero or out-of-range diagonal at row %d", e.Row)
 }
 
 // Is makes errors.Is(err, ErrSingular) match, so callers written against
@@ -51,8 +53,8 @@ func Validate[T Float](m *CSR[T]) error {
 }
 
 // ValidateLower is the analyze-time validation of a lower-triangular
-// system: Validate plus squareness, lower triangularity and a present,
-// nonzero, finite diagonal. Failures surface as typed errors
+// system: Validate plus squareness, lower triangularity and a present
+// diagonal that UsableDiagonal accepts. Failures surface as typed errors
 // (ErrZeroDiagonal, ErrNonFinite) or wrapped sentinels (ErrNotTriangular,
 // ErrShape) instead of the silent garbage an unchecked solve would emit.
 func ValidateLower[T Float](m *CSR[T]) error {
@@ -67,7 +69,7 @@ func ValidateLower[T Float](m *CSR[T]) error {
 		if hi > lo && m.ColIdx[hi-1] > i {
 			return fmt.Errorf("%w: row %d has entry in column %d", ErrNotTriangular, i, m.ColIdx[hi-1])
 		}
-		if hi == lo || m.ColIdx[hi-1] != i || m.Val[hi-1] == 0 {
+		if hi == lo || m.ColIdx[hi-1] != i || !UsableDiagonal(m.Val[hi-1]) {
 			return ErrZeroDiagonal{Row: i}
 		}
 	}
@@ -88,7 +90,7 @@ func ValidateUpper[T Float](m *CSR[T]) error {
 		if hi > lo && m.ColIdx[lo] < i {
 			return fmt.Errorf("%w: row %d has entry in column %d", ErrNotTriangular, i, m.ColIdx[lo])
 		}
-		if hi == lo || m.ColIdx[lo] != i || m.Val[lo] == 0 {
+		if hi == lo || m.ColIdx[lo] != i || !UsableDiagonal(m.Val[lo]) {
 			return ErrZeroDiagonal{Row: i}
 		}
 	}
