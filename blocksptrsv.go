@@ -144,10 +144,9 @@ var (
 	ErrNotTriangular = sparse.ErrNotTriangular
 )
 
-// ErrZeroDiagonal pinpoints the row whose diagonal is missing, zero, or
-// outside the range where it and its reciprocal are both normal numbers
-// (|d| in [2⁻¹⁰²², 2¹⁰²²] for float64, [2⁻¹²⁶, 2¹²⁶] for float32). It
-// satisfies errors.Is(err, ErrSingular).
+// ErrZeroDiagonal pinpoints the row whose diagonal is missing or is not a
+// diagonal sparse.UsableDiagonal accepts. It satisfies
+// errors.Is(err, ErrSingular).
 type ErrZeroDiagonal = sparse.ErrZeroDiagonal
 
 // ErrNonFinite pinpoints a stored NaN or Inf value by (row, column).
@@ -203,8 +202,9 @@ func WriteMatrixMarket[T Float](w io.Writer, m *Matrix[T]) error {
 }
 
 // LowerTriangle extracts the lower-triangular part of a square matrix,
-// optionally inserting unit diagonals where missing — the paper's recipe
-// for turning an arbitrary test matrix into a solvable system.
+// optionally putting a unit diagonal where one is missing or is not a
+// diagonal Analyze accepts — the paper's recipe for turning an arbitrary
+// test matrix into a solvable system.
 func LowerTriangle[T Float](m *Matrix[T], insertUnitDiag bool) (*Matrix[T], error) {
 	return sparse.LowerTriangle(m, insertUnitDiag)
 }
@@ -247,9 +247,8 @@ func DefaultOptions(workers int) Options {
 
 // Analyze preprocesses the lower-triangular system L for repeated solves
 // (the paper's recursive block preprocessing, §3.3). L must be square,
-// lower triangular, with a full diagonal whose entries and their
-// reciprocals are normal numbers (sparse.UsableDiagonal) — see
-// LowerTriangle.
+// lower triangular, with a full diagonal of entries sparse.UsableDiagonal
+// accepts — see LowerTriangle.
 //
 // The solver keeps a reference to L, for residual verification and the
 // serial fallback, and, when the plan is one serial leaf in gather form

@@ -637,8 +637,8 @@ func (s *Solver[T]) validateLoaded() error {
 // structures its kernel reads; or, in gather form, a serial leaf's lower
 // CSR of its window's size with sorted rows. Either way every diagonal
 // entry is one sparse.UsableDiagonal accepts, as analysis requires.
-// marks check the level sets and the schedule; a gather leaf has neither,
-// and its callers may pass nil.
+// marks check the level sets and the schedule, which a gather leaf has
+// not.
 func (tb *triBlock[T]) validate(marks *sparse.PermMarks) error {
 	n := tb.hi - tb.lo
 	if m := tb.lower; m != nil {

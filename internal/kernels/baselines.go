@@ -74,9 +74,8 @@ func (s *SerialSolver[T]) Solve(b, x []T) {
 // it stays off the chain through x, which a divide after the sum put on
 // every row. That is one rounding more than Algorithm 1's divide, and
 // substitution stays componentwise backward stable (Higham, ch. 8).
-// sparse.CheckLowerSolvable admits only diagonals whose reciprocal is a
-// normal number, |d| in [2⁻¹⁰²², 2¹⁰²²] for float64 and [2⁻¹²⁶, 2¹²⁶]
-// for float32. Each row's sum feeds x[i], which later rows read, so the
+// sparse.CheckLowerSolvable admits only diagonals sparse.UsableDiagonal
+// accepts. Each row's sum feeds x[i], which later rows read, so the
 // solve is one long dependency chain; a 4-way unroll over two
 // accumulators measured slower than this loop on the benchmark's leaves
 // (DESIGN.md §6.9).

@@ -105,9 +105,8 @@ const serialGuardCols = 256
 // storage, with the diagonal applied by the rule of every kernel here,
 // x_i = (b_i − Σ v·x_c)·(1/d_i): the reciprocal depends on the diagonal
 // alone, so it stays off the chain through w. Diagonals come from
-// sparse.SplitDiagCSC or SplitDiagBlock, which admit only those whose
-// reciprocal is a normal number (|d| in [2⁻¹⁰²², 2¹⁰²²] for float64,
-// [2⁻¹²⁶, 2¹²⁶] for float32).
+// sparse.SplitDiagCSC or SplitDiagBlock, which admit only diagonals
+// sparse.UsableDiagonal accepts.
 // After every serialGuardCols columns it takes one guard progress step
 // and polls g; it reports false once g tripped, leaving x unspecified.
 //

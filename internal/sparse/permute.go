@@ -25,14 +25,10 @@ func NewPermMarks(n int) *PermMarks {
 }
 
 // Check verifies that perm is a permutation of 0..n-1, as CheckPerm
-// does, growing the marks if n needs more bits. A nil *PermMarks checks
-// with fresh marks.
+// does, growing the marks if n needs more bits.
 func (m *PermMarks) Check(n int, perm []int) error {
 	if len(perm) != n {
 		return fmt.Errorf("%w: permutation length %d want %d", ErrShape, len(perm), n)
-	}
-	if m == nil {
-		m = NewPermMarks(n)
 	}
 	words := (n + 63) / 64
 	if len(m.bits) < words {

@@ -18,7 +18,9 @@ var ErrSingular = errors.New("sparse: singular triangular matrix (missing, zero 
 // [2⁻¹²⁶, 2¹²⁶] for float32. Zero, subnormal, NaN and infinite values
 // fail, and so do values whose reciprocal would overflow or fall below
 // the normal range. It compares and does not divide, so a check of
-// every row at analysis costs no divide.
+// every row at analysis costs no divide. The element's size, not a type
+// assertion, picks the range, so a named type over float32 gets
+// float32's.
 func UsableDiagonal[T Float](d T) bool {
 	a := float64(d)
 	if a < 0 {
@@ -34,10 +36,11 @@ func UsableDiagonal[T Float](d T) bool {
 var ErrNotTriangular = errors.New("sparse: matrix is not triangular")
 
 // LowerTriangle extracts the lower-triangular part (including the diagonal)
-// of a square CSR matrix. If insertUnitDiag is true, rows whose diagonal
-// entry is missing or zero receive a unit diagonal — the convention the
-// paper uses to make every SuiteSparse test matrix solvable ("plus a
-// diagonal to avoid singular").
+// of a square CSR matrix. A row whose diagonal entry is missing or one
+// UsableDiagonal refuses is an ErrSingular error, or, if insertUnitDiag is
+// true, receives a unit diagonal — the convention the paper uses to make
+// every SuiteSparse test matrix solvable ("plus a diagonal to avoid
+// singular"), so the result always passes CheckLowerSolvable.
 func LowerTriangle[T Float](m *CSR[T], insertUnitDiag bool) (*CSR[T], error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("%w: %dx%d not square", ErrShape, m.Rows, m.Cols)
@@ -55,11 +58,11 @@ func LowerTriangle[T Float](m *CSR[T], insertUnitDiag bool) (*CSR[T], error) {
 			}
 			v := m.Val[k]
 			if c == i {
-				if v == 0 && insertUnitDiag {
+				if !UsableDiagonal(v) {
+					if !insertUnitDiag {
+						return nil, fmt.Errorf("%w: row %d", ErrSingular, i)
+					}
 					v = 1
-				}
-				if v == 0 {
-					return nil, fmt.Errorf("%w: row %d", ErrSingular, i)
 				}
 				haveDiag = true
 			}
@@ -95,11 +98,11 @@ func UpperTriangle[T Float](m *CSR[T], insertUnitDiag bool) (*CSR[T], error) {
 		start := lo + sort.SearchInts(seg, i)
 		if start < hi && m.ColIdx[start] == i {
 			v := m.Val[start]
-			if v == 0 && insertUnitDiag {
+			if !UsableDiagonal(v) {
+				if !insertUnitDiag {
+					return nil, fmt.Errorf("%w: row %d", ErrSingular, i)
+				}
 				v = 1
-			}
-			if v == 0 {
-				return nil, fmt.Errorf("%w: row %d", ErrSingular, i)
 			}
 			colIdx = append(colIdx, i)
 			val = append(val, v)

@@ -357,6 +357,9 @@ func TestPermuteSymLevelOrderKeepsTriangular(t *testing.T) {
 func TestUsableDiagonal(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { checkUsableDiagonal[float64](t, 1022) })
 	t.Run("float32", func(t *testing.T) { checkUsableDiagonal[float32](t, 126) })
+	// Float admits named types; one over float32 has float32's range.
+	type single float32
+	t.Run("named float32", func(t *testing.T) { checkUsableDiagonal[single](t, 126) })
 }
 
 func checkUsableDiagonal[T Float](t *testing.T, e int) {
@@ -418,6 +421,21 @@ func checkDiagonalChecks[T Float](t *testing.T, bad []float64) {
 		}
 		if err := ValidateUpper(m.Transpose()); !errors.As(err, &zd) || zd.Row != 2 {
 			t.Errorf("%T ValidateUpper of diagonal %g: got %v, want ErrZeroDiagonal{2}", T(0), v, err)
+		}
+		// The extractors refuse the diagonal, or put a unit one in its place.
+		if _, err := LowerTriangle(m, false); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("%T LowerTriangle of diagonal %g: got %v, want ErrSingular naming row 2", T(0), v, err)
+		}
+		if _, err := UpperTriangle(m.Transpose(), false); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("%T UpperTriangle of diagonal %g: got %v, want ErrSingular naming row 2", T(0), v, err)
+		}
+		lo, err := LowerTriangle(m, true)
+		if err != nil || lo.Val[lo.RowPtr[3]-1] != 1 || CheckLowerSolvable(lo) != nil {
+			t.Errorf("%T LowerTriangle inserting over diagonal %g: got %v, %v, want a unit diagonal", T(0), v, lo, err)
+		}
+		up, err := UpperTriangle(m.Transpose(), true)
+		if err != nil || up.Val[up.RowPtr[2]] != 1 || ValidateUpper(up) != nil {
+			t.Errorf("%T UpperTriangle inserting over diagonal %g: got %v, %v, want a unit diagonal", T(0), v, up, err)
 		}
 	}
 }

@@ -6,10 +6,8 @@ import (
 )
 
 // ErrZeroDiagonal reports a missing diagonal entry or one that
-// UsableDiagonal refuses (zero, or too small or too large for its
-// reciprocal to be a normal number), the defect that turns a triangular
-// solve into silent Inf/NaN contamination. It satisfies
-// errors.Is(err, ErrSingular).
+// UsableDiagonal refuses, the defect that turns a triangular solve into
+// silent Inf/NaN contamination. It satisfies errors.Is(err, ErrSingular).
 type ErrZeroDiagonal struct {
 	Row int
 }

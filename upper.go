@@ -28,8 +28,8 @@ type UpperSolver[T Float] struct {
 }
 
 // AnalyzeUpper preprocesses the upper-triangular system U for repeated
-// solves. U must be square, upper triangular, with a full diagonal whose
-// entries and their reciprocals are normal numbers, as Analyze requires.
+// solves. U must be square, upper triangular, with a full diagonal of
+// entries sparse.UsableDiagonal accepts, as Analyze requires.
 func AnalyzeUpper[T Float](u *Matrix[T], opts Options) (*UpperSolver[T], error) {
 	if u.Rows != u.Cols {
 		return nil, fmt.Errorf("blocksptrsv: AnalyzeUpper: %dx%d not square", u.Rows, u.Cols)
