@@ -372,10 +372,10 @@ func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Option
 
 // buildGatherLeaf builds a serial leaf in gather form and checks it as
 // the loader does (triBlock.validate): sorted rows, lower triangular,
-// each row ending in a diagonal sparse.UsableDiagonal accepts. Preprocess checks only the last
-// entry of each row, and the gather reads every other entry as solved,
-// so an entry above the diagonal must be refused here, as SplitDiagBlock
-// refuses it on the scatter's path.
+// each row ending in a diagonal sparse.UsableDiagonal accepts.
+// Preprocess checks only the last entry of each row, and the gather
+// reads every other entry as solved, so an entry above the diagonal must
+// be refused here, as SplitDiagBlock refuses it on the scatter's path.
 func buildGatherLeaf[T sparse.Float](cur *sparse.CSR[T], spec segSpec) (triBlock[T], error) {
 	tb := triBlock[T]{lo: spec.rowLo, hi: spec.rowHi, lower: gatherCSR(cur, spec.rowLo, spec.rowHi),
 		kernel: kernels.TriSerial, feats: spec.feats}
