@@ -19,7 +19,8 @@ type LUSolver struct {
 }
 
 // NewLUSolver preprocesses both factors. L must be lower and U upper
-// triangular, both with nonzero diagonals (ILU0 output qualifies).
+// triangular, both with diagonals sparse.UsableDiagonal accepts, as
+// Analyze requires.
 func NewLUSolver(l, u *Matrix[float64], opts Options) (*LUSolver, error) {
 	ls, err := Analyze(l, opts)
 	if err != nil {
